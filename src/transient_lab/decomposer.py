@@ -16,6 +16,11 @@ policies the idealized loop does not need:
   each term the others' latest values, so the cross-contamination of the
   estimates shrinks multiplicatively, which is what keeps later (faster,
   smaller) terms recoverable in double precision.
+
+Numeric mode evaluates the input once, on one grid (the input's own nodes
+inside the support, or a uniform grid when it has none).  Every residual is
+an array of values on that grid, and the tail estimators read it as a
+sampled signal on those same nodes, so no sample is interpolated twice.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import SignalSource, SymbolicTransient, evaluate_many, subtract_term
+from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
+                          subtract_term)
 from .tail_limits import TailFitConfig, estimate_coefficient, estimate_rate
 
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
@@ -135,12 +141,15 @@ def _noise_level(values) -> float:
 
 
 class _NumericState:
-    """Grid-resident bookkeeping for one numeric decomposition."""
+    """Grid-resident bookkeeping for one numeric decomposition.
+
+    The input is evaluated once, on self.grid; every residual is the array
+    base_values minus the held terms on that grid, and nothing else.
+    """
 
     def __init__(self, source, support, cfg, stop):
         self.cfg = cfg
         self.stop = stop
-        self.source = source
         self.t_lo, self.t_hi = float(support[0]), float(support[1])
         if not (self.t_hi > self.t_lo >= 0.0) or not math.isfinite(self.t_hi):
             raise ValueError(f"support must satisfy 0 <= t_lo < t_hi < inf, got {support}")
@@ -152,21 +161,16 @@ class _NumericState:
         if len(self.grid) < cfg.min_window_points:
             raise ValueError("support holds too few samples for the configured window")
         self.base_values = evaluate_many(source, self.grid)
+        if not np.all(np.isfinite(self.base_values)):
+            raise ValueError("signal is not finite on the evaluation grid")
         self.noise_sigma = _noise_level(self.base_values)
         self.terms = []          # [(rate, coeff)]
         self.term_info = {}      # rate -> (rms, window)
 
     # -- residual bookkeeping -------------------------------------------
 
-    def residual_source(self, skip=None):
-        """Residual as a SignalSource built by chained term subtraction."""
-        out = self.source
-        for i, (rate, coeff) in enumerate(self.terms):
-            if i != skip:
-                out = subtract_term(out, rate, coeff)
-        return out
-
     def residual_values(self, skip=None):
+        """Base values minus every held term except the one at index skip."""
         out = self.base_values.copy()
         for i, (rate, coeff) in enumerate(self.terms):
             if i != skip:
@@ -193,8 +197,8 @@ class _NumericState:
 
     # -- estimation ------------------------------------------------------
 
-    def estimate_term(self, residual, values):
-        """Best (rate, coeff, rms, window) over the candidate horizons.
+    def estimate_term(self, values):
+        """Best (rate, coeff, rms, window) for the residual with these grid values.
 
         Fits the trailing window of each trimmed horizon and keeps the rate
         fit whose log-magnitude residual is smallest; the coefficient is then
@@ -204,6 +208,7 @@ class _NumericState:
         peak = mag.max()
         if peak == 0.0:
             raise SignalVanished("residual is identically zero")
+        residual = SignalSource.from_sampled(SampledSignal(self.grid, values))
         floors = list(self.stop.horizon_floors)
         if self.noise_sigma > 1e-9 * peak:
             # trim where the residual sinks into the measured noise
@@ -217,7 +222,9 @@ class _NumericState:
             try:
                 est = estimate_rate(residual, (self.t_lo, t_hi), self.cfg)
             except (SignalVanished, NonDecaying) as exc:
-                last_error = exc
+                # without its traceback the kept error holds no frame, so it
+                # forms no reference cycle with this one
+                last_error = exc.with_traceback(None)
                 continue
             # a log-magnitude spread beyond 0.5 means the window straddles a
             # noise floor or a sign flip, not an exponential
@@ -226,8 +233,14 @@ class _NumericState:
             if best is None or est.residual_rms < best.residual_rms:
                 best = est
         if best is None:
-            raise last_error if last_error is not None else SignalVanished(
-                "no window fits a decaying exponential above the floor")
+            if last_error is None:
+                raise SignalVanished("no window fits a decaying exponential above the floor")
+            try:
+                raise last_error
+            finally:
+                # the raise links this frame to the error; drop the error's
+                # link back so refcounting, not the cyclic GC, frees both
+                del last_error
         coeff = estimate_coefficient(residual, best.rate, (self.t_lo, best.window[1]), self.cfg)
         return best.rate, coeff, best.residual_rms, best.window
 
@@ -239,8 +252,7 @@ class _NumericState:
         """Re-estimate every held term against the signal minus the others."""
         for j in range(len(self.terms)):
             try:
-                rate, coeff, rms, window = self.estimate_term(
-                    self.residual_source(skip=j), self.residual_values(skip=j))
+                rate, coeff, rms, window = self.estimate_term(self.residual_values(skip=j))
             except (SignalVanished, NonDecaying, Diverging):
                 continue
             if rate <= 0.0 or self.collides(rate, skip=j):
@@ -289,7 +301,7 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
             reason = "residual_floor"
             break
         try:
-            rate, coeff, rms, fit_window = state.estimate_term(state.residual_source(), values)
+            rate, coeff, rms, fit_window = state.estimate_term(values)
         except SignalVanished:
             reason = "signal_vanished"
             break

@@ -76,9 +76,6 @@ class SymbolicTransient:
         """Drop zero-coefficient terms."""
         return SymbolicTransient(tuple((r, c) for r, c in self.terms if c != 0.0))
 
-    def scaled(self, factor: float) -> "SymbolicTransient":
-        return SymbolicTransient(tuple((r, factor * c) for r, c in self.terms))
-
     def __call__(self, t):
         ts = np.asarray(t, dtype=float)
         if not self.terms:
@@ -116,20 +113,24 @@ class SampledSignal:
             raise ValueError(f"length mismatch: {len(times)} times vs {len(values)} values")
         if len(times) == 0:
             raise ValueError("a sampled signal needs at least one sample")
+        for name, arr in (("times", times), ("values", values)):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise ValueError(f"{name} must be finite, got {arr[bad][0]} "
+                                 f"at sample {int(np.argmax(bad))}")
         if times[0] < 0.0:
             raise ValueError(f"times must start at t >= 0, got {times[0]}")
-        if len(times) > 1 and not np.all(np.diff(times) > 0.0):
+        diffs = np.diff(times)
+        if not np.all(diffs > 0.0):
             raise ValueError("times must be strictly increasing")
         step = self.uniform_step
-        if step is None and len(times) > 1:
-            diffs = np.diff(times)
+        if step is None and len(diffs):
             mean = float(diffs.mean())
             if np.all(np.abs(diffs - mean) <= _UNIFORM_REL_TOL * mean):
                 step = mean
         if step is not None:
             if step <= 0.0:
                 raise ValueError("uniform_step must be positive")
-            diffs = np.diff(times)
             if len(diffs) and not np.all(np.abs(diffs - step) <= _UNIFORM_REL_TOL * step):
                 raise ValueError("uniform_step does not match the grid spacing")
         object.__setattr__(self, "uniform_step", step)
@@ -347,7 +348,10 @@ def load_samples_csv(path) -> SampledSignal:
                 values.append(float(row[1]))
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed sample row {row!r}") from exc
-    return SampledSignal(times=np.array(times), values=np.array(values))
+    try:
+        return SampledSignal(times=np.array(times), values=np.array(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_samples_csv(signal: SampledSignal, path) -> None:

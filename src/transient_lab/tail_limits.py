@@ -106,10 +106,19 @@ def _window_samples(source, support, cfg):
     """Times, values, and the window bounds for the trailing fit window."""
     t_lo, t_hi = _validate_support(support)
     w_start = t_hi - cfg.window_fraction * (t_hi - t_lo)
+    window = (w_start, t_hi)
+    sig = source.sampled
+    if sig is not None and source.grid is sig.times:
+        # read on its own nodes a sampled signal is its samples (finite by
+        # construction), so slice them instead of interpolating
+        a = int(sig.times.searchsorted(w_start, "left"))
+        b = int(sig.times.searchsorted(t_hi, "right"))
+        if b - a >= 2:
+            return sig.times[a:b], sig.values[a:b], window
     ts = _sample_times(source, w_start, t_hi)
     xs = evaluate_many(source, ts)
     finite = np.isfinite(xs)
-    return ts[finite], xs[finite], (w_start, t_hi)
+    return ts[finite], xs[finite], window
 
 
 def _kept(ts, xs, cfg):
@@ -126,8 +135,14 @@ def _kept(ts, xs, cfg):
     return ts[keep], xs[keep]
 
 
+def _mean(x):
+    # what ndarray.mean computes for a 1-d float64 array, bit for bit,
+    # without its Python-level dispatch; the fits call it per sub-block
+    return np.add.reduce(x) / len(x)
+
+
 def _line_fit(t, y):
-    tm, ym = t.mean(), y.mean()
+    tm, ym = _mean(t), _mean(y)
     dt = t - tm
     denom = float(np.dot(dt, dt))
     slope = float(np.dot(dt, y - ym)) / denom
@@ -195,10 +210,10 @@ def estimate_rate(source: SignalSource, support, cfg: TailFitConfig = None) -> R
     else:
         slopes = [_line_fit(ts[a:b], logs[a:b])[0] for a, b in blocks]
         rate = -_extrapolate(slopes)
-        icpt = float(np.mean(logs + rate * ts))
+        icpt = float(_mean(logs + rate * ts))
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
-    rms = float(np.sqrt(np.mean((logs - (icpt - rate * ts)) ** 2)))
+    rms = float(np.sqrt(_mean((logs - (icpt - rate * ts)) ** 2)))
     return RateEstimate(rate=float(rate), intercept=float(icpt), window=window, residual_rms=rms)
 
 
@@ -228,8 +243,8 @@ def estimate_coefficient(source: SignalSource, rate: float, support,
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
 
     quarter = max(len(values) // 4, 1)
-    head = float(np.mean(np.abs(values[:quarter])))
-    tail = float(np.mean(np.abs(values[-quarter:])))
+    head = float(_mean(np.abs(values[:quarter])))
+    tail = float(_mean(np.abs(values[-quarter:])))
     if head > 0.0 and tail / head > cfg.diverge_factor:
         raise Diverging(
             f"reweighted tail grows by {tail / head:.3g} across the window "
@@ -238,8 +253,8 @@ def estimate_coefficient(source: SignalSource, rate: float, support,
     nsub = _FIT_ORDERS[cfg.fit_order]
     blocks = _index_blocks(len(values), nsub, cfg.min_window_points)
     if blocks is None or nsub == 1:
-        return float(np.mean(values))
-    return float(_extrapolate([float(np.mean(values[a:b])) for a, b in blocks]))
+        return float(_mean(values))
+    return float(_extrapolate([float(_mean(values[a:b])) for a, b in blocks]))
 
 
 def rate_sequence(source: SignalSource, support, cfg: TailFitConfig = None) -> RateSequence:

@@ -218,3 +218,25 @@ class TestRateSequenceCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == len(seq.points) + 1
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("verb", [("decompose",), ("prony", "--order", 2),
+                                      ("oet", "--max-index", 4)],
+                             ids=["decompose", "prony", "oet"])
+    def test_rejected_with_one_line_error(self, tmp_path, two_term_spec, capsys, verb, bad):
+        csv_path = tmp_path / "samples.csv"
+        run("synth", "--input", two_term_spec, "--output", csv_path,
+            "--horizon", 20.0, "--step", 0.01)
+        lines = csv_path.read_text().splitlines()
+        row = len(lines) // 2
+        lines[row] = lines[row].split(",")[0] + "," + bad
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(verb[0], "--input", csv_path, *verb[1:],
+                   "--output", tmp_path / "out.json") == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and str(csv_path) in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out.json").exists()

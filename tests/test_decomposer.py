@@ -195,3 +195,49 @@ class TestNoisyData:
             if result.terms and abs(result.terms[0][0] - 1.0) < 0.05:
                 recovered += 1
         assert recovered >= 4
+
+
+class TestGridResidency:
+    def test_numeric_path_builds_no_closures(self, monkeypatch):
+        # residuals live as values on one grid; chaining subtract_term
+        # closures would re-interpolate the samples on every estimator call
+        import transient_lab.decomposer as decomposer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numeric decomposition called subtract_term")
+
+        monkeypatch.setattr(decomposer, "subtract_term", refuse)
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        samples = synthesize_samples(sig, np.arange(0.0, 40.0 + 1e-9, 0.01))
+        sampled = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        evaluated = decompose_numeric(SignalSource.from_evaluator(sig, support=(0.0, 40.0)),
+                                      (0.0, 40.0))
+        assert len(sampled.terms) == 2
+        assert len(evaluated.terms) == 2
+
+    def test_noisy_run_leaves_no_reference_cycles(self):
+        # a rejected horizon's error must not keep the estimator frames (and
+        # their residual arrays) alive until the cyclic GC happens to run
+        import gc
+
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        samples = synthesize_samples(sig, np.arange(0.0, 40.0 + 1e-9, 0.01),
+                                     noise_sigma=1e-4, seed=1)
+        source = SignalSource.from_sampled(samples)
+        gc.collect()
+        gc.disable()
+        try:
+            decompose_numeric(source, samples.support)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_non_finite_evaluator_rejected(self):
+        def fn(ts):
+            out = np.exp(-np.asarray(ts, dtype=float))
+            out[len(out) // 2] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="finite"):
+            decompose_numeric(SignalSource.from_evaluator(fn, support=(0.0, 30.0)),
+                              (0.0, 30.0))

@@ -64,6 +64,17 @@ class TestSampledSignal:
         with pytest.raises(ValueError, match="t >= 0"):
             SampledSignal(times=np.array([-1.0, 1.0]), values=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        values = np.ones(4)
+        values[2] = bad
+        with pytest.raises(ValueError, match="values must be finite.*sample 2"):
+            SampledSignal(times=np.arange(4.0), values=values)
+        times = np.arange(4.0)
+        times[3] = bad
+        with pytest.raises(ValueError, match="times must be finite.*sample 3"):
+            SampledSignal(times=times, values=np.ones(4))
+
 
 # ---------------------------------------------------------------------------
 # evaluate

@@ -213,3 +213,32 @@ class TestShrinkSupport:
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 5, 50))
         with pytest.raises(SignalVanished):
             shrink_support(SignalSource.from_sampled(sig), (0.0, 5.0))
+
+
+class TestSampledWindow:
+    # a sampled source is read on its own nodes by slicing; the same samples
+    # served by an evaluator on the same grid take the interpolating path.
+    # The supports put the window bounds on nodes and between them.
+    @pytest.mark.parametrize("support", [(0.0, 20.0), (0.013, 17.3377), (1.0, 9.99)])
+    @pytest.mark.parametrize("fit_order", ["slope_fit", "richardson_2"])
+    def test_slice_matches_interpolated_reads(self, support, fit_order):
+        sig = SymbolicTransient(((0.7, 1.5), (1.9, -0.8)))
+        times = np.arange(0.0, 20.0 + 1e-9, 0.01)
+        samples = synthesize_samples(sig, times, noise_sigma=1e-9, seed=4)
+        sampled = SignalSource.from_sampled(samples)
+        served = SignalSource.from_evaluator(
+            lambda ts: np.interp(ts, samples.times, samples.values),
+            support=samples.support, grid=times)
+        cfg = TailFitConfig(fit_order=fit_order)
+        got, want = estimate_rate(sampled, support, cfg), estimate_rate(served, support, cfg)
+        assert got == want
+        assert (estimate_coefficient(sampled, got.rate, support, cfg)
+                == estimate_coefficient(served, want.rate, support, cfg))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1001, 2000])
+def test_fast_mean_is_ndarray_mean(n, rng):
+    from transient_lab.tail_limits import _mean
+    for x in (rng.normal(size=n), np.exp(-rng.uniform(0.0, 30.0, size=n)),
+              np.log(rng.uniform(1e-12, 1.0, size=2 * n))[::2]):
+        assert _mean(x) == x.mean()
