@@ -9,8 +9,8 @@ cross-checking baselines with complementary restrictions.
 from .decomposer import (DecompositionResult, StoppingPolicy, TermDiagnostics,
                          decompose_exact, decompose_numeric, reconstruct)
 from .errors import (Diverging, GammaPole, NonDecaying, OutOfSupport,
-                     QuadratureFailure, RankDeficient, RateCollision,
-                     SignalVanished, TransientLabError)
+                     QuadratureFailure, RankDeficient, SignalVanished,
+                     TransientLabError)
 from .functionals import (FunctionalLedger, PolynomialNoConstant,
                           apply_monomial_functional, apply_rate_functional,
                           correspondence_check, monomial_functional_matrix,
@@ -36,7 +36,7 @@ __all__ = [
     "DecompositionResult", "StoppingPolicy", "TermDiagnostics",
     "decompose_exact", "decompose_numeric", "reconstruct",
     "TransientLabError", "OutOfSupport", "QuadratureFailure", "SignalVanished",
-    "NonDecaying", "Diverging", "RateCollision", "RankDeficient", "GammaPole",
+    "NonDecaying", "Diverging", "RankDeficient", "GammaPole",
     "FunctionalLedger", "PolynomialNoConstant", "apply_monomial_functional",
     "apply_rate_functional", "correspondence_check", "monomial_functional_matrix",
     "rate_functional_matrix",

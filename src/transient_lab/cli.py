@@ -11,7 +11,6 @@ Exit codes (also shown in --help):
     3  unreadable or malformed input file
     4  evaluation or quadrature failure (OutOfSupport, QuadratureFailure)
     5  tail estimation failure (SignalVanished, NonDecaying, Diverging)
-    6  decomposition rate collision (RateCollision)
     7  prony rank failure (RankDeficient)
     8  gamma-function pole (GammaPole)
 """
@@ -24,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -42,12 +41,15 @@ from .tail_limits import TailFitConfig
 QUAD_NODES_ENV = "TRANSIENT_LAB_QUAD_NODES"
 
 _EXIT_CODES = (
-    (errors.RateCollision, 6),
     (errors.RankDeficient, 7),
     (errors.GammaPole, 8),
     ((errors.SignalVanished, errors.NonDecaying, errors.Diverging), 5),
     ((errors.OutOfSupport, errors.QuadratureFailure), 4),
 )
+
+# --config sections, each mirroring the config type whose fields it may set
+_CONFIG_SECTIONS = {"tail": TailFitConfig, "stopping": StoppingPolicy,
+                    "quadrature": QuadratureConfig}
 
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
@@ -90,30 +92,49 @@ def _quad_nodes_default() -> int:
 
 
 def _load_json_config(path):
+    """The --config object, with every section and key checked by name."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    for name, section in payload.items():
+        if name not in _CONFIG_SECTIONS:
+            raise ValueError(f"{path}: unknown section {name!r}; "
+                             f"expected one of {sorted(_CONFIG_SECTIONS)}")
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: section {name!r} must be a JSON object")
+        known = {f.name for f in fields(_CONFIG_SECTIONS[name])}
+        for key in section:
+            if key not in known:
+                raise ValueError(f"{path}: section {name!r} has unknown key {key!r}")
+    return payload
 
 
 def build_run_config(args) -> RunConfig:
     overrides = _load_json_config(args.config) if getattr(args, "config", None) else {}
-    tail_kwargs = dict(overrides.get("tail", {}))
-    tail_kwargs.setdefault("fit_order", "richardson_2")
-    stop_kwargs = dict(overrides.get("stopping", {}))
+    kwargs = {name: dict(overrides.get(name, {})) for name in _CONFIG_SECTIONS}
+    kwargs["tail"].setdefault("fit_order", "richardson_2")
     if getattr(args, "max_terms", None) is not None:
-        stop_kwargs["max_terms"] = args.max_terms
-    quad_kwargs = dict(overrides.get("quadrature", {}))
-    quad_kwargs.setdefault("nodes", _quad_nodes_default())
+        kwargs["stopping"]["max_terms"] = args.max_terms
+    kwargs["quadrature"].setdefault("nodes", _quad_nodes_default())
+    sections = {}
+    for name, kind in _CONFIG_SECTIONS.items():
+        try:
+            sections[name] = kind(**kwargs[name])
+        except TypeError as exc:
+            # a value of the wrong JSON type fails the type's own checks
+            raise ValueError(f"{args.config}: section {name!r}: {exc}") from exc
 
     cfg = RunConfig(
         command=args.command,
         input_path=getattr(args, "input", None),
         output_path=getattr(args, "output", None),
-        tail=TailFitConfig(**tail_kwargs),
-        stopping=StoppingPolicy(**stop_kwargs),
-        quadrature=QuadratureConfig(**quad_kwargs),
+        tail=sections["tail"],
+        stopping=sections["stopping"],
+        quadrature=sections["quadrature"],
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", 1),
         horizon=getattr(args, "horizon", 40.0),

@@ -17,10 +17,11 @@ policies the idealized loop does not need:
   estimates shrinks multiplicatively, which is what keeps later (faster,
   smaller) terms recoverable in double precision.
 
-Numeric mode evaluates the input once, on one grid (the input's own nodes
-inside the support, or a uniform grid when it has none).  Every residual is
-an array of values on that grid, and the tail estimators read it as a
-sampled signal on those same nodes, so no sample is interpolated twice.
+Numeric mode evaluates the input once, on its evaluation grid (the input's
+own nodes inside the support, or GRID_POINTS uniform nodes when it has
+none; see signal_core.evaluation_grid).  Every residual is an array of
+values on that grid, and the tail estimators read it as a sampled signal
+on those same nodes, so no sample is interpolated twice.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
-                          subtract_term)
+                          evaluation_grid, subtract_term)
 from .tail_limits import TailFitConfig, estimate_coefficient, estimate_rate
 
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
@@ -50,7 +51,6 @@ class StoppingPolicy:
     horizon_floors: candidate relative floors for per-iteration horizon
         trimming; the fit with the smallest log-magnitude residual wins.
     refine_sweeps: extra re-estimation sweeps after extraction ends.
-    eval_points: grid density when the input carries no sample grid.
     """
 
     residual_floor: float = 1e-8
@@ -58,7 +58,6 @@ class StoppingPolicy:
     rate_merge_tol: float = 1e-3
     horizon_floors: tuple = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
     refine_sweeps: int = 2
-    eval_points: int = 4001
 
     def __post_init__(self):
         if not 0.0 < self.residual_floor < 1.0:
@@ -153,11 +152,7 @@ class _NumericState:
         self.t_lo, self.t_hi = float(support[0]), float(support[1])
         if not (self.t_hi > self.t_lo >= 0.0) or not math.isfinite(self.t_hi):
             raise ValueError(f"support must satisfy 0 <= t_lo < t_hi < inf, got {support}")
-        if source.grid is not None:
-            sel = (source.grid >= self.t_lo) & (source.grid <= self.t_hi)
-            self.grid = source.grid[sel]
-        else:
-            self.grid = np.linspace(self.t_lo, self.t_hi, stop.eval_points)
+        self.grid = evaluation_grid(source, support)
         if len(self.grid) < cfg.min_window_points:
             raise ValueError("support holds too few samples for the configured window")
         self.base_values = evaluate_many(source, self.grid)

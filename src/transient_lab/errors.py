@@ -25,10 +25,6 @@ class Diverging(TransientLabError):
     """The reweighted tail grows, indicating an overestimated decay rate."""
 
 
-class RateCollision(TransientLabError):
-    """A newly estimated rate duplicates one already extracted."""
-
-
 class RankDeficient(TransientLabError):
     """The linear-prediction system has no usable rank."""
 

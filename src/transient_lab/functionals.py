@@ -24,8 +24,10 @@ from math import gamma
 import numpy as np
 
 from .errors import Diverging, SignalVanished
-from .signal_core import SignalSource, SymbolicTransient, evaluate_many, subtract_term
-from .tail_limits import TailFitConfig, estimate_coefficient, shrink_support
+from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
+                          evaluation_grid)
+from .tail_limits import (TailFitConfig, _reweighted, _window_samples, estimate_coefficient,
+                          shrink_support)
 
 # a stripped residual this small everywhere, relative to the input's peak,
 # is numerically zero: its content is the rounding left over from earlier
@@ -104,8 +106,9 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
     """Value of the n-th extraction functional; appends it to the ledger.
 
     Symbolic inputs whose rates all appear in the ledger's known list are
-    handled with exact term arithmetic.  Anything else goes through the
-    numeric tail estimate and needs an explicit finite support.
+    handled with exact term arithmetic.  Anything else is read once on its
+    evaluation grid, goes through the numeric tail estimate, and needs an
+    explicit finite support.
     Raises Diverging when the stripped residual still holds a rate slower
     than rate_n, which means the promised extraction order was violated.
     """
@@ -134,19 +137,22 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
         raise ValueError("numeric evaluation needs an explicit (t_lo, t_hi) support")
     cfg = cfg or TailFitConfig(fit_order="richardson_1")
 
-    residual = source
+    ts = evaluation_grid(source, support)
+    if len(ts) < cfg.min_window_points:
+        raise ValueError("support holds too few samples for the configured window")
+    values = evaluate_many(source, ts)
+    stripped = values.copy()
     for rate, value in zip(ledger.known_rates[: n - 1], ledger.extracted):
-        residual = subtract_term(residual, rate, value)
+        stripped -= value * np.exp(-rate * ts)
 
     # a residual below the vanish tolerance everywhere is the rounding left
     # over from the earlier subtractions, not signal
-    probe = np.linspace(float(support[0]), float(support[1]), 2049)
-    scale = float(np.abs(evaluate_many(source, probe)).max())
-    resid_peak = float(np.abs(evaluate_many(residual, probe)).max())
-    if scale == 0.0 or resid_peak <= RESIDUAL_VANISH_TOL * scale:
+    scale = float(np.abs(values).max())
+    if scale == 0.0 or float(np.abs(stripped).max()) <= RESIDUAL_VANISH_TOL * scale:
         ledger.extracted.append(0.0)
         return 0.0
 
+    residual = SignalSource.from_sampled(SampledSignal(ts, stripped))
     try:
         value = _scanned_coefficient(residual, target, support, cfg)
     except SignalVanished:
@@ -170,19 +176,20 @@ def _scanned_coefficient(residual, rate, support, cfg,
             lo, hi = shrink_support(residual, support, rel_floor=rel)
             value = estimate_coefficient(residual, rate, (lo, hi), cfg)
         except (SignalVanished, Diverging) as exc:
-            last_error = exc
+            last_error = exc.with_traceback(None)   # keeps no frame alive
             continue
-        w_start = hi - cfg.window_fraction * (hi - lo)
-        ts = np.linspace(w_start, hi, 257)
-        xs = evaluate_many(residual, ts)
-        nz = xs != 0.0
-        v = np.zeros_like(xs)
-        v[nz] = np.sign(xs[nz]) * np.exp(rate * ts[nz] + np.log(np.abs(xs[nz])))
+        ts, xs, _ = _window_samples(residual, (lo, hi), cfg)
+        v = _reweighted(ts, xs, rate)
         spread = float(np.std(v) / max(np.abs(v).mean(), 1e-300))
         if best is None or spread < best[1]:
             best = (value, spread)
     if best is None:
-        raise last_error if last_error is not None else SignalVanished("no usable window")
+        if last_error is None:
+            raise SignalVanished("no usable window")
+        try:
+            raise last_error
+        finally:
+            del last_error   # the raise links this frame to the error; unlink it
     return best[0]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RankDeficient
 from .signal_core import SampledSignal
@@ -76,9 +77,7 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     flags = []
     p = order
     while True:
-        prediction = np.empty((n - p, p))
-        for i in range(n - p):
-            prediction[i] = values[i:i + p]
+        prediction = sliding_window_view(values, p)[:n - p]
         poly, _, rank, _ = np.linalg.lstsq(prediction, -values[p:], rcond=None)
         if rank == p:
             break

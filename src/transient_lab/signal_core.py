@@ -25,6 +25,8 @@ from .errors import OutOfSupport, QuadratureFailure
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
 _UNIFORM_REL_TOL = 1e-12
+# uniform nodes that numeric methods read a source without nodes of its own on
+GRID_POINTS = 4001
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,8 @@ class SampledSignal:
 class SignalSource:
     """One evaluatable signal: symbolic, sampled, or black-box.
 
-    grid, when present, lists the preferred evaluation times (a sampled
-    signal's own nodes); tail estimators read it to stay on exact data.
+    grid, when present, lists the source's own nodes (a sampled signal's
+    sample times); numeric methods read the source there (evaluation_grid).
     """
 
     symbolic: Optional[SymbolicTransient] = None
@@ -201,6 +203,15 @@ def evaluate_many(source: SignalSource, ts) -> np.ndarray:
     return arr
 
 
+def evaluation_grid(source: SignalSource, support) -> np.ndarray:
+    """The nodes numeric methods read source on: its own grid nodes inside
+    support, or GRID_POINTS uniform nodes spanning support when it has none."""
+    t_lo, t_hi = support
+    if source.grid is not None:
+        return source.grid[(source.grid >= t_lo) & (source.grid <= t_hi)]
+    return np.linspace(t_lo, t_hi, GRID_POINTS)
+
+
 def evaluate(source: SignalSource, t: float) -> float:
     """Signal value at a single time t >= 0."""
     if t < 0.0:
@@ -209,36 +220,31 @@ def evaluate(source: SignalSource, t: float) -> float:
 
 
 def subtract_term(source: SignalSource, rate: float, coeff: float) -> SignalSource:
-    """Signal evaluating to source(t) - coeff * exp(-rate * t).
+    """Symbolic signal evaluating to source(t) - coeff * exp(-rate * t).
 
-    A symbolic input stays symbolic: the coefficient at an existing matching
-    rate is reduced (the term disappears when it cancels exactly), otherwise
-    the negated term is inserted at its sorted position.
+    The coefficient at an existing matching rate is reduced (the term
+    disappears when it cancels exactly), otherwise the negated term is
+    inserted at its sorted position.  Numeric residuals are arrays on an
+    evaluation grid instead, so other variants are rejected.
     """
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    if source.symbolic is not None:
-        terms = list(source.symbolic.terms)
-        for i, (r, c) in enumerate(terms):
-            if r == rate:
-                remaining = c - coeff
-                if remaining == 0.0:
-                    terms.pop(i)
-                else:
-                    terms[i] = (r, remaining)
-                break
-        else:
-            if coeff != 0.0:
-                terms.append((rate, -coeff))
-                terms.sort()
-        return SignalSource.from_symbolic(SymbolicTransient(tuple(terms)))
-
-    base = source
-
-    def residual(ts):
-        return evaluate_many(base, ts) - coeff * np.exp(-rate * np.asarray(ts, dtype=float))
-
-    return SignalSource(evaluator=residual, support=source.support, grid=source.grid)
+    if source.symbolic is None:
+        raise ValueError(f"subtract_term needs a symbolic source, got a {source.variant} one")
+    terms = list(source.symbolic.terms)
+    for i, (r, c) in enumerate(terms):
+        if r == rate:
+            remaining = c - coeff
+            if remaining == 0.0:
+                terms.pop(i)
+            else:
+                terms[i] = (r, remaining)
+            break
+    else:
+        if coeff != 0.0:
+            terms.append((rate, -coeff))
+            terms.sort()
+    return SignalSource.from_symbolic(SymbolicTransient(tuple(terms)))
 
 
 def inner_product(f: SignalSource, g: SignalSource, q: QuadratureConfig = None) -> float:

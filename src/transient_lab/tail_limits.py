@@ -18,6 +18,10 @@ eliminates.
 Window placement, floors, and extrapolation order all live in
 TailFitConfig; the limits themselves are ideal and the estimation policy
 is a deliberate design surface.
+
+Every estimator reads the source on signal_core.evaluation_grid: a sampled
+signal's own nodes, sliced rather than interpolated, or GRID_POINTS uniform
+nodes over the interval read when the source has no nodes of its own.
 """
 
 from __future__ import annotations
@@ -28,10 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import SignalSource, evaluate_many
-
-# evaluation density for sources that do not carry their own grid
-_DEFAULT_WINDOW_POINTS = 513
+from .signal_core import SignalSource, evaluate_many, evaluation_grid
 
 _FIT_ORDERS = {"slope_fit": 1, "richardson_1": 3, "richardson_2": 5}
 
@@ -93,32 +94,29 @@ def _validate_support(support):
     return t_lo, t_hi
 
 
-def _sample_times(source: SignalSource, lo: float, hi: float) -> np.ndarray:
-    if source.grid is not None:
-        sel = (source.grid >= lo) & (source.grid <= hi)
-        ts = source.grid[sel]
-        if len(ts) >= 2:
-            return ts
-    return np.linspace(lo, hi, _DEFAULT_WINDOW_POINTS)
+def _read(source: SignalSource, lo: float, hi: float):
+    """Nodes of the source's evaluation grid in [lo, hi] and its values there."""
+    sig = source.sampled
+    if sig is not None and source.grid is sig.times:
+        # read on its own nodes a sampled signal is its samples, so slice
+        # them instead of interpolating
+        a = int(sig.times.searchsorted(lo, "left"))
+        b = int(sig.times.searchsorted(hi, "right"))
+        return sig.times[a:b], sig.values[a:b]
+    ts = evaluation_grid(source, (lo, hi))
+    return ts, evaluate_many(source, ts)
 
 
 def _window_samples(source, support, cfg):
     """Times, values, and the window bounds for the trailing fit window."""
     t_lo, t_hi = _validate_support(support)
     w_start = t_hi - cfg.window_fraction * (t_hi - t_lo)
-    window = (w_start, t_hi)
-    sig = source.sampled
-    if sig is not None and source.grid is sig.times:
-        # read on its own nodes a sampled signal is its samples (finite by
-        # construction), so slice them instead of interpolating
-        a = int(sig.times.searchsorted(w_start, "left"))
-        b = int(sig.times.searchsorted(t_hi, "right"))
-        if b - a >= 2:
-            return sig.times[a:b], sig.values[a:b], window
-    ts = _sample_times(source, w_start, t_hi)
-    xs = evaluate_many(source, ts)
-    finite = np.isfinite(xs)
-    return ts[finite], xs[finite], window
+    ts, xs = _read(source, w_start, t_hi)
+    if source.sampled is None:
+        # samples are finite by construction; evaluated values need not be
+        finite = np.isfinite(xs)
+        ts, xs = ts[finite], xs[finite]
+    return ts, xs, (w_start, t_hi)
 
 
 def _kept(ts, xs, cfg):
@@ -265,9 +263,9 @@ def rate_sequence(source: SignalSource, support, cfg: TailFitConfig = None) -> R
     """
     cfg = cfg or TailFitConfig()
     t_lo, t_hi = _validate_support(support)
-    ts = _sample_times(source, t_lo, t_hi)
-    ts = ts[ts > 0.0]
-    xs = evaluate_many(source, ts)
+    ts, xs = _read(source, t_lo, t_hi)
+    positive = ts > 0.0
+    ts, xs = ts[positive], xs[positive]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = -np.log(np.abs(xs)) / ts
     good = np.isfinite(vals)
@@ -286,8 +284,7 @@ def save_rate_sequence_csv(sequence: RateSequence, path) -> None:
             writer.writerow([repr(float(t)), repr(float(value))])
 
 
-def shrink_support(source: SignalSource, support, rel_floor: float = 1e-8,
-                   eval_points: int = 2049):
+def shrink_support(source: SignalSource, support, rel_floor: float = 1e-8):
     """Trim the horizon to where |x| still clears rel_floor of its peak.
 
     Past that point the values carry no usable precision relative to the
@@ -295,14 +292,8 @@ def shrink_support(source: SignalSource, support, rel_floor: float = 1e-8,
     leftovers of earlier subtractions).
     """
     t_lo, t_hi = _validate_support(support)
-    if source.grid is not None:
-        sel = (source.grid >= t_lo) & (source.grid <= t_hi)
-        ts = source.grid[sel]
-        if len(ts) < 2:
-            ts = np.linspace(t_lo, t_hi, eval_points)
-    else:
-        ts = np.linspace(t_lo, t_hi, eval_points)
-    mag = np.abs(evaluate_many(source, ts))
+    ts, xs = _read(source, t_lo, t_hi)
+    mag = np.abs(xs)
     peak = mag.max() if len(mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the support")

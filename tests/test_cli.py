@@ -179,6 +179,23 @@ class TestConfigPlumbing:
         assert len(payload["terms"]) == 1
         assert payload["diagnostics"]["termination_reason"] == "max_terms"
 
+    @pytest.mark.parametrize("payload, named", [
+        ('{"stopping": {"bogus": 1}}', "section 'stopping' has unknown key 'bogus'"),
+        ('{"stopping": {"eval_points": 4001}}', "unknown key 'eval_points'"),
+        ('{"tail": [1, 2]}', "section 'tail' must be a JSON object"),
+        ('[1]', "top level must be a JSON object"),
+        ('{"stoping": {}}', "unknown section 'stoping'"),
+        ('{"quadrature": {"nodes": "many"}}', "section 'quadrature'"),
+    ])
+    def test_malformed_config_rejected_in_one_line(self, tmp_path, two_term_spec, capsys,
+                                                   payload, named):
+        config = tmp_path / "config.json"
+        config.write_text(payload)
+        assert run("decompose", "--input", two_term_spec, "--config", config) == 3
+        err = capsys.readouterr().err
+        assert named in err and str(config) in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_bundled_example_file(self, tmp_path):
         out = tmp_path / "result.json"
         assert run("decompose", "--input", "data/two_term.json", "--output", out) == 0
@@ -203,6 +220,9 @@ class TestAuxiliaryExports:
         out = capsys.readouterr().out
         assert "Exit codes" in out
         assert "RankDeficient" in out
+        # nothing raises a rate collision: it is a termination reason
+        assert "RateCollision" not in out
+        assert "\n    6 " not in out
 
 
 class TestRateSequenceCsv:

@@ -66,6 +66,43 @@ class TestRateFunctional:
         matrix = rate_functional_matrix(FIVE_RATES, mode="numeric", horizon=60.0, cfg=cfg)
         assert np.abs(matrix - np.eye(5)).max() < 1e-8
 
+    def test_numeric_mode_reads_each_source_once_on_one_grid(self, monkeypatch):
+        from transient_lab import functionals, signal_core
+
+        reads = []
+        real = functionals.SignalSource.from_evaluator
+
+        def recording(fn, support, grid=None):
+            def fn_logged(ts):
+                reads.append(np.array(ts))
+                return fn(ts)
+            return real(fn_logged, support, grid)
+
+        monkeypatch.setattr(functionals.SignalSource, "from_evaluator", recording)
+        rate_functional_matrix((0.5, 1.0, 2.0), mode="numeric", horizon=60.0)
+        assert len(reads) == 9   # one read per functional applied
+        grid = np.linspace(0.0, 60.0, signal_core.GRID_POINTS)
+        assert all(np.array_equal(ts, grid) for ts in reads)
+
+    def test_wrong_ledger_value_leaves_no_reference_cycles(self):
+        # a rejected horizon's error must not keep the scan's frame alive
+        # until the cyclic GC happens to run
+        import gc
+
+        src = SignalSource.from_evaluator(
+            lambda ts: np.exp(-np.asarray(ts)) + np.exp(-2.0 * np.asarray(ts)),
+            support=(0.0, 60.0))
+        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
+        ledger.extracted.append(0.5)   # the true first value is 1
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(Diverging):
+                apply_rate_functional(2, src, ledger, support=(0.0, 60.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_violated_order_diverges(self):
         ledger = FunctionalLedger(known_rates=(1.0, 2.0))
         ledger.extracted.append(0.0)   # claim the slow term was already handled
@@ -78,6 +115,13 @@ class TestRateFunctional:
         src = SignalSource.from_evaluator(lambda ts: np.exp(-np.asarray(ts)))
         with pytest.raises(ValueError, match="support"):
             apply_rate_functional(1, src, ledger)
+
+    def test_grid_outside_support_rejected(self):
+        ledger = FunctionalLedger(known_rates=(1.0,))
+        src = SignalSource.from_evaluator(lambda ts: np.exp(-np.asarray(ts)),
+                                          grid=np.array([70.0, 80.0]))
+        with pytest.raises(ValueError, match="too few samples"):
+            apply_rate_functional(1, src, ledger, support=(0.0, 60.0))
 
     def test_linearity_exact_in_symbolic_mode(self, rng):
         rates = (0.5, 1.3, 2.4)

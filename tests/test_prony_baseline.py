@@ -123,6 +123,28 @@ class TestPronyFit:
         assert model.amplitudes[0] == pytest.approx(2.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4])
+    def test_prediction_matrix_is_the_row_loop(self, monkeypatch, order, sigma):
+        sig = SymbolicTransient(((0.5, 2.0), (1.3, -1.0), (2.1, 0.7))[:order])
+        samples = synthesize_samples(sig, np.linspace(0.0, 40.0, 4001),
+                                     noise_sigma=sigma, seed=3)
+        solved = []
+        lstsq = np.linalg.lstsq
+
+        def recording(a, b, rcond=None):
+            solved.append(np.array(a))
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        prony_fit(samples, order)
+        values, n = samples.values, len(samples.values)
+        reference = np.empty((n - order, order))
+        for i in range(n - order):
+            reference[i] = values[i:i + order]
+        assert np.array_equal(solved[0], reference)
+
+
 class TestVandermondeCondition:
     def test_single_pole_is_one(self):
         assert vandermonde_condition([0.5], np.arange(10.0)) == pytest.approx(1.0)

@@ -44,6 +44,12 @@ class TestEstimateRate:
         bound = 12.0 * (3.0 / 2.0) * math.exp(-1.0 * a) / a
         assert abs(est.rate - 1.0) <= bound
 
+    def test_sparse_window_vanishes(self):
+        # the window (9.5, 19) holds one node; nothing is invented between nodes
+        sig = synthesize_samples(SymbolicTransient(((0.5, 1.0),)), np.array([0.0, 10.0, 20.0]))
+        with pytest.raises(SignalVanished, match="only 1 tail samples"):
+            estimate_rate(SignalSource.from_sampled(sig), (0.0, 19.0))
+
     def test_zero_signal_vanished(self):
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 10, 101))
         with pytest.raises(SignalVanished):
