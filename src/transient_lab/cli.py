@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -372,7 +373,13 @@ def run_compare(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first main() call.
+
+    parse_args keeps no state between calls, and build_run_config copies
+    the shared list defaults (--sigma, --methods, --rates) into tuples.
+    """
     parser = argparse.ArgumentParser(
         prog="transient-lab",
         description="Decompose transient signals into decaying exponentials.",

@@ -283,8 +283,11 @@ def oet_analyze(source: SignalSource, basis: ExponentialBasis,
         inner_product(source, basis.element_source(n), q)
         for n in range(1, basis.max_index + 1)
     ])
-    return OetCoefficients(projections=projections,
-                           exponential_coeffs=fold_exponential_coeffs(projections, basis))
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = fold_exponential_coeffs(projections, basis)
+    if not np.all(np.isfinite(folded)):
+        raise QuadratureFailure("exponential coefficients overflow the float range")
+    return OetCoefficients(projections=projections, exponential_coeffs=folded)
 
 
 def oet_synthesize(coeffs, basis: ExponentialBasis) -> SymbolicTransient:

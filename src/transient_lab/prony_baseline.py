@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RankDeficient
-from .signal_core import SampledSignal
+from .signal_core import UNIFORM_REL_TOL, SampledSignal
 
 _REAL_ROOT_TOL = 1e-8
 
@@ -64,14 +64,19 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     all; a merely overestimated order is reduced to the detected rank and
     flagged instead.
     """
-    if signal.uniform_step is None:
-        raise ValueError("prony_fit needs a uniform sample grid")
     if order < 1:
         raise ValueError("order must be positive")
     values = signal.values
     n = len(values)
     if n < 2 * order:
         raise ValueError(f"need at least {2 * order} samples for order {order}, got {n}")
+    if signal.uniform_step is None:
+        steps = np.diff(signal.times)
+        mean = steps.mean()
+        deviation = float(np.abs(steps - mean).max() / mean)
+        raise ValueError(f"prony_fit needs a uniform sample grid: the steps deviate from "
+                         f"their mean by up to {deviation:.1e} of it, over the "
+                         f"tolerance {UNIFORM_REL_TOL:g}")
 
     step = signal.uniform_step
     flags = []

@@ -8,6 +8,7 @@ which covers all integer-rate inner products used by the orthogonal
 exponential transform.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,7 +79,12 @@ def integrate_semi_infinite(fn, config=None, t_window=None):
         return 0.0
     z, w = gauss_legendre_nodes(cfg.nodes, z_lo, z_hi)
     t = -np.log(z)
-    vals = np.asarray(fn(t), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureFailure("integrand returned a non-finite value at a quadrature node")
-    return float(np.dot(w, vals / z))
+    # values near the float limit overflow here; the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(fn(t), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureFailure("integrand returned a non-finite value at a quadrature node")
+        total = float(np.dot(w, vals / z))
+    if not math.isfinite(total):
+        raise QuadratureFailure("integral overflows the float range")
+    return total

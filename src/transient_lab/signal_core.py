@@ -14,8 +14,10 @@ list enumeration mirrors the natural well-ordering of the rate set.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import OutOfSupport, QuadratureFailure
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
-_UNIFORM_REL_TOL = 1e-12
+# relative spread of sample steps up to which a grid counts as uniform
+UNIFORM_REL_TOL = 1e-12
 # uniform nodes that numeric methods read a source without nodes of its own on
 GRID_POINTS = 4001
 
@@ -128,12 +131,12 @@ class SampledSignal:
         step = self.uniform_step
         if step is None and len(diffs):
             mean = float(diffs.mean())
-            if np.all(np.abs(diffs - mean) <= _UNIFORM_REL_TOL * mean):
+            if np.all(np.abs(diffs - mean) <= UNIFORM_REL_TOL * mean):
                 step = mean
         if step is not None:
             if step <= 0.0:
                 raise ValueError("uniform_step must be positive")
-            if len(diffs) and not np.all(np.abs(diffs - step) <= _UNIFORM_REL_TOL * step):
+            if len(diffs) and not np.all(np.abs(diffs - step) <= UNIFORM_REL_TOL * step):
                 raise ValueError("uniform_step does not match the grid spacing")
         object.__setattr__(self, "uniform_step", step)
 
@@ -339,30 +342,79 @@ def save_signal_spec(signal: SymbolicTransient, path) -> None:
 
 
 def load_samples_csv(path) -> SampledSignal:
-    """Read the two-column sample format with header "t,x"."""
-    times, values = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t", "x"]:
-            raise ValueError(f"{path}: expected header 't,x'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed sample row {row!r}") from exc
+    """Read the sample format: a header row "t,x", then one row per sample.
+
+    Rows are comma-separated; columns past the second are ignored, blank
+    lines are skipped, and fields may be quoted.  Each value is parsed as a
+    Python float, and non-finite times or values are rejected, as is a file
+    with no samples.  Errors name the file and, for a bad row, its row number.
+    """
+    columns = _read_columns(path)
+    if columns is None:
+        columns = _read_rows(path)
+    times, values = columns
     try:
-        return SampledSignal(times=np.array(times), values=np.array(values))
+        return SampledSignal(times=times, values=values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def save_samples_csv(signal: SampledSignal, path) -> None:
+def _is_sample_header(row) -> bool:
+    return row is not None and [h.strip() for h in row[:2]] == ["t", "x"]
+
+
+def _read_rows(path):
+    """The reference reader: each row through csv and float().  Inputs the
+    fast reader hands back, and every error message, come from here."""
+    times, values = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if not _is_sample_header(next(reader, None)):
+                raise ValueError(f"{path}: expected header 't,x'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    times.append(float(row[0]))
+                    values.append(float(row[1]))
+                except (IndexError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed sample row {row!r}") from exc
+        except csv.Error as exc:   # e.g. a quoted field past csv's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    return np.array(times), np.array(values)
+
+
+# csv joins a quoted field's lines into one row where numpy sees several, and
+# float() refuses the ASCII separators \x1c-\x1f that numpy strips as spaces
+_ROW_LOOP_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
+def _read_columns(path):
+    """_read_rows' result from numpy's C reader, which parses each value as
+    float() does; None when the file needs the row loop or holds an error."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+        if not _is_sample_header(header) or any(ch in body for ch in _ROW_LOOP_ONLY):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # numpy only warns on a file with no rows
+            data = np.loadtxt(io.StringIO(body), delimiter=",", usecols=(0, 1),
+                              comments=None, dtype=float, ndmin=2)
+    except (ValueError, UserWarning, csv.Error):
+        return None
+    return np.ascontiguousarray(data.T)
+
+
+def _write_columns(path, header: str, first: np.ndarray, second: np.ndarray) -> None:
+    """Two float columns under header, each value as its shortest round-trip
+    repr: the bytes csv.writer would write, built as one string."""
+    rows = [f"{a!r},{b!r}\n" for a, b in zip(first.tolist(), second.tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x"])
-        for t, x in zip(signal.times, signal.values):
-            writer.writerow([repr(float(t)), repr(float(x))])
+        fh.write(header + "\n" + "".join(rows))
+
+
+def save_samples_csv(signal: SampledSignal, path) -> None:
+    _write_columns(path, "t,x", signal.times, signal.values)

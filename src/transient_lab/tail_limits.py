@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import SignalSource, evaluate_many, evaluation_grid
+from .signal_core import SignalSource, _write_columns, evaluate_many, evaluation_grid
 
 _FIT_ORDERS = {"slope_fit": 1, "richardson_1": 3, "richardson_2": 5}
 
@@ -275,13 +275,7 @@ def rate_sequence(source: SignalSource, support, cfg: TailFitConfig = None) -> R
 
 def save_rate_sequence_csv(sequence: RateSequence, path) -> None:
     """Write the raw sequence as two columns "t,value" for plotting."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, value in sequence.points:
-            writer.writerow([repr(float(t)), repr(float(value))])
+    _write_columns(path, "t,value", sequence.points[:, 0], sequence.points[:, 1])
 
 
 def shrink_support(source: SignalSource, support, rel_floor: float = 1e-8):

@@ -1,11 +1,24 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import transient_lab
+from transient_lab import cli
 from transient_lab.cli import QUAD_NODES_ENV, build_run_config, main
+
+from conftest import sample_csv_texts
 
 TWO_TERM = '{"terms": [{"rate": 1.0, "coeff": 2.0}, {"rate": 2.0, "coeff": 3.0}]}\n'
 
@@ -74,6 +87,17 @@ class TestPronyAndOet:
         folded = payload["exponential_coeffs"]
         assert folded[0] == pytest.approx(2.0, abs=1e-6)
         assert folded[1] == pytest.approx(3.0, abs=1e-6)
+
+    def test_rounded_timestamps_refused_with_the_deviation(self, tmp_path, capsys):
+        # step 1/3 written with 6 decimals: the steps deviate by 2.0e-6 of their mean
+        path = tmp_path / "rounded.csv"
+        rows = [f"{k / 3:.6f},{2 * math.exp(-k / 3) + 3 * math.exp(-2 * k / 3)!r}"
+                for k in range(31)]
+        path.write_text("t,x\n" + "\n".join(rows) + "\n")
+        assert run("prony", "--input", path, "--order", 2) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "uniform" in err[0] and "2.0e-06" in err[0] and "1e-12" in err[0]
 
     def test_functionals_subcommand(self, tmp_path):
         out = tmp_path / "matrices.csv"
@@ -227,9 +251,7 @@ class TestAuxiliaryExports:
 
 class TestRateSequenceCsv:
     def test_two_column_format(self, tmp_path):
-        import numpy as np
-        from transient_lab import (RateSequence, SignalSource, SymbolicTransient,
-                                   rate_sequence)
+        from transient_lab import SignalSource, SymbolicTransient, rate_sequence
         from transient_lab.tail_limits import save_rate_sequence_csv
         src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
         seq = rate_sequence(src, (0.0, 5.0))
@@ -238,6 +260,47 @@ class TestRateSequenceCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == len(seq.points) + 1
+        # the bytes the csv.writer version wrote
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["t", "value"])
+        for t, value in seq.points:
+            writer.writerow([repr(float(t)), repr(float(value))])
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+    def test_bytes_pinned(self, tmp_path):
+        from transient_lab import RateSequence
+        from transient_lab.tail_limits import save_rate_sequence_csv
+        seq = RateSequence(points=np.array([[0.5, 1.0], [1.0, 1e-05], [2.0, -0.0]]),
+                           skipped_times=np.array([]))
+        path = tmp_path / "seq.csv"
+        save_rate_sequence_csv(seq, path)
+        assert path.read_bytes() == b"t,value\n0.5,1.0\n1.0,1e-05\n2.0,-0.0\n"
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, two_term_spec):
+        # list defaults (--sigma [0.0], --rates []) are one object per cached parser
+        calls = [("functionals", "--rates", 1, 2), ("functionals",),
+                 ("synth", "--input", two_term_spec, "--horizon", 2.0, "--sigma", 1e-3),
+                 ("synth", "--input", two_term_spec, "--horizon", 2.0)]
+        for i, argv in enumerate(calls):
+            assert run(*argv, "--output", tmp_path / f"reused{i}") == 0
+        assert cli._build_parser.cache_info().currsize == 1
+        for i, argv in enumerate(calls):
+            cli._build_parser.cache_clear()
+            assert run(*argv, "--output", tmp_path / f"fresh{i}") == 0
+        outputs = [(tmp_path / f"reused{i}").read_bytes() for i in range(len(calls))]
+        assert outputs == [(tmp_path / f"fresh{i}").read_bytes() for i in range(len(calls))]
+        assert outputs[0] != outputs[1] and outputs[2] != outputs[3]
+
+    def test_import_builds_no_parser(self):
+        code = ("import transient_lab, transient_lab.cli as cli; "
+                "print(cli._build_parser.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(transient_lab.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "0"
 
 
 class TestNonFiniteSamples:
@@ -260,3 +323,29 @@ class TestNonFiniteSamples:
         assert "finite" in err and str(csv_path) in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out.json").exists()
+
+
+# the documented exit codes a file verb may return (2 is argparse's, not reachable here)
+DOCUMENTED_EXITS = {0, 3, 4, 5, 7, 8}
+_EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
+                     st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]))
+
+
+@given(text=sample_csv_texts(numbers=_EXTREME, min_rows=1, max_rows=9))
+@example(text="t,x\r0.5,2.411809324612532e+307\r9.5,1.8387235069353016e+296")
+@example(text="t,x\n0.0,-1e+308\n8.38,-9.9e+303\n16.76,-9.8e+299\n25.14,-9.7e+295\n")
+@example(text="t,x\n0.0,1e+308\n1.0,-1e+308\n2.0,1e+308\n3.0,-1e+308\n4.0,1e+308\n")
+@settings(max_examples=60)
+def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "samples.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    for verb in (("decompose",), ("prony", "--order", 2), ("oet", "--max-index", 4)):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(verb[0], "--input", path, *verb[1:], "--output", folder / "out.json")
+        assert code in DOCUMENTED_EXITS, (verb, err.getvalue())
+        assert len(err.getvalue().strip().splitlines()) <= 1
+        # a shell run would print each warning on stderr as well
+        assert not [str(w.message) for w in caught], verb

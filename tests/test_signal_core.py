@@ -1,17 +1,18 @@
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transient_lab import (OutOfSupport, SampledSignal, SignalSource,
                            SymbolicTransient, combine, evaluate,
                            inner_product, l2_norm_bound_check, load_samples_csv,
                            load_signal_spec, save_samples_csv, save_signal_spec,
-                           subtract_term, synthesize_samples)
+                           signal_core, subtract_term, synthesize_samples)
 
-from conftest import random_transient
+from conftest import random_transient, sample_csv_texts
 
 
 def closed_form_inner(s: SymbolicTransient, u: SymbolicTransient) -> float:
@@ -326,4 +327,106 @@ class TestFileFormats:
         path = tmp_path / "bad.csv"
         path.write_text("time,value\n0.0,1.0\n")
         with pytest.raises(ValueError, match="header"):
+            load_samples_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# sample CSV: the one-pass reader and writer against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+def reference_save(signal, path):
+    """The sample writer as it was: one csv.writer row per sample."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "x"])
+        for t, x in zip(signal.times, signal.values):
+            writer.writerow([repr(float(t)), repr(float(x))])
+
+
+def reference_load(path):
+    """The sample reader as it was: one csv row at a time through float()."""
+    times, values = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["t", "x"]:
+            raise ValueError(f"{path}: expected header 't,x'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                times.append(float(row[0]))
+                values.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed sample row {row!r}") from exc
+    try:
+        return SampledSignal(times=np.array(times), values=np.array(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _outcome(load, path):
+    try:
+        signal = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return signal
+
+
+class TestSampleCsvParity:
+    SPECIAL = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3]
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=20))
+    @example(values=SPECIAL)
+    @settings(max_examples=60)
+    def test_save_matches_csv_writer(self, tmp_path_factory, values):
+        folder = tmp_path_factory.mktemp("save")
+        signal = SampledSignal(times=np.arange(len(values), dtype=float),
+                               values=np.array(values))
+        save_samples_csv(signal, folder / "fast.csv")
+        reference_save(signal, folder / "reference.csv")
+        assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+    @given(text=sample_csv_texts())
+    @example(text="t,x\r\n0,1\r\n\r\n1,0.5\r\n")              # CRLF, blank line
+    @example(text="t,x\n0,1\n \n1,0.5\n")                        # whitespace-only line
+    @example(text="t,x\n0,1,\"\n1,0.5\n2,0.25,\"\n")            # quote joins three lines
+    @example(text="t,x\n0,1\n1_0,0.5\n")                          # digit underscore
+    @example(text="t,x\n0\x1c,1\n")                                # float() refuses \x1c
+    @example(text="t,x\n0,1#c\n")
+    @example(text="t,x\n0\f,1\f\n1,2")                           # form feed, no final newline
+    @example(text="t,x\n")                                         # header only
+    @example(text="t,x\n0.5,2.0\n")                                # one row
+    @settings(max_examples=250)
+    def test_load_matches_row_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("load") / "samples.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        fast, reference = _outcome(load_samples_csv, path), _outcome(reference_load, path)
+        if isinstance(reference, str):
+            assert fast == reference
+        else:
+            assert np.array_equal(fast.times, reference.times)
+            assert np.array_equal(fast.values, reference.values)
+            assert fast.uniform_step == reference.uniform_step
+
+    def test_plain_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+        sig = synthesize_samples(SymbolicTransient(((1.0, 2.0),)), np.linspace(0, 3, 301))
+        path = tmp_path / "samples.csv"
+        save_samples_csv(sig, path)
+
+        def row_loop(path):
+            raise AssertionError("the row loop ran on a plain file")
+
+        monkeypatch.setattr(signal_core, "_read_rows", row_loop)
+        back = load_samples_csv(path)
+        assert np.array_equal(back.times, sig.times) and back.times.flags.c_contiguous
+        assert np.array_equal(back.values, sig.values) and back.values.flags.c_contiguous
+
+    def test_oversized_quoted_field_is_a_value_error(self, tmp_path):
+        # csv raises its own error type here, which is not a ValueError
+        path = tmp_path / "samples.csv"
+        path.write_text('t,x\n0,1\n"' + "9" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=r"samples.csv:3: field larger than field limit"):
             load_samples_csv(path)
