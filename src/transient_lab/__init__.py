@@ -21,7 +21,7 @@ from .oet_jacobi import (ExponentialBasis, JacobiBasis, JacobiParams,
                          oet_analyze, oet_synthesize, orthogonality_closed_form,
                          orthogonality_integral)
 from .prony_baseline import PronyModel, prony_fit, vandermonde_condition
-from .quadrature import QuadratureConfig, integrate_semi_infinite, integrate_unit_interval
+from .quadrature import QuadratureConfig, integrate_semi_infinite
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, combine,
                           evaluate, evaluate_many, inner_product, l2_norm_bound_check,
                           load_samples_csv, load_signal_spec, save_samples_csv,
@@ -45,7 +45,7 @@ __all__ = [
     "jacobi_monomial_coeffs", "oet_analyze", "oet_synthesize",
     "orthogonality_closed_form", "orthogonality_integral",
     "PronyModel", "prony_fit", "vandermonde_condition",
-    "QuadratureConfig", "integrate_semi_infinite", "integrate_unit_interval",
+    "QuadratureConfig", "integrate_semi_infinite",
     "SampledSignal", "SignalSource", "SymbolicTransient", "combine", "evaluate",
     "evaluate_many", "inner_product", "l2_norm_bound_check", "load_samples_csv",
     "load_signal_spec", "save_samples_csv", "save_signal_spec", "subtract_term",

@@ -22,7 +22,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -38,8 +37,6 @@ from .quadrature import QuadratureConfig
 from .signal_core import (SignalSource, load_samples_csv, load_signal_spec,
                           save_samples_csv, synthesize_samples)
 from .tail_limits import TailFitConfig
-
-QUAD_NODES_ENV = "TRANSIENT_LAB_QUAD_NODES"
 
 _EXIT_CODES = (
     (errors.RankDeficient, 7),
@@ -82,16 +79,6 @@ class RunConfig:
     basis_path: Optional[str] = None
 
 
-def _quad_nodes_default() -> int:
-    raw = os.environ.get(QUAD_NODES_ENV)
-    if raw is None:
-        return 128
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{QUAD_NODES_ENV} must be an integer, got {raw!r}") from exc
-
-
 def _load_json_config(path):
     """The --config object, with every section and key checked by name."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -120,7 +107,6 @@ def build_run_config(args) -> RunConfig:
     kwargs["tail"].setdefault("fit_order", "richardson_2")
     if getattr(args, "max_terms", None) is not None:
         kwargs["stopping"]["max_terms"] = args.max_terms
-    kwargs["quadrature"].setdefault("nodes", _quad_nodes_default())
     sections = {}
     for name, kind in _CONFIG_SECTIONS.items():
         try:
@@ -184,12 +170,18 @@ def _result_payload(result) -> dict:
 
 
 def _write_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _finite_or_none(value):
+    """JSON has no Inf or NaN; a non-finite number is written as null, and the
+    output's flags say why (a singular Vandermonde matrix is duplicate_poles)."""
+    return value if math.isfinite(value) else None
 
 
 def _load_input_signal(cfg: RunConfig):
@@ -251,7 +243,7 @@ def run_single(cfg: RunConfig) -> int:
             "poles": list(model.poles),
             "rates": list(model.rates),
             "amplitudes": list(model.amplitudes),
-            "vandermonde_condition": model.vandermonde_condition,
+            "vandermonde_condition": _finite_or_none(model.vandermonde_condition),
             "flags": list(model.flags),
             "rejected_roots": [repr(r) for r in model.rejected_roots],
         }, cfg.output_path)
@@ -302,7 +294,7 @@ def _fit_prony(cfg, truth, samples):
     model = prony_fit(samples, order=len(truth.terms))
     est = list(zip(model.rates, model.amplitudes))
     flag = ";".join(model.flags)
-    return est, flag, {"vandermonde_condition": model.vandermonde_condition}
+    return est, flag, {"vandermonde_condition": _finite_or_none(model.vandermonde_condition)}
 
 
 def _fit_oet(cfg, truth, samples):

@@ -8,7 +8,10 @@ policies the idealized loop does not need:
 
 * horizon placement: each iteration fits over the tail window of several
   candidate horizons (the residual trimmed at successively deeper relative
-  floors) and keeps the fit whose log-magnitude residual is smallest;
+  floors, and at its measured noise level) and keeps the fit whose
+  log-magnitude residual is smallest.  tail_limits.horizon_ends trims and
+  tail_limits.scan_horizons picks, the same two steps the extraction
+  functionals use;
 * stopping: residual below a relative floor, a term budget, or a rate that
   collides with one already extracted;
 * cyclic re-estimation: after each extraction, every held term is
@@ -28,14 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
                           evaluation_grid, subtract_term)
-from .tail_limits import TailFitConfig, estimate_coefficient, estimate_rate
+from .tail_limits import (TailFitConfig, estimate_coefficient, estimate_rate, horizon_ends,
+                          scan_horizons)
 
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
 
@@ -139,6 +143,14 @@ def _noise_level(values) -> float:
     return mad / (0.6745 * math.sqrt(70.0))
 
 
+class _Term(NamedTuple):
+    """One held term and the rate fit that produced it."""
+    rate: float
+    coeff: float
+    rms: float                # log-magnitude rms of the winning rate fit
+    window: tuple             # that fit's (t_start, t_end)
+
+
 class _NumericState:
     """Grid-resident bookkeeping for one numeric decomposition.
 
@@ -159,31 +171,31 @@ class _NumericState:
         if not np.all(np.isfinite(self.base_values)):
             raise ValueError("signal is not finite on the evaluation grid")
         self.noise_sigma = _noise_level(self.base_values)
-        self.terms = []          # [(rate, coeff)]
-        self.term_info = {}      # rate -> (rms, window)
+        self.terms = []          # [_Term], rates ascending
 
     # -- residual bookkeeping -------------------------------------------
 
     def residual_values(self, skip=None):
         """Base values minus every held term except the one at index skip."""
         out = self.base_values.copy()
-        for i, (rate, coeff) in enumerate(self.terms):
+        for i, term in enumerate(self.terms):
             if i != skip:
-                out -= coeff * np.exp(-rate * self.grid)
+                out -= term.coeff * np.exp(-term.rate * self.grid)
         return out
 
     def tail_window(self, values):
-        """Mask of the tail window over the trimmed horizon of these values."""
-        mag = np.abs(values)
-        peak = mag.max()
-        if peak == 0.0:
+        """Mask of the tail window over the trimmed horizon of these values,
+        or None when they are zero everywhere."""
+        try:
+            t_hi, = horizon_ends(self.grid, values, (self.stop.residual_floor,))
+        except SignalVanished:
             return None
-        t_hi = self.grid[mag >= self.stop.residual_floor * peak][-1]
         w_start = t_hi - self.cfg.window_fraction * (t_hi - self.t_lo)
         return (self.grid >= w_start) & (self.grid <= t_hi)
 
-    def floor_hit(self, values):
-        window = self.tail_window(values)
+    def floor_hit(self, values, window):
+        """Whether these values sit below the residual floor over window, their
+        tail_window, which the caller has already computed."""
         if window is None:
             return True
         sup_resid = float(np.abs(values[window]).max())
@@ -193,77 +205,48 @@ class _NumericState:
     # -- estimation ------------------------------------------------------
 
     def estimate_term(self, values):
-        """Best (rate, coeff, rms, window) for the residual with these grid values.
+        """Best _Term for the residual with these grid values.
 
         Fits the trailing window of each trimmed horizon and keeps the rate
         fit whose log-magnitude residual is smallest; the coefficient is then
         read off the winning window.
         """
-        mag = np.abs(values)
-        peak = mag.max()
-        if peak == 0.0:
-            raise SignalVanished("residual is identically zero")
+        ends = horizon_ends(self.grid, values, self.stop.horizon_floors, self.noise_sigma)
         residual = SignalSource.from_sampled(SampledSignal(self.grid, values))
-        floors = list(self.stop.horizon_floors)
-        if self.noise_sigma > 1e-9 * peak:
-            # trim where the residual sinks into the measured noise
-            floors.append(min(0.5, 5.0 * self.noise_sigma / peak))
-        best = None
-        last_error = None
-        for rel in floors:
-            t_hi = float(self.grid[mag >= rel * peak][-1])
-            if t_hi <= self.t_lo:
-                continue
-            try:
-                est = estimate_rate(residual, (self.t_lo, t_hi), self.cfg)
-            except (SignalVanished, NonDecaying) as exc:
-                # without its traceback the kept error holds no frame, so it
-                # forms no reference cycle with this one
-                last_error = exc.with_traceback(None)
-                continue
+
+        def fit(t_hi):
+            est = estimate_rate(residual, (self.t_lo, t_hi), self.cfg)
             # a log-magnitude spread beyond 0.5 means the window straddles a
             # noise floor or a sign flip, not an exponential
             if est.residual_rms > 0.5:
-                continue
-            if best is None or est.residual_rms < best.residual_rms:
-                best = est
-        if best is None:
-            if last_error is None:
-                raise SignalVanished("no window fits a decaying exponential above the floor")
-            try:
-                raise last_error
-            finally:
-                # the raise links this frame to the error; drop the error's
-                # link back so refcounting, not the cyclic GC, frees both
-                del last_error
+                return None
+            return est.residual_rms, est
+
+        best = scan_horizons(fit, ends, self.t_lo)
         coeff = estimate_coefficient(residual, best.rate, (self.t_lo, best.window[1]), self.cfg)
-        return best.rate, coeff, best.residual_rms, best.window
+        return _Term(best.rate, coeff, best.residual_rms, best.window)
 
     def collides(self, rate, skip=None):
-        return any(abs(rate - r) < self.stop.rate_merge_tol
-                   for i, (r, _) in enumerate(self.terms) if i != skip)
+        return any(abs(rate - term.rate) < self.stop.rate_merge_tol
+                   for i, term in enumerate(self.terms) if i != skip)
 
     def sweep(self):
         """Re-estimate every held term against the signal minus the others."""
         for j in range(len(self.terms)):
             try:
-                rate, coeff, rms, window = self.estimate_term(self.residual_values(skip=j))
+                term = self.estimate_term(self.residual_values(skip=j))
             except (SignalVanished, NonDecaying, Diverging):
                 continue
-            if rate <= 0.0 or self.collides(rate, skip=j):
-                continue
-            old_rate = self.terms[j][0]
-            self.term_info.pop(old_rate, None)
-            self.terms[j] = (rate, coeff)
-            self.term_info[rate] = (rms, window)
-        self.terms.sort(key=lambda rc: rc[0])
+            if not self.collides(term.rate, skip=j):
+                self.terms[j] = term
+        self.terms.sort(key=lambda held: held.rate)
 
     def prune(self):
         """Drop terms whose removal already satisfies the residual floor."""
         for j in range(len(self.terms) - 1, -1, -1):
-            if self.floor_hit(self.residual_values(skip=j)):
-                rate, _ = self.terms.pop(j)
-                self.term_info.pop(rate, None)
+            values = self.residual_values(skip=j)
+            if self.floor_hit(values, self.tail_window(values)):
+                del self.terms[j]
 
 
 def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
@@ -290,13 +273,12 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
         if window is None:
             reason = "signal_vanished"
             break
-        if window0 is not None:
-            tail_norms.append(float(np.abs(values[window0]).max()))
-        if state.floor_hit(values):
+        tail_norms.append(float(np.abs(values[window0]).max()))
+        if state.floor_hit(values, window):
             reason = "residual_floor"
             break
         try:
-            rate, coeff, rms, fit_window = state.estimate_term(values)
+            term = state.estimate_term(values)
         except SignalVanished:
             reason = "signal_vanished"
             break
@@ -306,17 +288,12 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
             reason = "rate_collision"
             flagged = f"non_decaying_residual: {exc}"
             break
-        if rate <= 0.0:
+        if state.collides(term.rate):
             reason = "rate_collision"
-            flagged = f"non-positive rate estimate {rate:.6g}"
+            flagged = f"estimated rate {term.rate:.6g} within merge tolerance of an extracted rate"
             break
-        if state.collides(rate):
-            reason = "rate_collision"
-            flagged = f"estimated rate {rate:.6g} within merge tolerance of an extracted rate"
-            break
-        state.terms.append((rate, coeff))
-        state.terms.sort(key=lambda rc: rc[0])
-        state.term_info[rate] = (rms, fit_window)
+        state.terms.append(term)
+        state.terms.sort(key=lambda held: held.rate)
         if len(state.terms) > 1:
             state.sweep()
 
@@ -329,17 +306,11 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
     window = state.tail_window(final_values)
     terminal = float(np.abs(final_values[window]).max()) if window is not None else 0.0
 
-    diags = tuple(
-        TermDiagnostics(
-            rate_residual_rms=state.term_info.get(rate, (math.nan, None))[0],
-            window=state.term_info.get(rate, (math.nan, None))[1],
-            mode="numeric",
-        )
-        for rate, _ in state.terms
-    )
     return DecompositionResult(
-        terms=tuple(state.terms),
-        diagnostics=diags,
+        terms=tuple((term.rate, term.coeff) for term in state.terms),
+        diagnostics=tuple(TermDiagnostics(rate_residual_rms=term.rms, window=term.window,
+                                          mode="numeric")
+                          for term in state.terms),
         terminal_residual_norm=terminal,
         termination_reason=reason,
         flagged=flagged,

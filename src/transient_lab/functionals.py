@@ -27,7 +27,7 @@ from .errors import Diverging, SignalVanished
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
                           evaluation_grid)
 from .tail_limits import (TailFitConfig, _reweighted, _window_samples, estimate_coefficient,
-                          shrink_support)
+                          scan_horizons, shrink_support)
 
 # a stripped residual this small everywhere, relative to the input's peak,
 # is numerically zero: its content is the rounding left over from earlier
@@ -169,28 +169,15 @@ def _scanned_coefficient(residual, rate, support, cfg,
     nor the leftovers of the stripped slower terms (late) intrude, so the
     window with the flattest reweighted values wins.
     """
-    best = None
-    last_error = None
-    for rel in rel_floors:
-        try:
-            lo, hi = shrink_support(residual, support, rel_floor=rel)
-            value = estimate_coefficient(residual, rate, (lo, hi), cfg)
-        except (SignalVanished, Diverging) as exc:
-            last_error = exc.with_traceback(None)   # keeps no frame alive
-            continue
-        ts, xs, _ = _window_samples(residual, (lo, hi), cfg)
+    t_lo = float(support[0])
+
+    def fit(t_hi):
+        value = estimate_coefficient(residual, rate, (t_lo, t_hi), cfg)
+        ts, xs, _ = _window_samples(residual, (t_lo, t_hi), cfg)
         v = _reweighted(ts, xs, rate)
-        spread = float(np.std(v) / max(np.abs(v).mean(), 1e-300))
-        if best is None or spread < best[1]:
-            best = (value, spread)
-    if best is None:
-        if last_error is None:
-            raise SignalVanished("no usable window")
-        try:
-            raise last_error
-        finally:
-            del last_error   # the raise links this frame to the error; unlink it
-    return best[0]
+        return float(np.std(v) / max(np.abs(v).mean(), 1e-300)), value
+
+    return scan_horizons(fit, shrink_support(residual, support, rel_floors), t_lo)
 
 
 def apply_monomial_functional(n: int, poly: PolynomialNoConstant,

@@ -50,16 +50,6 @@ def gauss_legendre_nodes(order, a=0.0, b=1.0):
     return half * x + 0.5 * (b + a), half * w
 
 
-def integrate_unit_interval(fn, config=None, a=0.0, b=1.0):
-    """Integrate a vectorized integrand over [a, b] in (0, 1]."""
-    cfg = config or QuadratureConfig()
-    z, w = gauss_legendre_nodes(cfg.nodes, a, b)
-    vals = np.asarray(fn(z), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureFailure("integrand returned a non-finite value at a quadrature node")
-    return float(np.dot(w, vals))
-
-
 def integrate_semi_infinite(fn, config=None, t_window=None):
     """Integrate fn(t) over [0, inf) via z = exp(-t).
 

@@ -22,6 +22,11 @@ is a deliberate design surface.
 Every estimator reads the source on signal_core.evaluation_grid: a sampled
 signal's own nodes, sliced rather than interpolated, or GRID_POINTS uniform
 nodes over the interval read when the source has no nodes of its own.
+
+The decomposer and the extraction functionals both take their horizons
+from here: horizon_ends (shrink_support, for a source) trims at several
+relative floors in one pass, and scan_horizons keeps the best-scoring fit
+over the trimmed horizons.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import SignalSource, _write_columns, evaluate_many, evaluation_grid
+from .signal_core import SignalSource, evaluate_many, evaluation_grid
 
 _FIT_ORDERS = {"slope_fit": 1, "richardson_1": 3, "richardson_2": 5}
 
@@ -273,26 +278,68 @@ def rate_sequence(source: SignalSource, support, cfg: TailFitConfig = None) -> R
     return RateSequence(points=points, skipped_times=ts[~good])
 
 
-def save_rate_sequence_csv(sequence: RateSequence, path) -> None:
-    """Write the raw sequence as two columns "t,value" for plotting."""
-    _write_columns(path, "t,value", sequence.points[:, 0], sequence.points[:, 1])
+def horizon_ends(ts, values, rel_floors, noise=0.0):
+    """Horizon end at each relative floor: the last node where |x| >= rel * peak.
 
-
-def shrink_support(source: SignalSource, support, rel_floor: float = 1e-8):
-    """Trim the horizon to where |x| still clears rel_floor of its peak.
-
-    Past that point the values carry no usable precision relative to the
-    signal's own scale (and, inside a decomposition, are dominated by the
-    leftovers of earlier subtractions).
+    One abs/max pass serves every floor.  With a measured noise level above
+    1e-9 of the peak, one more end follows the floors: where |x| sinks into
+    five times the noise (at most half the peak).  An end at or before the
+    start of the support leaves no horizon; scan_horizons passes over it.
+    Raises SignalVanished when the values are zero everywhere.
     """
-    t_lo, t_hi = _validate_support(support)
-    ts, xs = _read(source, t_lo, t_hi)
-    mag = np.abs(xs)
+    mag = np.abs(values)
     peak = mag.max() if len(mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the support")
-    above = ts[mag >= rel_floor * peak]
-    new_hi = float(above[-1])
-    if new_hi <= t_lo:
-        return t_lo, t_hi
-    return t_lo, new_hi
+    floors = list(rel_floors)
+    if noise > 1e-9 * peak:
+        floors.append(min(0.5, 5.0 * noise / peak))
+    return [float(ts[mag >= rel * peak][-1]) for rel in floors]
+
+
+def shrink_support(source: SignalSource, support, rel_floors):
+    """End of the horizon where |x| still clears each relative floor of its peak.
+
+    Past that point the values carry no usable precision relative to the
+    signal's own scale (and, inside a decomposition, are dominated by the
+    leftovers of earlier subtractions).  Returns one end per floor, from one
+    read of the source over the support; an end at or before t_lo means that
+    floor leaves no horizon.
+    """
+    t_lo, t_hi = _validate_support(support)
+    ts, xs = _read(source, t_lo, t_hi)
+    return horizon_ends(ts, xs, rel_floors)
+
+
+def scan_horizons(fit, ends, t_lo):
+    """Result of the best-scoring fit over the horizons ending at ends.
+
+    fit(t_hi) returns (score, result), or None to decline that horizon; the
+    lowest score wins and ties keep the first.  Ends at or before t_lo are
+    passed over.  When no horizon fits, the last SignalVanished, NonDecaying
+    or Diverging a fit raised is raised again, or SignalVanished if none was.
+    """
+    best = None
+    last_error = None
+    for t_hi in ends:
+        if t_hi <= t_lo:
+            continue
+        try:
+            scored = fit(t_hi)
+        except (SignalVanished, NonDecaying, Diverging) as exc:
+            # without its traceback the kept error holds no frame, so it
+            # forms no reference cycle with this one
+            last_error = exc.with_traceback(None)
+            continue
+        if scored is not None and (best is None or scored[0] < best[0]):
+            best = scored
+    if best is None:
+        if last_error is None:
+            raise SignalVanished("no horizon gives a usable fit")
+        try:
+            raise last_error
+        finally:
+            # the raise links this frame to the error; drop the error's
+            # link back so refcounting, not the cyclic GC, frees both
+            del last_error
+    return best[1]

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import transient_lab
 from transient_lab import cli
-from transient_lab.cli import QUAD_NODES_ENV, build_run_config, main
+from transient_lab.cli import main
 
 from conftest import sample_csv_texts
 
@@ -78,6 +79,20 @@ class TestPronyAndOet:
         assert payload["rates"][0] == pytest.approx(1.0, abs=1e-6)
         assert payload["rates"][1] == pytest.approx(2.0, abs=1e-6)
         assert payload["vandermonde_condition"] > 1.0
+
+    def test_prony_duplicate_poles_write_strict_json(self, tmp_path):
+        # these samples give a double pole, so the Vandermonde matrix is singular
+        csv_path = tmp_path / "dup.csv"
+        csv_path.write_text("t,x\n0,1\n1,1\n2,3\n3,-1\n4,0\n5,2\n")
+        out = tmp_path / "prony.json"
+        assert run("prony", "--input", csv_path, "--order", 2, "--output", out) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["vandermonde_condition"] is None
+        assert "duplicate_poles" in payload["flags"]
 
     def test_oet_subcommand(self, tmp_path, two_term_spec):
         out = tmp_path / "oet.json"
@@ -176,18 +191,38 @@ class TestCompare:
         assert payload[0]["vandermonde_condition"] > 1.0
 
 
-class TestConfigPlumbing:
-    def test_env_var_overrides_quadrature_nodes(self, monkeypatch):
-        monkeypatch.setenv(QUAD_NODES_ENV, "64")
-        import argparse
-        args = argparse.Namespace(command="oet", input=None, output=None,
-                                  config=None, seed=0, max_index=6)
-        cfg = build_run_config(args)
-        assert cfg.quadrature.nodes == 64
+    def test_diagnostics_sidecar_writes_infinite_condition_as_null(self, tmp_path,
+                                                                  two_term_spec, monkeypatch):
+        real = cli.prony_fit
 
-    def test_bad_env_var_rejected(self, monkeypatch, tmp_path, two_term_spec):
-        monkeypatch.setenv(QUAD_NODES_ENV, "not-a-number")
-        assert run("oet", "--input", two_term_spec) == 3
+        def singular(samples, order):
+            return dataclasses.replace(real(samples, order), vandermonde_condition=math.inf,
+                                       flags=("duplicate_poles",))
+
+        monkeypatch.setattr(cli, "prony_fit", singular)
+        diag = tmp_path / "diag.json"
+        assert run("compare", "--input", two_term_spec, "--methods", "prony",
+                   "--horizon", 10.0, "--step", 0.5, "--output", tmp_path / "compare.csv",
+                   "--diagnostics-out", diag) == 0
+        assert "Infinity" not in diag.read_text()
+        assert json.loads(diag.read_text())[0]["vandermonde_condition"] is None
+
+class TestConfigPlumbing:
+    def test_quadrature_nodes_key_changes_oet_projections(self, tmp_path, two_term_spec):
+        # oet reads a sampled input through its interpolant, which no node
+        # count integrates exactly, so the node count shows in the output
+        csv_path = tmp_path / "samples.csv"
+        assert run("synth", "--input", two_term_spec, "--output", csv_path,
+                   "--horizon", 40.0, "--step", 0.01) == 0
+        config = tmp_path / "config.json"
+        config.write_text('{"quadrature": {"nodes": 64}}')
+        default, coarse = tmp_path / "default.json", tmp_path / "coarse.json"
+        assert run("oet", "--input", csv_path, "--output", default) == 0
+        assert run("oet", "--input", csv_path, "--config", config, "--output", coarse) == 0
+        default_proj = json.loads(default.read_text())["projections"]
+        coarse_proj = json.loads(coarse.read_text())["projections"]
+        assert coarse_proj != default_proj
+        assert np.allclose(coarse_proj, default_proj, rtol=0.0, atol=1e-5)
 
     def test_config_file_overrides(self, tmp_path, two_term_spec):
         config = tmp_path / "config.json"
@@ -247,35 +282,6 @@ class TestAuxiliaryExports:
         # nothing raises a rate collision: it is a termination reason
         assert "RateCollision" not in out
         assert "\n    6 " not in out
-
-
-class TestRateSequenceCsv:
-    def test_two_column_format(self, tmp_path):
-        from transient_lab import SignalSource, SymbolicTransient, rate_sequence
-        from transient_lab.tail_limits import save_rate_sequence_csv
-        src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
-        seq = rate_sequence(src, (0.0, 5.0))
-        path = tmp_path / "seq.csv"
-        save_rate_sequence_csv(seq, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,value"
-        assert len(lines) == len(seq.points) + 1
-        # the bytes the csv.writer version wrote
-        reference = io.StringIO(newline="")
-        writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, value in seq.points:
-            writer.writerow([repr(float(t)), repr(float(value))])
-        assert path.read_bytes() == reference.getvalue().encode("utf-8")
-
-    def test_bytes_pinned(self, tmp_path):
-        from transient_lab import RateSequence
-        from transient_lab.tail_limits import save_rate_sequence_csv
-        seq = RateSequence(points=np.array([[0.5, 1.0], [1.0, 1e-05], [2.0, -0.0]]),
-                           skipped_times=np.array([]))
-        path = tmp_path / "seq.csv"
-        save_rate_sequence_csv(seq, path)
-        assert path.read_bytes() == b"t,value\n0.5,1.0\n1.0,1e-05\n2.0,-0.0\n"
 
 
 class TestParserReuse:

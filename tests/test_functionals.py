@@ -84,6 +84,25 @@ class TestRateFunctional:
         grid = np.linspace(0.0, 60.0, signal_core.GRID_POINTS)
         assert all(np.array_equal(ts, grid) for ts in reads)
 
+    def test_one_horizon_read_per_functional(self, monkeypatch):
+        # the four horizon floors come from one shrink_support read
+        from transient_lab import functionals
+
+        calls = []
+        real = functionals.shrink_support
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "shrink_support", counting)
+        src = SignalSource.from_evaluator(
+            lambda ts: np.exp(-np.asarray(ts)) + 0.5 * np.exp(-2.0 * np.asarray(ts)),
+            support=(0.0, 60.0))
+        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
+        assert apply_rate_functional(1, src, ledger, support=(0.0, 60.0)) == pytest.approx(1.0)
+        assert len(calls) == 1
+
     def test_wrong_ledger_value_leaves_no_reference_cycles(self):
         # a rejected horizon's error must not keep the scan's frame alive
         # until the cyclic GC happens to run

@@ -5,8 +5,10 @@ import pytest
 
 from transient_lab import (Diverging, NonDecaying, SignalSource, SignalVanished,
                            SymbolicTransient, TailFitConfig, estimate_coefficient,
-                           estimate_rate, rate_sequence, shrink_support,
+                           estimate_rate, evaluate_many, rate_sequence, shrink_support,
                            synthesize_samples)
+from transient_lab.signal_core import evaluation_grid
+from transient_lab.tail_limits import horizon_ends, scan_horizons
 
 from conftest import random_transient
 
@@ -211,14 +213,93 @@ class TestBiasOrdering:
 
 class TestShrinkSupport:
     def test_trims_to_relative_floor(self):
-        lo, hi = shrink_support(source_of(((1.0, 1.0),)), (0.0, 100.0), rel_floor=1e-8)
-        assert lo == 0.0
+        (hi,) = shrink_support(source_of(((1.0, 1.0),)), (0.0, 100.0), (1e-8,))
         assert hi == pytest.approx(-math.log(1e-8), rel=1e-2)
+
+    # 1.0 keeps only the peak, the support's first node: an end that leaves
+    # no horizon
+    FLOORS = (1e-4, 1e-8, 1e-12, 0.5, 1.0)
+
+    @pytest.mark.parametrize("variant", ["sampled", "evaluator", "symbolic"])
+    def test_one_end_per_floor_as_one_mask_per_floor(self, variant):
+        sig = SymbolicTransient(((0.7, 1.5), (1.9, -0.8)))
+        support = (0.5, 30.0)
+        source = {
+            "sampled": lambda: SignalSource.from_sampled(
+                synthesize_samples(sig, np.arange(0.0, 40.0 + 1e-9, 0.01))),
+            "evaluator": lambda: SignalSource.from_evaluator(sig, support=(0.0, 40.0)),
+            "symbolic": lambda: SignalSource.from_symbolic(sig),
+        }[variant]()
+        ts = evaluation_grid(source, support)
+        mag = np.abs(evaluate_many(source, ts))
+        peak = mag.max()
+        want = [float(ts[mag >= rel * peak][-1]) for rel in self.FLOORS]
+        ends = shrink_support(source, support, self.FLOORS)
+        assert ends == want
+        assert ends[-1] == support[0]
+
+    def test_noise_adds_one_end_where_the_signal_meets_it(self):
+        ts = np.linspace(0.0, 30.0, 3001)
+        xs = np.exp(-ts)
+        (end,) = horizon_ends(ts, xs, (), noise=1e-5)
+        assert end == float(ts[xs >= 5e-5][-1])
+        assert horizon_ends(ts, xs, (1e-8,), noise=1e-10) == horizon_ends(ts, xs, (1e-8,))
 
     def test_zero_signal_raises(self):
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 5, 50))
         with pytest.raises(SignalVanished):
-            shrink_support(SignalSource.from_sampled(sig), (0.0, 5.0))
+            shrink_support(SignalSource.from_sampled(sig), (0.0, 5.0), (1e-8,))
+
+
+class TestScanHorizons:
+    @staticmethod
+    def scripted(outcomes, calls):
+        """A fit that plays back outcomes[t_hi]: raise an error, or return it."""
+        def fit(t_hi):
+            calls.append(t_hi)
+            outcome = outcomes[t_hi]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+        return fit
+
+    def test_lowest_score_wins_and_ties_keep_the_first(self):
+        calls = []
+        fit = self.scripted({1.0: (0.3, "a"), 2.0: (0.1, "b"), 3.0: (0.1, "c"),
+                             4.0: (0.2, "d")}, calls)
+        assert scan_horizons(fit, [1.0, 2.0, 3.0, 4.0], 0.0) == "b"
+        assert calls == [1.0, 2.0, 3.0, 4.0]
+
+    def test_declined_and_empty_horizons_passed_over(self):
+        calls = []
+        fit = self.scripted({2.0: None, 3.0: (0.5, "c"), 4.0: (0.9, "d")}, calls)
+        # ends at or before t_lo = 1 give no horizon and never reach the fit
+        assert scan_horizons(fit, [0.5, 1.0, 2.0, 3.0, 4.0], 1.0) == "c"
+        assert calls == [2.0, 3.0, 4.0]
+
+    def test_last_error_raised_again_when_nothing_fits(self):
+        first, last = NonDecaying("first"), Diverging("last")
+        fit = self.scripted({1.0: first, 2.0: None, 3.0: last, 4.0: None}, [])
+        with pytest.raises(Diverging) as caught:
+            scan_horizons(fit, [1.0, 2.0, 3.0, 4.0], 0.0)
+        assert caught.value is last
+
+    def test_any_fit_beats_the_errors(self):
+        fit = self.scripted({1.0: SignalVanished("x"), 2.0: (7.0, "b")}, [])
+        assert scan_horizons(fit, [1.0, 2.0], 0.0) == "b"
+
+    @pytest.mark.parametrize("ends", [[2.0, 3.0], [0.0, 1.0], []])
+    def test_signal_vanished_when_no_horizon_raised(self, ends):
+        fit = self.scripted({2.0: None, 3.0: None}, [])
+        with pytest.raises(SignalVanished):
+            scan_horizons(fit, ends, 1.0)
+
+    def test_other_errors_propagate_at_once(self):
+        calls = []
+        fit = self.scripted({1.0: ValueError("bad"), 2.0: (0.0, "b")}, calls)
+        with pytest.raises(ValueError):
+            scan_horizons(fit, [1.0, 2.0], 0.0)
+        assert calls == [1.0]
 
 
 class TestSampledWindow:
