@@ -24,7 +24,9 @@ Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
 none; see signal_core.evaluation_grid).  Every residual is an array of
 values on that grid, and the tail estimators read it as a sampled signal
-on those same nodes, so no sample is interpolated twice.
+on those same nodes, so no sample is interpolated twice.  Each held term
+keeps its own column, coeff * exp(-rate * grid), computed once when the
+term is estimated, so a residual costs one subtraction per held term.
 """
 
 from __future__ import annotations
@@ -149,13 +151,14 @@ class _Term(NamedTuple):
     coeff: float
     rms: float                # log-magnitude rms of the winning rate fit
     window: tuple             # that fit's (t_start, t_end)
+    column: np.ndarray        # coeff * exp(-rate * grid), computed once
 
 
 class _NumericState:
     """Grid-resident bookkeeping for one numeric decomposition.
 
     The input is evaluated once, on self.grid; every residual is the array
-    base_values minus the held terms on that grid, and nothing else.
+    base_values minus the held terms' columns on that grid, and nothing else.
     """
 
     def __init__(self, source, support, cfg, stop):
@@ -180,7 +183,7 @@ class _NumericState:
         out = self.base_values.copy()
         for i, term in enumerate(self.terms):
             if i != skip:
-                out -= term.coeff * np.exp(-term.rate * self.grid)
+                out -= term.column
         return out
 
     def tail_window(self, values):
@@ -224,7 +227,8 @@ class _NumericState:
 
         best = scan_horizons(fit, ends, self.t_lo)
         coeff = estimate_coefficient(residual, best.rate, (self.t_lo, best.window[1]), self.cfg)
-        return _Term(best.rate, coeff, best.residual_rms, best.window)
+        return _Term(best.rate, coeff, best.residual_rms, best.window,
+                     coeff * np.exp(-best.rate * self.grid))
 
     def collides(self, rate, skip=None):
         return any(abs(rate - term.rate) < self.stop.rate_merge_tol

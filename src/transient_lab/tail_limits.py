@@ -316,26 +316,36 @@ def scan_horizons(fit, ends, t_lo):
 
     fit(t_hi) returns (score, result), or None to decline that horizon; the
     lowest score wins and ties keep the first.  Ends at or before t_lo are
-    passed over.  When no horizon fits, the last SignalVanished, NonDecaying
-    or Diverging a fit raised is raised again, or SignalVanished if none was.
+    passed over.  Each distinct end is fitted once: a repeated end cannot
+    win, since it would only tie with its first fit, and if that fit raised,
+    its error counts again as the latest.  When no horizon fits, the last
+    SignalVanished, NonDecaying or Diverging a fit raised is raised again, or
+    SignalVanished if none was.
     """
     best = None
     last_error = None
+    tried = {}               # end -> the error its fit raised, or None
     for t_hi in ends:
         if t_hi <= t_lo:
+            continue
+        if t_hi in tried:
+            if tried[t_hi] is not None:
+                last_error = tried[t_hi]
             continue
         try:
             scored = fit(t_hi)
         except (SignalVanished, NonDecaying, Diverging) as exc:
             # without its traceback the kept error holds no frame, so it
             # forms no reference cycle with this one
-            last_error = exc.with_traceback(None)
+            last_error = tried[t_hi] = exc.with_traceback(None)
             continue
+        tried[t_hi] = None
         if scored is not None and (best is None or scored[0] < best[0]):
             best = scored
     if best is None:
         if last_error is None:
             raise SignalVanished("no horizon gives a usable fit")
+        tried.clear()
         try:
             raise last_error
         finally:

@@ -232,6 +232,33 @@ class TestGridResidency:
         finally:
             gc.enable()
 
+    def test_held_columns_give_the_residuals(self, monkeypatch):
+        # each held term keeps coeff * exp(-rate * grid) from when it was
+        # estimated; subtracting those columns in list order is bitwise the
+        # residual recomputed from the terms' rates and coefficients
+        import transient_lab.decomposer as decomposer
+
+        states = []
+
+        class Recording(decomposer._NumericState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
+
+        monkeypatch.setattr(decomposer, "_NumericState", Recording)
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        samples = synthesize_samples(sig, np.arange(0.0, 40.0 + 1e-9, 0.01),
+                                     noise_sigma=1e-4, seed=1)
+        decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        state, = states
+        assert len(state.terms) >= 2
+        for skip in [None, *range(len(state.terms))]:
+            want = state.base_values.copy()
+            for i, term in enumerate(state.terms):
+                if i != skip:
+                    want -= term.coeff * np.exp(-term.rate * state.grid)
+            assert np.array_equal(state.residual_values(skip=skip), want)
+
     def test_non_finite_evaluator_rejected(self):
         def fn(ts):
             out = np.exp(-np.asarray(ts, dtype=float))

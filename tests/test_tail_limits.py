@@ -294,6 +294,45 @@ class TestScanHorizons:
         with pytest.raises(SignalVanished):
             scan_horizons(fit, ends, 1.0)
 
+    def test_each_distinct_end_is_fitted_once(self):
+        calls = []
+        fit = self.scripted({1.0: (0.3, "a"), 2.0: (0.4, "b")}, calls)
+        assert scan_horizons(fit, [1.0, 2.0, 1.0, 1.0], 0.0) == "a"
+        assert calls == [1.0, 2.0]
+
+    def test_repeated_end_raises_its_first_error_again(self):
+        # the repeat of a failed end makes its error the latest once more,
+        # exactly as fitting it again would
+        first, second = NonDecaying("at 1"), SignalVanished("at 2")
+        calls = []
+        fit = self.scripted({1.0: first, 2.0: second}, calls)
+        with pytest.raises(NonDecaying) as caught:
+            scan_horizons(fit, [1.0, 2.0, 1.0], 0.0)
+        assert caught.value is first
+        assert calls == [1.0, 2.0]
+
+    def test_repeated_end_keeps_the_first_of_a_tie(self):
+        calls = []
+        fit = self.scripted({1.0: (0.2, "a"), 2.0: (0.1, "b"), 3.0: (0.1, "c")}, calls)
+        assert scan_horizons(fit, [1.0, 2.0, 3.0, 2.0, 3.0], 0.0) == "b"
+        assert calls == [1.0, 2.0, 3.0]
+
+    def test_raised_error_leaves_no_reference_cycles(self):
+        # the kept errors must not link the scan's frame to the error it raises
+        import gc
+
+        def fit(t_hi):
+            raise (NonDecaying if t_hi == 1.0 else Diverging)(f"at {t_hi}")
+
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(NonDecaying):
+                scan_horizons(fit, [1.0, 2.0, 1.0], 0.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_other_errors_propagate_at_once(self):
         calls = []
         fit = self.scripted({1.0: ValueError("bad"), 2.0: (0.0, "b")}, calls)
