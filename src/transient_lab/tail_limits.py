@@ -283,18 +283,24 @@ def horizon_ends(ts, values, rel_floors, noise=0.0):
 
     One abs/max pass serves every floor.  With a measured noise level above
     1e-9 of the peak, one more end follows the floors: where |x| sinks into
-    five times the noise (at most half the peak).  An end at or before the
-    start of the support leaves no horizon; scan_horizons passes over it.
-    Raises SignalVanished when the values are zero everywhere.
+    five times the noise (at most half the peak).  Noise alone clears that
+    level now and then, and a lone such sample far out in the tail would set
+    the end there, so the nodes at or above it are cut at their first gap of
+    more than a twentieth of the grid, and the end is the last node before
+    the cut.  An end at or before the start of the support leaves no
+    horizon; scan_horizons passes over it.  Raises SignalVanished when the
+    values are zero everywhere.
     """
     mag = np.abs(values)
     peak = mag.max() if len(mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the support")
-    floors = list(rel_floors)
+    ends = [float(ts[mag >= rel * peak][-1]) for rel in rel_floors]
     if noise > 1e-9 * peak:
-        floors.append(min(0.5, 5.0 * noise / peak))
-    return [float(ts[mag >= rel * peak][-1]) for rel in floors]
+        above = np.flatnonzero(mag >= min(0.5, 5.0 * noise / peak) * peak)
+        gaps = np.flatnonzero(np.diff(above) > len(ts) // 20)
+        ends.append(float(ts[above[gaps[0]] if len(gaps) else above[-1]]))
+    return ends
 
 
 def shrink_support(source: SignalSource, support, rel_floors):

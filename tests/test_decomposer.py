@@ -196,6 +196,15 @@ class TestNoisyData:
                 recovered += 1
         assert recovered >= 4
 
+    def test_lone_outlier_does_not_end_the_noise_horizon(self):
+        # this set's only sample past t = 6.3 above five times the noise sits at
+        # t = 26.98; ending the noise horizon there left no decaying window
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        samples = synthesize_samples(sig, np.linspace(0.0, 40.0, 4001),
+                                     noise_sigma=1e-3, seed=23856)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert result.terms[0][0] == pytest.approx(1.0, abs=0.05)
+
 
 class TestGridResidency:
     def test_numeric_path_builds_no_closures(self, monkeypatch):

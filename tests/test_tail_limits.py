@@ -245,6 +245,20 @@ class TestShrinkSupport:
         assert end == float(ts[xs >= 5e-5][-1])
         assert horizon_ends(ts, xs, (1e-8,), noise=1e-10) == horizon_ends(ts, xs, (1e-8,))
 
+    def test_lone_spike_past_the_noise_crossing_leaves_the_noise_end(self):
+        # one sample clearing five times the noise far out in the tail is
+        # noise, not signal; the relative floors still end at their last node
+        ts = np.linspace(0.0, 30.0, 3001)
+        xs = np.exp(-ts)
+        spiked = xs.copy()
+        spiked[2500] = 1e-4
+        floors = (1e-2, 1e-8)
+        clean_ends = horizon_ends(ts, xs, floors, noise=1e-5)
+        spiked_ends = horizon_ends(ts, spiked, floors, noise=1e-5)
+        assert spiked_ends[-1] == clean_ends[-1] == float(ts[xs >= 5e-5][-1])
+        assert spiked_ends[:-1] == [float(ts[spiked >= rel][-1]) for rel in floors]
+        assert spiked_ends[1] == 25.0
+
     def test_zero_signal_raises(self):
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 5, 50))
         with pytest.raises(SignalVanished):
