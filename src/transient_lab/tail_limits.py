@@ -351,6 +351,7 @@ def scan_horizons(fit, ends, t_lo):
     if best is None:
         if last_error is None:
             raise SignalVanished("no horizon gives a usable fit")
+        # the raise's traceback holds this frame, so the frame keeps no error
         tried.clear()
         try:
             raise last_error
