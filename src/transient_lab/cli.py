@@ -1,5 +1,13 @@
 """Command-line front end: synthesis, fitting, and method comparison sweeps.
 
+Each verb is one function, run_<verb>(args), that reads its flags straight
+from the argparse namespace.  A verb's subparser declares only the flags it
+reads, so any other flag is a usage error, and each default is written once,
+in _build_parser.  --config is taken by decompose (tail and stopping
+sections), oet (quadrature) and compare (all three); --seed by synth and
+compare.  A --horizon or --step that is not a finite positive number is
+refused before any work.
+
 Every run is deterministic for a fixed configuration: seeds derive from the
 --seed flag alone, output rows are sorted before writing, and floats are
 serialized with shortest round-trip repr, so identical invocations produce
@@ -8,7 +16,7 @@ byte-identical files.
 Exit codes (also shown in --help):
     0  success
     2  command-line usage error
-    3  unreadable or malformed input file
+    3  unreadable or malformed input file, or a refused flag value
     4  evaluation or quadrature failure (OutOfSupport, QuadratureFailure)
     5  tail estimation failure (SignalVanished, NonDecaying, Diverging)
     7  prony rank failure (RankDeficient)
@@ -23,8 +31,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import fields
 
 import numpy as np
 
@@ -53,42 +60,21 @@ COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, assembled from flags and --config."""
-
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    tail: TailFitConfig = field(default_factory=lambda: TailFitConfig(fit_order="richardson_2"))
-    stopping: StoppingPolicy = field(default_factory=StoppingPolicy)
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    seed: int = 0
-    sigmas: tuple = (0.0,)
-    trials: int = 1
-    methods: tuple = ()
-    horizon: float = 40.0
-    step: float = 0.01
-    max_terms: Optional[int] = None
-    max_index: int = 8
-    order: int = 2
-    rates: tuple = ()
-    size: int = 10
-    mode: str = "symbolic"
-    diagnostics_path: Optional[str] = None
-    basis_path: Optional[str] = None
-
-
-def _load_json_config(path):
-    """The --config object, with every section and key checked by name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    for name, section in payload.items():
+def _config_sections(path, max_terms=None) -> dict:
+    """Section name -> config object: the --config file (if any, every section
+    and key checked by name) over the defaults, with the tail fit order
+    richardson_2 unless the file sets one, and --max-terms over the stopping
+    section."""
+    overrides = {}
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                overrides = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{path}: top level must be a JSON object")
+    for name, section in overrides.items():
         if name not in _CONFIG_SECTIONS:
             raise ValueError(f"{path}: unknown section {name!r}; "
                              f"expected one of {sorted(_CONFIG_SECTIONS)}")
@@ -98,62 +84,92 @@ def _load_json_config(path):
         for key in section:
             if key not in known:
                 raise ValueError(f"{path}: section {name!r} has unknown key {key!r}")
-    return payload
-
-
-def build_run_config(args) -> RunConfig:
-    overrides = _load_json_config(args.config) if getattr(args, "config", None) else {}
     kwargs = {name: dict(overrides.get(name, {})) for name in _CONFIG_SECTIONS}
     kwargs["tail"].setdefault("fit_order", "richardson_2")
-    if getattr(args, "max_terms", None) is not None:
-        kwargs["stopping"]["max_terms"] = args.max_terms
+    if max_terms is not None:
+        kwargs["stopping"]["max_terms"] = max_terms
     sections = {}
     for name, kind in _CONFIG_SECTIONS.items():
         try:
             sections[name] = kind(**kwargs[name])
         except TypeError as exc:
             # a value of the wrong JSON type fails the type's own checks
-            raise ValueError(f"{args.config}: section {name!r}: {exc}") from exc
-
-    cfg = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        tail=sections["tail"],
-        stopping=sections["stopping"],
-        quadrature=sections["quadrature"],
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        horizon=getattr(args, "horizon", 40.0),
-        step=getattr(args, "step", 0.01),
-        max_terms=getattr(args, "max_terms", None),
-        max_index=getattr(args, "max_index", 8),
-        order=getattr(args, "order", 2),
-        size=getattr(args, "size", 10),
-        mode=getattr(args, "mode", "symbolic"),
-        diagnostics_path=getattr(args, "diagnostics_out", None),
-        basis_path=getattr(args, "basis_out", None),
-    )
-    if getattr(args, "sigma", None):
-        cfg.sigmas = tuple(float(s) for s in args.sigma)
-    if getattr(args, "methods", None):
-        cfg.methods = tuple(args.methods)
-    if getattr(args, "rates", None):
-        cfg.rates = tuple(float(r) for r in args.rates)
-    if cfg.horizon <= 0 or cfg.step <= 0:
-        raise ValueError("--horizon and --step must be positive")
-    if cfg.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    return cfg
+            raise ValueError(f"{path}: section {name!r}: {exc}") from exc
+    return sections
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
-    count = int(round(cfg.horizon / cfg.step)) + 1
-    return np.linspace(0.0, cfg.step * (count - 1), count)
+def _check_positive(args, *names):
+    """Refuse a non-positive or non-finite value of each named float flag."""
+    for name in names:
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"--{name} must be a finite positive number, got {value}")
 
 
-def _result_payload(result) -> dict:
-    return {
+def _grid(args) -> np.ndarray:
+    count = int(round(args.horizon / args.step)) + 1
+    return np.linspace(0.0, args.step * (count - 1), count)
+
+
+def _write_json(payload, path):
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_csv(header, rows, path):
+    handle = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if path:
+            handle.close()
+
+
+def _finite_or_none(value):
+    """JSON has no Inf or NaN; a non-finite number is written as null, and the
+    output's flags say why (a singular Vandermonde matrix is duplicate_poles)."""
+    return value if math.isfinite(value) else None
+
+
+def _load_input_signal(path):
+    """Spec JSON gives a symbolic signal; CSV gives samples."""
+    if path is None:
+        raise ValueError("this command needs --input")
+    if path.endswith(".json"):
+        return load_signal_spec(path), None
+    return None, load_samples_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# single-method verbs
+# ---------------------------------------------------------------------------
+
+def run_synth(args):
+    _check_positive(args, "horizon", "step")
+    spec, _ = _load_input_signal(args.input)
+    if spec is None:
+        raise ValueError("synth needs a JSON signal spec as --input")
+    samples = synthesize_samples(spec, _grid(args), noise_sigma=args.sigma, seed=args.seed)
+    if args.output is None:
+        raise ValueError("synth needs --output for the sample CSV")
+    save_samples_csv(samples, args.output)
+
+
+def run_decompose(args):
+    cfg = _config_sections(args.config, args.max_terms)
+    spec, samples = _load_input_signal(args.input)
+    if spec is not None:
+        result = decompose_exact(spec.canonicalize())
+    else:
+        source = SignalSource.from_sampled(samples)
+        result = decompose_numeric(source, samples.support, cfg["tail"], cfg["stopping"])
+    _write_json({
         "terms": [{"rate": r, "coeff": c} for r, c in result.terms],
         "diagnostics": {
             "per_term": [
@@ -166,145 +182,84 @@ def _result_payload(result) -> dict:
             "termination_reason": result.termination_reason,
             "flagged": result.flagged,
         },
-    }
+    }, args.output)
 
 
-def _write_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def run_oet(args):
+    cfg = _config_sections(args.config)
+    spec, samples = _load_input_signal(args.input)
+    source = (SignalSource.from_symbolic(spec) if spec is not None
+              else SignalSource.from_sampled(samples))
+    basis = build_exponential_basis(args.max_index)
+    if args.basis_out:
+        save_basis_table_csv(basis, args.basis_out)
+    coeffs = oet_analyze(source, basis, cfg["quadrature"])
+    _write_json({
+        "max_index": args.max_index,
+        "projections": list(coeffs.projections),
+        "exponential_coeffs": list(coeffs.exponential_coeffs),
+    }, args.output)
 
 
-def _finite_or_none(value):
-    """JSON has no Inf or NaN; a non-finite number is written as null, and the
-    output's flags say why (a singular Vandermonde matrix is duplicate_poles)."""
-    return value if math.isfinite(value) else None
+def run_prony(args):
+    _, samples = _load_input_signal(args.input)
+    if samples is None:
+        raise ValueError("prony needs a sample CSV as --input")
+    model = prony_fit(samples, args.order)
+    _write_json({
+        "order": model.order,
+        "poles": list(model.poles),
+        "rates": list(model.rates),
+        "amplitudes": list(model.amplitudes),
+        "vandermonde_condition": _finite_or_none(model.vandermonde_condition),
+        "flags": list(model.flags),
+        "rejected_roots": [repr(r) for r in model.rejected_roots],
+    }, args.output)
 
 
-def _load_input_signal(cfg: RunConfig):
-    """Spec JSON gives a symbolic signal; CSV gives samples."""
-    if cfg.input_path is None:
-        raise ValueError("this command needs --input")
-    if cfg.input_path.endswith(".json"):
-        return load_signal_spec(cfg.input_path), None
-    return None, load_samples_csv(cfg.input_path)
-
-
-# ---------------------------------------------------------------------------
-# single-method verbs
-# ---------------------------------------------------------------------------
-
-def run_single(cfg: RunConfig) -> int:
-    if cfg.command == "synth":
-        spec, _ = _load_input_signal(cfg)
-        if spec is None:
-            raise ValueError("synth needs a JSON signal spec as --input")
-        samples = synthesize_samples(spec, _grid(cfg), noise_sigma=cfg.sigmas[0], seed=cfg.seed)
-        if cfg.output_path is None:
-            raise ValueError("synth needs --output for the sample CSV")
-        save_samples_csv(samples, cfg.output_path)
-        return 0
-
-    if cfg.command == "decompose":
-        spec, samples = _load_input_signal(cfg)
-        if spec is not None:
-            result = decompose_exact(spec.canonicalize())
-        else:
-            source = SignalSource.from_sampled(samples)
-            result = decompose_numeric(source, samples.support, cfg.tail, cfg.stopping)
-        _write_json(_result_payload(result), cfg.output_path)
-        return 0
-
-    if cfg.command == "oet":
-        spec, samples = _load_input_signal(cfg)
-        source = (SignalSource.from_symbolic(spec) if spec is not None
-                  else SignalSource.from_sampled(samples))
-        basis = build_exponential_basis(cfg.max_index)
-        if cfg.basis_path:
-            save_basis_table_csv(basis, cfg.basis_path)
-        coeffs = oet_analyze(source, basis, cfg.quadrature)
-        _write_json({
-            "max_index": cfg.max_index,
-            "projections": list(coeffs.projections),
-            "exponential_coeffs": list(coeffs.exponential_coeffs),
-        }, cfg.output_path)
-        return 0
-
-    if cfg.command == "prony":
-        spec, samples = _load_input_signal(cfg)
-        if samples is None:
-            raise ValueError("prony needs a sample CSV as --input")
-        model = prony_fit(samples, cfg.order)
-        _write_json({
-            "order": model.order,
-            "poles": list(model.poles),
-            "rates": list(model.rates),
-            "amplitudes": list(model.amplitudes),
-            "vandermonde_condition": _finite_or_none(model.vandermonde_condition),
-            "flags": list(model.flags),
-            "rejected_roots": [repr(r) for r in model.rejected_roots],
-        }, cfg.output_path)
-        return 0
-
-    if cfg.command == "functionals":
-        rows = []
-        if cfg.rates:
-            matrix = rate_functional_matrix(
-                cfg.rates, mode=cfg.mode,
-                horizon=cfg.horizon if cfg.mode == "numeric" else None,
-                cfg=TailFitConfig(fit_order="richardson_1"))
-            for i in range(matrix.shape[0]):
-                for j in range(matrix.shape[1]):
-                    rows.append(("rate", i + 1, j + 1, repr(float(matrix[i, j]))))
-        matrix = monomial_functional_matrix(cfg.size)
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                rows.append(("monomial", i + 1, j + 1, repr(float(matrix[i, j]))))
-        out = cfg.output_path
-        handle = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-        try:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["kind", "row", "col", "value"])
-            writer.writerows(rows)
-        finally:
-            if out:
-                handle.close()
-        return 0
-
-    raise ValueError(f"unknown command {cfg.command!r}")
+def run_functionals(args):
+    _check_positive(args, "horizon")
+    matrices = []
+    if args.rates:
+        matrices.append(("rate", rate_functional_matrix(
+            args.rates, mode=args.mode,
+            horizon=args.horizon if args.mode == "numeric" else None,
+            cfg=TailFitConfig(fit_order="richardson_1"))))
+    matrices.append(("monomial", monomial_functional_matrix(args.size)))
+    _write_csv(["kind", "row", "col", "value"],
+               [(kind, i + 1, j + 1, repr(float(value)))
+                for kind, matrix in matrices for (i, j), value in np.ndenumerate(matrix)],
+               args.output)
 
 
 # ---------------------------------------------------------------------------
 # comparison sweep
 # ---------------------------------------------------------------------------
 
-def _fit_decomposer(cfg, truth, samples):
+def _fit_decomposer(args, cfg, truth, samples):
     source = SignalSource.from_sampled(samples)
-    result = decompose_numeric(source, samples.support, cfg.tail, cfg.stopping)
+    result = decompose_numeric(source, samples.support, cfg["tail"], cfg["stopping"])
     est = list(result.terms)
     diag = {"terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason}
     return est, "", diag
 
 
-def _fit_prony(cfg, truth, samples):
+def _fit_prony(args, cfg, truth, samples):
     model = prony_fit(samples, order=len(truth.terms))
     est = list(zip(model.rates, model.amplitudes))
     flag = ";".join(model.flags)
     return est, flag, {"vandermonde_condition": _finite_or_none(model.vandermonde_condition)}
 
 
-def _fit_oet(cfg, truth, samples):
+def _fit_oet(args, cfg, truth, samples):
     rates = truth.rates
     if np.any(np.abs(rates - np.round(rates)) > 1e-9):
-        return None, "out_of_model", {"truncation_index": cfg.max_index}
-    max_index = max(cfg.max_index, int(np.round(rates.max())))
+        return None, "out_of_model", {"truncation_index": args.max_index}
+    max_index = max(args.max_index, int(np.round(rates.max())))
     basis = build_exponential_basis(max_index)
     source = SignalSource.from_sampled(samples)
-    coeffs = oet_analyze(source, basis, cfg.quadrature)
+    coeffs = oet_analyze(source, basis, cfg["quadrature"])
     est = [(float(k), coeffs.exponential_coeffs[int(k) - 1]) for k in np.round(rates)]
     return est, "", {"truncation_index": max_index}
 
@@ -312,24 +267,25 @@ def _fit_oet(cfg, truth, samples):
 _METHODS = {"decomposer": _fit_decomposer, "prony": _fit_prony, "oet": _fit_oet}
 
 
-def run_compare(cfg: RunConfig) -> int:
-    truth, _ = _load_input_signal(cfg)
+def run_compare(args):
+    cfg = _config_sections(args.config)
+    _check_positive(args, "horizon", "step")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    truth, _ = _load_input_signal(args.input)
     if truth is None:
         raise ValueError("compare needs a JSON signal spec as --input")
-    unknown = [m for m in cfg.methods if m not in _METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {sorted(_METHODS)}")
 
-    grid = _grid(cfg)
+    grid = _grid(args)
     rows = []
     diagnostics = []
-    for sigma_index, sigma in enumerate(cfg.sigmas):
-        for trial in range(cfg.trials):
-            seed = cfg.seed + 7919 * sigma_index + trial
+    for sigma_index, sigma in enumerate(args.sigma):
+        for trial in range(args.trials):
+            seed = args.seed + 7919 * sigma_index + trial
             samples = synthesize_samples(truth, grid, noise_sigma=sigma, seed=seed)
-            for method in cfg.methods:
+            for method in args.methods:
                 try:
-                    est, flag, diag = _METHODS[method](cfg, truth, samples)
+                    est, flag, diag = _METHODS[method](args, cfg, truth, samples)
                 except errors.TransientLabError as exc:
                     est, flag, diag = None, f"error:{type(exc).__name__}", {}
                 diagnostics.append({"method": method, "sigma": sigma, "trial": trial, **diag})
@@ -344,33 +300,36 @@ def run_compare(cfg: RunConfig) -> int:
                                  true_rate, est_rate, true_coeff, est_coeff, row_flag))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    out = cfg.output_path
-    handle = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMPARE_COLUMNS)
-        for row in rows:
-            writer.writerow([row[0], repr(float(row[1])), row[2], row[3],
-                             repr(float(row[4])), repr(float(row[5])),
-                             repr(float(row[6])), repr(float(row[7])), row[8]])
-    finally:
-        if out:
-            handle.close()
-    if cfg.diagnostics_path:
-        _write_json(diagnostics, cfg.diagnostics_path)
-    return 0
+    _write_csv(COMPARE_COLUMNS, ([r[0], repr(float(r[1])), r[2], r[3],
+                                 repr(float(r[4])), repr(float(r[5])),
+                                 repr(float(r[6])), repr(float(r[7])), r[8]] for r in rows),
+               args.output)
+    if args.diagnostics_out:
+        _write_json(diagnostics, args.diagnostics_out)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# flags that several verbs declare, each with its one default
+_SHARED_FLAGS = {
+    "--input": dict(help="input file (signal spec .json or samples .csv)"),
+    "--output": dict(help="output file (stdout when omitted)"),
+    "--config": dict(help="JSON file with tail/stopping/quadrature overrides"),
+    "--seed": dict(type=int, default=0),
+    "--horizon": dict(type=float, default=40.0),
+    "--step": dict(type=float, default=0.01),
+    "--max-index": dict(type=int, default=8),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first main() call.
 
-    parse_args keeps no state between calls, and build_run_config copies
-    the shared list defaults (--sigma, --methods, --rates) into tuples.
+    parse_args keeps no state between calls, and no verb mutates the shared
+    list defaults (compare's --sigma and --methods, functionals' --rates).
     """
     parser = argparse.ArgumentParser(
         prog="transient-lab",
@@ -380,60 +339,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        p.add_argument("--input", help="input file (signal spec .json or samples .csv)")
-        if output:
-            p.add_argument("--output", help="output file (stdout when omitted)")
-        p.add_argument("--config", help="JSON file with tail/stopping/quadrature overrides")
-        p.add_argument("--seed", type=int, default=0)
+    def verb(name, run, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("synth", help="sample a signal spec onto a grid")
-    common(p)
-    p.add_argument("--horizon", type=float, default=40.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--sigma", type=float, nargs="*", default=[0.0])
+    p = verb("synth", run_synth, "sample a signal spec onto a grid",
+             "--input", "--output", "--seed", "--horizon", "--step")
+    p.add_argument("--sigma", type=float, default=0.0)
 
-    p = sub.add_parser("decompose", help="extract (rate, coeff) terms")
-    common(p)
-    p.add_argument("--max-terms", type=int, default=None)
+    p = verb("decompose", run_decompose, "extract (rate, coeff) terms",
+             "--input", "--output", "--config")
+    p.add_argument("--max-terms", type=int)
 
-    p = sub.add_parser("oet", help="orthogonal exponential transform analysis")
-    common(p)
-    p.add_argument("--max-index", type=int, default=8)
+    p = verb("oet", run_oet, "orthogonal exponential transform analysis",
+             "--input", "--output", "--config", "--max-index")
     p.add_argument("--basis-out", help="also export the basis coefficient table as CSV")
 
-    p = sub.add_parser("prony", help="classical Prony baseline fit")
-    common(p)
+    p = verb("prony", run_prony, "classical Prony baseline fit", "--input", "--output")
     p.add_argument("--order", type=int, default=2)
 
-    p = sub.add_parser("functionals", help="emit biorthogonality matrices as CSV")
-    common(p)
+    p = verb("functionals", run_functionals, "emit biorthogonality matrices as CSV", "--output")
     p.add_argument("--rates", type=float, nargs="*", default=[])
     p.add_argument("--size", type=int, default=10)
     p.add_argument("--mode", choices=["symbolic", "numeric"], default="symbolic")
     p.add_argument("--horizon", type=float, default=60.0)
 
-    p = sub.add_parser("compare", help="method comparison sweep over noise levels")
-    common(p)
+    p = verb("compare", run_compare, "method comparison sweep over noise levels",
+             "--input", "--output", "--config", "--seed", "--horizon", "--step", "--max-index")
     p.add_argument("--methods", nargs="*", default=[], choices=sorted(_METHODS))
-    p.add_argument("--sigma", type=float, nargs="*", default=[0.0])
+    p.add_argument("--sigma", type=float, nargs="+", default=[0.0])
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--horizon", type=float, default=40.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--max-index", type=int, default=8)
     p.add_argument("--diagnostics-out", help="sidecar JSON with per-run method diagnostics")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = build_run_config(args)
-        if cfg.command == "compare":
-            return run_compare(cfg)
-        return run_single(cfg)
+        args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -444,6 +391,7 @@ def main(argv=None) -> int:
                 return code
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

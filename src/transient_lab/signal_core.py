@@ -55,8 +55,10 @@ class SymbolicTransient:
             if not math.isfinite(coeff):
                 raise ValueError(f"term {i}: coefficient must be finite, got {coeff}")
             prev = rate
-        # absolute summability is automatic for a finite list; assert the contract anyway
-        assert math.isfinite(sum(abs(c) for _, c in normalized))
+        # finite terms can still overflow the sum that bounds every value
+        l1 = sum(abs(c) for _, c in normalized)
+        if not math.isfinite(l1):
+            raise ValueError(f"the sum of |coeff| over all terms overflows to {l1}")
 
     @property
     def rates(self) -> np.ndarray:
@@ -85,7 +87,10 @@ class SymbolicTransient:
         ts = np.asarray(t, dtype=float)
         if not self.terms:
             return np.zeros_like(ts) if ts.ndim else 0.0
-        out = self.coefficients @ np.exp(-np.outer(self.rates, ts.ravel()))
+        # rate * t may overflow to inf, where exp(-inf) = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            exponents = np.outer(self.rates, ts.ravel())
+        out = self.coefficients @ np.exp(-exponents)
         return out.reshape(ts.shape) if ts.ndim else float(out[0])
 
 
@@ -290,8 +295,8 @@ def synthesize_samples(signal: SymbolicTransient, times, noise_sigma: float = 0.
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("grid must be non-empty")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     values = np.asarray(signal(times), dtype=float)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -323,15 +328,18 @@ def load_signal_spec(path) -> SymbolicTransient:
         try:
             rate = float(entry["rate"])
             coeff = float(entry["coeff"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: terms[{i}]: non-numeric rate or coeff") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: terms[{i}]: non-numeric rate or coeff ({exc})") from exc
         if rate <= 0.0:
             raise ValueError(f"{path}: terms[{i}].rate must be positive, got {rate}")
         if rate <= prev:
             raise ValueError(f"{path}: terms[{i}].rate breaks the ascending order")
         prev = rate
         terms.append((rate, coeff))
-    return SymbolicTransient(tuple(terms))
+    try:
+        return SymbolicTransient(tuple(terms))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_signal_spec(signal: SymbolicTransient, path) -> None:

@@ -346,12 +346,99 @@ def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
     folder = tmp_path_factory.mktemp("fuzz")
     path = folder / "samples.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    for verb in (("decompose",), ("prony", "--order", 2), ("oet", "--max-index", 4)):
+    _check_exit_contract(path, folder / "out.json",
+                         (("decompose",), ("prony", "--order", 2), ("oet", "--max-index", 4)))
+
+
+def _check_exit_contract(path, out, verbs):
+    """Each verb on the input file exits with a documented code, writes at
+    most one line to stderr and raises no warning."""
+    for verb in verbs:
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = run(verb[0], "--input", path, *verb[1:], "--output", folder / "out.json")
+            code = run(verb[0], "--input", path, *verb[1:], "--output", out)
         assert code in DOCUMENTED_EXITS, (verb, err.getvalue())
         assert len(err.getvalue().strip().splitlines()) <= 1
         # a shell run would print each warning on stderr as well
         assert not [str(w.message) for w in caught], verb
+
+
+class TestVerbFlags:
+    # each verb declares only the flags it reads, so a flag it would ignore is refused
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--config", "c.json"), ("decompose", "--seed", "1"), ("oet", "--seed", "1"),
+        ("prony", "--config", "c.json"), ("prony", "--seed", "1"),
+        ("functionals", "--input", "s.json"), ("functionals", "--seed", "1"),
+        ("functionals", "--config", "c.json"),
+        ("synth", "--sigma", "0", "0.1"), ("compare", "--sigma"),
+    ], ids=" ".join)
+    def test_flag_the_verb_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("argv, flag", [
+        (("synth",), "--horizon"), (("synth",), "--step"),
+        (("compare", "--methods", "prony"), "--horizon"),
+        (("compare", "--methods", "prony"), "--step"),
+        (("functionals", "--rates", "1", "2"), "--horizon"),
+        (("functionals", "--rates", "1", "2", "--mode", "numeric"), "--horizon"),
+    ], ids=["synth-horizon", "synth-step", "compare-horizon", "compare-step",
+            "functionals-symbolic", "functionals-numeric"])
+    def test_non_finite_or_non_positive_grid_flag_refused(self, tmp_path, two_term_spec, capsys,
+                                                          argv, flag, bad):
+        spec = () if argv[0] == "functionals" else ("--input", two_term_spec)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, *spec, flag, bad, "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+        assert not caught and not out.exists()
+
+    @pytest.mark.parametrize("argv", [("synth", "--sigma", "nan"), ("synth", "--sigma", "inf"),
+                                      ("compare", "--methods", "prony", "--sigma", "0", "nan")],
+                             ids=" ".join)
+    def test_non_finite_sigma_refused(self, tmp_path, two_term_spec, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--input", two_term_spec, "--horizon", 2, "--step", 0.5,
+                   "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "noise_sigma" in err[0] and argv[-1] in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["decompose", "synth", "oet", "compare"])
+    def test_overflowing_spec_names_the_file(self, tmp_path, capsys, verb):
+        spec = tmp_path / "huge.json"
+        spec.write_text('{"terms": [{"rate": 1, "coeff": 1e308}, {"rate": 2, "coeff": 1e308}]}')
+        assert run(verb, "--input", spec, "--output", tmp_path / "out") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(spec) in err[0] and "overflows" in err[0]
+
+
+# rates and coefficients in and around what a spec may hold: duplicates, zero,
+# negatives, non-finite values, floats near the top of the range, and ints past it
+_SPEC_NUMBERS = st.one_of(
+    st.sampled_from([1.0, 2.0, 0.0, -1.0, math.nan, math.inf, -math.inf,
+                     1e308, -1e308, 1.7e308, 5e-324]),
+    st.floats(-10.0, 10.0), st.floats(-1e308, 1e308), st.integers(-10 ** 400, 10 ** 400))
+
+
+@given(terms=st.lists(st.tuples(_SPEC_NUMBERS, _SPEC_NUMBERS), max_size=4),
+       ascending=st.booleans())
+@example(terms=[(1.0, 1e308), (2.0, 1e308)], ascending=True)
+@example(terms=[(1.0, 10 ** 400)], ascending=True)
+@example(terms=[(1.7e308, 1.0)], ascending=True)
+@settings(max_examples=100)
+def test_spec_verbs_keep_the_exit_contract(tmp_path_factory, terms, ascending):
+    folder = tmp_path_factory.mktemp("spec")
+    path = folder / "spec.json"
+    if ascending:
+        terms = sorted(terms, key=lambda term: term[0])
+    path.write_text(json.dumps({"terms": [{"rate": r, "coeff": c} for r, c in terms]}))
+    _check_exit_contract(path, folder / "out",
+                         (("decompose",), ("synth", "--horizon", 2, "--step", 0.5),
+                          ("oet", "--max-index", 4)))

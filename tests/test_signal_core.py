@@ -37,6 +37,11 @@ class TestSymbolicTransient:
         with pytest.raises(ValueError, match="increasing"):
             SymbolicTransient(((1.0, 1.0), (1.0, 2.0)))
 
+    def test_overflowing_coefficient_sum_is_a_value_error(self):
+        # each coefficient is finite, but the sum that bounds every value is not
+        with pytest.raises(ValueError, match="sum of [|]coeff[|] .* overflows to inf"):
+            SymbolicTransient(((1.0, 1e308), (2.0, -1e308)))
+
     def test_canonical_flag(self):
         assert SymbolicTransient(((1.0, 2.0),)).is_canonical
         assert not SymbolicTransient(((1.0, 0.0), (2.0, 1.0))).is_canonical
@@ -85,6 +90,11 @@ class TestEvaluate:
     def test_single_term_at_zero(self):
         src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
         assert evaluate(src, 0.0) == 1.0
+
+    def test_rate_times_t_past_the_float_range_reads_zero(self):
+        # warnings are errors under pytest, so an overflow warning fails here
+        sig = SymbolicTransient(((1.7e308, 2.0),))
+        assert np.array_equal(sig(np.array([0.0, 2.0])), [2.0, 0.0])
 
     def test_sum_of_coefficients_at_zero(self):
         src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))))
@@ -233,6 +243,11 @@ class TestSynthesize:
         c = synthesize_samples(s, [0.0, 1.0], noise_sigma=0.1, seed=8)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_rejects_noise_sigma_not_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match=f"noise_sigma .*, got {sigma}"):
+            synthesize_samples(SymbolicTransient(((1.0, 1.0),)), [0.0, 1.0], noise_sigma=sigma)
+
     def test_zero_signal(self):
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 1, 5))
         assert np.array_equal(sig.values, np.zeros(5))
@@ -307,6 +322,18 @@ class TestFileFormats:
         path.write_text('{"terms": [{"rate": -1.0, "coeff": 1.0}]}')
         with pytest.raises(ValueError, match=r"terms\[0\].rate"):
             load_signal_spec(path)
+
+    @pytest.mark.parametrize("terms, named", [
+        ('[{"rate": NaN, "coeff": 1.0}]', "term 0: rate must be a finite positive real, got nan"),
+        ('[{"rate": 1.0, "coeff": 1e308}, {"rate": 2.0, "coeff": 1e308}]', "overflows to inf"),
+        ('[{"rate": 1.0, "coeff": 1' + "0" * 400 + '}]', "terms[0]: non-numeric"),
+    ], ids=["nan_rate", "coeff_sum_overflow", "int_past_float_range"])
+    def test_spec_errors_are_value_errors_naming_the_file(self, tmp_path, terms, named):
+        path = tmp_path / "bad.json"
+        path.write_text('{"terms": ' + terms + '}')
+        with pytest.raises(ValueError) as exc:
+            load_signal_spec(path)
+        assert str(exc.value).startswith(f"{path}: ") and named in str(exc.value)
 
     def test_spec_names_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
