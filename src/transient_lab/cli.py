@@ -56,15 +56,18 @@ _EXIT_CODES = (
 _CONFIG_SECTIONS = {"tail": TailFitConfig, "stopping": StoppingPolicy,
                     "quadrature": QuadratureConfig}
 
+# most steps a --horizon/--step grid may hold: 10**7 float64 nodes are 80 MB
+MAX_GRID_STEPS = 10 ** 7
+
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
 
 
 def _config_sections(path, max_terms=None) -> dict:
     """Section name -> config object: the --config file (if any, every section
-    and key checked by name) over the defaults, with the tail fit order
-    richardson_2 unless the file sets one, and --max-terms over the stopping
-    section."""
+    and key checked by name, every value by its config type) over the
+    defaults, with the tail fit order richardson_2 unless the file sets one,
+    and --max-terms over the stopping section."""
     overrides = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,8 +95,9 @@ def _config_sections(path, max_terms=None) -> dict:
     for name, kind in _CONFIG_SECTIONS.items():
         try:
             sections[name] = kind(**kwargs[name])
-        except TypeError as exc:
-            # a value of the wrong JSON type fails the type's own checks
+        except ValueError as exc:
+            if name not in overrides:
+                raise
             raise ValueError(f"{path}: section {name!r}: {exc}") from exc
     return sections
 
@@ -107,7 +111,11 @@ def _check_positive(args, *names):
 
 
 def _grid(args) -> np.ndarray:
-    count = int(round(args.horizon / args.step)) + 1
+    steps = args.horizon / args.step
+    if not steps <= MAX_GRID_STEPS:
+        raise ValueError(f"--horizon / --step gives {steps:.3g} grid steps, "
+                         f"more than the {MAX_GRID_STEPS} allowed")
+    count = int(round(steps)) + 1
     return np.linspace(0.0, args.step * (count - 1), count)
 
 
@@ -223,8 +231,7 @@ def run_functionals(args):
     if args.rates:
         matrices.append(("rate", rate_functional_matrix(
             args.rates, mode=args.mode,
-            horizon=args.horizon if args.mode == "numeric" else None,
-            cfg=TailFitConfig(fit_order="richardson_1"))))
+            horizon=args.horizon if args.mode == "numeric" else None)))
     matrices.append(("monomial", monomial_functional_matrix(args.size)))
     _write_csv(["kind", "row", "col", "value"],
                [(kind, i + 1, j + 1, repr(float(value)))

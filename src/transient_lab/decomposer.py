@@ -32,6 +32,7 @@ term is estimated, so a residual costs one subtraction per held term.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -40,38 +41,42 @@ import numpy as np
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
                           evaluation_grid, subtract_term)
-from .tail_limits import (TailFitConfig, estimate_coefficient, estimate_rate, horizon_ends,
-                          scan_horizons)
+from .tail_limits import (MIN_WINDOW_POINTS, WINDOW_FRACTION, TailFitConfig, _validate_support,
+                          estimate_coefficient, estimate_rate, horizon_ends, scan_horizons)
 
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
+
+# stop once the tail sup norm of the residual drops below this fraction of
+# the original signal's tail sup norm over the same window: 1e-8 sits safely
+# above the double-precision leftovers of swept subtractions while staying
+# far below any honest term
+RESIDUAL_FLOOR = 1e-8
+# a new rate closer than this to a held one is a rate collision
+RATE_MERGE_TOL = 1e-3
+# candidate relative floors for the per-iteration horizon trim; the fit with
+# the smallest log-magnitude residual wins
+HORIZON_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+# extra re-estimation sweeps after extraction ends
+REFINE_SWEEPS = 2
 
 
 @dataclass(frozen=True)
 class StoppingPolicy:
-    """Termination and windowing policy for numeric decomposition.
+    """Term budget of a numeric decomposition.
 
-    residual_floor: stop once the tail sup norm of the residual drops below
-        this fraction of the original signal's tail sup norm over the same
-        window.  1e-8 sits safely above the double-precision leftovers of
-        swept subtractions while staying far below any honest term.
-    horizon_floors: candidate relative floors for per-iteration horizon
-        trimming; the fit with the smallest log-magnitude residual wins.
-    refine_sweeps: extra re-estimation sweeps after extraction ends.
+    max_terms: the most terms extracted before the loop stops with reason
+        "max_terms"; a positive integer.  The other stopping rules (the
+        residual floor, a rate collision, a vanished signal) use the fixed
+        constants above.
     """
 
-    residual_floor: float = 1e-8
     max_terms: int = 16
-    rate_merge_tol: float = 1e-3
-    horizon_floors: tuple = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
-    refine_sweeps: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.residual_floor < 1.0:
-            raise ValueError("residual_floor must lie in (0, 1)")
+        if not isinstance(self.max_terms, numbers.Integral) or isinstance(self.max_terms, bool):
+            raise ValueError(f"max_terms must be an integer, got {self.max_terms!r}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be positive")
-        if self.rate_merge_tol <= 0.0:
-            raise ValueError("rate_merge_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -161,14 +166,11 @@ class _NumericState:
     base_values minus the held terms' columns on that grid, and nothing else.
     """
 
-    def __init__(self, source, support, cfg, stop):
+    def __init__(self, source, support, cfg):
         self.cfg = cfg
-        self.stop = stop
-        self.t_lo, self.t_hi = float(support[0]), float(support[1])
-        if not (self.t_hi > self.t_lo >= 0.0) or not math.isfinite(self.t_hi):
-            raise ValueError(f"support must satisfy 0 <= t_lo < t_hi < inf, got {support}")
+        self.t_lo, self.t_hi = _validate_support(support)
         self.grid = evaluation_grid(source, support)
-        if len(self.grid) < cfg.min_window_points:
+        if len(self.grid) < MIN_WINDOW_POINTS:
             raise ValueError("support holds too few samples for the configured window")
         self.base_values = evaluate_many(source, self.grid)
         if not np.all(np.isfinite(self.base_values)):
@@ -190,10 +192,10 @@ class _NumericState:
         """Mask of the tail window over the trimmed horizon of these values,
         or None when they are zero everywhere."""
         try:
-            t_hi, = horizon_ends(self.grid, values, (self.stop.residual_floor,))
+            t_hi, = horizon_ends(self.grid, values, (RESIDUAL_FLOOR,))
         except SignalVanished:
             return None
-        w_start = t_hi - self.cfg.window_fraction * (t_hi - self.t_lo)
+        w_start = t_hi - WINDOW_FRACTION * (t_hi - self.t_lo)
         return (self.grid >= w_start) & (self.grid <= t_hi)
 
     def floor_hit(self, values, window):
@@ -203,7 +205,7 @@ class _NumericState:
             return True
         sup_resid = float(np.abs(values[window]).max())
         sup_base = float(np.abs(self.base_values[window]).max())
-        return sup_resid < self.stop.residual_floor * sup_base
+        return sup_resid < RESIDUAL_FLOOR * sup_base
 
     # -- estimation ------------------------------------------------------
 
@@ -214,7 +216,7 @@ class _NumericState:
         fit whose log-magnitude residual is smallest; the coefficient is then
         read off the winning window.
         """
-        ends = horizon_ends(self.grid, values, self.stop.horizon_floors, self.noise_sigma)
+        ends = horizon_ends(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
         residual = SignalSource.from_sampled(SampledSignal(self.grid, values))
 
         def fit(t_hi):
@@ -231,7 +233,7 @@ class _NumericState:
                      coeff * np.exp(-best.rate * self.grid))
 
     def collides(self, rate, skip=None):
-        return any(abs(rate - term.rate) < self.stop.rate_merge_tol
+        return any(abs(rate - term.rate) < RATE_MERGE_TOL
                    for i, term in enumerate(self.terms) if i != skip)
 
     def sweep(self):
@@ -262,7 +264,7 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
     """
     cfg = cfg or TailFitConfig(fit_order="richardson_2")
     stop = stop or StoppingPolicy()
-    state = _NumericState(source, support, cfg, stop)
+    state = _NumericState(source, support, cfg)
 
     reason = "max_terms"
     flagged = None
@@ -302,7 +304,7 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
             state.sweep()
 
     state.prune()
-    for _ in range(stop.refine_sweeps):
+    for _ in range(REFINE_SWEEPS):
         if state.terms:
             state.sweep()
 

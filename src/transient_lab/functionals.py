@@ -26,8 +26,8 @@ import numpy as np
 from .errors import Diverging, SignalVanished
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
                           evaluation_grid)
-from .tail_limits import (TailFitConfig, _reweighted, _window_samples, estimate_coefficient,
-                          scan_horizons, shrink_support)
+from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, _reweighted, _window_samples,
+                          estimate_coefficient, scan_horizons, shrink_support)
 
 # a stripped residual this small everywhere, relative to the input's peak,
 # is numerically zero: its content is the rounding left over from earlier
@@ -138,7 +138,7 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
     cfg = cfg or TailFitConfig(fit_order="richardson_1")
 
     ts = evaluation_grid(source, support)
-    if len(ts) < cfg.min_window_points:
+    if len(ts) < MIN_WINDOW_POINTS:
         raise ValueError("support holds too few samples for the configured window")
     values = evaluate_many(source, ts)
     stripped = values.copy()
@@ -161,8 +161,7 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
     return float(value)
 
 
-def _scanned_coefficient(residual, rate, support, cfg,
-                         rel_floors=(1e-6, 1e-8, 1e-10, 1e-12)):
+def _scanned_coefficient(residual, rate, support, cfg):
     """Coefficient estimate over several shrunk horizons.
 
     The reweighted tail is constant where neither the faster terms (early)
@@ -173,11 +172,12 @@ def _scanned_coefficient(residual, rate, support, cfg,
 
     def fit(t_hi):
         value = estimate_coefficient(residual, rate, (t_lo, t_hi), cfg)
-        ts, xs, _ = _window_samples(residual, (t_lo, t_hi), cfg)
+        ts, xs, _ = _window_samples(residual, (t_lo, t_hi))
         v = _reweighted(ts, xs, rate)
         return float(np.std(v) / max(np.abs(v).mean(), 1e-300)), value
 
-    return scan_horizons(fit, shrink_support(residual, support, rel_floors), t_lo)
+    ends = shrink_support(residual, support, (1e-6, 1e-8, 1e-10, 1e-12))
+    return scan_horizons(fit, ends, t_lo)
 
 
 def apply_monomial_functional(n: int, poly: PolynomialNoConstant,

@@ -233,7 +233,12 @@ class ExponentialBasis:
 
 
 def build_exponential_basis(max_index: int) -> ExponentialBasis:
-    """Table the first max_index orthonormal exponential elements."""
+    """Table the first max_index orthonormal exponential elements.
+
+    The coefficients grow geometrically and leave the float range at
+    element 136; a max_index that reaches that far raises ValueError there,
+    before any later (slower, larger) row is built.
+    """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     params = JacobiParams(2.0, 2.0)
@@ -242,6 +247,9 @@ def build_exponential_basis(max_index: int) -> ExponentialBasis:
         poly = jacobi_monomial_coeffs(params, n - 1)
         scale = (-1.0) ** (n - 1) * math.sqrt(2.0 * n ** 3)
         rows.append(scale * poly)
+        if not np.all(np.isfinite(rows[-1])):
+            raise ValueError(f"element {n} of the exponential basis overflows the float "
+                             f"range; the basis holds at most {n - 1} elements")
     return ExponentialBasis(max_index=max_index, coeff_table=tuple(rows))
 
 

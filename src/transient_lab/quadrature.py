@@ -9,6 +9,7 @@ exponential transform.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,25 +17,26 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
+# left endpoint of the z interval: exp(-t) never reaches 0, so the cutoff
+# stands in for z = 0
+LOWER_CUTOFF = 1e-300
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node count and lower cutoff for the half-line substitution rule.
+    """Node count of the half-line substitution rule.
 
     nodes: Gauss-Legendre order, exact for z-polynomials of degree
-        2*nodes - 1.
-    lower_cutoff: left endpoint of the z interval; exp(-t) never reaches 0,
-        so the cutoff stands in for z = 0 at the smallest positive double.
+        2*nodes - 1; an integer of at least 2.
     """
 
     nodes: int = 128
-    lower_cutoff: float = 1e-300
 
     def __post_init__(self):
+        if not isinstance(self.nodes, numbers.Integral) or isinstance(self.nodes, bool):
+            raise ValueError(f"nodes must be an integer, got {self.nodes!r}")
         if self.nodes < 2:
             raise ValueError(f"nodes must be >= 2, got {self.nodes}")
-        if not 0.0 < self.lower_cutoff < 1.0:
-            raise ValueError("lower_cutoff must lie in (0, 1)")
 
 
 @lru_cache(maxsize=32)
@@ -58,7 +60,7 @@ def integrate_semi_infinite(fn, config=None, t_window=None):
     finitely supported (sampled) signals take part without extrapolation.
     """
     cfg = config or QuadratureConfig()
-    z_lo, z_hi = cfg.lower_cutoff, 1.0
+    z_lo, z_hi = LOWER_CUTOFF, 1.0
     if t_window is not None:
         t_lo, t_hi = t_window
         if t_hi <= t_lo:

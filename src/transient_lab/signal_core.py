@@ -321,7 +321,6 @@ def load_signal_spec(path) -> SymbolicTransient:
     if not isinstance(raw, list):
         raise ValueError(f"{path}: field 'terms' must be a list")
     terms = []
-    prev = 0.0
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "rate" not in entry or "coeff" not in entry:
             raise ValueError(f"{path}: terms[{i}] must carry fields 'rate' and 'coeff'")
@@ -330,11 +329,6 @@ def load_signal_spec(path) -> SymbolicTransient:
             coeff = float(entry["coeff"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: terms[{i}]: non-numeric rate or coeff ({exc})") from exc
-        if rate <= 0.0:
-            raise ValueError(f"{path}: terms[{i}].rate must be positive, got {rate}")
-        if rate <= prev:
-            raise ValueError(f"{path}: terms[{i}].rate breaks the ascending order")
-        prev = rate
         terms.append((rate, coeff))
     try:
         return SymbolicTransient(tuple(terms))

@@ -15,9 +15,8 @@ sub-windows: on a uniform grid the sub-window statistics of the
 contamination form an exact geometric sequence, which one Aitken step
 eliminates.
 
-Window placement, floors, and extrapolation order all live in
-TailFitConfig; the limits themselves are ideal and the estimation policy
-is a deliberate design surface.
+The window placement and floors are fixed constants below; the one choice
+a caller makes is the extrapolation order, in TailFitConfig.
 
 Every estimator reads the source on signal_core.evaluation_grid: a sampled
 signal's own nodes, sliced rather than interpolated, or GRID_POINTS uniform
@@ -41,40 +40,32 @@ from .signal_core import SignalSource, evaluate_many, evaluation_grid
 
 _FIT_ORDERS = {"slope_fit": 1, "richardson_1": 3, "richardson_2": 5}
 
+# trailing portion of the support used as the fit window
+WINDOW_FRACTION = 0.5
+# fewest usable samples in a window before giving up
+MIN_WINDOW_POINTS = 8
+# samples below this fraction of the window's peak magnitude are skipped:
+# log|x| is undefined at zeros and meaningless below rounding
+ABS_FLOOR = 1e-13
+# growth of the reweighted tail, across the window, beyond which the
+# coefficient estimate reports Diverging
+DIVERGE_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class TailFitConfig:
-    """Window and extrapolation policy for the tail estimators.
+    """Extrapolation order of the tail estimators.
 
-    window_fraction: trailing portion of the support used as the fit window.
-    min_window_points: fewest usable samples before giving up.
     fit_order: "slope_fit" for a single least-squares line, "richardson_1"
         or "richardson_2" for one or two Aitken eliminations over shifted
         sub-windows.
-    abs_floor: samples below abs_floor times the window's peak magnitude
-        are skipped (log|x| is undefined at zeros and meaningless below
-        rounding).
-    diverge_factor: growth of the reweighted tail, across the window,
-        beyond which the coefficient estimate reports Diverging.
     """
 
-    window_fraction: float = 0.5
-    min_window_points: int = 8
     fit_order: str = "slope_fit"
-    abs_floor: float = 1e-13
-    diverge_factor: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.window_fraction < 1.0:
-            raise ValueError("window_fraction must lie in (0, 1)")
-        if self.min_window_points < 4:
-            raise ValueError("min_window_points must be at least 4")
-        if self.fit_order not in _FIT_ORDERS:
+        if not isinstance(self.fit_order, str) or self.fit_order not in _FIT_ORDERS:
             raise ValueError(f"fit_order must be one of {sorted(_FIT_ORDERS)}")
-        if self.abs_floor <= 0.0:
-            raise ValueError("abs_floor must be positive")
-        if self.diverge_factor <= 1.0:
-            raise ValueError("diverge_factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -112,10 +103,10 @@ def _read(source: SignalSource, lo: float, hi: float):
     return ts, evaluate_many(source, ts)
 
 
-def _window_samples(source, support, cfg):
+def _window_samples(source, support):
     """Times, values, and the window bounds for the trailing fit window."""
     t_lo, t_hi = _validate_support(support)
-    w_start = t_hi - cfg.window_fraction * (t_hi - t_lo)
+    w_start = t_hi - WINDOW_FRACTION * (t_hi - t_lo)
     ts, xs = _read(source, w_start, t_hi)
     if source.sampled is None:
         # samples are finite by construction; evaluated values need not be
@@ -124,17 +115,17 @@ def _window_samples(source, support, cfg):
     return ts, xs, (w_start, t_hi)
 
 
-def _kept(ts, xs, cfg):
+def _kept(ts, xs):
     """Drop samples below the relative magnitude floor."""
     mag = np.abs(xs)
     peak = mag.max() if len(mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the tail window")
-    keep = mag > cfg.abs_floor * peak
-    if keep.sum() < cfg.min_window_points:
+    keep = mag > ABS_FLOOR * peak
+    if keep.sum() < MIN_WINDOW_POINTS:
         raise SignalVanished(
             f"only {int(keep.sum())} tail samples above the floor, "
-            f"need {cfg.min_window_points}")
+            f"need {MIN_WINDOW_POINTS}")
     return ts[keep], xs[keep]
 
 
@@ -201,12 +192,12 @@ def estimate_rate(source: SignalSource, support, cfg: TailFitConfig = None) -> R
     slope is non-negative.
     """
     cfg = cfg or TailFitConfig()
-    ts, xs, window = _window_samples(source, support, cfg)
-    ts, xs = _kept(ts, xs, cfg)
+    ts, xs, window = _window_samples(source, support)
+    ts, xs = _kept(ts, xs)
     logs = np.log(np.abs(xs))
 
     nsub = _FIT_ORDERS[cfg.fit_order]
-    blocks = _index_blocks(len(ts), nsub, cfg.min_window_points)
+    blocks = _index_blocks(len(ts), nsub, MIN_WINDOW_POINTS)
     if blocks is None or nsub == 1:
         slope, icpt = _line_fit(ts, logs)
         rate = -slope
@@ -234,39 +225,43 @@ def estimate_coefficient(source: SignalSource, rate: float, support,
 
     With richardson variants the averages over shifted sub-windows are
     Aitken-extrapolated.  Raises Diverging when the reweighted tail grows
-    by more than diverge_factor across the window (the rate was too big).
+    by more than DIVERGE_FACTOR across the window (the rate was too big).
     """
     cfg = cfg or TailFitConfig()
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    ts, xs, _ = _window_samples(source, support, cfg)
-    ts, xs = _kept(ts, xs, cfg)
+    ts, xs, _ = _window_samples(source, support)
+    ts, xs = _kept(ts, xs)
     values = _reweighted(ts, xs, rate)
     if not np.all(np.isfinite(values)):
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
+    # near the top of the float range a sum of values overflows where their
+    # mean does not; dividing by a power of two is exact, so the averages
+    # run on values scaled below 2**960 and the result is scaled back
+    scale = 2.0 ** max(math.frexp(float(np.abs(values).max()))[1] - 960, 0)
+    values = values / scale
 
     quarter = max(len(values) // 4, 1)
     head = float(_mean(np.abs(values[:quarter])))
     tail = float(_mean(np.abs(values[-quarter:])))
-    if head > 0.0 and tail / head > cfg.diverge_factor:
+    if head > 0.0 and tail / head > DIVERGE_FACTOR:
         raise Diverging(
             f"reweighted tail grows by {tail / head:.3g} across the window "
-            f"(limit {cfg.diverge_factor}); decay rate is overestimated")
+            f"(limit {DIVERGE_FACTOR}); decay rate is overestimated")
 
     nsub = _FIT_ORDERS[cfg.fit_order]
-    blocks = _index_blocks(len(values), nsub, cfg.min_window_points)
+    blocks = _index_blocks(len(values), nsub, MIN_WINDOW_POINTS)
     if blocks is None or nsub == 1:
-        return float(_mean(values))
-    return float(_extrapolate([float(_mean(values[a:b])) for a, b in blocks]))
+        return float(_mean(values)) * scale
+    return float(_extrapolate([float(_mean(values[a:b])) for a, b in blocks])) * scale
 
 
-def rate_sequence(source: SignalSource, support, cfg: TailFitConfig = None) -> RateSequence:
+def rate_sequence(source: SignalSource, support) -> RateSequence:
     """Raw sequence -log|x(t)|/t over the support, for plots and diagnostics.
 
     Entries where the value is zero or non-finite are skipped and reported
     in skipped_times rather than raising.
     """
-    cfg = cfg or TailFitConfig()
     t_lo, t_hi = _validate_support(support)
     ts, xs = _read(source, t_lo, t_hi)
     positive = ts > 0.0

@@ -61,7 +61,7 @@ class TestSynthDecompose:
         path.write_text('{"terms": [{"rate": 2.0, "coeff": 1.0}, {"rate": 1.0, "coeff": 0.5}]}')
         assert run("decompose", "--input", path) == 3
         err = capsys.readouterr().err
-        assert "terms[1].rate" in err
+        assert f"{path}: term 1: rates must be strictly increasing" in err
 
     def test_missing_input_is_usage_error(self, capsys):
         assert run("decompose") == 3
@@ -245,6 +245,11 @@ class TestConfigPlumbing:
         ('[1]', "top level must be a JSON object"),
         ('{"stoping": {}}', "unknown section 'stoping'"),
         ('{"quadrature": {"nodes": "many"}}', "section 'quadrature'"),
+        ('{"quadrature": {"nodes": 2.5}}', "section 'quadrature': nodes must be an integer"),
+        ('{"stopping": {"max_terms": 2.5}}', "section 'stopping': max_terms must be an integer"),
+        ('{"stopping": {"max_terms": true}}', "max_terms must be an integer, got True"),
+        ('{"stopping": {"refine_sweeps": 1}}', "section 'stopping' has unknown key 'refine_sweeps'"),
+        ('{"tail": {"fit_order": ["slope_fit"]}}', "section 'tail': fit_order must be one of"),
     ])
     def test_malformed_config_rejected_in_one_line(self, tmp_path, two_term_spec, capsys,
                                                    payload, named):
@@ -254,6 +259,15 @@ class TestConfigPlumbing:
         err = capsys.readouterr().err
         assert named in err and str(config) in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_readme_config_table_names_every_field(self):
+        # every settable field is documented, and nothing else is
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| section | key |", 1)[1].split("\n\n", 1)[0]
+        documented = [tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+                      for line in table.splitlines()[2:]]
+        assert documented == [(name, field.name) for name, kind in cli._CONFIG_SECTIONS.items()
+                              for field in dataclasses.fields(kind)]
 
     def test_bundled_example_file(self, tmp_path):
         out = tmp_path / "result.json"
@@ -399,6 +413,19 @@ class TestVerbFlags:
         assert len(err) == 1 and flag in err[0]
         assert not caught and not out.exists()
 
+    @pytest.mark.parametrize("horizon, step", [("1e300", "1e-10"), ("1e6", "1e-6")])
+    @pytest.mark.parametrize("verb", [("synth",), ("compare", "--methods", "prony")],
+                             ids=["synth", "compare"])
+    def test_grid_past_the_node_limit_refused(self, tmp_path, two_term_spec, capsys,
+                                              verb, horizon, step):
+        # refused before any node is allocated: 1e12 nodes would need 8 TB
+        out = tmp_path / "out"
+        assert run(*verb, "--input", two_term_spec, "--horizon", horizon, "--step", step,
+                   "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--horizon" in err[0] and "--step" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [("synth", "--sigma", "nan"), ("synth", "--sigma", "inf"),
                                       ("compare", "--methods", "prony", "--sigma", "0", "nan")],
                              ids=" ".join)
@@ -432,6 +459,7 @@ _SPEC_NUMBERS = st.one_of(
 @example(terms=[(1.0, 1e308), (2.0, 1e308)], ascending=True)
 @example(terms=[(1.0, 10 ** 400)], ascending=True)
 @example(terms=[(1.7e308, 1.0)], ascending=True)
+@example(terms=[(1.0, 1e308)], ascending=True)
 @settings(max_examples=100)
 def test_spec_verbs_keep_the_exit_contract(tmp_path_factory, terms, ascending):
     folder = tmp_path_factory.mktemp("spec")
@@ -441,4 +469,6 @@ def test_spec_verbs_keep_the_exit_contract(tmp_path_factory, terms, ascending):
     path.write_text(json.dumps({"terms": [{"rate": r, "coeff": c} for r, c in terms]}))
     _check_exit_contract(path, folder / "out",
                          (("decompose",), ("synth", "--horizon", 2, "--step", 0.5),
-                          ("oet", "--max-index", 4)))
+                          ("oet", "--max-index", 4),
+                          ("compare", "--horizon", 2, "--step", 0.1, "--trials", 1,
+                           "--sigma", 0, 1e-3, "--methods", "decomposer", "prony", "oet")))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from transient_lab import (DecompositionResult, SignalSource, StoppingPolicy,
+from transient_lab import (DecompositionResult, QuadratureConfig, SignalSource, StoppingPolicy,
                            SymbolicTransient, TailFitConfig, TermDiagnostics,
                            TransientLabError, decompose_exact, decompose_numeric,
                            reconstruct, synthesize_samples)
@@ -155,7 +155,7 @@ class TestDecomposeNumeric:
     def test_max_terms_cap(self):
         sig = SymbolicTransient(((0.5, 2.0), (1.1, 1.0), (1.8, -1.5)))
         samples = synthesize_samples(sig, np.linspace(0.0, 80.0, 4000))
-        stop = StoppingPolicy(max_terms=2, refine_sweeps=1)
+        stop = StoppingPolicy(max_terms=2)
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support,
                                    stop=stop)
         assert len(result.terms) <= 2
@@ -170,11 +170,15 @@ class TestDecomposeNumeric:
 
     def test_stopping_policy_validation(self):
         with pytest.raises(ValueError):
-            StoppingPolicy(residual_floor=0.0)
-        with pytest.raises(ValueError):
             StoppingPolicy(max_terms=0)
-        with pytest.raises(ValueError):
-            StoppingPolicy(rate_merge_tol=-1.0)
+
+    @pytest.mark.parametrize("kind, name", [(StoppingPolicy, "max_terms"),
+                                            (QuadratureConfig, "nodes")])
+    def test_integer_fields_take_integers_only(self, kind, name):
+        assert getattr(kind(**{name: np.int64(4)}), name) == 4
+        for value in (2.5, 4.0, True, "4"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                kind(**{name: value})
 
 
 class TestNoisyData:

@@ -151,6 +151,11 @@ class TestExponentialBasis:
                 ip = inner_product(basis.element_source(m), basis.element_source(n))
                 assert ip == pytest.approx(1.0 if m == n else 0.0, abs=1e-9)
 
+    def test_basis_past_the_float_range_refused(self):
+        # the rows overflow from element 136 on, so a huge max_index fails there
+        with pytest.raises(ValueError, match="element 136 "):
+            build_exponential_basis(10 ** 300)
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             build_exponential_basis(0)

@@ -311,23 +311,19 @@ class TestFileFormats:
         save_signal_spec(sig, path)
         assert load_signal_spec(path).terms == sig.terms
 
-    def test_spec_rejects_unsorted(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"terms": [{"rate": 2.0, "coeff": 1.0}, {"rate": 1.0, "coeff": 1.0}]}')
-        with pytest.raises(ValueError, match=r"terms\[1\].rate"):
-            load_signal_spec(path)
-
-    def test_spec_rejects_nonpositive_rate(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"terms": [{"rate": -1.0, "coeff": 1.0}]}')
-        with pytest.raises(ValueError, match=r"terms\[0\].rate"):
-            load_signal_spec(path)
-
     @pytest.mark.parametrize("terms, named", [
         ('[{"rate": NaN, "coeff": 1.0}]', "term 0: rate must be a finite positive real, got nan"),
+        ('[{"rate": 0, "coeff": 1.0}]', "term 0: rate must be a finite positive real, got 0.0"),
+        ('[{"rate": 1.0, "coeff": 1.0}, {"rate": -1.0, "coeff": 1.0}]',
+         "term 1: rate must be a finite positive real, got -1.0"),
+        ('[{"rate": 2.0, "coeff": 1.0}, {"rate": 1.0, "coeff": 1.0}]',
+         "term 1: rates must be strictly increasing, got 1.0 after 2.0"),
+        ('[{"rate": 1.0, "coeff": 1.0}, {"rate": 1.0, "coeff": 2.0}]',
+         "term 1: rates must be strictly increasing, got 1.0 after 1.0"),
         ('[{"rate": 1.0, "coeff": 1e308}, {"rate": 2.0, "coeff": 1e308}]', "overflows to inf"),
         ('[{"rate": 1.0, "coeff": 1' + "0" * 400 + '}]', "terms[0]: non-numeric"),
-    ], ids=["nan_rate", "coeff_sum_overflow", "int_past_float_range"])
+    ], ids=["nan_rate", "zero_rate", "negative_rate", "unsorted_rates", "duplicate_rates",
+            "coeff_sum_overflow", "int_past_float_range"])
     def test_spec_errors_are_value_errors_naming_the_file(self, tmp_path, terms, named):
         path = tmp_path / "bad.json"
         path.write_text('{"terms": ' + terms + '}')
