@@ -96,7 +96,7 @@ def _config_sections(path, max_terms=None) -> dict:
         try:
             sections[name] = kind(**kwargs[name])
         except ValueError as exc:
-            if name not in overrides:
+            if name not in overrides:   # the bad value came from --max-terms
                 raise
             raise ValueError(f"{path}: section {name!r}: {exc}") from exc
     return sections
