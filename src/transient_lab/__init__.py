@@ -7,7 +7,7 @@ cross-checking baselines with complementary restrictions.
 """
 
 from .decomposer import (DecompositionResult, StoppingPolicy, TermDiagnostics,
-                         decompose_exact, decompose_numeric, reconstruct)
+                         decompose_exact, decompose_numeric)
 from .errors import (Diverging, GammaPole, NonDecaying, OutOfSupport,
                      QuadratureFailure, RankDeficient, SignalVanished,
                      TransientLabError)
@@ -15,17 +15,15 @@ from .functionals import (FunctionalLedger, PolynomialNoConstant,
                           apply_monomial_functional, apply_rate_functional,
                           correspondence_check, monomial_functional_matrix,
                           rate_functional_matrix)
-from .oet_jacobi import (ExponentialBasis, JacobiBasis, JacobiParams,
-                         build_exponential_basis, check_derivative_recurrence,
-                         check_multiplication_recurrence, jacobi_monomial_coeffs,
-                         oet_analyze, oet_synthesize, orthogonality_closed_form,
+from .oet_jacobi import (ExponentialBasis, JacobiParams, build_exponential_basis,
+                         check_derivative_recurrence, check_multiplication_recurrence,
+                         jacobi_monomial_coeffs, oet_analyze, orthogonality_closed_form,
                          orthogonality_integral)
 from .prony_baseline import PronyModel, prony_fit, vandermonde_condition
 from .quadrature import QuadratureConfig, integrate_semi_infinite
-from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, combine,
-                          evaluate, evaluate_many, inner_product, l2_norm_bound_check,
-                          load_samples_csv, load_signal_spec, save_samples_csv,
-                          save_signal_spec, subtract_term, synthesize_samples)
+from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
+                          inner_product, load_samples_csv, load_signal_spec,
+                          save_samples_csv, synthesize_samples)
 from .tail_limits import (RateEstimate, RateSequence, TailFitConfig,
                           estimate_coefficient, estimate_rate, rate_sequence,
                           shrink_support)
@@ -34,21 +32,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecompositionResult", "StoppingPolicy", "TermDiagnostics",
-    "decompose_exact", "decompose_numeric", "reconstruct",
+    "decompose_exact", "decompose_numeric",
     "TransientLabError", "OutOfSupport", "QuadratureFailure", "SignalVanished",
     "NonDecaying", "Diverging", "RankDeficient", "GammaPole",
     "FunctionalLedger", "PolynomialNoConstant", "apply_monomial_functional",
     "apply_rate_functional", "correspondence_check", "monomial_functional_matrix",
     "rate_functional_matrix",
-    "ExponentialBasis", "JacobiBasis", "JacobiParams", "build_exponential_basis",
+    "ExponentialBasis", "JacobiParams", "build_exponential_basis",
     "check_derivative_recurrence", "check_multiplication_recurrence",
-    "jacobi_monomial_coeffs", "oet_analyze", "oet_synthesize",
-    "orthogonality_closed_form", "orthogonality_integral",
+    "jacobi_monomial_coeffs", "oet_analyze", "orthogonality_closed_form",
+    "orthogonality_integral",
     "PronyModel", "prony_fit", "vandermonde_condition",
     "QuadratureConfig", "integrate_semi_infinite",
-    "SampledSignal", "SignalSource", "SymbolicTransient", "combine", "evaluate",
-    "evaluate_many", "inner_product", "l2_norm_bound_check", "load_samples_csv",
-    "load_signal_spec", "save_samples_csv", "save_signal_spec", "subtract_term",
+    "SampledSignal", "SignalSource", "SymbolicTransient", "evaluate_many",
+    "inner_product", "load_samples_csv", "load_signal_spec", "save_samples_csv",
     "synthesize_samples",
     "RateEstimate", "RateSequence", "TailFitConfig", "estimate_coefficient",
     "estimate_rate", "rate_sequence", "shrink_support",

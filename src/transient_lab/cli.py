@@ -58,6 +58,11 @@ _CONFIG_SECTIONS = {"tail": TailFitConfig, "stopping": StoppingPolicy,
 
 # most steps a --horizon/--step grid may hold: 10**7 float64 nodes are 80 MB
 MAX_GRID_STEPS = 10 ** 7
+# largest functionals matrix, as --size or as the --rates count: at 100, on
+# one core of a 2-CPU Xeon host, the monomial matrix takes 0.05 s, the symbolic
+# rate matrix 0.4 s and the numeric one up to 2 s, each growing as the cube of
+# the size
+MAX_MATRIX_SIZE = 100
 
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
@@ -227,6 +232,11 @@ def run_prony(args):
 
 def run_functionals(args):
     _check_positive(args, "horizon")
+    if not 1 <= args.size <= MAX_MATRIX_SIZE:
+        raise ValueError(f"--size must be from 1 to {MAX_MATRIX_SIZE}, got {args.size}")
+    if len(args.rates) > MAX_MATRIX_SIZE:
+        raise ValueError(f"--rates lists {len(args.rates)} rates, "
+                         f"more than the {MAX_MATRIX_SIZE} allowed")
     matrices = []
     if args.rates:
         matrices.append(("rate", rate_functional_matrix(
@@ -336,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first main() call.
 
     parse_args keeps no state between calls, and no verb mutates the shared
-    list defaults (compare's --sigma and --methods, functionals' --rates).
+    list defaults (compare's --sigma, functionals' --rates).
     """
     parser = argparse.ArgumentParser(
         prog="transient-lab",
@@ -376,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("compare", run_compare, "method comparison sweep over noise levels",
              "--input", "--output", "--config", "--seed", "--horizon", "--step", "--max-index")
-    p.add_argument("--methods", nargs="*", default=[], choices=sorted(_METHODS))
+    p.add_argument("--methods", nargs="+", required=True, choices=sorted(_METHODS))
     p.add_argument("--sigma", type=float, nargs="+", default=[0.0])
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--diagnostics-out", help="sidecar JSON with per-run method diagnostics")

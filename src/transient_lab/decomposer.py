@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
-                          evaluation_grid, subtract_term)
+                          evaluation_grid)
 from .tail_limits import (MIN_WINDOW_POINTS, WINDOW_FRACTION, TailFitConfig, _validate_support,
                           estimate_coefficient, estimate_rate, horizon_ends, scan_horizons)
 
@@ -109,31 +109,23 @@ def decompose_exact(signal: SymbolicTransient) -> DecompositionResult:
     """Run the extraction loop on a symbolic signal with exact arithmetic.
 
     Requires a canonical signal (nonzero coefficients, which the type
-    already keeps sorted).  Each iteration takes the slowest remaining
-    term and subtracts it exactly, so the input terms come back verbatim.
+    already keeps sorted).  Each pass reads off the slowest remaining term
+    and subtracts it with its own coefficient, which leaves c - c == 0.0
+    for every finite c and so removes exactly that term: the passes read
+    the input's terms in order, and the terms come back verbatim.
     """
     if not signal.is_canonical:
         raise ValueError("decompose_exact needs a canonical signal; call canonicalize() first")
-    residual = SignalSource.from_symbolic(signal)
-    terms = []
-    while residual.symbolic.terms:
-        rate, coeff = residual.symbolic.terms[0]
-        terms.append((rate, coeff))
-        residual = subtract_term(residual, rate, coeff)
+    terms = signal.terms
     diags = tuple(TermDiagnostics(rate_residual_rms=0.0, window=None, mode="exact")
                   for _ in terms)
     return DecompositionResult(
-        terms=tuple(terms),
+        terms=terms,
         diagnostics=diags,
         terminal_residual_norm=0.0,
         termination_reason="signal_vanished",
         iteration_tail_norms=tuple(abs(c) for _, c in terms),
     )
-
-
-def reconstruct(result: DecompositionResult) -> SymbolicTransient:
-    """Symbolic signal built from the recovered terms."""
-    return SymbolicTransient(result.terms)
 
 
 def _noise_level(values) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import gamma
 
 import numpy as np
 
@@ -79,8 +78,8 @@ class FunctionalLedger:
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.known_rates)
-        if any(r <= 0.0 for r in rates):
-            raise ValueError("known rates must be positive")
+        if not all(math.isfinite(r) and r > 0.0 for r in rates):
+            raise ValueError(f"known rates must be finite and positive, got {rates}")
         if any(b <= a for a, b in zip(rates, rates[1:])):
             raise ValueError("known rates must be strictly increasing")
         self.known_rates = rates
@@ -174,7 +173,15 @@ def _scanned_coefficient(residual, rate, support, cfg):
         value = estimate_coefficient(residual, rate, (t_lo, t_hi), cfg)
         ts, xs, _ = _window_samples(residual, (t_lo, t_hi))
         v = _reweighted(ts, xs, rate)
-        return float(np.std(v) / max(np.abs(v).mean(), 1e-300)), value
+        mag = np.abs(v)
+        # the score is scale-free, and the sums of squares in np.std overflow
+        # near the top of the float range, so large values are scored scaled
+        # by a power of two, which is exact
+        peak = float(mag.max())
+        if peak > 2.0 ** 400:
+            shift = -math.frexp(peak)[1]
+            v, mag = np.ldexp(v, shift), np.ldexp(mag, shift)
+        return float(np.std(v) / max(mag.mean(), 1e-300)), value
 
     ends = shrink_support(residual, support, (1e-6, 1e-8, 1e-10, 1e-12))
     return scan_horizons(fit, ends, t_lo)
@@ -208,27 +215,18 @@ def apply_monomial_functional(n: int, poly: PolynomialNoConstant,
     return float(value)
 
 
-def monomial_limit_samples(n: int, poly: PolynomialNoConstant, lower_values,
-                           z_values=(1e-2, 1e-4, 1e-6)) -> np.ndarray:
-    """Numeric cross-check of the monomial limit: z^-n * stripped(z) at small z."""
-    z = np.asarray(z_values, dtype=float)
-    stripped = poly(z).astype(float)
-    for k, value in enumerate(lower_values, start=1):
-        stripped -= value * z ** k
-    return stripped / z ** n
-
-
-def monomial_functional_distributional(n: int, poly: PolynomialNoConstant,
-                                       factorial_normalization: bool = True) -> float:
-    """Distributional form: n-th derivative at zero over a gamma factor.
-
-    The stripped limit equals derivative/Gamma(n+1); the Gamma(n) variant
-    (which returns n on z^n instead of 1) stays available for comparison.
-    """
-    if n < 1:
-        raise ValueError("functional index starts at 1")
-    derivative_at_zero = math.factorial(n) * poly.coefficient(n)
-    return derivative_at_zero / (gamma(n + 1) if factorial_normalization else gamma(n))
+def _functional_source(transient: SymbolicTransient, mode: str, horizon):
+    """(source, support) a functional driver reads transient through: its exact
+    terms in mode "symbolic", or in mode "numeric" the transient itself as a
+    black-box evaluator on [0, horizon]."""
+    if mode == "symbolic":
+        return SignalSource.from_symbolic(transient), None
+    if mode == "numeric":
+        if horizon is None:
+            raise ValueError("numeric mode needs a horizon")
+        support = (0.0, float(horizon))
+        return SignalSource.from_evaluator(transient, support=support), support
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def correspondence_check(poly: PolynomialNoConstant, horizon: float = None,
@@ -242,17 +240,7 @@ def correspondence_check(poly: PolynomialNoConstant, horizon: float = None,
         return 0.0
     transient = poly.to_transient()
     known = tuple(float(k) for k in range(1, poly.degree + 1))
-
-    if mode == "symbolic":
-        source = SignalSource.from_symbolic(transient)
-        support = None
-    elif mode == "numeric":
-        if horizon is None:
-            raise ValueError("numeric mode needs a horizon")
-        source = SignalSource.from_evaluator(transient, support=(0.0, float(horizon)))
-        support = (0.0, float(horizon))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    source, support = _functional_source(transient, mode, horizon)
 
     rate_ledger = FunctionalLedger(known_rates=known)
     mono_ledger = FunctionalLedger(known_rates=known)
@@ -271,19 +259,8 @@ def rate_functional_matrix(rates, mode: str = "symbolic", horizon: float = None,
     size = len(rates)
     matrix = np.zeros((size, size))
     for k, rate_k in enumerate(rates):
-        if mode == "symbolic":
-            source = SignalSource.from_symbolic(SymbolicTransient(((rate_k, 1.0),)))
-            support = None
-        elif mode == "numeric":
-            if horizon is None:
-                raise ValueError("numeric mode needs a horizon")
-            source = SignalSource.from_evaluator(
-                lambda ts, r=rate_k: np.exp(-r * np.asarray(ts, dtype=float)),
-                support=(0.0, float(horizon)))
-            support = (0.0, float(horizon))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
         ledger = FunctionalLedger(known_rates=rates)
+        source, support = _functional_source(SymbolicTransient(((rate_k, 1.0),)), mode, horizon)
         for n in range(1, size + 1):
             matrix[n - 1, k] = apply_rate_functional(n, source, ledger, cfg=cfg, support=support)
     return matrix

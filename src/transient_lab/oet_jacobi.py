@@ -22,8 +22,10 @@ orthonormal family of exponential sums
 
     E_n(t) = (-1)^(n-1) sqrt(2 n^3) exp(-t) J_{n-1}(exp(-t)),
 
-whose analysis/synthesis pair represents any signal with integer decay
-rates; rates outside the integers are out of this basis's reach, which is
+onto which any signal with integer decay rates projects exactly.
+oet_analyze computes the projections and folds them back onto the rates:
+the folded coefficients are the synthesis, the signal's own (rate, coeff)
+terms.  Rates outside the integers are out of this basis's reach, which is
 exactly the limitation the sequential decomposition avoids.
 
 Two identities are checked numerically rather than trusted:
@@ -109,29 +111,6 @@ def jacobi_monomial_coeffs(params: JacobiParams, n: int) -> np.ndarray:
 def jacobi_eval(coeffs, z):
     """Evaluate a monomial coefficient row (lowest power first)."""
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=float), coeffs)
-
-
-@dataclass(frozen=True)
-class JacobiBasis:
-    """Monomial tables for degrees 0..max_degree at fixed parameters."""
-
-    params: JacobiParams
-    max_degree: int
-    monomial_table: tuple   # monomial_table[n] is the degree-n row
-
-    @classmethod
-    def build(cls, params: JacobiParams, max_degree: int) -> "JacobiBasis":
-        if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-        rows = []
-        for n in range(max_degree + 1):
-            row = jacobi_monomial_coeffs(params, n)
-            if row[-1] == 0.0:
-                raise ValueError(f"degree-{n} row lost its leading coefficient")
-            rows.append(row)
-        if not np.array_equal(rows[0], np.array([1.0])):
-            raise ValueError("degree-0 row must be the constant 1")
-        return cls(params=params, max_degree=max_degree, monomial_table=tuple(rows))
 
 
 def _poly_derivative(coeffs):
@@ -297,9 +276,3 @@ def oet_analyze(source: SignalSource, basis: ExponentialBasis,
         raise QuadratureFailure("exponential coefficients overflow the float range")
     return OetCoefficients(projections=projections, exponential_coeffs=folded)
 
-
-def oet_synthesize(coeffs, basis: ExponentialBasis) -> SymbolicTransient:
-    """Symbolic signal from projection coefficients (zero folds are dropped)."""
-    folded = fold_exponential_coeffs(coeffs, basis)
-    terms = tuple((float(k + 1), float(c)) for k, c in enumerate(folded) if c != 0.0)
-    return SymbolicTransient(terms)

@@ -37,13 +37,6 @@ class PronyModel:
     flags: tuple = ()
     rejected_roots: tuple = ()  # complex or out-of-range roots, kept visible
 
-    def predict(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        out = np.zeros_like(times)
-        for rate, amp in zip(self.rates, self.amplitudes):
-            out += amp * np.exp(-rate * times)
-        return out
-
 
 def _companion_roots(monic_low_to_high) -> np.ndarray:
     """Roots of a monic polynomial given coefficients lowest power first."""

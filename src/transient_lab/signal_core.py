@@ -72,13 +72,6 @@ class SymbolicTransient:
     def is_canonical(self) -> bool:
         return all(c != 0.0 for _, c in self.terms)
 
-    @property
-    def min_rate(self) -> Optional[float]:
-        return self.terms[0][0] if self.terms else None
-
-    def coefficient_l1(self) -> float:
-        return float(sum(abs(c) for _, c in self.terms))
-
     def canonicalize(self) -> "SymbolicTransient":
         """Drop zero-coefficient terms."""
         return SymbolicTransient(tuple((r, c) for r, c in self.terms if c != 0.0))
@@ -92,16 +85,6 @@ class SymbolicTransient:
             exponents = np.outer(self.rates, ts.ravel())
         out = self.coefficients @ np.exp(-exponents)
         return out.reshape(ts.shape) if ts.ndim else float(out[0])
-
-
-def combine(a: float, s: SymbolicTransient, b: float, u: SymbolicTransient) -> SymbolicTransient:
-    """Term-wise linear combination a*s + b*u over the union of rate sets."""
-    acc: dict = {}
-    for rate, coeff in s.terms:
-        acc[rate] = acc.get(rate, 0.0) + a * coeff
-    for rate, coeff in u.terms:
-        acc[rate] = acc.get(rate, 0.0) + b * coeff
-    return SymbolicTransient(tuple(sorted(acc.items())))
 
 
 @dataclass(frozen=True)
@@ -183,14 +166,6 @@ class SignalSource:
     def from_evaluator(cls, fn: Callable, support=(0.0, math.inf), grid=None) -> "SignalSource":
         return cls(evaluator=fn, support=(float(support[0]), float(support[1])), grid=grid)
 
-    @property
-    def variant(self) -> str:
-        if self.symbolic is not None:
-            return "symbolic"
-        if self.sampled is not None:
-            return "sampled"
-        return "evaluator"
-
 
 def evaluate_many(source: SignalSource, ts) -> np.ndarray:
     """Vectorized evaluation at an array of times."""
@@ -204,10 +179,9 @@ def evaluate_many(source: SignalSource, ts) -> np.ndarray:
         if np.any(ts < lo - 1e-12 * span) or np.any(ts > hi + 1e-12 * span):
             raise OutOfSupport(f"evaluation outside sampled grid [{lo}, {hi}]")
         return np.interp(ts, sig.times, sig.values)
-    out = source.evaluator(ts)
-    arr = np.asarray(out, dtype=float)
+    arr = np.asarray(source.evaluator(ts), dtype=float)
     if arr.shape != ts.shape:
-        arr = np.array([float(source.evaluator(float(t))) for t in ts])
+        raise ValueError("evaluator must return one value per time")
     return arr
 
 
@@ -218,41 +192,6 @@ def evaluation_grid(source: SignalSource, support) -> np.ndarray:
     if source.grid is not None:
         return source.grid[(source.grid >= t_lo) & (source.grid <= t_hi)]
     return np.linspace(t_lo, t_hi, GRID_POINTS)
-
-
-def evaluate(source: SignalSource, t: float) -> float:
-    """Signal value at a single time t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    return float(evaluate_many(source, np.array([t]))[0])
-
-
-def subtract_term(source: SignalSource, rate: float, coeff: float) -> SignalSource:
-    """Symbolic signal evaluating to source(t) - coeff * exp(-rate * t).
-
-    The coefficient at an existing matching rate is reduced (the term
-    disappears when it cancels exactly), otherwise the negated term is
-    inserted at its sorted position.  Numeric residuals are arrays on an
-    evaluation grid instead, so other variants are rejected.
-    """
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if source.symbolic is None:
-        raise ValueError(f"subtract_term needs a symbolic source, got a {source.variant} one")
-    terms = list(source.symbolic.terms)
-    for i, (r, c) in enumerate(terms):
-        if r == rate:
-            remaining = c - coeff
-            if remaining == 0.0:
-                terms.pop(i)
-            else:
-                terms[i] = (r, remaining)
-            break
-    else:
-        if coeff != 0.0:
-            terms.append((rate, -coeff))
-            terms.sort()
-    return SignalSource.from_symbolic(SymbolicTransient(tuple(terms)))
 
 
 def inner_product(f: SignalSource, g: SignalSource, q: QuadratureConfig = None) -> float:
@@ -272,21 +211,6 @@ def inner_product(f: SignalSource, g: SignalSource, q: QuadratureConfig = None) 
         return integrate_semi_infinite(integrand, q, t_window=window)
     except OutOfSupport as exc:  # pragma: no cover - guarded by the window
         raise QuadratureFailure(str(exc)) from exc
-
-
-def l2_norm_bound_check(signal: SymbolicTransient, q: QuadratureConfig = None) -> bool:
-    """Check the square-integrability bound: integral of x^2 against
-    (sum |coeff|)^2 / (2 * min rate), with a small quadrature allowance."""
-    if not signal.terms:
-        raise ValueError("bound check needs a non-empty signal")
-    source = SignalSource.from_symbolic(signal)
-    value = inner_product(source, source, q)
-    bound = signal.coefficient_l1() ** 2 / (2.0 * signal.min_rate)
-    # the single-term case meets the bound with equality, so the allowance
-    # must cover the quadrature's own overshoot on fractional powers of z
-    # (measured below 2e-6 relative at 128 nodes)
-    tolerance = 1e-9 + 1e-5 * bound
-    return value <= bound + tolerance
 
 
 def synthesize_samples(signal: SymbolicTransient, times, noise_sigma: float = 0.0,
@@ -334,13 +258,6 @@ def load_signal_spec(path) -> SymbolicTransient:
         return SymbolicTransient(tuple(terms))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_signal_spec(signal: SymbolicTransient, path) -> None:
-    payload = {"terms": [{"rate": r, "coeff": c} for r, c in signal.terms]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def load_samples_csv(path) -> SampledSignal:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import transient_lab
 from transient_lab import cli
 from transient_lab.cli import main
+from transient_lab.quadrature import MAX_NODES
 
 from conftest import sample_csv_texts
 
@@ -174,11 +175,15 @@ class TestCompare:
                 assert row["flag"] == ""
                 assert abs(float(row["est_rate"]) - float(row["true_rate"])) <= 1e-3
 
-    def test_empty_method_list(self, tmp_path, two_term_spec):
+    @pytest.mark.parametrize("methods", [(), ("--methods",)], ids=["omitted", "empty"])
+    def test_no_method_is_a_usage_error(self, tmp_path, two_term_spec, capsys, methods):
+        # a sweep with no method would write a header-only table
         out = tmp_path / "empty.csv"
-        assert run("compare", "--input", two_term_spec, "--output", out) == 0
-        lines = out.read_text().splitlines()
-        assert lines == ["method,sigma,trial,term_index,true_rate,est_rate,true_coeff,est_coeff,flag"]
+        with pytest.raises(SystemExit) as exc:
+            run("compare", "--input", two_term_spec, *methods, "--output", out)
+        assert exc.value.code == 2
+        assert "--methods" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diagnostics_sidecar(self, tmp_path, two_term_spec):
         out = tmp_path / "compare.csv"
@@ -246,6 +251,8 @@ class TestConfigPlumbing:
         ('{"stoping": {}}', "unknown section 'stoping'"),
         ('{"quadrature": {"nodes": "many"}}', "section 'quadrature'"),
         ('{"quadrature": {"nodes": 2.5}}', "section 'quadrature': nodes must be an integer"),
+        ('{"quadrature": {"nodes": 100000}}', "nodes must be from 2 to 1000, got 100000"),
+        ('{"quadrature": {"nodes": 1}}', "nodes must be from 2 to 1000, got 1"),
         ('{"stopping": {"max_terms": 2.5}}', "section 'stopping': max_terms must be an integer"),
         ('{"stopping": {"max_terms": true}}', "max_terms must be an integer, got True"),
         ('{"stopping": {"refine_sweeps": 1}}', "section 'stopping' has unknown key 'refine_sweeps'"),
@@ -364,18 +371,32 @@ def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
                          (("decompose",), ("prony", "--order", 2), ("oet", "--max-index", 4)))
 
 
-def _check_exit_contract(path, out, verbs):
-    """Each verb on the input file exits with a documented code, writes at
-    most one line to stderr and raises no warning."""
+def _check_exit_contract(path, out, verbs, exits=DOCUMENTED_EXITS):
+    """Each verb on the input file exits with one of exits, writes at most
+    one line to stderr and raises no warning."""
     for verb in verbs:
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = run(verb[0], "--input", path, *verb[1:], "--output", out)
-        assert code in DOCUMENTED_EXITS, (verb, err.getvalue())
-        assert len(err.getvalue().strip().splitlines()) <= 1
-        # a shell run would print each warning on stderr as well
-        assert not [str(w.message) for w in caught], verb
+        _check_run((verb[0], "--input", path, *verb[1:], "--output", out), exits)
+
+
+def _check_run(argv, exits):
+    """Run argv; check its exit code is in exits, and that it writes at most
+    one line to stderr (argparse's usage and error line on exit 2) and
+    raises no warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().strip().splitlines()
+    assert code in exits, (argv, err.getvalue())
+    if code == 2:
+        assert lines[-1].startswith("transient-lab") and ": error: " in lines[-1], lines
+    else:
+        assert len(lines) <= 1, lines
+    # a shell run would print each warning on stderr as well
+    assert not [str(w.message) for w in caught], argv
 
 
 class TestVerbFlags:
@@ -437,11 +458,38 @@ class TestVerbFlags:
         assert len(err) == 1 and "noise_sigma" in err[0] and argv[-1] in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--size", "-3"), "--size"), (("--size", "0"), "--size"),
+        (("--size", "101"), "--size"), (("--size", "100000"), "--size"),
+        (("--rates", *map(str, range(1, 102))), "--rates"),
+    ], ids=["size-negative", "size-zero", "size-101", "size-100000", "rates-101"])
+    def test_functionals_matrix_past_its_bound_refused(self, tmp_path, capsys, argv, flag):
+        # refused before any matrix is allocated: --size 100000 would need 75 GiB
+        out = tmp_path / "out.csv"
+        assert run("functionals", *argv, "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0] and str(cli.MAX_MATRIX_SIZE) in err[0]
+        assert not out.exists()
+
+    def test_functionals_matrix_at_its_bound_runs(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run("functionals", "--size", cli.MAX_MATRIX_SIZE, "--output", out) == 0
+        assert len(out.read_text().splitlines()) == 1 + cli.MAX_MATRIX_SIZE ** 2
+
+    def test_numeric_rate_near_the_float_limit_warns_nothing(self, tmp_path):
+        # the numeric drivers evaluate the transient itself, whose exp(-rate t)
+        # overflows to an exact 0 without a warning
+        _check_run(("functionals", "--rates", "1e308", "--mode", "numeric", "--size", 1,
+                    "--output", tmp_path / "out.csv"), {0})
+        # one nonzero node leaves no tail to read, so the value reads 0.0
+        assert (tmp_path / "out.csv").read_text().splitlines()[1] == "rate,1,1,0.0"
+
     @pytest.mark.parametrize("verb", ["decompose", "synth", "oet", "compare"])
     def test_overflowing_spec_names_the_file(self, tmp_path, capsys, verb):
         spec = tmp_path / "huge.json"
         spec.write_text('{"terms": [{"rate": 1, "coeff": 1e308}, {"rate": 2, "coeff": 1e308}]}')
-        assert run(verb, "--input", spec, "--output", tmp_path / "out") == 3
+        methods = ("--methods", "prony") if verb == "compare" else ()
+        assert run(verb, "--input", spec, *methods, "--output", tmp_path / "out") == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(spec) in err[0] and "overflows" in err[0]
 
@@ -472,3 +520,79 @@ def test_spec_verbs_keep_the_exit_contract(tmp_path_factory, terms, ascending):
                           ("oet", "--max-index", 4),
                           ("compare", "--horizon", 2, "--step", 0.1, "--trials", 1,
                            "--sigma", 0, 1e-3, "--methods", "decomposer", "prony", "oet")))
+
+
+# --rates values: in range, at and past the float limits, non-positive, NaN
+_RATE_VALUES = st.one_of(
+    st.floats(0.05, 10.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e308, 1.7e308, math.nan, math.inf]))
+
+
+# each argument is drawn in range about half the time (distinct rates in
+# 0.05..10, a size within the bound, a horizon of many decay times), so that
+# runs reach the matrices as well as the refusals
+@given(rates=st.one_of(st.lists(st.floats(0.05, 10.0), max_size=4, unique=True),
+                       st.lists(_RATE_VALUES, max_size=4)),
+       ascending=st.booleans(),
+       size=st.one_of(st.integers(1, 12),
+                      st.sampled_from([-3, 0, cli.MAX_MATRIX_SIZE, cli.MAX_MATRIX_SIZE + 1,
+                                       10 ** 6])),
+       mode=st.sampled_from(["symbolic", "numeric"]),
+       horizon=st.one_of(st.floats(10.0, 100.0), st.floats(allow_nan=True, allow_infinity=True),
+                         st.sampled_from([0.0, 5e-324, 1e-300, 1e308, math.inf])))
+@example(rates=[1.0, 2.0], ascending=True, size=2, mode="numeric", horizon=1e308)
+@example(rates=[1e-300, 1.0], ascending=True, size=1, mode="numeric", horizon=1e-300)
+@settings(max_examples=60)
+def test_functionals_keeps_the_exit_contract(tmp_path_factory, rates, ascending, size, mode,
+                                             horizon):
+    # a value such as -1e+308 reads to argparse as a flag: a usage error, exit 2
+    if ascending:
+        rates = sorted(rates)
+    out = tmp_path_factory.mktemp("functionals") / "out.csv"
+    _check_run(("functionals", "--rates", *map(repr, rates), "--size", size, "--mode", mode,
+                f"--horizon={horizon!r}", "--output", out), DOCUMENTED_EXITS | {2})
+
+
+# any JSON value, and values in and around what each config key takes
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_CONFIG_VALUES = st.one_of(
+    _JSON, st.integers(-3, 20),
+    st.sampled_from([1, 2, 10 ** 6, 10 ** 400, 2.0, 1e308, math.nan]))
+# each section holds mostly its own keys, and those mostly valid values
+_CONFIG_SECTIONS = {
+    "tail": st.fixed_dictionaries({}, optional={"fit_order": st.one_of(
+        st.sampled_from(["slope_fit", "richardson_1", "richardson_2"]), _CONFIG_VALUES)}),
+    "stopping": st.fixed_dictionaries({}, optional={"max_terms": st.one_of(
+        st.integers(1, 20), st.sampled_from([10 ** 6, 10 ** 400]), _CONFIG_VALUES)}),
+    "quadrature": st.fixed_dictionaries({}, optional={"nodes": st.one_of(
+        st.integers(2, 200), st.sampled_from([MAX_NODES, MAX_NODES + 1]), _CONFIG_VALUES)}),
+}
+
+
+@given(config=st.one_of(
+    st.fixed_dictionaries({}, optional=_CONFIG_SECTIONS),
+    st.fixed_dictionaries({}, optional=_CONFIG_SECTIONS).flatmap(
+        lambda sections: st.dictionaries(st.text(max_size=4), _JSON, max_size=2).map(
+            lambda extra: {**extra, **sections})),
+    st.dictionaries(st.sampled_from(["tail", "stopping", "quadrature"]),
+                    st.dictionaries(st.text(max_size=4), _CONFIG_VALUES, max_size=2), max_size=3),
+    _JSON))
+@example(config={"quadrature": {"nodes": 10 ** 6}})
+@example(config={"quadrature": {"nodes": MAX_NODES}, "stopping": {"max_terms": 10 ** 400},
+                 "tail": {"fit_order": "slope_fit"}})
+@settings(max_examples=60)
+def test_config_sections_keep_the_exit_contract(tmp_path_factory, config):
+    folder = tmp_path_factory.mktemp("config")
+    spec, path = folder / "spec.json", folder / "config.json"
+    spec.write_text(TWO_TERM)
+    path.write_text(json.dumps(config))
+    _check_exit_contract(spec, folder / "out",
+                         (("decompose", "--config", path),
+                          ("oet", "--max-index", 4, "--config", path),
+                          ("compare", "--config", path, "--horizon", 2, "--step", 0.1,
+                           "--methods", "decomposer", "prony", "oet")),
+                         exits={0, 3})

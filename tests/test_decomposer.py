@@ -6,7 +6,7 @@ import pytest
 from transient_lab import (DecompositionResult, QuadratureConfig, SignalSource, StoppingPolicy,
                            SymbolicTransient, TailFitConfig, TermDiagnostics,
                            TransientLabError, decompose_exact, decompose_numeric,
-                           reconstruct, synthesize_samples)
+                           synthesize_samples)
 
 from conftest import random_transient
 
@@ -33,31 +33,12 @@ class TestDecomposeExact:
         with pytest.raises(ValueError, match="canonical"):
             decompose_exact(SymbolicTransient(((1.0, 0.0), (2.0, 1.0))))
 
-    def test_round_trip_with_reconstruct(self, rng):
-        sig = random_transient(rng, 4)
-        assert reconstruct(decompose_exact(sig)).terms == sig.terms
-
     def test_exact_diagnostics_flag_mode(self):
         result = decompose_exact(SymbolicTransient(((1.0, 1.0),)))
         assert all(d.mode == "exact" for d in result.diagnostics)
 
 
-class TestReconstruct:
-    def test_single_term(self):
-        result = DecompositionResult(
-            terms=((1.0, 2.0),),
-            diagnostics=(TermDiagnostics(0.0, None, "exact"),),
-            terminal_residual_norm=0.0,
-            termination_reason="signal_vanished")
-        assert reconstruct(result).terms == ((1.0, 2.0),)
-
-    def test_empty_is_zero_signal(self):
-        result = DecompositionResult(terms=(), diagnostics=(),
-                                     terminal_residual_norm=0.0,
-                                     termination_reason="signal_vanished")
-        zero = reconstruct(result)
-        assert zero(1.23) == 0.0
-
+class TestDecompositionResult:
     def test_result_validates_rate_order(self):
         with pytest.raises(ValueError, match="increasing"):
             DecompositionResult(
@@ -211,15 +192,9 @@ class TestNoisyData:
 
 
 class TestGridResidency:
-    def test_numeric_path_builds_no_closures(self, monkeypatch):
-        # residuals live as values on one grid; chaining subtract_term
-        # closures would re-interpolate the samples on every estimator call
-        import transient_lab.decomposer as decomposer
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("numeric decomposition called subtract_term")
-
-        monkeypatch.setattr(decomposer, "subtract_term", refuse)
+    def test_numeric_path_builds_no_closures(self):
+        # residuals live as values on one grid, for sampled and evaluator
+        # inputs alike
         sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
         samples = synthesize_samples(sig, np.arange(0.0, 40.0 + 1e-9, 0.01))
         sampled = decompose_numeric(SignalSource.from_sampled(samples), samples.support)

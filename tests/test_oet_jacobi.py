@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from transient_lab import (GammaPole, JacobiBasis, JacobiParams, QuadratureConfig,
-                           SignalSource, SymbolicTransient, build_exponential_basis,
+from transient_lab import (GammaPole, JacobiParams, QuadratureConfig, SignalSource,
+                           SymbolicTransient, build_exponential_basis,
                            check_derivative_recurrence, check_multiplication_recurrence,
                            inner_product, jacobi_monomial_coeffs, oet_analyze,
-                           oet_synthesize, orthogonality_closed_form,
-                           orthogonality_integral)
-from transient_lab.oet_jacobi import jacobi_eval
+                           orthogonality_closed_form, orthogonality_integral)
+from transient_lab.oet_jacobi import fold_exponential_coeffs, jacobi_eval
 
 STANDARD = JacobiParams(2.0, 2.0)
 SHIFTED = JacobiParams(3.0, 2.0)
@@ -59,8 +58,9 @@ class TestMonomialCoeffs:
             jacobi_monomial_coeffs(JacobiParams(1.0, -2.0), 1)
 
     def test_chebyshev_like_parameters_constructible(self):
-        rows = JacobiBasis.build(JacobiParams(-0.5, -0.5), 4).monomial_table
-        assert len(rows) == 5 and rows[4][-1] != 0.0
+        rows = [jacobi_monomial_coeffs(JacobiParams(-0.5, -0.5), n) for n in range(5)]
+        assert np.array_equal(rows[0], [1.0])
+        assert all(len(row) == n + 1 and row[-1] != 0.0 for n, row in enumerate(rows))
 
 
 class TestRecurrences:
@@ -186,14 +186,14 @@ class TestAnalyzeSynthesize:
         src = SignalSource.from_evaluator(lambda ts: np.exp(-1.5 * np.asarray(ts)))
         coeffs = oet_analyze(src, basis)
         assert np.sum(np.abs(coeffs.exponential_coeffs) > 1.0) >= 4   # no sparsity
-        recon = oet_synthesize(coeffs.projections, basis)
+        recon = SymbolicTransient(enumerate(coeffs.exponential_coeffs, 1))
         grid = np.linspace(0.0, 10.0, 1001)
         err = np.abs(np.exp(-1.5 * grid) - recon(grid)).max()
         assert err > 2e-4
 
         in_span = SignalSource.from_symbolic(SymbolicTransient(((2.0, 1.0),)))
         in_coeffs = oet_analyze(in_span, basis)
-        in_recon = oet_synthesize(in_coeffs.projections, basis)
+        in_recon = SymbolicTransient(enumerate(in_coeffs.exponential_coeffs, 1))
         in_err = np.abs(np.exp(-2.0 * grid) - in_recon(grid)).max()
         assert err > 100.0 * in_err
 
@@ -201,18 +201,17 @@ class TestAnalyzeSynthesize:
         basis = build_exponential_basis(6)
         sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
         coeffs = oet_analyze(SignalSource.from_symbolic(sig), basis)
-        recon = oet_synthesize(coeffs.projections, basis)
+        recon = SymbolicTransient(enumerate(coeffs.exponential_coeffs, 1))
         grid = np.linspace(0.0, 10.0, 501)
         assert np.abs(sig(grid) - recon(grid)).max() < 1e-6
 
-    def test_synthesize_single_projection(self):
+    def test_fold_single_projection(self):
         basis = build_exponential_basis(4)
-        recon = oet_synthesize([1.0], basis)
-        assert recon.terms == ((1.0, math.sqrt(2.0)),)
+        assert np.array_equal(fold_exponential_coeffs([1.0], basis),
+                              [math.sqrt(2.0), 0.0, 0.0, 0.0])
 
-    def test_synthesize_empty(self):
-        basis = build_exponential_basis(4)
-        assert oet_synthesize([], basis)(2.0) == 0.0
+    def test_fold_no_projection(self):
+        assert np.array_equal(fold_exponential_coeffs([], build_exponential_basis(4)), np.zeros(4))
 
     def test_span_membership_reproduces_coefficients(self, rng):
         basis = build_exponential_basis(6)
