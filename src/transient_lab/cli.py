@@ -41,8 +41,8 @@ from .functionals import monomial_functional_matrix, rate_functional_matrix
 from .oet_jacobi import build_exponential_basis, oet_analyze, save_basis_table_csv
 from .prony_baseline import prony_fit
 from .quadrature import QuadratureConfig
-from .signal_core import (SignalSource, load_samples_csv, load_signal_spec,
-                          save_samples_csv, synthesize_samples)
+from .signal_core import (SignalSource, SymbolicTransient, evaluation_grid, load_samples_csv,
+                          load_signal_spec, save_samples_csv, synthesize_samples)
 from .tail_limits import TailFitConfig
 
 _EXIT_CODES = (
@@ -239,6 +239,13 @@ def run_functionals(args):
                          f"more than the {MAX_MATRIX_SIZE} allowed")
     matrices = []
     if args.rates:
+        if args.mode == "numeric":
+            # numeric mode reads each rate on the evaluation grid of (0, horizon)
+            try:
+                evaluation_grid(SignalSource.from_symbolic(SymbolicTransient()),
+                                (0.0, args.horizon))
+            except ValueError as exc:
+                raise ValueError(f"--horizon={args.horizon!r}: {exc}") from None
         matrices.append(("rate", rate_functional_matrix(
             args.rates, mode=args.mode,
             horizon=args.horizon if args.mode == "numeric" else None)))
@@ -304,8 +311,9 @@ def run_compare(args):
                 try:
                     est, flag, diag = _METHODS[method](args, cfg, truth, samples)
                 except errors.TransientLabError as exc:
-                    est, flag, diag = None, f"error:{type(exc).__name__}", {}
-                diagnostics.append({"method": method, "sigma": sigma, "trial": trial, **diag})
+                    est, flag, diag = None, f"error:{type(exc).__name__}", {"error": str(exc)}
+                diagnostics.append({"method": method, "sigma": sigma, "trial": trial,
+                                    "returned_terms": len(est or ()), **diag})
                 for index, (true_rate, true_coeff) in enumerate(truth.terms):
                     if est is not None and index < len(est):
                         est_rate, est_coeff = est[index]

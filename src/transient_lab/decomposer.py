@@ -9,7 +9,7 @@ policies the idealized loop does not need:
 * horizon placement: each iteration fits over the tail window of several
   candidate horizons (the residual trimmed at successively deeper relative
   floors, and at its measured noise level) and keeps the fit whose
-  log-magnitude residual is smallest.  tail_limits.horizon_ends trims and
+  log-magnitude residual is smallest.  tail_limits.shrink_support trims and
   tail_limits.scan_horizons picks, the same two steps the extraction
   functionals use;
 * stopping: residual below a relative floor, a term budget, or a rate that
@@ -23,8 +23,8 @@ policies the idealized loop does not need:
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
 none; see signal_core.evaluation_grid).  Every residual is an array of
-values on that grid, and the tail estimators read it as a sampled signal
-on those same nodes, so no sample is interpolated twice.  Each held term
+values on that grid, and the tail estimators take the grid and that array
+as they are, so nothing is read or checked again.  Each held term
 keeps its own column, coeff * exp(-rate * grid), computed once when the
 term is estimated, so a residual costs one subtraction per held term.
 """
@@ -39,10 +39,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
-                          evaluation_grid)
-from .tail_limits import (MIN_WINDOW_POINTS, WINDOW_FRACTION, TailFitConfig, _validate_support,
-                          estimate_coefficient, estimate_rate, horizon_ends, scan_horizons)
+from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
+from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, _validate_support,
+                          estimate_coefficient, estimate_rate, scan_horizons, shrink_support,
+                          tail_slice)
 
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
 
@@ -181,14 +181,13 @@ class _NumericState:
         return out
 
     def tail_window(self, values):
-        """Mask of the tail window over the trimmed horizon of these values,
-        or None when they are zero everywhere."""
+        """Slice of the grid in the tail window over the trimmed horizon of
+        these values, or None when they are zero everywhere."""
         try:
-            t_hi, = horizon_ends(self.grid, values, (RESIDUAL_FLOOR,))
+            t_hi, = shrink_support(self.grid, values, (RESIDUAL_FLOOR,))
         except SignalVanished:
             return None
-        w_start = t_hi - WINDOW_FRACTION * (t_hi - self.t_lo)
-        return (self.grid >= w_start) & (self.grid <= t_hi)
+        return tail_slice(self.grid, self.t_lo, t_hi)[1]
 
     def floor_hit(self, values, window):
         """Whether these values sit below the residual floor over window, their
@@ -208,11 +207,10 @@ class _NumericState:
         fit whose log-magnitude residual is smallest; the coefficient is then
         read off the winning window.
         """
-        ends = horizon_ends(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
-        residual = SignalSource.from_sampled(SampledSignal(self.grid, values))
+        ends = shrink_support(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
 
         def fit(t_hi):
-            est = estimate_rate(residual, (self.t_lo, t_hi), self.cfg)
+            est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg)
             # a log-magnitude spread beyond 0.5 means the window straddles a
             # noise floor or a sign flip, not an exponential
             if est.residual_rms > 0.5:
@@ -220,7 +218,8 @@ class _NumericState:
             return est.residual_rms, est
 
         best = scan_horizons(fit, ends, self.t_lo)
-        coeff = estimate_coefficient(residual, best.rate, (self.t_lo, best.window[1]), self.cfg)
+        coeff = estimate_coefficient(self.grid, values, best.rate, (self.t_lo, best.window[1]),
+                                     self.cfg)
         return _Term(best.rate, coeff, best.residual_rms, best.window,
                      coeff * np.exp(-best.rate * self.grid))
 

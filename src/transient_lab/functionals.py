@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverging, SignalVanished
-from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
-                          evaluation_grid)
-from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, _reweighted, _window_samples,
-                          estimate_coefficient, scan_horizons, shrink_support)
+from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
+from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, _reweighted, _validate_support,
+                          estimate_coefficient, scan_horizons, shrink_support, tail_slice)
 
 # a stripped residual this small everywhere, relative to the input's peak,
 # is numerically zero: its content is the rounding left over from earlier
@@ -107,7 +106,7 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
     Symbolic inputs whose rates all appear in the ledger's known list are
     handled with exact term arithmetic.  Anything else is read once on its
     evaluation grid, goes through the numeric tail estimate, and needs an
-    explicit finite support.
+    explicit finite support on which it evaluates to finite values.
     Raises Diverging when the stripped residual still holds a rate slower
     than rate_n, which means the promised extraction order was violated.
     """
@@ -136,6 +135,7 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
         raise ValueError("numeric evaluation needs an explicit (t_lo, t_hi) support")
     cfg = cfg or TailFitConfig(fit_order="richardson_1")
 
+    support = _validate_support(support)
     ts = evaluation_grid(source, support)
     if len(ts) < MIN_WINDOW_POINTS:
         raise ValueError("support holds too few samples for the configured window")
@@ -143,6 +143,9 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
     stripped = values.copy()
     for rate, value in zip(ledger.known_rates[: n - 1], ledger.extracted):
         stripped -= value * np.exp(-rate * ts)
+    if not np.all(np.isfinite(stripped)):
+        raise ValueError("the signal less the extracted terms is not finite on the "
+                         "evaluation grid")
 
     # a residual below the vanish tolerance everywhere is the rounding left
     # over from the earlier subtractions, not signal
@@ -151,28 +154,26 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
         ledger.extracted.append(0.0)
         return 0.0
 
-    residual = SignalSource.from_sampled(SampledSignal(ts, stripped))
     try:
-        value = _scanned_coefficient(residual, target, support, cfg)
+        value = _scanned_coefficient(ts, stripped, target, support[0], cfg)
     except SignalVanished:
         value = 0.0
     ledger.extracted.append(float(value))
     return float(value)
 
 
-def _scanned_coefficient(residual, rate, support, cfg):
-    """Coefficient estimate over several shrunk horizons.
+def _scanned_coefficient(ts, values, rate, t_lo, cfg):
+    """Coefficient estimate over several shrunk horizons of the residual
+    with these values on the ascending nodes ts of a support from t_lo.
 
     The reweighted tail is constant where neither the faster terms (early)
     nor the leftovers of the stripped slower terms (late) intrude, so the
     window with the flattest reweighted values wins.
     """
-    t_lo = float(support[0])
-
     def fit(t_hi):
-        value = estimate_coefficient(residual, rate, (t_lo, t_hi), cfg)
-        ts, xs, _ = _window_samples(residual, (t_lo, t_hi))
-        v = _reweighted(ts, xs, rate)
+        value = estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg)
+        _, window = tail_slice(ts, t_lo, t_hi)
+        v = _reweighted(ts[window], values[window], rate)
         mag = np.abs(v)
         # the score is scale-free, and the sums of squares in np.std overflow
         # near the top of the float range, so large values are scored scaled
@@ -183,7 +184,7 @@ def _scanned_coefficient(residual, rate, support, cfg):
             v, mag = np.ldexp(v, shift), np.ldexp(mag, shift)
         return float(np.std(v) / max(mag.mean(), 1e-300)), value
 
-    ends = shrink_support(residual, support, (1e-6, 1e-8, 1e-10, 1e-12))
+    ends = shrink_support(ts, values, (1e-6, 1e-8, 1e-10, 1e-12))
     return scan_horizons(fit, ends, t_lo)
 
 

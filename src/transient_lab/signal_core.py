@@ -138,7 +138,8 @@ class SignalSource:
     """One evaluatable signal: symbolic, sampled, or black-box.
 
     grid, when present, lists the source's own nodes (a sampled signal's
-    sample times); numeric methods read the source there (evaluation_grid).
+    sample times), strictly increasing; numeric methods read the source
+    there (evaluation_grid).
     """
 
     symbolic: Optional[SymbolicTransient] = None
@@ -152,7 +153,10 @@ class SignalSource:
         if filled != 1:
             raise ValueError("exactly one of symbolic, sampled, evaluator must be set")
         if self.grid is not None:
-            object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+            grid = np.asarray(self.grid, dtype=float)
+            if not np.all(grid[1:] > grid[:-1]):
+                raise ValueError("grid nodes must be strictly increasing")
+            object.__setattr__(self, "grid", grid)
 
     @classmethod
     def from_symbolic(cls, signal: SymbolicTransient) -> "SignalSource":
@@ -187,11 +191,19 @@ def evaluate_many(source: SignalSource, ts) -> np.ndarray:
 
 def evaluation_grid(source: SignalSource, support) -> np.ndarray:
     """The nodes numeric methods read source on: its own grid nodes inside
-    support, or GRID_POINTS uniform nodes spanning support when it has none."""
+    support, or GRID_POINTS uniform nodes spanning support when it has none.
+
+    Either way the nodes are strictly increasing: a support too narrow for
+    GRID_POINTS distinct uniform nodes raises ValueError.
+    """
     t_lo, t_hi = support
     if source.grid is not None:
         return source.grid[(source.grid >= t_lo) & (source.grid <= t_hi)]
-    return np.linspace(t_lo, t_hi, GRID_POINTS)
+    ts = np.linspace(t_lo, t_hi, GRID_POINTS)
+    if not np.all(ts[1:] > ts[:-1]):
+        raise ValueError(f"support {tuple(support)} is too narrow for {GRID_POINTS} "
+                         f"distinct evaluation nodes")
+    return ts
 
 
 def inner_product(f: SignalSource, g: SignalSource, q: QuadratureConfig = None) -> float:

@@ -18,14 +18,14 @@ eliminates.
 The window placement and floors are fixed constants below; the one choice
 a caller makes is the extrapolation order, in TailFitConfig.
 
-Every estimator reads the source on signal_core.evaluation_grid: a sampled
-signal's own nodes, sliced rather than interpolated, or GRID_POINTS uniform
-nodes over the interval read when the source has no nodes of its own.
+The estimators take arrays: ascending grid nodes and the finite values
+there, read once by the caller (signal_core.evaluation_grid) and passed to
+every fit, which slices out the nodes in the trailing window of its
+support.  Only rate_sequence reads a source itself.
 
 The decomposer and the extraction functionals both take their horizons
-from here: horizon_ends (shrink_support, for a source) trims at several
-relative floors in one pass, and scan_horizons keeps the best-scoring fit
-over the trimmed horizons.
+from here: shrink_support trims at several relative floors in one pass, and
+scan_horizons keeps the best-scoring fit over the trimmed horizons.
 """
 
 from __future__ import annotations
@@ -90,29 +90,12 @@ def _validate_support(support):
     return t_lo, t_hi
 
 
-def _read(source: SignalSource, lo: float, hi: float):
-    """Nodes of the source's evaluation grid in [lo, hi] and its values there."""
-    sig = source.sampled
-    if sig is not None and source.grid is sig.times:
-        # read on its own nodes a sampled signal is its samples, so slice
-        # them instead of interpolating
-        a = int(sig.times.searchsorted(lo, "left"))
-        b = int(sig.times.searchsorted(hi, "right"))
-        return sig.times[a:b], sig.values[a:b]
-    ts = evaluation_grid(source, (lo, hi))
-    return ts, evaluate_many(source, ts)
-
-
-def _window_samples(source, support):
-    """Times, values, and the window bounds for the trailing fit window."""
-    t_lo, t_hi = _validate_support(support)
+def tail_slice(ts, t_lo, t_hi):
+    """Bounds (w_start, t_hi) of the trailing fit window of [t_lo, t_hi], and
+    the slice of the ascending nodes ts within them, both ends included."""
     w_start = t_hi - WINDOW_FRACTION * (t_hi - t_lo)
-    ts, xs = _read(source, w_start, t_hi)
-    if source.sampled is None:
-        # samples are finite by construction; evaluated values need not be
-        finite = np.isfinite(xs)
-        ts, xs = ts[finite], xs[finite]
-    return ts, xs, (w_start, t_hi)
+    return (w_start, t_hi), slice(int(ts.searchsorted(w_start, "left")),
+                                  int(ts.searchsorted(t_hi, "right")))
 
 
 def _kept(ts, xs):
@@ -139,6 +122,9 @@ def _line_fit(t, y):
     tm, ym = _mean(t), _mean(y)
     dt = t - tm
     denom = float(np.dot(dt, dt))
+    if not 0.0 < denom < math.inf:
+        raise NonDecaying(f"the spread of the tail nodes {float(t[0])!r} .. {float(t[-1])!r} "
+                          f"squares to {denom!r}; no decay rate can be fitted")
     slope = float(np.dot(dt, y - ym)) / denom
     return slope, ym - slope * tm
 
@@ -184,16 +170,18 @@ def _index_blocks(n, nsub, min_points):
     return [(j * step, j * step + length) for j in range(nsub)]
 
 
-def estimate_rate(source: SignalSource, support, cfg: TailFitConfig = None) -> RateEstimate:
+def estimate_rate(ts, values, support, cfg: TailFitConfig = None) -> RateEstimate:
     """Slowest decay rate from a line fit to log|x| over the tail window.
 
+    ts holds ascending grid nodes and values the finite values there.
     Exact (to rounding) for a single exponential.  Raises SignalVanished
     when too few samples clear the floor and NonDecaying when the fitted
-    slope is non-negative.
+    slope is non-negative or the window's nodes are too close to fit one.
     """
     cfg = cfg or TailFitConfig()
-    ts, xs, window = _window_samples(source, support)
-    ts, xs = _kept(ts, xs)
+    t_lo, t_hi = _validate_support(support)
+    bounds, window = tail_slice(ts, t_lo, t_hi)
+    ts, xs = _kept(ts[window], values[window])
     logs = np.log(np.abs(xs))
 
     nsub = _FIT_ORDERS[cfg.fit_order]
@@ -208,7 +196,7 @@ def estimate_rate(source: SignalSource, support, cfg: TailFitConfig = None) -> R
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
     rms = float(np.sqrt(_mean((logs - (icpt - rate * ts)) ** 2)))
-    return RateEstimate(rate=float(rate), intercept=float(icpt), window=window, residual_rms=rms)
+    return RateEstimate(rate=float(rate), intercept=float(icpt), window=bounds, residual_rms=rms)
 
 
 def _reweighted(ts, xs, rate):
@@ -219,19 +207,21 @@ def _reweighted(ts, xs, rate):
     return out
 
 
-def estimate_coefficient(source: SignalSource, rate: float, support,
+def estimate_coefficient(ts, values, rate: float, support,
                          cfg: TailFitConfig = None) -> float:
     """Leading coefficient: tail-window average of exp(rate*t) x(t).
 
-    With richardson variants the averages over shifted sub-windows are
-    Aitken-extrapolated.  Raises Diverging when the reweighted tail grows
-    by more than DIVERGE_FACTOR across the window (the rate was too big).
+    ts and values are read as by estimate_rate.  With richardson variants
+    the averages over shifted sub-windows are Aitken-extrapolated.  Raises
+    Diverging when the reweighted tail grows by more than DIVERGE_FACTOR
+    across the window (the rate was too big).
     """
     cfg = cfg or TailFitConfig()
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    ts, xs, _ = _window_samples(source, support)
-    ts, xs = _kept(ts, xs)
+    t_lo, t_hi = _validate_support(support)
+    _, window = tail_slice(ts, t_lo, t_hi)
+    ts, xs = _kept(ts[window], values[window])
     values = _reweighted(ts, xs, rate)
     if not np.all(np.isfinite(values)):
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
@@ -262,8 +252,8 @@ def rate_sequence(source: SignalSource, support) -> RateSequence:
     Entries where the value is zero or non-finite are skipped and reported
     in skipped_times rather than raising.
     """
-    t_lo, t_hi = _validate_support(support)
-    ts, xs = _read(source, t_lo, t_hi)
+    ts = evaluation_grid(source, _validate_support(support))
+    xs = evaluate_many(source, ts)
     positive = ts > 0.0
     ts, xs = ts[positive], xs[positive]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,18 +263,21 @@ def rate_sequence(source: SignalSource, support) -> RateSequence:
     return RateSequence(points=points, skipped_times=ts[~good])
 
 
-def horizon_ends(ts, values, rel_floors, noise=0.0):
+def shrink_support(ts, values, rel_floors, noise=0.0):
     """Horizon end at each relative floor: the last node where |x| >= rel * peak.
 
-    One abs/max pass serves every floor.  With a measured noise level above
-    1e-9 of the peak, one more end follows the floors: where |x| sinks into
-    five times the noise (at most half the peak).  Noise alone clears that
-    level now and then, and a lone such sample far out in the tail would set
-    the end there, so the nodes at or above it are cut at their first gap of
-    more than a twentieth of the grid, and the end is the last node before
-    the cut.  An end at or before the start of the support leaves no
-    horizon; scan_horizons passes over it.  Raises SignalVanished when the
-    values are zero everywhere.
+    ts holds ascending grid nodes over the support and values the finite
+    values there.  Past an end the values carry no usable precision relative
+    to the signal's own scale (inside a decomposition, the leftovers of
+    earlier subtractions dominate them).  One abs/max pass serves every
+    floor.  With a measured noise level above 1e-9 of the peak, one more end
+    follows the floors: where |x| sinks into five times the noise (at most
+    half the peak).  Noise alone clears that level now and then, and a lone
+    such sample far out in the tail would set the end there, so the nodes at
+    or above it are cut at their first gap of more than a twentieth of the
+    grid, and the end is the last node before the cut.  An end at or before
+    the start of the support leaves no horizon; scan_horizons passes over
+    it.  Raises SignalVanished when the values are zero everywhere.
     """
     mag = np.abs(values)
     peak = mag.max() if len(mag) else 0.0
@@ -296,20 +289,6 @@ def horizon_ends(ts, values, rel_floors, noise=0.0):
         gaps = np.flatnonzero(np.diff(above) > len(ts) // 20)
         ends.append(float(ts[above[gaps[0]] if len(gaps) else above[-1]]))
     return ends
-
-
-def shrink_support(source: SignalSource, support, rel_floors):
-    """End of the horizon where |x| still clears each relative floor of its peak.
-
-    Past that point the values carry no usable precision relative to the
-    signal's own scale (and, inside a decomposition, are dominated by the
-    leftovers of earlier subtractions).  Returns one end per floor, from one
-    read of the source over the support; an end at or before t_lo means that
-    floor leaves no horizon.
-    """
-    t_lo, t_hi = _validate_support(support)
-    ts, xs = _read(source, t_lo, t_hi)
-    return horizon_ends(ts, xs, rel_floors)
 
 
 def scan_horizons(fit, ends, t_lo):

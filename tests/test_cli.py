@@ -196,6 +196,35 @@ class TestCompare:
         assert payload[0]["vandermonde_condition"] > 1.0
 
 
+    def test_diagnostics_sidecar_counts_what_each_method_returned(self, tmp_path):
+        # at this noise the decomposer returns more terms than the spec holds;
+        # the CSV shows the first two of them, the sidecar how many there were
+        diag = tmp_path / "diag.json"
+        spec = Path(__file__).parents[1] / "data" / "two_term.json"
+        assert run("compare", "--input", spec, "--methods", "decomposer",
+                   "prony", "oet", "--sigma", 1e-4, "--seed", 3,
+                   "--output", tmp_path / "compare.csv", "--diagnostics-out", diag) == 0
+        returned = {entry["method"]: entry["returned_terms"]
+                    for entry in json.loads(diag.read_text())}
+        assert returned["decomposer"] > 2
+        assert returned["prony"] == returned["oet"] == 2
+
+    def test_diagnostics_sidecar_keeps_the_error_message(self, tmp_path, two_term_spec,
+                                                         monkeypatch):
+        def failing(samples, order):
+            raise transient_lab.RankDeficient("no usable rank at order 2")
+
+        monkeypatch.setattr(cli, "prony_fit", failing)
+        out, diag = tmp_path / "compare.csv", tmp_path / "diag.json"
+        assert run("compare", "--input", two_term_spec, "--methods", "prony",
+                   "--horizon", 10.0, "--step", 0.5, "--output", out,
+                   "--diagnostics-out", diag) == 0
+        entry, = json.loads(diag.read_text())
+        assert entry["error"] == "no usable rank at order 2"
+        assert entry["returned_terms"] == 0
+        with open(out, newline="") as fh:
+            assert {row["flag"] for row in csv.DictReader(fh)} == {"error:RankDeficient"}
+
     def test_diagnostics_sidecar_writes_infinite_condition_as_null(self, tmp_path,
                                                                   two_term_spec, monkeypatch):
         real = cli.prony_fit
@@ -352,6 +381,10 @@ class TestNonFiniteSamples:
         assert not (tmp_path / "out.json").exists()
 
 
+# 200 samples of exp(-t) at step 1e-200: valid input whose tail nodes are too
+# close together for a line fit, since their spread squares to zero
+TINY_STEP_CSV = "t,x\n" + "".join(f"{k * 1e-200!r},{math.exp(-k * 1e-200)!r}\n"
+                                   for k in range(200))
 # the documented exit codes a file verb may return (2 is argparse's, not reachable here)
 DOCUMENTED_EXITS = {0, 3, 4, 5, 7, 8}
 _EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
@@ -362,6 +395,7 @@ _EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
 @example(text="t,x\r0.5,2.411809324612532e+307\r9.5,1.8387235069353016e+296")
 @example(text="t,x\n0.0,-1e+308\n8.38,-9.9e+303\n16.76,-9.8e+299\n25.14,-9.7e+295\n")
 @example(text="t,x\n0.0,1e+308\n1.0,-1e+308\n2.0,1e+308\n3.0,-1e+308\n4.0,1e+308\n")
+@example(text=TINY_STEP_CSV)
 @settings(max_examples=60)
 def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
     folder = tmp_path_factory.mktemp("fuzz")
@@ -483,6 +517,22 @@ class TestVerbFlags:
                     "--output", tmp_path / "out.csv"), {0})
         # one nonzero node leaves no tail to read, so the value reads 0.0
         assert (tmp_path / "out.csv").read_text().splitlines()[1] == "rate,1,1,0.0"
+
+    def test_numeric_horizon_too_short_for_distinct_nodes_names_the_flag(self, tmp_path,
+                                                                         capsys):
+        out = tmp_path / "out.csv"
+        assert run("functionals", "--mode", "numeric", "--horizon=1e-320", "--rates", 1, 2,
+                   "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--horizon=1e-320" in err[0] and "too narrow" in err[0]
+        assert not out.exists()
+
+    def test_samples_too_close_to_fit_exit_5(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text(TINY_STEP_CSV)
+        assert run("decompose", "--input", path, "--output", tmp_path / "out.json") == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: NonDecaying:")
 
     @pytest.mark.parametrize("verb", ["decompose", "synth", "oet", "compare"])
     def test_overflowing_spec_names_the_file(self, tmp_path, capsys, verb):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from transient_lab import (DecompositionResult, QuadratureConfig, SignalSource, StoppingPolicy,
-                           SymbolicTransient, TailFitConfig, TermDiagnostics,
-                           TransientLabError, decompose_exact, decompose_numeric,
-                           synthesize_samples)
+from transient_lab import (DecompositionResult, NonDecaying, QuadratureConfig, SampledSignal,
+                           SignalSource, StoppingPolicy, SymbolicTransient, TailFitConfig,
+                           TermDiagnostics, TransientLabError, decompose_exact,
+                           decompose_numeric, synthesize_samples)
 
 from conftest import random_transient
 
@@ -256,3 +256,34 @@ class TestGridResidency:
         with pytest.raises(ValueError, match="finite"):
             decompose_numeric(SignalSource.from_evaluator(fn, support=(0.0, 30.0)),
                               (0.0, 30.0))
+
+    def test_residuals_are_not_wrapped_as_sampled_signals(self, monkeypatch):
+        # the estimators take the grid and each residual array as they are;
+        # no residual is rebuilt, and so re-checked, as a SampledSignal
+        samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))),
+                                     np.arange(0.0, 40.0 + 1e-9, 0.01),
+                                     noise_sigma=1e-4, seed=1)
+        source = SignalSource.from_sampled(samples)
+        built = []
+        real = SampledSignal.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(SampledSignal, "__post_init__", counting)
+        result = decompose_numeric(source, samples.support)
+        assert len(result.terms) >= 2
+        assert built == []
+
+    @pytest.mark.parametrize("horizon, error, match", [
+        # 4001 uniform nodes on (0, 1e-320) repeat: refused where the grid is made
+        (1e-320, ValueError, r"support \(0\.0, 1e-320\) is too narrow"),
+        # distinct nodes whose spread squares to zero: no slope to fit
+        (1e-300, NonDecaying, "squares to 0.0"),
+    ])
+    def test_support_too_narrow_to_fit(self, horizon, error, match):
+        src = SignalSource.from_evaluator(lambda ts: np.exp(-np.asarray(ts)),
+                                          support=(0.0, horizon))
+        with pytest.raises(error, match=match):
+            decompose_numeric(src, (0.0, horizon))

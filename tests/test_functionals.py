@@ -101,6 +101,20 @@ class TestRateFunctional:
         assert apply_rate_functional(1, src, ledger, support=(0.0, 60.0)) == pytest.approx(1.0)
         assert len(calls) == 1
 
+    def test_numeric_read_refuses_non_finite_values(self):
+        src = SignalSource.from_evaluator(
+            lambda ts: np.where(np.asarray(ts) > 5.0, np.nan, 1.0), support=(0.0, 10.0))
+        with pytest.raises(ValueError, match="not finite"):
+            apply_rate_functional(1, src, FunctionalLedger((1.0,)), support=(0.0, 10.0))
+
+    @pytest.mark.parametrize("support", [(5.0, 1.0), (0.0, np.inf), (-1.0, 1.0)])
+    def test_numeric_support_checked_before_the_source_is_read(self, support):
+        reads = []
+        src = SignalSource.from_evaluator(lambda ts: reads.append(ts) or np.exp(-ts))
+        with pytest.raises(ValueError, match="support must satisfy"):
+            apply_rate_functional(1, src, FunctionalLedger((1.0,)), support=support)
+        assert reads == []
+
     def test_wrong_ledger_value_leaves_no_reference_cycles(self):
         # a rejected horizon's error must not keep the scan's frame alive
         # until the cyclic GC happens to run

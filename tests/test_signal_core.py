@@ -124,6 +124,28 @@ class TestEvaluate:
             evaluate_many(src, [0.0, 1.0])
 
 
+class TestEvaluationGrid:
+    def test_own_nodes_inside_the_support(self):
+        src = SignalSource.from_evaluator(np.exp, grid=[0.0, 1.0, 2.0, 3.0])
+        assert signal_core.evaluation_grid(src, (0.5, 3.0)).tolist() == [1.0, 2.0, 3.0]
+
+    def test_uniform_nodes_without_own_nodes(self):
+        src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
+        ts = signal_core.evaluation_grid(src, (0.0, 1e-300))
+        assert len(ts) == signal_core.GRID_POINTS and np.all(np.diff(ts) > 0.0)
+
+    def test_support_too_narrow_for_distinct_nodes_refused(self):
+        # 4001 uniform nodes on (0, 1e-320) land on a few dozen subnormals
+        src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
+        with pytest.raises(ValueError, match=r"support \(0\.0, 1e-320\) is too narrow"):
+            signal_core.evaluation_grid(src, (0.0, 1e-320))
+
+    @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, math.nan]])
+    def test_own_nodes_must_increase(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SignalSource.from_evaluator(np.exp, grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # inner_product
 # ---------------------------------------------------------------------------

@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from transient_lab import (Diverging, NonDecaying, SignalSource, SignalVanished,
+from transient_lab import (Diverging, NonDecaying, RateEstimate, SignalSource, SignalVanished,
                            SymbolicTransient, TailFitConfig, estimate_coefficient,
                            estimate_rate, evaluate_many, rate_sequence, shrink_support,
                            synthesize_samples)
 from transient_lab.signal_core import evaluation_grid
-from transient_lab.tail_limits import horizon_ends, scan_horizons
+from transient_lab.tail_limits import scan_horizons
 
 from conftest import random_transient
 
 
 def source_of(terms):
     return SignalSource.from_symbolic(SymbolicTransient(terms))
+
+
+def read(source, support):
+    """The grid nodes and values a caller hands the estimators for source."""
+    ts = evaluation_grid(source, support)
+    return ts, evaluate_many(source, ts)
 
 
 class TestConfigValidation:
@@ -25,13 +31,14 @@ class TestConfigValidation:
 
 class TestEstimateRate:
     def test_single_exponential_exact(self):
-        est = estimate_rate(source_of(((3.0, 1.0),)), (0.0, 20.0))
+        est = estimate_rate(*read(source_of(((3.0, 1.0),)), (0.0, 20.0)), (0.0, 20.0))
         assert est.rate == pytest.approx(3.0, abs=1e-9)
         assert est.residual_rms < 1e-12
 
     def test_two_term_within_contamination_bound(self):
         # slowest rate 1, gap 1: contamination (3/2) e^{-t} at the window start
-        est = estimate_rate(source_of(((1.0, 2.0), (2.0, 3.0))), (0.0, 40.0),
+        support = (0.0, 40.0)
+        est = estimate_rate(*read(source_of(((1.0, 2.0), (2.0, 3.0))), support), support,
                             TailFitConfig(fit_order="slope_fit"))
         assert est.rate == pytest.approx(1.0, abs=1e-6)
         a = est.window[0]
@@ -42,64 +49,103 @@ class TestEstimateRate:
         # the window (9.5, 19) holds one node; nothing is invented between nodes
         sig = synthesize_samples(SymbolicTransient(((0.5, 1.0),)), np.array([0.0, 10.0, 20.0]))
         with pytest.raises(SignalVanished, match="only 1 tail samples"):
-            estimate_rate(SignalSource.from_sampled(sig), (0.0, 19.0))
+            estimate_rate(*read(SignalSource.from_sampled(sig), (0.0, 19.0)), (0.0, 19.0))
 
     def test_zero_signal_vanished(self):
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 10, 101))
         with pytest.raises(SignalVanished):
-            estimate_rate(SignalSource.from_sampled(sig), (0.0, 10.0))
+            estimate_rate(sig.times, sig.values, (0.0, 10.0))
 
     def test_growing_signal_non_decaying(self):
         src = SignalSource.from_evaluator(lambda ts: np.exp(0.1 * np.asarray(ts)))
         with pytest.raises(NonDecaying):
-            estimate_rate(src, (0.0, 10.0))
+            estimate_rate(*read(src, (0.0, 10.0)), (0.0, 10.0))
 
     def test_intercept_estimates_log_coefficient(self):
-        est = estimate_rate(source_of(((0.7, 5.0),)), (0.0, 30.0))
+        est = estimate_rate(*read(source_of(((0.7, 5.0),)), (0.0, 30.0)), (0.0, 30.0))
         assert est.intercept == pytest.approx(math.log(5.0), abs=1e-9)
 
     def test_bad_support_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_rate(source_of(((1.0, 1.0),)), (5.0, 5.0))
+        ts, xs = read(source_of(((1.0, 1.0),)), (0.0, 10.0))
+        for support in ((5.0, 5.0), (6.0, 5.0), (-1.0, 5.0), (0.0, math.inf)):
+            with pytest.raises(ValueError):
+                estimate_rate(ts, xs, support)
 
     def test_exactness_on_log_spaced_grid(self):
         for lam in np.geomspace(0.1, 8.0, 12):
             for alpha in (-3.0, 0.05, 2.0):
                 support = (0.0, 25.0 / lam)
-                est = estimate_rate(source_of(((lam, alpha),)), support)
+                est = estimate_rate(*read(source_of(((lam, alpha),)), support), support)
                 assert abs(est.rate - lam) < 1e-9 * max(1.0, lam)
+
+    def test_nodes_too_close_to_fit_a_slope(self):
+        # the nodes' spread about their mean squares to zero in double precision
+        ts = np.arange(200) * 1e-200
+        with pytest.raises(NonDecaying, match="squares to 0.0"):
+            estimate_rate(ts, np.exp(-ts), (0.0, float(ts[-1])))
+
+    def test_frozen_noisy_two_term_values(self):
+        # recorded before the estimators took arrays, when they read a
+        # sampled source by slicing its samples; the array path reads the
+        # same nodes, so every bit must match
+        samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))),
+                                     np.arange(4001) * 0.01, noise_sigma=1e-5, seed=7)
+        support = (0.0, 9.3377)
+        frozen = {
+            "slope_fit": (RateEstimate(rate=1.0015834817620441, intercept=0.7075575720970031,
+                                       window=(4.66885, 9.3377),
+                                       residual_rms=0.01778946099004574),
+                          2.029351236472775),
+            "richardson_2": (RateEstimate(rate=1.0021614288432177,
+                                          intercept=0.7116032016652186,
+                                          window=(4.66885, 9.3377),
+                                          residual_rms=0.017806514970794447),
+                             2.032994221650308),
+        }
+        for order, (want_rate, want_coeff) in frozen.items():
+            cfg = TailFitConfig(fit_order=order)
+            est = estimate_rate(samples.times, samples.values, support, cfg)
+            assert est == want_rate
+            assert estimate_coefficient(samples.times, samples.values, est.rate, support,
+                                        cfg) == want_coeff
 
 
 class TestEstimateCoefficient:
     def test_constant_sequence(self):
-        value = estimate_coefficient(source_of(((2.0, 5.0),)), 2.0, (0.0, 20.0))
+        support = (0.0, 20.0)
+        value = estimate_coefficient(*read(source_of(((2.0, 5.0),)), support), 2.0, support)
         assert value == pytest.approx(5.0, abs=1e-10)
 
     def test_two_term_within_bound(self):
-        value = estimate_coefficient(source_of(((1.0, 2.0), (2.0, 3.0))), 1.0, (0.0, 40.0),
-                                     TailFitConfig(fit_order="slope_fit"))
+        support = (0.0, 40.0)
+        value = estimate_coefficient(*read(source_of(((1.0, 2.0), (2.0, 3.0))), support), 1.0,
+                                     support, TailFitConfig(fit_order="slope_fit"))
         assert value == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("fit_order", ["slope_fit", "richardson_2"])
     def test_coefficient_near_the_float_limit(self, fit_order):
         # the window's values sum past 1.8e308 although their mean does not
-        value = estimate_coefficient(source_of(((1.0, 1e308),)), 1.0, (0.0, 2.0),
+        support = (0.0, 2.0)
+        value = estimate_coefficient(*read(source_of(((1.0, 1e308),)), support), 1.0, support,
                                      TailFitConfig(fit_order=fit_order))
         assert value == pytest.approx(1e308, rel=1e-12)
 
     def test_overestimated_rate_diverges(self):
+        support = (0.0, 20.0)
         with pytest.raises(Diverging):
-            estimate_coefficient(source_of(((1.0, 1.0),)), 2.0, (0.0, 20.0))
+            estimate_coefficient(*read(source_of(((1.0, 1.0),)), support), 2.0, support)
 
     def test_negative_coefficient_sign(self):
-        value = estimate_coefficient(source_of(((1.5, -4.0),)), 1.5, (0.0, 20.0))
+        support = (0.0, 20.0)
+        value = estimate_coefficient(*read(source_of(((1.5, -4.0),)), support), 1.5, support)
         assert value == pytest.approx(-4.0, abs=1e-10)
 
     def test_exactness_on_log_spaced_grid(self):
         for lam in np.geomspace(0.1, 8.0, 12):
             for alpha in (-3.0, 0.05, 2.0):
                 support = (0.0, 25.0 / lam)
-                value = estimate_coefficient(source_of(((lam, alpha),)), lam, support)
+                value = estimate_coefficient(*read(source_of(((lam, alpha),)), support), lam,
+                                             support)
                 assert abs(value - alpha) < 1e-9 * max(1.0, abs(alpha))
 
     def test_fast_term_perturbation_bound(self, rng):
@@ -111,9 +157,11 @@ class TestEstimateCoefficient:
             extra_rate = lam + rng.uniform(1.0, 3.0)
             extra_coeff = rng.uniform(-2.0, 2.0)
             support = (0.0, 30.0)
-            base = estimate_coefficient(source_of(((lam, alpha),)), lam, support, cfg)
+            base = estimate_coefficient(*read(source_of(((lam, alpha),)), support), lam,
+                                        support, cfg)
             mixed_terms = tuple(sorted([(lam, alpha), (extra_rate, extra_coeff)]))
-            mixed = estimate_coefficient(source_of(mixed_terms), lam, support, cfg)
+            mixed = estimate_coefficient(*read(source_of(mixed_terms), support), lam,
+                                         support, cfg)
             window_start = support[1] - 0.5 * support[1]
             bound = abs(extra_coeff) * math.exp(-(extra_rate - lam) * window_start)
             assert abs(mixed - base) <= bound * (1 + 1e-9) + 1e-12
@@ -121,16 +169,17 @@ class TestEstimateCoefficient:
 
 class TestRichardsonVariants:
     def test_improves_on_slope_fit(self):
-        src = source_of(((1.0, 2.0), (1.6, 3.0)))
         support = (0.0, 24.0)
-        plain = abs(estimate_rate(src, support, TailFitConfig(fit_order="slope_fit")).rate - 1.0)
-        acc1 = abs(estimate_rate(src, support, TailFitConfig(fit_order="richardson_1")).rate - 1.0)
-        assert acc1 < plain
+        ts, xs = read(source_of(((1.0, 2.0), (1.6, 3.0))), support)
+        plain = estimate_rate(ts, xs, support, TailFitConfig(fit_order="slope_fit"))
+        acc1 = estimate_rate(ts, xs, support, TailFitConfig(fit_order="richardson_1"))
+        assert abs(acc1.rate - 1.0) < abs(plain.rate - 1.0)
 
     def test_exact_for_single_term(self):
+        support = (0.0, 15.0)
+        ts, xs = read(source_of(((2.5, 1.5),)), support)
         for order in ("richardson_1", "richardson_2"):
-            est = estimate_rate(source_of(((2.5, 1.5),)), (0.0, 15.0),
-                                TailFitConfig(fit_order=order))
+            est = estimate_rate(ts, xs, support, TailFitConfig(fit_order=order))
             assert est.rate == pytest.approx(2.5, abs=1e-9)
 
 
@@ -143,8 +192,9 @@ class TestHorizonDoubling:
             lam = sig.terms[0][0]
             prev = None
             for horizon in (10.0, 20.0, 40.0):
-                err = abs(estimate_rate(SignalSource.from_symbolic(sig),
-                                        (0.0, horizon), cfg).rate - lam)
+                support = (0.0, horizon)
+                est = estimate_rate(*read(SignalSource.from_symbolic(sig), support), support, cfg)
+                err = abs(est.rate - lam)
                 if prev is not None:
                     assert err <= prev * (1 + 1e-9) + 1e-14
                 prev = err
@@ -203,7 +253,7 @@ class TestBiasOrdering:
             a2 = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
             sig = SymbolicTransient(((lam, a1), (lam + gap, a2)))
             support = (0.0, 24.0)
-            est = estimate_rate(SignalSource.from_symbolic(sig), support, cfg)
+            est = estimate_rate(*read(SignalSource.from_symbolic(sig), support), support, cfg)
             t_start = est.window[0]
             constant = 12.0 * abs(a2) / abs(a1)
             bound = constant * math.exp(-gap * t_start) / t_start
@@ -212,7 +262,7 @@ class TestBiasOrdering:
 
 class TestShrinkSupport:
     def test_trims_to_relative_floor(self):
-        (hi,) = shrink_support(source_of(((1.0, 1.0),)), (0.0, 100.0), (1e-8,))
+        (hi,) = shrink_support(*read(source_of(((1.0, 1.0),)), (0.0, 100.0)), (1e-8,))
         assert hi == pytest.approx(-math.log(1e-8), rel=1e-2)
 
     # 1.0 keeps only the peak, the support's first node: an end that leaves
@@ -229,20 +279,20 @@ class TestShrinkSupport:
             "evaluator": lambda: SignalSource.from_evaluator(sig, support=(0.0, 40.0)),
             "symbolic": lambda: SignalSource.from_symbolic(sig),
         }[variant]()
-        ts = evaluation_grid(source, support)
-        mag = np.abs(evaluate_many(source, ts))
+        ts, xs = read(source, support)
+        mag = np.abs(xs)
         peak = mag.max()
         want = [float(ts[mag >= rel * peak][-1]) for rel in self.FLOORS]
-        ends = shrink_support(source, support, self.FLOORS)
+        ends = shrink_support(ts, xs, self.FLOORS)
         assert ends == want
         assert ends[-1] == support[0]
 
     def test_noise_adds_one_end_where_the_signal_meets_it(self):
         ts = np.linspace(0.0, 30.0, 3001)
         xs = np.exp(-ts)
-        (end,) = horizon_ends(ts, xs, (), noise=1e-5)
+        (end,) = shrink_support(ts, xs, (), noise=1e-5)
         assert end == float(ts[xs >= 5e-5][-1])
-        assert horizon_ends(ts, xs, (1e-8,), noise=1e-10) == horizon_ends(ts, xs, (1e-8,))
+        assert shrink_support(ts, xs, (1e-8,), noise=1e-10) == shrink_support(ts, xs, (1e-8,))
 
     def test_lone_spike_past_the_noise_crossing_leaves_the_noise_end(self):
         # one sample clearing five times the noise far out in the tail is
@@ -252,8 +302,8 @@ class TestShrinkSupport:
         spiked = xs.copy()
         spiked[2500] = 1e-4
         floors = (1e-2, 1e-8)
-        clean_ends = horizon_ends(ts, xs, floors, noise=1e-5)
-        spiked_ends = horizon_ends(ts, spiked, floors, noise=1e-5)
+        clean_ends = shrink_support(ts, xs, floors, noise=1e-5)
+        spiked_ends = shrink_support(ts, spiked, floors, noise=1e-5)
         assert spiked_ends[-1] == clean_ends[-1] == float(ts[xs >= 5e-5][-1])
         assert spiked_ends[:-1] == [float(ts[spiked >= rel][-1]) for rel in floors]
         assert spiked_ends[1] == 25.0
@@ -261,7 +311,7 @@ class TestShrinkSupport:
     def test_zero_signal_raises(self):
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 5, 50))
         with pytest.raises(SignalVanished):
-            shrink_support(SignalSource.from_sampled(sig), (0.0, 5.0), (1e-8,))
+            shrink_support(sig.times, sig.values, (1e-8,))
 
 
 class TestScanHorizons:
@@ -352,27 +402,6 @@ class TestScanHorizons:
         with pytest.raises(ValueError):
             scan_horizons(fit, [1.0, 2.0], 0.0)
         assert calls == [1.0]
-
-
-class TestSampledWindow:
-    # a sampled source is read on its own nodes by slicing; the same samples
-    # served by an evaluator on the same grid take the interpolating path.
-    # The supports put the window bounds on nodes and between them.
-    @pytest.mark.parametrize("support", [(0.0, 20.0), (0.013, 17.3377), (1.0, 9.99)])
-    @pytest.mark.parametrize("fit_order", ["slope_fit", "richardson_2"])
-    def test_slice_matches_interpolated_reads(self, support, fit_order):
-        sig = SymbolicTransient(((0.7, 1.5), (1.9, -0.8)))
-        times = np.arange(0.0, 20.0 + 1e-9, 0.01)
-        samples = synthesize_samples(sig, times, noise_sigma=1e-9, seed=4)
-        sampled = SignalSource.from_sampled(samples)
-        served = SignalSource.from_evaluator(
-            lambda ts: np.interp(ts, samples.times, samples.values),
-            support=samples.support, grid=times)
-        cfg = TailFitConfig(fit_order=fit_order)
-        got, want = estimate_rate(sampled, support, cfg), estimate_rate(served, support, cfg)
-        assert got == want
-        assert (estimate_coefficient(sampled, got.rate, support, cfg)
-                == estimate_coefficient(served, want.rate, support, cfg))
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1001, 2000])
