@@ -141,8 +141,10 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
         raise ValueError("support holds too few samples for the configured window")
     values = evaluate_many(source, ts)
     stripped = values.copy()
-    for rate, value in zip(ledger.known_rates[: n - 1], ledger.extracted):
-        stripped -= value * np.exp(-rate * ts)
+    # an overflow here leaves an inf for the finite check below to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rate, value in zip(ledger.known_rates[: n - 1], ledger.extracted):
+            stripped -= value * np.exp(-rate * ts)
     if not np.all(np.isfinite(stripped)):
         raise ValueError("the signal less the extracted terms is not finite on the "
                          "evaluation grid")

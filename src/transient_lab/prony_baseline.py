@@ -7,7 +7,8 @@ stages, each a well-known numerical weak point:
 1. least-squares solve of the linear-prediction (Hankel) system for the
    characteristic-polynomial coefficients;
 2. polynomial rooting via the companion-matrix eigenvalues; real roots in
-   (0, 1) are the decay poles, anything else is flagged and set aside;
+   (0, 1) are the decay poles, anything else (and a root within rounding
+   of 1) is flagged and set aside;
 3. least-squares Vandermonde solve for the amplitudes, whose condition
    number is recorded because it degrades sharply as poles cluster.
 """
@@ -23,6 +24,14 @@ from .errors import RankDeficient
 from .signal_core import UNIFORM_REL_TOL, SampledSignal
 
 _REAL_ROOT_TOL = 1e-8
+# a real root this close below 1 is rounding, not decay.  The lstsq and
+# eigenvalue solves each carry a backward error of a small multiple of eps,
+# so data that does not decay at all (a pole at exactly 1) can give a root a
+# few eps below 1, and -log(root) / step turns that into a huge rate: 200
+# samples of exp(-t) at step 1e-200, all of which round to 1.0, give 1 - 5
+# eps.  32 eps clears that margin several times over and still keeps every
+# rate above 32 eps / step (7e-12 at step 0.01).
+_UNIT_ROOT_TOL = 32 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,7 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     scale = np.maximum(1.0, np.abs(roots.real))
     is_real = np.abs(roots.imag) <= _REAL_ROOT_TOL * scale
     real_roots = roots[is_real].real
-    in_range = (real_roots > 0.0) & (real_roots < 1.0)
+    in_range = (real_roots > 0.0) & (1.0 - real_roots > _UNIT_ROOT_TOL)
     kept = np.sort(real_roots[in_range])[::-1]          # descending pole = ascending rate
     rejected = tuple(np.concatenate([roots[~is_real], real_roots[~in_range]]).tolist())
     if len(rejected):

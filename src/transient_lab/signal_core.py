@@ -211,6 +211,12 @@ def inner_product(f: SignalSource, g: SignalSource, q: QuadratureConfig = None) 
 
     Integration runs over the intersection of the two supports, so sampled
     signals contribute exactly their observed range.
+
+    Known defect: on the whole half line the product of two terms with rates
+    summing below 1 is undershot.  The substitution z = exp(-t) turns
+    exp(-s t) into z^(s-1), singular at z = 0, which the Gauss-Legendre rule
+    does not resolve: the squared norm of 10 exp(-0.1 t), 500, reads 444.9
+    at the default 128 nodes and 475.7 at 1000.
     """
     t_lo = max(f.support[0], g.support[0])
     t_hi = min(f.support[1], g.support[1])

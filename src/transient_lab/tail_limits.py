@@ -13,7 +13,9 @@ sequences directly we fit a straight line to log|x| over a tail window
 optionally accelerate with iterated Aitken extrapolation over shifted
 sub-windows: on a uniform grid the sub-window statistics of the
 contamination form an exact geometric sequence, which one Aitken step
-eliminates.
+eliminates.  The sub-windows are equal-stride blocks of the window, read as
+the rows of one strided view, so every block's line is fitted from sums
+centred on its own means in a fixed handful of array calls.
 
 The window placement and floors are fixed constants below; the one choice
 a caller makes is the extrapolation order, in TailFitConfig.
@@ -99,34 +101,62 @@ def tail_slice(ts, t_lo, t_hi):
 
 
 def _kept(ts, xs):
-    """Drop samples below the relative magnitude floor."""
+    """The samples above the relative magnitude floor and their magnitudes,
+    (ts, xs, |xs|); ts and xs are the windows themselves when none is dropped."""
     mag = np.abs(xs)
     peak = mag.max() if len(mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the tail window")
     keep = mag > ABS_FLOOR * peak
-    if keep.sum() < MIN_WINDOW_POINTS:
+    count = int(np.count_nonzero(keep))
+    if count < MIN_WINDOW_POINTS:
         raise SignalVanished(
-            f"only {int(keep.sum())} tail samples above the floor, "
-            f"need {MIN_WINDOW_POINTS}")
-    return ts[keep], xs[keep]
+            f"only {count} tail samples above the floor, need {MIN_WINDOW_POINTS}")
+    if count == len(mag):
+        return ts, xs, mag
+    return ts[keep], xs[keep], mag[keep]
 
 
 def _mean(x):
-    # what ndarray.mean computes for a 1-d float64 array, bit for bit,
-    # without its Python-level dispatch; the fits call it per sub-block
-    return np.add.reduce(x) / len(x)
+    # means along the last axis: for a 1-d float64 array what ndarray.mean
+    # computes, bit for bit, without its Python-level dispatch, and for the
+    # rows of a 2-d one the same pairwise sum of each row
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _line_fit(t, y):
-    tm, ym = _mean(t), _mean(y)
-    dt = t - tm
-    denom = float(np.dot(dt, dt))
-    if not 0.0 < denom < math.inf:
-        raise NonDecaying(f"the spread of the tail nodes {float(t[0])!r} .. {float(t[-1])!r} "
-                          f"squares to {denom!r}; no decay rate can be fitted")
-    slope = float(np.dot(dt, y - ym)) / denom
-    return slope, ym - slope * tm
+def _rows(x, starts, length):
+    """The blocks x[s:s + length] for s in the range starts, as the rows of
+    one (len(starts), length) view of x.
+
+    A plain ndarray over x's buffer costs a fraction of what as_strided does.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    return np.ndarray((len(starts), length), float, x, starts.start * x.itemsize,
+                      (starts.step * x.itemsize, x.itemsize))
+
+
+def _line_fits(t, y, starts, length):
+    """Least-squares slopes and intercepts of y against t on each block
+    t[s:s + length], y[s:s + length] for s in the range starts, from sums
+    centred on each block's means.
+
+    Raises NonDecaying for the first block whose nodes' spread squares to
+    zero or overflows.
+    """
+    t_rows, y_rows = _rows(t, starts, length), _rows(y, starts, length)
+    tm, ym = _mean(t_rows), _mean(y_rows)
+    dt = t_rows - tm[:, None]
+    dt_left = dt[:, None, :]
+    # a stacked (1, n) @ (n, 1) product is a dot product per block, the same
+    # BLAS call, and so the same bits, as np.dot on that block
+    den = np.matmul(dt_left, dt[:, :, None])[:, 0, 0]
+    for j, d in enumerate(den.tolist()):
+        if not 0.0 < d < math.inf:
+            raise NonDecaying(f"the spread of the tail nodes {float(t_rows[j, 0])!r} .. "
+                              f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
+                              f"can be fitted")
+    slopes = np.matmul(dt_left, (y_rows - ym[:, None])[:, :, None])[:, 0, 0] / den
+    return slopes, ym - slopes * tm
 
 
 def _aitken_pass(seq):
@@ -154,20 +184,21 @@ def _extrapolate(seq):
     return seq[-1]
 
 
-def _index_blocks(n, nsub, min_points):
-    """Equal-length, equal-stride index blocks spanning 0..n-1.
+def _index_blocks(n, nsub):
+    """Equal-length, equal-stride blocks spanning 0..n-1, as (starts, length)
+    with starts a range; the one block (range(1), n) when nsub is 1 or the
+    blocks would be shorter than MIN_WINDOW_POINTS.
 
     Equal strides keep the grid offsets inside every block identical, which
     is what makes the per-block contamination exactly geometric on uniform
     grids (and therefore removable by Aitken).
     """
-    if nsub == 1:
-        return [(0, n)]
-    length = n // 2
-    step = (n - length) // (nsub - 1)
-    if step < 1 or length < min_points:
-        return None
-    return [(j * step, j * step + length) for j in range(nsub)]
+    if nsub > 1:
+        length = n // 2
+        step = (n - length) // (nsub - 1)
+        if step >= 1 and length >= MIN_WINDOW_POINTS:
+            return range(0, nsub * step, step), length
+    return range(1), n
 
 
 def estimate_rate(ts, values, support, cfg: TailFitConfig = None) -> RateEstimate:
@@ -181,21 +212,18 @@ def estimate_rate(ts, values, support, cfg: TailFitConfig = None) -> RateEstimat
     cfg = cfg or TailFitConfig()
     t_lo, t_hi = _validate_support(support)
     bounds, window = tail_slice(ts, t_lo, t_hi)
-    ts, xs = _kept(ts[window], values[window])
-    logs = np.log(np.abs(xs))
+    ts, _, mag = _kept(ts[window], values[window])
+    logs = np.log(mag)
 
-    nsub = _FIT_ORDERS[cfg.fit_order]
-    blocks = _index_blocks(len(ts), nsub, MIN_WINDOW_POINTS)
-    if blocks is None or nsub == 1:
-        slope, icpt = _line_fit(ts, logs)
-        rate = -slope
-    else:
-        slopes = [_line_fit(ts[a:b], logs[a:b])[0] for a, b in blocks]
-        rate = -_extrapolate(slopes)
-        icpt = float(_mean(logs + rate * ts))
+    starts, length = _index_blocks(len(ts), _FIT_ORDERS[cfg.fit_order])
+    slopes, icpts = _line_fits(ts, logs, starts, length)
+    rate = -_extrapolate(slopes.tolist())
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
-    rms = float(np.sqrt(_mean((logs - (icpt - rate * ts)) ** 2)))
+    rts = rate * ts
+    # one block fits the whole window and gives the intercept with its slope
+    icpt = icpts[0] if len(starts) == 1 else float(_mean(logs + rts))
+    rms = float(np.sqrt(_mean((logs - (icpt - rts)) ** 2)))
     return RateEstimate(rate=float(rate), intercept=float(icpt), window=bounds, residual_rms=rms)
 
 
@@ -221,8 +249,9 @@ def estimate_coefficient(ts, values, rate: float, support,
         raise ValueError(f"rate must be positive, got {rate}")
     t_lo, t_hi = _validate_support(support)
     _, window = tail_slice(ts, t_lo, t_hi)
-    ts, xs = _kept(ts[window], values[window])
-    values = _reweighted(ts, xs, rate)
+    ts, xs, mag = _kept(ts[window], values[window])
+    # the kept samples are nonzero, so no sample needs _reweighted's zero test
+    values = np.sign(xs) * np.exp(rate * ts + np.log(mag))
     if not np.all(np.isfinite(values)):
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
     # near the top of the float range a sum of values overflows where their
@@ -239,11 +268,9 @@ def estimate_coefficient(ts, values, rate: float, support,
             f"reweighted tail grows by {tail / head:.3g} across the window "
             f"(limit {DIVERGE_FACTOR}); decay rate is overestimated")
 
-    nsub = _FIT_ORDERS[cfg.fit_order]
-    blocks = _index_blocks(len(values), nsub, MIN_WINDOW_POINTS)
-    if blocks is None or nsub == 1:
-        return float(_mean(values)) * scale
-    return float(_extrapolate([float(_mean(values[a:b])) for a, b in blocks])) * scale
+    starts, length = _index_blocks(len(values), _FIT_ORDERS[cfg.fit_order])
+    means = _mean(_rows(values, starts, length)).tolist()
+    return float(_extrapolate(means)) * scale
 
 
 def rate_sequence(source: SignalSource, support) -> RateSequence:
@@ -266,24 +293,31 @@ def rate_sequence(source: SignalSource, support) -> RateSequence:
 def shrink_support(ts, values, rel_floors, noise=0.0):
     """Horizon end at each relative floor: the last node where |x| >= rel * peak.
 
-    ts holds ascending grid nodes over the support and values the finite
-    values there.  Past an end the values carry no usable precision relative
-    to the signal's own scale (inside a decomposition, the leftovers of
-    earlier subtractions dominate them).  One abs/max pass serves every
-    floor.  With a measured noise level above 1e-9 of the peak, one more end
-    follows the floors: where |x| sinks into five times the noise (at most
-    half the peak).  Noise alone clears that level now and then, and a lone
-    such sample far out in the tail would set the end there, so the nodes at
-    or above it are cut at their first gap of more than a twentieth of the
+    ts holds ascending grid nodes over the support, values the finite values
+    there, and rel_floors relative floors of at most 1.  Past an end the
+    values carry no usable precision relative to the signal's own scale
+    (inside a decomposition, the leftovers of earlier subtractions dominate
+    them).  One abs/max pass and one comparison serve every floor.  With a
+    measured noise level above 1e-9 of the peak, one more end follows the
+    floors: where |x| sinks into five times the noise (at most half the
+    peak).  Noise alone clears that level now and then, and a lone such
+    sample far out in the tail would set the end there, so the nodes at or
+    above it are cut at their first gap of more than a twentieth of the
     grid, and the end is the last node before the cut.  An end at or before
     the start of the support leaves no horizon; scan_horizons passes over
     it.  Raises SignalVanished when the values are zero everywhere.
     """
-    mag = np.abs(values)
-    peak = mag.max() if len(mag) else 0.0
+    # magnitudes from the last node back: a floor's end is the node of the
+    # first of them at or above its level, found by one comparison against
+    # every level at once and an argmax that stops at the first crossing
+    reversed_mag = np.abs(values[::-1])
+    peak = reversed_mag.max() if len(reversed_mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the support")
-    ends = [float(ts[mag >= rel * peak][-1]) for rel in rel_floors]
+    levels = np.multiply(rel_floors, peak)
+    crossings = (reversed_mag >= levels[:, None]).argmax(axis=1)
+    ends = ts[len(ts) - 1 - crossings].tolist()
+    mag = reversed_mag[::-1]
     if noise > 1e-9 * peak:
         above = np.flatnonzero(mag >= min(0.5, 5.0 * noise / peak) * peak)
         gaps = np.flatnonzero(np.diff(above) > len(ts) // 20)

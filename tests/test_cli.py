@@ -534,6 +534,15 @@ class TestVerbFlags:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: NonDecaying:")
 
+    def test_prony_on_samples_that_round_to_one_exit_7(self, tmp_path, capsys):
+        # the root 1 - 5 eps is rounding; read as a pole it was a rate of 1.1e185
+        path, out = tmp_path / "tiny.csv", tmp_path / "out.json"
+        path.write_text(TINY_STEP_CSV)
+        assert run("prony", "--input", path, "--order", 2, "--output", out) == 7
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RankDeficient:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["decompose", "synth", "oet", "compare"])
     def test_overflowing_spec_names_the_file(self, tmp_path, capsys, verb):
         spec = tmp_path / "huge.json"

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ import pytest
 from transient_lab import (DecompositionResult, NonDecaying, QuadratureConfig, SampledSignal,
                            SignalSource, StoppingPolicy, SymbolicTransient, TailFitConfig,
                            TermDiagnostics, TransientLabError, decompose_exact,
-                           decompose_numeric, synthesize_samples)
+                           decompose_numeric, load_signal_spec, synthesize_samples)
 
 from conftest import random_transient
+from test_acceptance import SEED, three_term_family
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestDecomposeExact:
@@ -287,3 +291,52 @@ class TestGridResidency:
                                           support=(0.0, horizon))
         with pytest.raises(error, match=match):
             decompose_numeric(src, (0.0, horizon))
+
+
+class TestPinnedTerms:
+    """decompose_numeric's terms, bit for bit, as the estimators gave them
+    when the sub-block fits ran one block at a time; a change to the tail
+    kernels that moves any bit of a result shows here."""
+
+    THREE_TERM = [
+        [("0x1.33fd28bbb2732p-2", "0x1.cf1c3405958b2p+0"),
+         ("0x1.598fbe351dfa0p+0", "0x1.9dc50fe49e1b6p+1"),
+         ("0x1.239453eff3274p+1", "0x1.3bf43f1eebbd1p+2")],
+        [("0x1.09fd0b9f8f0f6p-1", "-0x1.7c1b981c98c4dp+0"),
+         ("0x1.575d7708abc95p+0", "0x1.efc13c8d21626p+0"),
+         ("0x1.224c29253a191p+1", "0x1.12179f0b4f06ep+0")],
+    ]
+    # data/two_term.json on compare's default grid; the noise seed follows
+    # compare's rule seed + 7919 * sigma_index + trial for --seed 0, trial 0
+    # and the sweep (0, 1e-6, 1e-4, 1e-3)
+    NOISY = {
+        (1e-4, 2): [("0x1.003c30718e4f3p+0", "0x1.0112eddc63f1cp+1"),
+                    ("0x1.04fa50691adaep+1", "0x1.a33351a4cc258p+1"),
+                    ("0x1.b30a026272c6dp+1", "-0x1.11ecca65da2fap+0")],
+        (1e-3, 3): [("0x1.02fcb7785ada5p+0", "0x1.0f957871760e6p+1"),
+                    ("0x1.28ba4cab2a209p+1", "0x1.5334d5c08abcdp+2"),
+                    ("0x1.bb5a46ff20c8fp+1", "-0x1.b7d0501a155e8p+2"),
+                    ("0x1.50b5d21382784p+2", "0x1.bc5fb5ccaf6fcp+3"),
+                    ("0x1.2778fb4f1b3a8p+3", "-0x1.6a17bf91d4d89p+6"),
+                    ("0x1.9109d3863bf33p+3", "0x1.12168f4002029p+8"),
+                    ("0x1.3667ecdf2da3fp+4", "-0x1.a26b87bd495eep+9"),
+                    ("0x1.e47209d27ea02p+4", "0x1.684087e0c4efdp+11")],
+    }
+
+    @staticmethod
+    def hex_terms(samples):
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        return [(rate.hex(), coeff.hex()) for rate, coeff in result.terms]
+
+    def test_three_term_family(self):
+        rng = np.random.default_rng(SEED + 13)
+        for want in self.THREE_TERM:
+            signal, _, grid = three_term_family(rng)
+            assert self.hex_terms(synthesize_samples(signal, grid)) == want
+
+    @pytest.mark.parametrize("sigma, sigma_index", [(1e-4, 2), (1e-3, 3)])
+    def test_noisy_two_term(self, sigma, sigma_index):
+        truth = load_signal_spec(DATA / "two_term.json")
+        samples = synthesize_samples(truth, np.linspace(0.0, 40.0, 4001), noise_sigma=sigma,
+                                     seed=7919 * sigma_index)
+        assert self.hex_terms(samples) == self.NOISY[sigma, sigma_index]

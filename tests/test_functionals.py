@@ -107,6 +107,16 @@ class TestRateFunctional:
         with pytest.raises(ValueError, match="not finite"):
             apply_rate_functional(1, src, FunctionalLedger((1.0,)), support=(0.0, 10.0))
 
+    def test_overflowing_strip_refused_without_a_warning(self):
+        # 1e308 e^-t less -1e308 e^-t overflows; pytest turns a numpy warning
+        # into an error, so only the finite check's ValueError may come out
+        src = SignalSource.from_evaluator(lambda ts: 1e308 * np.exp(-np.asarray(ts)),
+                                          support=(0.0, 40.0))
+        ledger = FunctionalLedger(known_rates=(1.0, 2.0), extracted=[-1e308])
+        with pytest.raises(ValueError, match="less the extracted terms is not finite"):
+            apply_rate_functional(2, src, ledger, support=(0.0, 40.0))
+        assert ledger.extracted == [-1e308]
+
     @pytest.mark.parametrize("support", [(5.0, 1.0), (0.0, np.inf), (-1.0, 1.0)])
     def test_numeric_support_checked_before_the_source_is_read(self, support):
         reads = []

@@ -94,6 +94,21 @@ class TestPronyFit:
         with pytest.raises(RankDeficient):
             prony_fit(sig, 2)
 
+    def test_root_within_rounding_of_one_rejected(self):
+        # every sample of exp(-t) at step 1e-200 rounds to 1.0; the fitted
+        # root 1 - 5 eps is rounding, and read as a pole it gave a rate of 1.1e185
+        times = np.arange(200) * 1e-200
+        sig = SampledSignal(times=times, values=np.exp(-times))
+        with pytest.raises(RankDeficient, match="no real poles"):
+            prony_fit(sig, 2)
+
+    def test_slow_pole_kept_beside_the_rounding_margin(self):
+        # a root 1e-9 below 1 is far outside the rounding margin and stays a pole
+        sig = synthesize_samples(SymbolicTransient(((1e-7, 1.0),)), np.arange(40) * 0.01)
+        model = prony_fit(sig, 1)
+        assert model.rates[0] == pytest.approx(1e-7, rel=1e-3)
+        assert model.rejected_roots == ()
+
     def test_requires_uniform_grid(self):
         sig = SampledSignal(times=np.array([0.0, 1.0, 3.0, 4.0]),
                             values=np.array([1.0, 0.5, 0.2, 0.1]))

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transient_lab import (Diverging, NonDecaying, RateEstimate, SignalSource, SignalVanished,
                            SymbolicTransient, TailFitConfig, estimate_coefficient,
                            estimate_rate, evaluate_many, rate_sequence, shrink_support,
                            synthesize_samples)
+from transient_lab import tail_limits
 from transient_lab.signal_core import evaluation_grid
 from transient_lab.tail_limits import scan_horizons
 
@@ -410,3 +413,168 @@ def test_fast_mean_is_ndarray_mean(n, rng):
     for x in (rng.normal(size=n), np.exp(-rng.uniform(0.0, 30.0, size=n)),
               np.log(rng.uniform(1e-12, 1.0, size=2 * n))[::2]):
         assert _mean(x) == x.mean()
+
+
+# ---------------------------------------------------------------------------
+# the estimators as they were when each sub-block was fitted on its own; the
+# batched kernels must reproduce them bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_kept(ts, xs):
+    mag = np.abs(xs)
+    peak = mag.max() if len(mag) else 0.0
+    if peak == 0.0:
+        raise SignalVanished("signal is identically zero on the tail window")
+    keep = mag > tail_limits.ABS_FLOOR * peak
+    if keep.sum() < tail_limits.MIN_WINDOW_POINTS:
+        raise SignalVanished(f"only {int(keep.sum())} tail samples above the floor, "
+                             f"need {tail_limits.MIN_WINDOW_POINTS}")
+    return ts[keep], xs[keep]
+
+
+def _reference_mean(x):
+    return np.add.reduce(x) / len(x)
+
+
+def _reference_line_fit(t, y):
+    tm, ym = _reference_mean(t), _reference_mean(y)
+    dt = t - tm
+    denom = float(np.dot(dt, dt))
+    if not 0.0 < denom < math.inf:
+        raise NonDecaying(f"the spread of the tail nodes {float(t[0])!r} .. {float(t[-1])!r} "
+                          f"squares to {denom!r}; no decay rate can be fitted")
+    slope = float(np.dot(dt, y - ym)) / denom
+    return slope, ym - slope * tm
+
+
+def _reference_blocks(n, nsub):
+    if nsub == 1:
+        return None
+    length = n // 2
+    step = (n - length) // (nsub - 1)
+    if step < 1 or length < tail_limits.MIN_WINDOW_POINTS:
+        return None
+    return [(j * step, j * step + length) for j in range(nsub)]
+
+
+def reference_rate(ts, values, support, order):
+    t_lo, t_hi = support
+    bounds, window = tail_limits.tail_slice(ts, t_lo, t_hi)
+    ts, xs = _reference_kept(ts[window], values[window])
+    logs = np.log(np.abs(xs))
+    blocks = _reference_blocks(len(ts), tail_limits._FIT_ORDERS[order])
+    if blocks is None:
+        slope, icpt = _reference_line_fit(ts, logs)
+        rate = -slope
+    else:
+        slopes = [_reference_line_fit(ts[a:b], logs[a:b])[0] for a, b in blocks]
+        rate = -tail_limits._extrapolate(slopes)
+        icpt = float(_reference_mean(logs + rate * ts))
+    if not math.isfinite(rate) or rate <= 0.0:
+        raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
+    rms = float(np.sqrt(_reference_mean((logs - (icpt - rate * ts)) ** 2)))
+    return RateEstimate(rate=float(rate), intercept=float(icpt), window=bounds, residual_rms=rms)
+
+
+def reference_coefficient(ts, values, rate, support, order):
+    t_lo, t_hi = support
+    _, window = tail_limits.tail_slice(ts, t_lo, t_hi)
+    ts, xs = _reference_kept(ts[window], values[window])
+    values = tail_limits._reweighted(ts, xs, rate)
+    if not np.all(np.isfinite(values)):
+        raise Diverging("reweighted tail overflowed; decay rate is overestimated")
+    scale = 2.0 ** max(math.frexp(float(np.abs(values).max()))[1] - 960, 0)
+    values = values / scale
+    quarter = max(len(values) // 4, 1)
+    head = float(_reference_mean(np.abs(values[:quarter])))
+    tail = float(_reference_mean(np.abs(values[-quarter:])))
+    if head > 0.0 and tail / head > tail_limits.DIVERGE_FACTOR:
+        raise Diverging(f"reweighted tail grows by {tail / head:.3g} across the window "
+                        f"(limit {tail_limits.DIVERGE_FACTOR}); decay rate is overestimated")
+    blocks = _reference_blocks(len(values), tail_limits._FIT_ORDERS[order])
+    if blocks is None:
+        return float(_reference_mean(values)) * scale
+    means = [float(_reference_mean(values[a:b])) for a, b in blocks]
+    return float(tail_limits._extrapolate(means)) * scale
+
+
+def reference_ends(ts, values, rel_floors, noise):
+    # one mask and one fancy index per floor
+    mag = np.abs(values)
+    peak = mag.max()
+    ends = [float(ts[mag >= rel * peak][-1]) for rel in rel_floors]
+    if noise > 1e-9 * peak:
+        above = np.flatnonzero(mag >= min(0.5, 5.0 * noise / peak) * peak)
+        gaps = np.flatnonzero(np.diff(above) > len(ts) // 20)
+        ends.append(float(ts[above[gaps[0]] if len(gaps) else above[-1]]))
+    return ends
+
+
+def outcome(f, *args):
+    """What f(*args) returned, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (SignalVanished, NonDecaying, Diverging) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tail_windows(draw):
+    """Grid nodes on [T, 2T], so the support (0, 2T) puts all of them in the
+    fit window, with two decaying terms, noise, zeroed samples, and nodes
+    that are uniform or geometric, contiguous or a strided view; with the
+    window, the slowest rate and the noise level."""
+    n = draw(st.integers(8, 4001))
+    horizon = draw(st.floats(0.5, 60.0))
+    if draw(st.booleans()):
+        ts = np.linspace(horizon, 2.0 * horizon, n)
+    else:
+        ts = np.geomspace(horizon, 2.0 * horizon, n)
+    if draw(st.booleans()):
+        wide = np.empty(2 * n)
+        wide[::2] = ts
+        ts = wide[::2]                  # the same nodes, not contiguous
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rate = draw(st.floats(0.05, 3.0))
+    xs = draw(st.floats(0.1, 5.0)) * np.exp(-rate * ts)
+    xs += draw(st.floats(-5.0, 5.0)) * np.exp(-(rate + draw(st.floats(0.1, 3.0))) * ts)
+    sigma = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-2]))
+    xs += sigma * np.abs(xs).max() * rng.normal(size=n)
+    holes = draw(st.integers(0, 3))
+    xs[rng.integers(0, n, size=holes)] = 0.0
+    return ts, xs, (0.0, 2.0 * horizon), rate, sigma * np.abs(xs).max()
+
+
+class TestKernelParity:
+    @given(window=tail_windows())
+    @settings(max_examples=80)
+    def test_estimators_equal_the_per_block_loop(self, window):
+        ts, xs, support, rate, noise = window
+        for order in ("slope_fit", "richardson_1", "richardson_2"):
+            cfg = TailFitConfig(fit_order=order)
+            got = outcome(estimate_rate, ts, xs, support, cfg)
+            assert got == outcome(reference_rate, ts, xs, support, order)
+            assert (outcome(estimate_coefficient, ts, xs, rate, support, cfg)
+                    == outcome(reference_coefficient, ts, xs, rate, support, order))
+        floors = (1e-4, 1e-8, 1e-12, 0.5, 1.0)
+        if np.any(xs):
+            assert (shrink_support(ts, xs, floors, noise)
+                    == reference_ends(ts, xs, floors, noise))
+
+    @pytest.mark.parametrize("order", ["slope_fit", "richardson_1", "richardson_2"])
+    def test_zero_spread_message_unchanged(self, order):
+        ts = np.arange(200) * 1e-200
+        support = (0.0, float(ts[-1]))
+        got = outcome(estimate_rate, ts, np.exp(-ts), support, TailFitConfig(fit_order=order))
+        assert got == outcome(reference_rate, ts, np.exp(-ts), support, order)
+        assert got[0] is NonDecaying and "squares to 0.0" in got[1]
+
+    def test_kept_window_is_a_view_when_nothing_is_dropped(self):
+        ts = np.linspace(0.0, 10.0, 101)
+        xs = np.exp(-ts)
+        kept_ts, kept_xs, mag = tail_limits._kept(ts[50:], xs[50:])
+        assert np.shares_memory(kept_ts, ts) and np.shares_memory(kept_xs, xs)
+        assert np.array_equal(mag, np.abs(xs[50:]))
+        xs[70] = 0.0
+        kept_ts, kept_xs, mag = tail_limits._kept(ts[50:], xs[50:])
+        assert len(kept_ts) == 50 and not np.shares_memory(kept_xs, xs)
