@@ -11,7 +11,8 @@ policies the idealized loop does not need:
   floors, and at its measured noise level) and keeps the fit whose
   log-magnitude residual is smallest.  tail_limits.shrink_support trims and
   tail_limits.scan_horizons picks, the same two steps the extraction
-  functionals use;
+  functionals use.  A floor's end past the noise end is not fitted, since
+  the tail beyond it is noise;
 * stopping: residual below a relative floor, a term budget, or a rate that
   collides with one already extracted;
 * cyclic re-estimation: after each extraction, every held term is
@@ -205,9 +206,13 @@ class _NumericState:
 
         Fits the trailing window of each trimmed horizon and keeps the rate
         fit whose log-magnitude residual is smallest; the coefficient is then
-        read off the winning window.
+        read off the winning window.  With a measured noise level, a floor's
+        end past the noise end is not fitted: the tail there is noise, whose
+        log-magnitude is no decay.
         """
         ends = shrink_support(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
+        if len(ends) > len(HORIZON_FLOORS):
+            ends = [t_hi for t_hi in ends if t_hi <= ends[-1]]
 
         def fit(t_hi):
             est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg)

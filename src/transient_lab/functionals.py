@@ -131,15 +131,36 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
             ledger.extracted.append(value)
             return value
 
+    return _numeric_functional(n, *_read(source, support), ledger, cfg)
+
+
+def _rate_functionals(source: SignalSource, ledger: FunctionalLedger, cfg, support) -> list:
+    """Values of functionals 1..size of a fresh ledger on source, in order, as
+    apply_rate_functional gives them; a source that is not symbolic is read
+    once for all of them."""
+    indices = range(1, len(ledger.known_rates) + 1)
+    if source.symbolic is not None:
+        return [apply_rate_functional(n, source, ledger, cfg, support) for n in indices]
+    read = _read(source, support)
+    return [_numeric_functional(n, *read, ledger, cfg) for n in indices]
+
+
+def _read(source, support):
+    """(nodes, values, t_lo) of source on its evaluation grid over support,
+    which must be given and finite, and the start t_lo of that support."""
     if support is None:
         raise ValueError("numeric evaluation needs an explicit (t_lo, t_hi) support")
-    cfg = cfg or TailFitConfig(fit_order="richardson_1")
-
     support = _validate_support(support)
     ts = evaluation_grid(source, support)
     if len(ts) < MIN_WINDOW_POINTS:
         raise ValueError("support holds too few samples for the configured window")
-    values = evaluate_many(source, ts)
+    return ts, evaluate_many(source, ts), support[0]
+
+
+def _numeric_functional(n, ts, values, t_lo, ledger, cfg):
+    """The n-th functional by the tail estimate, on the values of a source at
+    the nodes ts of a support from t_lo."""
+    cfg = cfg or TailFitConfig(fit_order="richardson_1")
     stripped = values.copy()
     # an overflow here leaves an inf for the finite check below to refuse
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,7 +178,7 @@ def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger
         return 0.0
 
     try:
-        value = _scanned_coefficient(ts, stripped, target, support[0], cfg)
+        value = _scanned_coefficient(ts, stripped, ledger.known_rates[n - 1], t_lo, cfg)
     except SignalVanished:
         value = 0.0
     ledger.extracted.append(float(value))
@@ -245,11 +266,10 @@ def correspondence_check(poly: PolynomialNoConstant, horizon: float = None,
     known = tuple(float(k) for k in range(1, poly.degree + 1))
     source, support = _functional_source(transient, mode, horizon)
 
-    rate_ledger = FunctionalLedger(known_rates=known)
+    r_vals = _rate_functionals(source, FunctionalLedger(known_rates=known), cfg, support)
     mono_ledger = FunctionalLedger(known_rates=known)
     worst = 0.0
-    for n in range(1, poly.degree + 1):
-        r_val = apply_rate_functional(n, source, rate_ledger, cfg=cfg, support=support)
+    for n, r_val in enumerate(r_vals, start=1):
         q_val = apply_monomial_functional(n, poly, mono_ledger)
         worst = max(worst, abs(r_val - q_val))
     return worst
@@ -262,10 +282,9 @@ def rate_functional_matrix(rates, mode: str = "symbolic", horizon: float = None,
     size = len(rates)
     matrix = np.zeros((size, size))
     for k, rate_k in enumerate(rates):
-        ledger = FunctionalLedger(known_rates=rates)
         source, support = _functional_source(SymbolicTransient(((rate_k, 1.0),)), mode, horizon)
-        for n in range(1, size + 1):
-            matrix[n - 1, k] = apply_rate_functional(n, source, ledger, cfg=cfg, support=support)
+        matrix[:, k] = _rate_functionals(source, FunctionalLedger(known_rates=rates), cfg,
+                                         support)
     return matrix
 
 

@@ -42,6 +42,10 @@ class SymbolicTransient:
     """
 
     terms: tuple = ()
+    # the terms' rates and coefficients as arrays, built once for __call__
+    # and read-only; the properties hand out copies
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = tuple((float(r), float(c)) for r, c in self.terms)
@@ -59,14 +63,19 @@ class SymbolicTransient:
         l1 = sum(abs(c) for _, c in normalized)
         if not math.isfinite(l1):
             raise ValueError(f"the sum of |coeff| over all terms overflows to {l1}")
+        for name, column in (("_rates", [r for r, _ in normalized]),
+                             ("_coeffs", [c for _, c in normalized])):
+            arr = np.array(column, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def rates(self) -> np.ndarray:
-        return np.array([r for r, _ in self.terms], dtype=float)
+        return self._rates.copy()
 
     @property
     def coefficients(self) -> np.ndarray:
-        return np.array([c for _, c in self.terms], dtype=float)
+        return self._coeffs.copy()
 
     @property
     def is_canonical(self) -> bool:
@@ -80,10 +89,11 @@ class SymbolicTransient:
         ts = np.asarray(t, dtype=float)
         if not self.terms:
             return np.zeros_like(ts) if ts.ndim else 0.0
-        # rate * t may overflow to inf, where exp(-inf) = 0 is the exact limit
+        # (-rate) * t is -(rate * t) exactly, and may overflow to -inf, where
+        # exp(-inf) = 0 is the exact limit
         with np.errstate(over="ignore"):
-            exponents = np.outer(self.rates, ts.ravel())
-        out = self.coefficients @ np.exp(-exponents)
+            exponents = np.outer(-self._rates, ts.ravel())
+        out = self._coeffs @ np.exp(exponents, out=exponents)
         return out.reshape(ts.shape) if ts.ndim else float(out[0])
 
 

@@ -7,7 +7,8 @@ import pytest
 from transient_lab import (DecompositionResult, NonDecaying, QuadratureConfig, SampledSignal,
                            SignalSource, StoppingPolicy, SymbolicTransient, TailFitConfig,
                            TermDiagnostics, TransientLabError, decompose_exact,
-                           decompose_numeric, load_signal_spec, synthesize_samples)
+                           decompose_numeric, load_signal_spec, shrink_support,
+                           synthesize_samples)
 
 from conftest import random_transient
 from test_acceptance import SEED, three_term_family
@@ -193,6 +194,95 @@ class TestNoisyData:
                                      noise_sigma=1e-3, seed=23856)
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
         assert result.terms[0][0] == pytest.approx(1.0, abs=0.05)
+
+
+def two_term_samples(sigma, sigma_index, trial=0):
+    """data/two_term.json on compare's default grid, with the noise of compare's
+    seed rule seed + 7919 * sigma_index + trial at --seed 0."""
+    return synthesize_samples(load_signal_spec(DATA / "two_term.json"),
+                              np.linspace(0.0, 40.0, 4001), noise_sigma=sigma,
+                              seed=7919 * sigma_index + trial)
+
+
+class TestNoiseHorizon:
+    """With a measured noise level, no horizon past the noise end is fitted."""
+
+    @staticmethod
+    def scans(monkeypatch, samples):
+        """(ends, fitted) per horizon scan of one decomposition: the ends
+        shrink_support gave the scan, and the end of each rate fit it ran."""
+        import transient_lab.decomposer as decomposer
+
+        scans = []
+        real_shrink, real_rate = decomposer.shrink_support, decomposer.estimate_rate
+
+        def shrink(ts, values, rel_floors, noise=0.0):
+            ends = real_shrink(ts, values, rel_floors, noise)
+            if rel_floors == decomposer.HORIZON_FLOORS:
+                scans.append((ends, []))
+            return ends
+
+        def rate(ts, values, support, cfg=None):
+            scans[-1][1].append(support[1])
+            return real_rate(ts, values, support, cfg)
+
+        monkeypatch.setattr(decomposer, "shrink_support", shrink)
+        monkeypatch.setattr(decomposer, "estimate_rate", rate)
+        decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        return scans
+
+    @staticmethod
+    def distinct(ends):
+        """The ends scan_horizons fits, in order, on a support from t = 0."""
+        return [t for i, t in enumerate(ends) if t > 0.0 and t not in ends[:i]]
+
+    def test_noisy_fits_end_at_or_before_the_noise_end(self, monkeypatch):
+        from transient_lab.decomposer import HORIZON_FLOORS
+
+        scans = self.scans(monkeypatch, two_term_samples(1e-4, 2))
+        assert scans and all(len(ends) == len(HORIZON_FLOORS) + 1 for ends, _ in scans)
+        # every scan has floor ends in the noise: the filter has work to do
+        assert all(max(ends[:-1]) > ends[-1] for ends, _ in scans)
+        for ends, fitted in scans:
+            assert all(t_hi <= ends[-1] for t_hi in fitted)
+            assert fitted == self.distinct([t for t in ends if t <= ends[-1]])
+
+    def test_clean_fits_are_the_floor_ends(self, monkeypatch):
+        from transient_lab.decomposer import HORIZON_FLOORS
+
+        scans = self.scans(monkeypatch, two_term_samples(0.0, 0))
+        assert scans
+        for ends, fitted in scans:
+            assert len(ends) == len(HORIZON_FLOORS)     # no noise end on clean input
+            assert fitted == self.distinct(ends)
+
+    def test_noise_end_at_the_support_start_vanishes(self):
+        # a spike at t = 0 in noise: the noise end is the first node, and the
+        # floor ends all lie in the noise, where a fit of log|noise| once
+        # raised NonDecaying out of the first iteration (this seed)
+        from transient_lab.decomposer import HORIZON_FLOORS, _noise_level
+
+        samples = synthesize_samples(SymbolicTransient(((2000.0, 1.0),)),
+                                     np.linspace(0.0, 40.0, 4001), noise_sigma=1e-3, seed=2)
+        ends = shrink_support(samples.times, samples.values, HORIZON_FLOORS,
+                              _noise_level(samples.values))
+        assert ends[-1] <= samples.support[0]
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert result.terms == ()
+        assert result.termination_reason == "signal_vanished"
+
+    # summed |term count - 2| over trials 0..9 at each sigma, as the parent
+    # of this filter gave it; the filter must not invent more terms
+    PARENT_COUNT_ERRORS = {1e-6: 75, 1e-4: 50, 1e-3: 53}
+
+    @pytest.mark.parametrize("sigma_index, sigma", [(1, 1e-6), (2, 1e-4), (3, 1e-3)])
+    def test_term_count_error_no_worse(self, sigma_index, sigma):
+        errors = 0
+        for trial in range(10):
+            samples = two_term_samples(sigma, sigma_index, trial)
+            result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+            errors += abs(len(result.terms) - 2)
+        assert errors <= self.PARENT_COUNT_ERRORS[sigma]
 
 
 class TestGridResidency:

@@ -78,7 +78,7 @@ class TestRateFunctional:
 
         monkeypatch.setattr(functionals.SignalSource, "from_evaluator", recording)
         rate_functional_matrix((0.5, 1.0, 2.0), mode="numeric", horizon=60.0)
-        assert len(reads) == 9   # one read per functional applied
+        assert len(reads) == 3   # one read per column, shared by its three functionals
         grid = np.linspace(0.0, 60.0, signal_core.GRID_POINTS)
         assert all(np.array_equal(ts, grid) for ts in reads)
 

@@ -50,6 +50,33 @@ class TestSymbolicTransient:
         zero = SymbolicTransient()
         assert zero(3.7) == 0.0
 
+    def test_rate_and_coefficient_arrays_cannot_change_the_signal(self):
+        sig = SymbolicTransient(((1.0, 2.0), (3.0, -4.0)))
+        before = sig(np.linspace(0.0, 5.0, 11))
+        rates, coeffs = sig.rates, sig.coefficients
+        rates[:] = 7.0
+        coeffs[:] = 0.0
+        assert sig.rates.tolist() == [1.0, 3.0]
+        assert sig.coefficients.tolist() == [2.0, -4.0]
+        assert np.array_equal(sig(np.linspace(0.0, 5.0, 11)), before)
+        assert sig == SymbolicTransient(((1.0, 2.0), (3.0, -4.0)))
+
+
+@given(terms=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e5, 1e5)),
+                      min_size=1, max_size=7, unique_by=lambda rc: rc[0]),
+       times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=50))
+@settings(max_examples=100, deadline=None)
+def test_call_matches_the_reference_bit_for_bit(terms, times):
+    # the reference builds the arrays from the term list on every call
+    sig = SymbolicTransient(tuple(sorted(terms)))
+    rates = np.array([r for r, _ in sig.terms])
+    coeffs = np.array([c for _, c in sig.terms])
+    ts = np.array(times)
+    with np.errstate(over="ignore"):
+        want = coeffs @ np.exp(-np.outer(rates, ts))
+    assert np.array_equal(sig(ts), want)
+    assert sig(times[0]) == want[0]
+
 
 class TestSampledSignal:
     def test_uniform_step_detected(self):
