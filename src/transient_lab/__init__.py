@@ -11,10 +11,9 @@ from .decomposer import (DecompositionResult, StoppingPolicy, TermDiagnostics,
 from .errors import (Diverging, GammaPole, NonDecaying, OutOfSupport,
                      QuadratureFailure, RankDeficient, SignalVanished,
                      TransientLabError)
-from .functionals import (FunctionalLedger, PolynomialNoConstant,
-                          apply_monomial_functional, apply_rate_functional,
-                          correspondence_check, monomial_functional_matrix,
-                          rate_functional_matrix)
+from .functionals import (PolynomialNoConstant, correspondence_check,
+                          monomial_functional_matrix, rate_functional_matrix,
+                          rate_functionals)
 from .oet_jacobi import (ExponentialBasis, JacobiParams, build_exponential_basis,
                          check_derivative_recurrence, check_multiplication_recurrence,
                          jacobi_monomial_coeffs, oet_analyze, orthogonality_closed_form,
@@ -35,9 +34,8 @@ __all__ = [
     "decompose_exact", "decompose_numeric",
     "TransientLabError", "OutOfSupport", "QuadratureFailure", "SignalVanished",
     "NonDecaying", "Diverging", "RankDeficient", "GammaPole",
-    "FunctionalLedger", "PolynomialNoConstant", "apply_monomial_functional",
-    "apply_rate_functional", "correspondence_check", "monomial_functional_matrix",
-    "rate_functional_matrix",
+    "PolynomialNoConstant", "correspondence_check", "monomial_functional_matrix",
+    "rate_functional_matrix", "rate_functionals",
     "ExponentialBasis", "JacobiParams", "build_exponential_basis",
     "check_derivative_recurrence", "check_multiplication_recurrence",
     "jacobi_monomial_coeffs", "oet_analyze", "orthogonality_closed_form",

@@ -174,11 +174,21 @@ class _NumericState:
     # -- residual bookkeeping -------------------------------------------
 
     def residual_values(self, skip=None):
-        """Base values minus every held term except the one at index skip."""
+        """Base values minus every held term except the one at index skip.
+
+        Raises Diverging when that overflows: the held terms then oppose the
+        input near the top of the float range instead of cancelling it.
+        """
         out = self.base_values.copy()
-        for i, term in enumerate(self.terms):
-            if i != skip:
-                out -= term.column
+        try:
+            # numpy reads its overflow flag after each subtraction anyway;
+            # raising on it spares a finite check's pass over the values
+            with np.errstate(over="raise"):
+                for i, term in enumerate(self.terms):
+                    if i != skip:
+                        out -= term.column
+        except FloatingPointError:
+            raise Diverging("the signal less the held terms overflows") from None
         return out
 
     def tail_window(self, values):

@@ -11,18 +11,20 @@ coefficient exactly.  Substituting z = exp(-t) carries one family onto the
 other, so both must produce identical values on corresponding inputs; the
 correspondence check verifies exactly that.
 
-The extraction order is forced: functional n references the values of
-functionals 1..n-1, and FunctionalLedger holds that recursion state.
+The extraction order is forced: functional n strips the values of
+functionals 1..n-1, so rate_functionals computes all of them, in order, on
+one source.  On a polynomial the monomial strip removes each lower
+coefficient exactly, so monomial functional n is its coefficient of z^n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverging, SignalVanished
+from .errors import SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
 from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, _reweighted, _validate_support,
                           estimate_coefficient, scan_horizons, shrink_support, tail_slice)
@@ -68,104 +70,55 @@ class PolynomialNoConstant:
         return SymbolicTransient(tuple((float(k + 1), c) for k, c in enumerate(self.coeffs)))
 
 
-@dataclass
-class FunctionalLedger:
-    """Known rate list plus the functional values extracted so far, in order."""
+def rate_functionals(source: SignalSource, rates, cfg: TailFitConfig = None,
+                     support=None) -> list:
+    """Values of the extraction functionals 1..len(rates) on source, in order.
 
-    known_rates: tuple
-    extracted: list = field(default_factory=list)
-
-    def __post_init__(self):
-        rates = tuple(float(r) for r in self.known_rates)
-        if not all(math.isfinite(r) and r > 0.0 for r in rates):
-            raise ValueError(f"known rates must be finite and positive, got {rates}")
-        if any(b <= a for a, b in zip(rates, rates[1:])):
-            raise ValueError("known rates must be strictly increasing")
-        self.known_rates = rates
-
-    def require_index(self, n: int):
-        if not 1 <= n <= len(self.known_rates):
-            raise ValueError(f"index {n} outside the known rate list (size {len(self.known_rates)})")
-        if len(self.extracted) != n - 1:
-            raise ValueError(
-                f"functional {n} needs exactly {n - 1} prior extractions, "
-                f"ledger holds {len(self.extracted)}")
-
-
-def _strip_symbolic(signal: SymbolicTransient, rates, values) -> SymbolicTransient:
-    terms = dict(signal.terms)
-    for rate, value in zip(rates, values):
-        terms[rate] = terms.get(rate, 0.0) - value
-    return SymbolicTransient(tuple(sorted((r, c) for r, c in terms.items())))
-
-
-def apply_rate_functional(n: int, source: SignalSource, ledger: FunctionalLedger,
-                          cfg: TailFitConfig = None, support=None) -> float:
-    """Value of the n-th extraction functional; appends it to the ledger.
-
-    Symbolic inputs whose rates all appear in the ledger's known list are
-    handled with exact term arithmetic.  Anything else is read once on its
-    evaluation grid, goes through the numeric tail estimate, and needs an
-    explicit finite support on which it evaluates to finite values.
-    Raises Diverging when the stripped residual still holds a rate slower
-    than rate_n, which means the promised extraction order was violated.
+    rates is the known rate list: finite, positive and strictly increasing.
+    Functional n strips the terms at rates 1..n-1 with the values of
+    functionals 1..n-1, then reads the coefficient at rate n.  A symbolic
+    source whose rates all lie in rates is read exactly: stripping a term
+    with its own coefficient leaves exactly zero, so functional n is the
+    coefficient at rate n, or 0.0 where there is none.  Any other source is
+    read once on its evaluation grid over support, which must be given and
+    finite, and every functional is a numeric tail estimate on those values.
     """
-    ledger.require_index(n)
-    target = ledger.known_rates[n - 1]
+    rates = tuple(float(r) for r in rates)
+    if not all(math.isfinite(r) and r > 0.0 for r in rates):
+        raise ValueError(f"known rates must be finite and positive, got {rates}")
+    if any(b <= a for a, b in zip(rates, rates[1:])):
+        raise ValueError("known rates must be strictly increasing")
 
-    if source.symbolic is not None:
-        sig = source.symbolic
-        known = set(ledger.known_rates)
-        if all(r in known for r, _ in sig.terms):
-            residual = _strip_symbolic(sig, ledger.known_rates[: n - 1], ledger.extracted)
-            value = 0.0
-            for rate, coeff in residual.terms:
-                if coeff == 0.0:
-                    continue
-                if rate < target:
-                    raise Diverging(
-                        f"residual keeps un-stripped rate {rate} below target {target}")
-                if rate == target:
-                    value = coeff
-                break
-            ledger.extracted.append(value)
-            return value
+    sig = source.symbolic
+    if sig is not None and all(r in rates for r, _ in sig.terms):
+        coeffs = dict(sig.terms)
+        # a coefficient of -0.0 reads as 0.0, as a term that is absent
+        return [coeffs.get(rate, 0.0) or 0.0 for rate in rates]
 
-    return _numeric_functional(n, *_read(source, support), ledger, cfg)
-
-
-def _rate_functionals(source: SignalSource, ledger: FunctionalLedger, cfg, support) -> list:
-    """Values of functionals 1..size of a fresh ledger on source, in order, as
-    apply_rate_functional gives them; a source that is not symbolic is read
-    once for all of them."""
-    indices = range(1, len(ledger.known_rates) + 1)
-    if source.symbolic is not None:
-        return [apply_rate_functional(n, source, ledger, cfg, support) for n in indices]
-    read = _read(source, support)
-    return [_numeric_functional(n, *read, ledger, cfg) for n in indices]
-
-
-def _read(source, support):
-    """(nodes, values, t_lo) of source on its evaluation grid over support,
-    which must be given and finite, and the start t_lo of that support."""
     if support is None:
         raise ValueError("numeric evaluation needs an explicit (t_lo, t_hi) support")
     support = _validate_support(support)
     ts = evaluation_grid(source, support)
     if len(ts) < MIN_WINDOW_POINTS:
         raise ValueError("support holds too few samples for the configured window")
-    return ts, evaluate_many(source, ts), support[0]
-
-
-def _numeric_functional(n, ts, values, t_lo, ledger, cfg):
-    """The n-th functional by the tail estimate, on the values of a source at
-    the nodes ts of a support from t_lo."""
+    values = evaluate_many(source, ts)
     cfg = cfg or TailFitConfig(fit_order="richardson_1")
+    extracted = []
+    for rate in rates:
+        extracted.append(_numeric_functional(ts, values, support[0], rate,
+                                             zip(rates, extracted), cfg))
+    return extracted
+
+
+def _numeric_functional(ts, values, t_lo, rate, known_terms, cfg):
+    """The functional at rate by the tail estimate, on the values of a source
+    at the nodes ts of a support from t_lo, less the (rate, value) pairs
+    known_terms that the earlier functionals extracted."""
     stripped = values.copy()
     # an overflow here leaves an inf for the finite check below to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        for rate, value in zip(ledger.known_rates[: n - 1], ledger.extracted):
-            stripped -= value * np.exp(-rate * ts)
+        for known, value in known_terms:
+            stripped -= value * np.exp(-known * ts)
     if not np.all(np.isfinite(stripped)):
         raise ValueError("the signal less the extracted terms is not finite on the "
                          "evaluation grid")
@@ -174,15 +127,12 @@ def _numeric_functional(n, ts, values, t_lo, ledger, cfg):
     # over from the earlier subtractions, not signal
     scale = float(np.abs(values).max())
     if scale == 0.0 or float(np.abs(stripped).max()) <= RESIDUAL_VANISH_TOL * scale:
-        ledger.extracted.append(0.0)
         return 0.0
 
     try:
-        value = _scanned_coefficient(ts, stripped, ledger.known_rates[n - 1], t_lo, cfg)
+        return float(_scanned_coefficient(ts, stripped, rate, t_lo, cfg))
     except SignalVanished:
-        value = 0.0
-    ledger.extracted.append(float(value))
-    return float(value)
+        return 0.0
 
 
 def _scanned_coefficient(ts, values, rate, t_lo, cfg):
@@ -209,34 +159,6 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg):
 
     ends = shrink_support(ts, values, (1e-6, 1e-8, 1e-10, 1e-12))
     return scan_horizons(fit, ends, t_lo)
-
-
-def apply_monomial_functional(n: int, poly: PolynomialNoConstant,
-                              ledger: FunctionalLedger = None) -> float:
-    """n-th monomial functional: strip lower terms, divide by z^n, limit z -> 0.
-
-    For polynomial inputs the stripping is exact coefficient arithmetic and
-    the limit is simply the coefficient of z^n.  The value is appended when
-    a ledger is supplied.
-    """
-    if n < 1:
-        raise ValueError("functional index starts at 1")
-    if ledger is not None:
-        if len(ledger.extracted) != n - 1:
-            raise ValueError(
-                f"functional {n} needs exactly {n - 1} prior extractions, "
-                f"ledger holds {len(ledger.extracted)}")
-        lower = list(ledger.extracted)
-    else:
-        lower = [poly.coefficient(k) for k in range(1, n)]
-    stripped = list(poly.coeffs)
-    for k, value in enumerate(lower, start=1):
-        if k <= len(stripped):
-            stripped[k - 1] -= value
-    value = stripped[n - 1] if n <= len(stripped) else 0.0
-    if ledger is not None:
-        ledger.extracted.append(float(value))
-    return float(value)
 
 
 def _functional_source(transient: SymbolicTransient, mode: str, horizon):
@@ -266,12 +188,10 @@ def correspondence_check(poly: PolynomialNoConstant, horizon: float = None,
     known = tuple(float(k) for k in range(1, poly.degree + 1))
     source, support = _functional_source(transient, mode, horizon)
 
-    r_vals = _rate_functionals(source, FunctionalLedger(known_rates=known), cfg, support)
-    mono_ledger = FunctionalLedger(known_rates=known)
+    r_vals = rate_functionals(source, known, cfg, support)
     worst = 0.0
     for n, r_val in enumerate(r_vals, start=1):
-        q_val = apply_monomial_functional(n, poly, mono_ledger)
-        worst = max(worst, abs(r_val - q_val))
+        worst = max(worst, abs(r_val - poly.coefficient(n)))
     return worst
 
 
@@ -283,8 +203,7 @@ def rate_functional_matrix(rates, mode: str = "symbolic", horizon: float = None,
     matrix = np.zeros((size, size))
     for k, rate_k in enumerate(rates):
         source, support = _functional_source(SymbolicTransient(((rate_k, 1.0),)), mode, horizon)
-        matrix[:, k] = _rate_functionals(source, FunctionalLedger(known_rates=rates), cfg,
-                                         support)
+        matrix[:, k] = rate_functionals(source, rates, cfg, support)
     return matrix
 
 
@@ -293,7 +212,5 @@ def monomial_functional_matrix(size: int) -> np.ndarray:
     matrix = np.zeros((size, size))
     for k in range(1, size + 1):
         monomial = PolynomialNoConstant(tuple(1.0 if j == k else 0.0 for j in range(1, k + 1)))
-        ledger = FunctionalLedger(known_rates=tuple(float(j) for j in range(1, size + 1)))
-        for n in range(1, size + 1):
-            matrix[n - 1, k - 1] = apply_monomial_functional(n, monomial, ledger)
+        matrix[:, k - 1] = [monomial.coefficient(n) for n in range(1, size + 1)]
     return matrix

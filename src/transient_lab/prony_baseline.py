@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RankDeficient
-from .signal_core import UNIFORM_REL_TOL, SampledSignal
+from .signal_core import UNIFORM_REL_TOL, SampledSignal, uniform_grid_step
 
 _REAL_ROOT_TOL = 1e-8
 # a real root this close below 1 is rounding, not decay.  The lstsq and
@@ -45,6 +45,13 @@ class PronyModel:
     vandermonde_condition: float
     flags: tuple = ()
     rejected_roots: tuple = ()  # complex or out-of-range roots, kept visible
+
+
+def _condition(matrix) -> float:
+    """Condition number of matrix: the ratio of its extreme singular values,
+    inf when it is singular."""
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    return float(singular[0] / singular[-1]) if singular[-1] > 0.0 else float("inf")
 
 
 def _companion_roots(monic_low_to_high) -> np.ndarray:
@@ -113,22 +120,21 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     amplitudes, *_ = np.linalg.lstsq(vandermonde, values, rcond=None)
     # grid may start at t0 > 0; translate amplitudes back to t = 0
     amplitudes = amplitudes * np.exp(rates * signal.times[0])
-    singular = np.linalg.svd(vandermonde, compute_uv=False)
-    condition = float(singular[0] / singular[-1]) if singular[-1] > 0.0 else float("inf")
 
     return PronyModel(
         order=int(p),
         poles=tuple(kept.tolist()),
         rates=tuple(rates.tolist()),
         amplitudes=tuple(amplitudes.tolist()),
-        vandermonde_condition=condition,
+        vandermonde_condition=_condition(vandermonde),
         flags=tuple(flags),
         rejected_roots=rejected,
     )
 
 
 def vandermonde_condition(rates, times) -> float:
-    """Condition number (extreme singular-value ratio) of the amplitude solve."""
+    """Condition number of the amplitude solve for rates on the grid times,
+    which must be uniform by the rule prony_fit applies (uniform_grid_step)."""
     rates = np.asarray(rates, dtype=float)
     times = np.asarray(times, dtype=float)
     if len(rates) == 0:
@@ -137,12 +143,9 @@ def vandermonde_condition(rates, times) -> float:
         raise ValueError("rates must be distinct")
     if len(times) < 2:
         raise ValueError("need at least two sample times")
-    steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise ValueError("times must be uniform")
-    poles = np.exp(-rates * steps[0])
-    matrix = poles[None, :] ** np.arange(len(times))[:, None]
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular[-1] == 0.0:
-        return float("inf")
-    return float(singular[0] / singular[-1])
+    step = uniform_grid_step(times)
+    if step is None:
+        raise ValueError(f"times must be a uniform increasing grid: every step within "
+                         f"a relative {UNIFORM_REL_TOL:g} of a positive mean step")
+    poles = np.exp(-rates * step)
+    return _condition(poles[None, :] ** np.arange(len(times))[:, None])

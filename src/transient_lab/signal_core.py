@@ -32,6 +32,18 @@ UNIFORM_REL_TOL = 1e-12
 GRID_POINTS = 4001
 
 
+def uniform_grid_step(times) -> Optional[float]:
+    """Mean step of the grid times when it is positive and every step lies
+    within UNIFORM_REL_TOL of it, that is, when the grid is uniform and
+    increasing; None otherwise."""
+    steps = np.diff(times)
+    if len(steps):
+        mean = float(steps.mean())
+        if mean > 0.0 and np.all(np.abs(steps - mean) <= UNIFORM_REL_TOL * mean):
+            return mean
+    return None
+
+
 @dataclass(frozen=True)
 class SymbolicTransient:
     """Exact finite list of (rate, coeff) terms, rates strictly increasing.
@@ -99,11 +111,15 @@ class SymbolicTransient:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Finite observation of a transient on a strictly increasing time grid."""
+    """Finite observation of a transient on a strictly increasing time grid.
+
+    uniform_step is the grid's step when it is uniform (uniform_grid_step),
+    else None; it is derived from times, never passed in.
+    """
 
     times: np.ndarray
     values: np.ndarray
-    uniform_step: Optional[float] = None
+    uniform_step: Optional[float] = field(init=False, default=None)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -123,20 +139,9 @@ class SampledSignal:
                                  f"at sample {int(np.argmax(bad))}")
         if times[0] < 0.0:
             raise ValueError(f"times must start at t >= 0, got {times[0]}")
-        diffs = np.diff(times)
-        if not np.all(diffs > 0.0):
+        if not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        step = self.uniform_step
-        if step is None and len(diffs):
-            mean = float(diffs.mean())
-            if np.all(np.abs(diffs - mean) <= UNIFORM_REL_TOL * mean):
-                step = mean
-        if step is not None:
-            if step <= 0.0:
-                raise ValueError("uniform_step must be positive")
-            if len(diffs) and not np.all(np.abs(diffs - step) <= UNIFORM_REL_TOL * step):
-                raise ValueError("uniform_step does not match the grid spacing")
-        object.__setattr__(self, "uniform_step", step)
+        object.__setattr__(self, "uniform_step", uniform_grid_step(times))
 
     @property
     def support(self):

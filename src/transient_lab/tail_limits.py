@@ -250,8 +250,10 @@ def estimate_coefficient(ts, values, rate: float, support,
     t_lo, t_hi = _validate_support(support)
     _, window = tail_slice(ts, t_lo, t_hi)
     ts, xs, mag = _kept(ts[window], values[window])
-    # the kept samples are nonzero, so no sample needs _reweighted's zero test
-    values = np.sign(xs) * np.exp(rate * ts + np.log(mag))
+    # the kept samples are nonzero, so no sample needs _reweighted's zero test;
+    # an overflow leaves an inf for the finite check below to refuse
+    with np.errstate(over="ignore"):
+        values = np.sign(xs) * np.exp(rate * ts + np.log(mag))
     if not np.all(np.isfinite(values)):
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
     # near the top of the float range a sum of values overflows where their

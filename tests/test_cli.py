@@ -385,6 +385,11 @@ class TestNonFiniteSamples:
 # close together for a line fit, since their spread squares to zero
 TINY_STEP_CSV = "t,x\n" + "".join(f"{k * 1e-200!r},{math.exp(-k * 1e-200)!r}\n"
                                    for k in range(200))
+# 4001 samples on 0..40 of 1e308 e^-t that flips sign at t = 20: valid input
+# on which the decomposer's residual overflows
+_FLIP_T = np.linspace(0.0, 40.0, 4001)
+FLIP_CSV = "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in zip(
+    _FLIP_T.tolist(), (np.where(_FLIP_T < 20.0, 1e308, -1e308) * np.exp(-_FLIP_T)).tolist()))
 # the documented exit codes a file verb may return (2 is argparse's, not reachable here)
 DOCUMENTED_EXITS = {0, 3, 4, 5, 7, 8}
 _EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
@@ -396,6 +401,7 @@ _EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
 @example(text="t,x\n0.0,-1e+308\n8.38,-9.9e+303\n16.76,-9.8e+299\n25.14,-9.7e+295\n")
 @example(text="t,x\n0.0,1e+308\n1.0,-1e+308\n2.0,1e+308\n3.0,-1e+308\n4.0,1e+308\n")
 @example(text=TINY_STEP_CSV)
+@example(text=FLIP_CSV)
 @settings(max_examples=60)
 def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
     folder = tmp_path_factory.mktemp("fuzz")

@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transient_lab import (DecompositionResult, NonDecaying, QuadratureConfig, SampledSignal,
-                           SignalSource, StoppingPolicy, SymbolicTransient, TailFitConfig,
-                           TermDiagnostics, TransientLabError, decompose_exact,
-                           decompose_numeric, load_signal_spec, shrink_support,
-                           synthesize_samples)
+from transient_lab import (DecompositionResult, Diverging, NonDecaying, QuadratureConfig,
+                           SampledSignal, SignalSource, StoppingPolicy, SymbolicTransient,
+                           TailFitConfig, TermDiagnostics, TransientLabError,
+                           decompose_exact, decompose_numeric, load_signal_spec,
+                           shrink_support, synthesize_samples)
 
 from conftest import random_transient
 from test_acceptance import SEED, three_term_family
@@ -153,6 +153,15 @@ class TestDecomposeNumeric:
         cfg = TailFitConfig(fit_order="slope_fit")
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support, cfg)
         assert result.terms[0][0] == pytest.approx(1.0, abs=1e-3)
+
+    def test_overflowing_residual_raises_diverging(self):
+        # 1e308 e^-t that flips sign at t = 20: the term read off before the
+        # flip, subtracted after it, overflows the residual; pytest turns a
+        # numpy overflow warning into an error, so only Diverging may come out
+        ts = np.linspace(0.0, 40.0, 4001)
+        samples = SampledSignal(ts, np.where(ts < 20.0, 1e308, -1e308) * np.exp(-ts))
+        with pytest.raises(Diverging, match="overflows"):
+            decompose_numeric(SignalSource.from_sampled(samples), samples.support)
 
     def test_stopping_policy_validation(self):
         with pytest.raises(ValueError):

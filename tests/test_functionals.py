@@ -1,11 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from transient_lab import (Diverging, FunctionalLedger, PolynomialNoConstant,
-                           SignalSource, SymbolicTransient, TailFitConfig,
-                           apply_monomial_functional, apply_rate_functional,
-                           correspondence_check, monomial_functional_matrix,
-                           rate_functional_matrix)
+from transient_lab import (Diverging, PolynomialNoConstant, SignalSource, SymbolicTransient,
+                           TailFitConfig, correspondence_check, monomial_functional_matrix,
+                           rate_functional_matrix, rate_functionals)
 
 FIVE_RATES = (0.5, 1.0, 1.7, 2.2, 3.0)
 
@@ -31,29 +31,29 @@ class TestPolynomialNoConstant:
         assert poly.to_transient().terms == ((1.0, 2.0), (2.0, 3.0))
 
 
-class TestLedger:
-    def test_order_enforced(self):
-        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
-        with pytest.raises(ValueError, match="prior"):
-            ledger.require_index(2)
-
-    def test_rates_validated(self):
-        with pytest.raises(ValueError):
-            FunctionalLedger(known_rates=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            FunctionalLedger(known_rates=(0.0, 1.0))
-
-
 class TestRateFunctional:
-    def test_matching_rate_extracts_unity(self):
-        ledger = FunctionalLedger(known_rates=(1.0,))
+    @pytest.mark.parametrize("rates, match", [((2.0, 1.0), "strictly increasing"),
+                                              ((1.0, 1.0), "strictly increasing"),
+                                              ((0.0, 1.0), "finite and positive"),
+                                              ((1.0, np.inf), "finite and positive")])
+    def test_rates_validated(self, rates, match):
         src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
-        assert apply_rate_functional(1, src, ledger) == 1.0
+        with pytest.raises(ValueError, match=match):
+            rate_functionals(src, rates)
+
+    def test_matching_rate_extracts_unity(self):
+        src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
+        assert rate_functionals(src, (1.0,)) == [1.0]
 
     def test_faster_rate_gives_zero(self):
-        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
         src = SignalSource.from_symbolic(SymbolicTransient(((2.0, 1.0),)))
-        assert apply_rate_functional(1, src, ledger) == 0.0
+        assert rate_functionals(src, (1.0, 2.0)) == [0.0, 1.0]
+
+    def test_negative_zero_coefficient_reads_as_zero(self):
+        src = SignalSource.from_symbolic(SymbolicTransient(((1.0, -0.0), (2.0, 3.0))))
+        values = rate_functionals(src, (1.0, 2.0))
+        assert values == [0.0, 3.0]
+        assert math.copysign(1.0, values[0]) == 1.0
 
     def test_symbolic_matrix_is_exact_identity(self):
         matrix = rate_functional_matrix(FIVE_RATES, mode="symbolic")
@@ -83,7 +83,7 @@ class TestRateFunctional:
         assert all(np.array_equal(ts, grid) for ts in reads)
 
     def test_one_horizon_read_per_functional(self, monkeypatch):
-        # the four horizon floors come from one shrink_support read
+        # each functional's four horizon floors come from one shrink_support read
         from transient_lab import functionals
 
         calls = []
@@ -97,49 +97,55 @@ class TestRateFunctional:
         src = SignalSource.from_evaluator(
             lambda ts: np.exp(-np.asarray(ts)) + 0.5 * np.exp(-2.0 * np.asarray(ts)),
             support=(0.0, 60.0))
-        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
-        assert apply_rate_functional(1, src, ledger, support=(0.0, 60.0)) == pytest.approx(1.0)
-        assert len(calls) == 1
+        values = rate_functionals(src, (1.0, 2.0), support=(0.0, 60.0))
+        assert values == pytest.approx([1.0, 0.5])
+        assert len(calls) == 2
 
     def test_numeric_read_refuses_non_finite_values(self):
         src = SignalSource.from_evaluator(
             lambda ts: np.where(np.asarray(ts) > 5.0, np.nan, 1.0), support=(0.0, 10.0))
         with pytest.raises(ValueError, match="not finite"):
-            apply_rate_functional(1, src, FunctionalLedger((1.0,)), support=(0.0, 10.0))
+            rate_functionals(src, (1.0,), support=(0.0, 10.0))
 
-    def test_overflowing_strip_refused_without_a_warning(self):
-        # 1e308 e^-t less -1e308 e^-t overflows; pytest turns a numpy warning
-        # into an error, so only the finite check's ValueError may come out
-        src = SignalSource.from_evaluator(lambda ts: 1e308 * np.exp(-np.asarray(ts)),
-                                          support=(0.0, 40.0))
-        ledger = FunctionalLedger(known_rates=(1.0, 2.0), extracted=[-1e308])
-        with pytest.raises(ValueError, match="less the extracted terms is not finite"):
-            apply_rate_functional(2, src, ledger, support=(0.0, 40.0))
-        assert ledger.extracted == [-1e308]
+    # 1e308 e^-t before the sign flip and -1e308 e^-t after it; functional 1
+    # reads +1e308 off a window before the flip.  pytest turns a numpy
+    # warning into an error, so only the finite checks' errors may come out
+    @pytest.mark.parametrize("flip, error, match", [
+        # the strip of functional 2 is finite, its reweighting by e^2t is not
+        (20.0, Diverging, "reweighted tail overflowed"),
+        # at t = 0, 1e308 less -1e308 overflows in the strip
+        (5.0, ValueError, "less the extracted terms is not finite"),
+    ])
+    def test_overflowing_strip_refused_without_a_warning(self, flip, error, match):
+        src = SignalSource.from_evaluator(
+            lambda ts: np.where(np.asarray(ts) < flip, 1e308, -1e308) * np.exp(-np.asarray(ts)),
+            support=(0.0, 40.0))
+        with pytest.raises(error, match=match):
+            rate_functionals(src, (1.0, 2.0), support=(0.0, 40.0))
 
     @pytest.mark.parametrize("support", [(5.0, 1.0), (0.0, np.inf), (-1.0, 1.0)])
     def test_numeric_support_checked_before_the_source_is_read(self, support):
         reads = []
         src = SignalSource.from_evaluator(lambda ts: reads.append(ts) or np.exp(-ts))
         with pytest.raises(ValueError, match="support must satisfy"):
-            apply_rate_functional(1, src, FunctionalLedger((1.0,)), support=support)
+            rate_functionals(src, (1.0,), support=support)
         assert reads == []
 
-    def test_wrong_ledger_value_leaves_no_reference_cycles(self):
+    def test_diverging_functional_leaves_no_reference_cycles(self):
         # a rejected horizon's error must not keep the scan's frame alive
-        # until the cyclic GC happens to run
+        # until the cyclic GC happens to run; with rate 2 missing from the
+        # list, functional 2 reweights e^-2t by e^3t, which every horizon
+        # refuses as Diverging
         import gc
 
         src = SignalSource.from_evaluator(
             lambda ts: np.exp(-np.asarray(ts)) + np.exp(-2.0 * np.asarray(ts)),
             support=(0.0, 60.0))
-        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
-        ledger.extracted.append(0.5)   # the true first value is 1
         gc.collect()
         gc.disable()
         try:
             with pytest.raises(Diverging):
-                apply_rate_functional(2, src, ledger, support=(0.0, 60.0))
+                rate_functionals(src, (1.0, 3.0), support=(0.0, 60.0))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -148,28 +154,23 @@ class TestRateFunctional:
         # the flatness score of each horizon is scale-free, so it is computed
         # on scaled values, whose sums of squares cannot overflow
         src = SignalSource.from_evaluator(SymbolicTransient(((1.0, 1e308),)), support=(0, 40))
-        value = apply_rate_functional(1, src, FunctionalLedger((1.0,)), support=(0, 40))
+        [value] = rate_functionals(src, (1.0,), support=(0, 40))
         assert value == pytest.approx(1e308, rel=1e-9)
 
-    def test_violated_order_diverges(self):
-        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
-        ledger.extracted.append(0.0)   # claim the slow term was already handled
-        src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
-        with pytest.raises(Diverging):
-            apply_rate_functional(2, src, ledger)
-
-    def test_numeric_needs_support(self):
-        ledger = FunctionalLedger(known_rates=(1.0,))
-        src = SignalSource.from_evaluator(lambda ts: np.exp(-np.asarray(ts)))
+    @pytest.mark.parametrize("source", [
+        SignalSource.from_evaluator(lambda ts: np.exp(-np.asarray(ts))),
+        # a symbolic source with a rate off the list is read numerically
+        SignalSource.from_symbolic(SymbolicTransient(((1.5, 1.0),))),
+    ])
+    def test_numeric_needs_support(self, source):
         with pytest.raises(ValueError, match="support"):
-            apply_rate_functional(1, src, ledger)
+            rate_functionals(source, (1.0,))
 
     def test_grid_outside_support_rejected(self):
-        ledger = FunctionalLedger(known_rates=(1.0,))
         src = SignalSource.from_evaluator(lambda ts: np.exp(-np.asarray(ts)),
                                           grid=np.array([70.0, 80.0]))
         with pytest.raises(ValueError, match="too few samples"):
-            apply_rate_functional(1, src, ledger, support=(0.0, 60.0))
+            rate_functionals(src, (1.0,), support=(0.0, 60.0))
 
     def test_linearity_exact_in_symbolic_mode(self, rng):
         rates = (0.5, 1.3, 2.4)
@@ -181,30 +182,27 @@ class TestRateFunctional:
             y = SymbolicTransient(tuple(zip(rates, ay)))
             mixed = SymbolicTransient(tuple((r, a * cx + b * cy)
                                             for (r, cx), (_, cy) in zip(x.terms, y.terms)))
-            lx, ly, lm = (FunctionalLedger(known_rates=rates) for _ in range(3))
-            for n in range(1, 4):
-                vx = apply_rate_functional(n, SignalSource.from_symbolic(x), lx)
-                vy = apply_rate_functional(n, SignalSource.from_symbolic(y), ly)
-                vm = apply_rate_functional(n, SignalSource.from_symbolic(mixed), lm)
-                assert vm == a * vx + b * vy   # identical float expressions
+            vx, vy, vm = (rate_functionals(SignalSource.from_symbolic(sig), rates)
+                          for sig in (x, y, mixed))
+            for n in range(3):
+                assert vm[n] == a * vx[n] + b * vy[n]   # identical float expressions
 
 
 class TestMonomialFunctional:
     def test_biorthogonality_examples(self):
+        # monomial functional n is the coefficient of z^n; the rate
+        # functionals read the same values off f(exp(-t))
         square = PolynomialNoConstant((0.0, 1.0))
         cube = PolynomialNoConstant((0.0, 0.0, 1.0))
-        assert apply_monomial_functional(2, square) == 1.0
-        assert apply_monomial_functional(2, cube) == 0.0
-
-    def test_strip_then_read(self):
-        poly = PolynomialNoConstant((3.0, 5.0))
-        ledger = FunctionalLedger(known_rates=(1.0, 2.0))
-        assert apply_monomial_functional(1, poly, ledger) == 3.0
-        assert apply_monomial_functional(2, poly, ledger) == 5.0
+        rates = (1.0, 2.0, 3.0)
+        for poly, want in ((square, [0.0, 1.0, 0.0]), (cube, [0.0, 0.0, 1.0])):
+            assert [poly.coefficient(n) for n in range(1, 4)] == want
+            assert rate_functionals(SignalSource.from_symbolic(poly.to_transient()),
+                                    rates) == want
 
     def test_identity_monomial_numeric_limit(self):
         poly = PolynomialNoConstant((1.0,))
-        assert apply_monomial_functional(1, poly) == 1.0
+        assert poly.coefficient(1) == 1.0
         z = 1e-6   # the limit of poly(z) / z as z -> 0, read at small z
         assert poly(z) / z == pytest.approx(1.0, abs=1e-6)
 
@@ -230,18 +228,16 @@ class TestCorrespondence:
             assert dev < 1e-6
 
     def test_degree_six_numeric_error_compounds_by_index(self, rng):
-        # the ledger recursion feeds each estimate's error into every later
+        # the functional recursion feeds each estimate's error into every later
         # strip, so numeric accuracy decays with the functional index; the
         # first indices stay sharp while the last ones lose several digits
         cfg = TailFitConfig(fit_order="richardson_2")
         coeffs = tuple(rng.uniform(-2.0, 2.0, 6))
         poly = PolynomialNoConstant(coeffs)
         src = SignalSource.from_evaluator(poly.to_transient(), support=(0.0, 60.0))
-        ledger = FunctionalLedger(known_rates=tuple(float(k) for k in range(1, 7)))
-        errors = []
-        for n in range(1, 7):
-            value = apply_rate_functional(n, src, ledger, cfg=cfg, support=(0.0, 60.0))
-            errors.append(abs(value - poly.coefficient(n)))
+        values = rate_functionals(src, tuple(float(k) for k in range(1, 7)), cfg=cfg,
+                                  support=(0.0, 60.0))
+        errors = [abs(value - poly.coefficient(n)) for n, value in enumerate(values, start=1)]
         assert errors[0] < 1e-9
         assert errors[1] < 1e-6
         assert errors[2] < 1e-3
@@ -253,3 +249,24 @@ class TestCorrespondence:
         for _ in range(10):
             coeffs = tuple(rng.uniform(-3.0, 3.0, int(rng.integers(1, 9))))
             assert correspondence_check(PolynomialNoConstant(coeffs)) == 0.0
+
+
+class TestPinnedFunctionals:
+    """The numeric functionals, bit for bit, as the per-index functionals
+    gave them one call at a time; a change to the extraction recursion or
+    the tail kernels that moves any bit of a value shows here."""
+
+    MATRIX = [
+        ["0x1.0000000000000p+0", "-0x1.c000000000000p-59", "0x1.4000000000000p-63"],
+        ["0x0.0p+0", "0x1.ffffffffffffcp-1", "-0x1.4000000000000p-57"],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.000000000000bp+0"],
+    ]
+
+    def test_numeric_matrix(self):
+        matrix = rate_functional_matrix((0.5, 1.0, 2.0), mode="numeric", horizon=60.0)
+        assert [[float(v).hex() for v in row] for row in matrix] == self.MATRIX
+
+    def test_numeric_correspondence(self):
+        poly = PolynomialNoConstant((2.0, -1.5, 0.75))
+        dev = correspondence_check(poly, horizon=60.0, mode="numeric")
+        assert dev.hex() == "0x1.5270000000000p-37"

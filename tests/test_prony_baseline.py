@@ -190,6 +190,31 @@ class TestVandermondeCondition:
             assert cond > prev
             prev = cond
 
+    # steps as 1 + deviation * 1e-12; the rule both functions share accepts
+    # a grid when every step lies within 1e-12 of a positive mean step
+    @pytest.mark.parametrize("deviations, uniform", [
+        ([0.0] * 9, True),
+        # every step 0.9e-12 from the mean, 1.8e-12 from the first
+        ([0.0, 1.8] * 5, True),
+        # within 0.95e-12 of the first step, 1.7e-12 below the mean
+        ([0.0, -0.95] + [0.95] * 8, False),
+        ([0.0, 2e12], False),
+        ([-1e12] * 3, False),   # every step zero
+    ])
+    def test_same_uniform_rule_as_prony_fit(self, deviations, uniform):
+        times = np.concatenate([[0.0], np.cumsum(1.0 + np.array(deviations) * 1e-12)])
+        signal = SymbolicTransient(((0.5, 2.0),))
+
+        def accepts(fn, *args):
+            try:
+                fn(*args)
+            except ValueError:
+                return False
+            return True
+
+        assert accepts(vandermonde_condition, [0.5], times) is uniform
+        assert accepts(lambda: prony_fit(synthesize_samples(signal, times), 1)) is uniform
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="distinct"):
             vandermonde_condition([0.5, 0.5], np.arange(5.0))

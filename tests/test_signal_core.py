@@ -83,6 +83,10 @@ class TestSampledSignal:
         sig = SampledSignal(times=np.arange(0.0, 1.0, 0.125), values=np.zeros(8))
         assert sig.uniform_step == pytest.approx(0.125, rel=1e-12)
 
+    def test_uniform_step_is_derived_not_passed(self):
+        with pytest.raises(TypeError, match="uniform_step"):
+            SampledSignal(times=np.arange(4.0), values=np.zeros(4), uniform_step=1.0)
+
     def test_nonuniform_has_no_step(self):
         sig = SampledSignal(times=np.array([0.0, 1.0, 3.0]), values=np.zeros(3))
         assert sig.uniform_step is None
