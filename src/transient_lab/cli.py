@@ -296,6 +296,8 @@ def run_compare(args):
     _check_positive(args, "horizon", "step")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.max_index < 1:
+        raise ValueError(f"--max-index must be at least 1, got {args.max_index}")
     truth, _ = _load_input_signal(args.input)
     if truth is None:
         raise ValueError("compare needs a JSON signal spec as --input")

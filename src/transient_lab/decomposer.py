@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, _validate_support,
+from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, TailRead, _validate_support,
                           estimate_coefficient, estimate_rate, scan_horizons, shrink_support,
                           tail_slice)
 
@@ -170,6 +170,9 @@ class _NumericState:
             raise ValueError("signal is not finite on the evaluation grid")
         self.noise_sigma = _noise_level(self.base_values)
         self.terms = []          # [_Term], rates ascending
+        # the grid-side block statistics of each fit window, shared by the
+        # tail reads of every residual (tail_limits.TailRead)
+        self.block_memo = {}
 
     # -- residual bookkeeping -------------------------------------------
 
@@ -218,14 +221,16 @@ class _NumericState:
         fit whose log-magnitude residual is smallest; the coefficient is then
         read off the winning window.  With a measured noise level, a floor's
         end past the noise end is not fitted: the tail there is noise, whose
-        log-magnitude is no decay.
+        log-magnitude is no decay.  Every fit takes one TailRead of the
+        values, so they are read once for the whole scan.
         """
         ends = shrink_support(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
         if len(ends) > len(HORIZON_FLOORS):
             ends = [t_hi for t_hi in ends if t_hi <= ends[-1]]
+        read = TailRead(self.grid, values, self.block_memo)
 
         def fit(t_hi):
-            est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg)
+            est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg, read=read)
             # a log-magnitude spread beyond 0.5 means the window straddles a
             # noise floor or a sign flip, not an exponential
             if est.residual_rms > 0.5:
@@ -234,7 +239,7 @@ class _NumericState:
 
         best = scan_horizons(fit, ends, self.t_lo)
         coeff = estimate_coefficient(self.grid, values, best.rate, (self.t_lo, best.window[1]),
-                                     self.cfg)
+                                     self.cfg, read=read)
         return _Term(best.rate, coeff, best.residual_rms, best.window,
                      coeff * np.exp(-best.rate * self.grid))
 

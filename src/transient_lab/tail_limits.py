@@ -23,7 +23,14 @@ a caller makes is the extrapolation order, in TailFitConfig.
 The estimators take arrays: ascending grid nodes and the finite values
 there, read once by the caller (signal_core.evaluation_grid) and passed to
 every fit, which slices out the nodes in the trailing window of its
-support.  Only rate_sequence reads a source itself.
+support.  Only rate_sequence reads a source itself.  A caller that fits one
+residual several times hands every fit one TailRead of it: the read takes
+|x| once, and log|x| once per fit window, which the coefficient read off
+the winning window reuses.  The grid-side statistics of a window's blocks
+(their mean nodes, centred rows and spreads, and whether a line can be
+fitted at all) depend on the nodes alone, so the read keeps them in a memo
+that the reads of every residual on one grid may share.  A fit without a
+read builds its own, so there is one fit path.
 
 The decomposer and the extraction functionals both take their horizons
 from here: shrink_support trims at several relative floors in one pass, and
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -100,19 +108,27 @@ def tail_slice(ts, t_lo, t_hi):
                                   int(ts.searchsorted(t_hi, "right")))
 
 
-def _kept(ts, xs):
+def _kept(ts, xs, mag=None):
     """The samples above the relative magnitude floor and their magnitudes,
-    (ts, xs, |xs|); ts and xs are the windows themselves when none is dropped."""
-    mag = np.abs(xs)
-    peak = mag.max() if len(mag) else 0.0
+    (ts, xs, |xs|); ts and xs are the windows themselves when none is dropped.
+    mag, when given, is |xs| already taken."""
+    if mag is None:
+        mag = np.abs(xs)
+    peak = float(np.maximum.reduce(mag)) if len(mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the tail window")
-    keep = mag > ABS_FLOOR * peak
-    count = int(np.count_nonzero(keep))
+    floor = ABS_FLOOR * peak
+    # most windows drop nothing, which one min-reduce shows without a mask
+    if float(np.minimum.reduce(mag)) > floor:
+        count = len(mag)
+        keep = None
+    else:
+        keep = mag > floor
+        count = int(np.count_nonzero(keep))
     if count < MIN_WINDOW_POINTS:
         raise SignalVanished(
             f"only {count} tail samples above the floor, need {MIN_WINDOW_POINTS}")
-    if count == len(mag):
+    if keep is None:
         return ts, xs, mag
     return ts[keep], xs[keep], mag[keep]
 
@@ -135,33 +151,56 @@ def _rows(x, starts, length):
                       (starts.step * x.itemsize, x.itemsize))
 
 
-def _line_fits(t, y, starts, length):
-    """Least-squares slopes and intercepts of y against t on each block
-    t[s:s + length], y[s:s + length] for s in the range starts, from sums
-    centred on each block's means.
+class _Blocks(NamedTuple):
+    """The grid side of the line fits on the blocks of a window's nodes t:
+    everything that does not depend on the values fitted."""
+    starts: range
+    length: int
+    tm: np.ndarray            # each block's mean node
+    dt: np.ndarray            # each block's nodes less that mean, one row a block
+    den: np.ndarray           # each row's dot product with itself
+    error: Optional[str]      # why no line can be fitted, or None
 
-    Raises NonDecaying for the first block whose nodes' spread squares to
-    zero or overflows.
+
+def _blocks(t, nsub):
+    """_Blocks of the equal-stride blocks (_index_blocks) of the nodes t.
+
+    The first block whose nodes' spread squares to zero or overflows sets
+    error: no line can be fitted on it.
     """
-    t_rows, y_rows = _rows(t, starts, length), _rows(y, starts, length)
-    tm, ym = _mean(t_rows), _mean(y_rows)
+    starts, length = _index_blocks(len(t), nsub)
+    t_rows = _rows(t, starts, length)
+    tm = _mean(t_rows)
     dt = t_rows - tm[:, None]
-    dt_left = dt[:, None, :]
     # a stacked (1, n) @ (n, 1) product is a dot product per block, the same
     # BLAS call, and so the same bits, as np.dot on that block
-    den = np.matmul(dt_left, dt[:, :, None])[:, 0, 0]
+    den = np.matmul(dt[:, None, :], dt[:, :, None])[:, 0, 0]
+    error = None
     for j, d in enumerate(den.tolist()):
         if not 0.0 < d < math.inf:
-            raise NonDecaying(f"the spread of the tail nodes {float(t_rows[j, 0])!r} .. "
-                              f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
-                              f"can be fitted")
-    slopes = np.matmul(dt_left, (y_rows - ym[:, None])[:, :, None])[:, 0, 0] / den
-    return slopes, ym - slopes * tm
+            error = (f"the spread of the tail nodes {float(t_rows[j, 0])!r} .. "
+                     f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
+                     f"can be fitted")
+            break
+    return _Blocks(starts, length, tm, dt, den, error)
+
+
+def _slopes(blocks, y):
+    """Least-squares slopes of y against the nodes on each of blocks, from
+    sums centred on each block's means, and the means of y on the blocks.
+    Raises NonDecaying when blocks holds a block with no usable spread."""
+    if blocks.error is not None:
+        raise NonDecaying(blocks.error)
+    y_rows = _rows(y, blocks.starts, blocks.length)
+    ym = _mean(y_rows)
+    slopes = np.matmul(blocks.dt[:, None, :], (y_rows - ym[:, None])[:, :, None])[:, 0, 0]
+    return slopes / blocks.den, ym
 
 
 def _aitken_pass(seq):
     out = []
-    for s0, s1, s2 in zip(seq, seq[1:], seq[2:]):
+    for i in range(2, len(seq)):
+        s0, s1, s2 = seq[i - 2], seq[i - 1], seq[i]
         d1, d2 = s1 - s0, s2 - s1
         den = d2 - d1
         if den == 0.0 or not math.isfinite(den):
@@ -178,7 +217,8 @@ def _aitken_pass(seq):
 
 
 def _extrapolate(seq):
-    seq = list(seq)
+    """Iterated Aitken extrapolation of the list seq; its one entry when it
+    holds one."""
     while len(seq) >= 3:
         seq = _aitken_pass(seq)
     return seq[-1]
@@ -201,30 +241,97 @@ def _index_blocks(n, nsub):
     return range(1), n
 
 
-def estimate_rate(ts, values, support, cfg: TailFitConfig = None) -> RateEstimate:
+class _Window(NamedTuple):
+    """The samples of a fit window above the floor (_kept)."""
+    ts: np.ndarray
+    xs: np.ndarray
+    logs: np.ndarray          # log|xs|
+    key: Optional[tuple]      # (start, stop) of the window on the grid when
+                              # the floor drops no sample, else None
+
+
+class TailRead:
+    """One residual, read once for every tail fit of a horizon scan.
+
+    ts holds ascending grid nodes and values the finite values there, as the
+    estimators take them.  The read takes |values| once, and for each fit
+    window the kept samples and the log of their magnitudes once, so the
+    coefficient read off a rate fit's window reuses that fit's logs.  memo,
+    a dict that the reads of every residual on the same grid may share,
+    keeps the grid-side _Blocks of each window from which the floor drops no
+    sample, since those depend on the nodes alone; without one the read
+    keeps its own.
+    """
+
+    __slots__ = ("ts", "values", "mag", "memo", "_windows")
+
+    def __init__(self, ts, values, memo=None):
+        self.ts = ts
+        self.values = values
+        self.mag = np.abs(values)
+        self.memo = {} if memo is None else memo
+        self._windows = {}      # (start, stop) of a window -> its _Window
+
+    def window(self, support):
+        """Bounds of the tail window of support, and its _Window.  Raises
+        ValueError on a bad support and SignalVanished as _kept does."""
+        bounds, window = tail_slice(self.ts, *_validate_support(support))
+        key = window.start, window.stop
+        win = self._windows.get(key)
+        if win is None:
+            ts, xs, mag = _kept(self.ts[window], self.values[window], self.mag[window])
+            whole = len(ts) == window.stop - window.start
+            win = self._windows[key] = _Window(ts, xs, np.log(mag), key if whole else None)
+        return bounds, win
+
+    def blocks(self, win, nsub):
+        """_Blocks of the kept nodes of win in nsub blocks, from the memo
+        when the floor dropped no sample."""
+        if win.key is None:
+            return _blocks(win.ts, nsub)
+        key = win.key + (nsub,)
+        blocks = self.memo.get(key)
+        if blocks is None:
+            blocks = self.memo[key] = _blocks(win.ts, nsub)
+        return blocks
+
+
+def _read_of(ts, values, read):
+    """read, or a new TailRead of ts and values when it is None."""
+    if read is None:
+        return TailRead(ts, values)
+    if read.ts is not ts or read.values is not values:
+        raise ValueError("the read holds other nodes or values than the ones passed")
+    return read
+
+
+def estimate_rate(ts, values, support, cfg: TailFitConfig = None, *,
+                  read: TailRead = None) -> RateEstimate:
     """Slowest decay rate from a line fit to log|x| over the tail window.
 
-    ts holds ascending grid nodes and values the finite values there.
-    Exact (to rounding) for a single exponential.  Raises SignalVanished
-    when too few samples clear the floor and NonDecaying when the fitted
-    slope is non-negative or the window's nodes are too close to fit one.
+    ts holds ascending grid nodes and values the finite values there; read,
+    when given, is a TailRead of exactly these, shared with other fits of
+    the same values.  Exact (to rounding) for a single exponential.  Raises
+    SignalVanished when too few samples clear the floor and NonDecaying when
+    the fitted slope is non-negative or the window's nodes are too close to
+    fit one.
     """
     cfg = cfg or TailFitConfig()
-    t_lo, t_hi = _validate_support(support)
-    bounds, window = tail_slice(ts, t_lo, t_hi)
-    ts, _, mag = _kept(ts[window], values[window])
-    logs = np.log(mag)
-
-    starts, length = _index_blocks(len(ts), _FIT_ORDERS[cfg.fit_order])
-    slopes, icpts = _line_fits(ts, logs, starts, length)
+    read = _read_of(ts, values, read)
+    bounds, win = read.window(support)
+    blocks = read.blocks(win, _FIT_ORDERS[cfg.fit_order])
+    slopes, ym = _slopes(blocks, win.logs)
     rate = -_extrapolate(slopes.tolist())
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
-    rts = rate * ts
-    # one block fits the whole window and gives the intercept with its slope
-    icpt = icpts[0] if len(starts) == 1 else float(_mean(logs + rts))
-    rms = float(np.sqrt(_mean((logs - (icpt - rts)) ** 2)))
-    return RateEstimate(rate=float(rate), intercept=float(icpt), window=bounds, residual_rms=rms)
+    rts = rate * win.ts
+    if len(blocks.starts) == 1:
+        # one block fits the whole window and gives the intercept with its slope
+        icpt = ym.item() - slopes.item() * blocks.tm.item()
+    else:
+        icpt = float(_mean(win.logs + rts))
+    rms = math.sqrt(float(_mean((win.logs - (icpt - rts)) ** 2)))
+    return RateEstimate(rate=rate, intercept=icpt, window=bounds, residual_rms=rms)
 
 
 def _reweighted(ts, xs, rate):
@@ -235,36 +342,37 @@ def _reweighted(ts, xs, rate):
     return out
 
 
-def estimate_coefficient(ts, values, rate: float, support,
-                         cfg: TailFitConfig = None) -> float:
+def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = None, *,
+                         read: TailRead = None) -> float:
     """Leading coefficient: tail-window average of exp(rate*t) x(t).
 
-    ts and values are read as by estimate_rate.  With richardson variants
-    the averages over shifted sub-windows are Aitken-extrapolated.  Raises
-    Diverging when the reweighted tail grows by more than DIVERGE_FACTOR
-    across the window (the rate was too big).
+    ts, values and read are taken as by estimate_rate.  With richardson
+    variants the averages over shifted sub-windows are Aitken-extrapolated.
+    Raises Diverging when the reweighted tail grows by more than
+    DIVERGE_FACTOR across the window (the rate was too big).
     """
     cfg = cfg or TailFitConfig()
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    t_lo, t_hi = _validate_support(support)
-    _, window = tail_slice(ts, t_lo, t_hi)
-    ts, xs, mag = _kept(ts[window], values[window])
+    _, win = _read_of(ts, values, read).window(support)
     # the kept samples are nonzero, so no sample needs _reweighted's zero test;
     # an overflow leaves an inf for the finite check below to refuse
     with np.errstate(over="ignore"):
-        values = np.sign(xs) * np.exp(rate * ts + np.log(mag))
-    if not np.all(np.isfinite(values)):
+        values = np.sign(win.xs) * np.exp(rate * win.ts + win.logs)
+    mag = np.abs(values)
+    peak = float(np.maximum.reduce(mag))
+    if not math.isfinite(peak):
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
     # near the top of the float range a sum of values overflows where their
     # mean does not; dividing by a power of two is exact, so the averages
     # run on values scaled below 2**960 and the result is scaled back
-    scale = 2.0 ** max(math.frexp(float(np.abs(values).max()))[1] - 960, 0)
-    values = values / scale
+    scale = 2.0 ** max(math.frexp(peak)[1] - 960, 0)
+    if scale != 1.0:
+        values, mag = values / scale, mag / scale
 
     quarter = max(len(values) // 4, 1)
-    head = float(_mean(np.abs(values[:quarter])))
-    tail = float(_mean(np.abs(values[-quarter:])))
+    head = float(_mean(mag[:quarter]))
+    tail = float(_mean(mag[-quarter:]))
     if head > 0.0 and tail / head > DIVERGE_FACTOR:
         raise Diverging(
             f"reweighted tail grows by {tail / head:.3g} across the window "
@@ -313,16 +421,16 @@ def shrink_support(ts, values, rel_floors, noise=0.0):
     # first of them at or above its level, found by one comparison against
     # every level at once and an argmax that stops at the first crossing
     reversed_mag = np.abs(values[::-1])
-    peak = reversed_mag.max() if len(reversed_mag) else 0.0
+    n = len(reversed_mag)
+    peak = float(np.maximum.reduce(reversed_mag)) if n else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the support")
     levels = np.multiply(rel_floors, peak)
     crossings = (reversed_mag >= levels[:, None]).argmax(axis=1)
-    ends = ts[len(ts) - 1 - crossings].tolist()
-    mag = reversed_mag[::-1]
+    ends = ts[n - 1 - crossings].tolist()
     if noise > 1e-9 * peak:
-        above = np.flatnonzero(mag >= min(0.5, 5.0 * noise / peak) * peak)
-        gaps = np.flatnonzero(np.diff(above) > len(ts) // 20)
+        above = np.flatnonzero(reversed_mag[::-1] >= min(0.5, 5.0 * noise / peak) * peak)
+        gaps = np.flatnonzero(above[1:] - above[:-1] > n // 20)
         ends.append(float(ts[above[gaps[0]] if len(gaps) else above[-1]]))
     return ends
 

@@ -474,6 +474,17 @@ class TestVerbFlags:
         assert len(err) == 1 and flag in err[0]
         assert not caught and not out.exists()
 
+    @pytest.mark.parametrize("verb", ["oet", "compare"])
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_non_positive_max_index_refused(self, tmp_path, two_term_spec, capsys, verb, bad):
+        methods = ("--methods", "oet") if verb == "compare" else ()
+        out = tmp_path / "out"
+        assert run(verb, "--input", two_term_spec, *methods, "--max-index", bad,
+                   "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "max" in err[0] and "index" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon, step", [("1e300", "1e-10"), ("1e6", "1e-6")])
     @pytest.mark.parametrize("verb", [("synth",), ("compare", "--methods", "prony")],
                              ids=["synth", "compare"])

@@ -231,9 +231,9 @@ class TestNoiseHorizon:
                 scans.append((ends, []))
             return ends
 
-        def rate(ts, values, support, cfg=None):
+        def rate(ts, values, support, cfg=None, **kwargs):
             scans[-1][1].append(support[1])
-            return real_rate(ts, values, support, cfg)
+            return real_rate(ts, values, support, cfg, **kwargs)
 
         monkeypatch.setattr(decomposer, "shrink_support", shrink)
         monkeypatch.setattr(decomposer, "estimate_rate", rate)

@@ -204,8 +204,31 @@ class TestInnerProduct:
             fs, fu = SignalSource.from_symbolic(s), SignalSource.from_symbolic(u)
             assert inner_product(fs, fu) == pytest.approx(inner_product(fu, fs), abs=1e-12)
             both = SignalSource.from_evaluator(lambda ts, s=s, u=u: 2.0 * s(ts) - 0.5 * u(ts))
-            expected = 2.0 * inner_product(fs, fu) - 0.5 * inner_product(fu, fu)
+            # evaluators, so that both sides run the quadrature
+            es, eu = SignalSource.from_evaluator(s), SignalSource.from_evaluator(u)
+            expected = 2.0 * inner_product(es, fu) - 0.5 * inner_product(eu, fu)
             assert inner_product(both, fu) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    def test_symbolic_pairs_take_the_closed_form(self, rng):
+        slow = SignalSource.from_symbolic(SymbolicTransient(((0.1, 10.0),)))
+        assert inner_product(slow, slow) == pytest.approx(500.0, rel=1e-12, abs=1e-12)
+        for _ in range(10):
+            s, u = random_transient(rng, 2), random_transient(rng, 3)
+            fs, fu = SignalSource.from_symbolic(s), SignalSource.from_symbolic(u)
+            assert inner_product(fs, fu) == inner_product(fu, fs)
+            assert inner_product(fs, fu) == pytest.approx(closed_form_inner(s, u), rel=1e-12)
+            # bilinear exactly up to the rounding of the sums
+            both = SymbolicTransient(tuple(sorted(
+                [(r, 2.0 * c) for r, c in s.terms] + [(r, -0.5 * c) for r, c in u.terms])))
+            expected = 2.0 * inner_product(fs, fu) - 0.5 * inner_product(fu, fu)
+            assert (inner_product(SignalSource.from_symbolic(both), fu)
+                    == pytest.approx(expected, rel=1e-12, abs=1e-12))
+
+    def test_closed_form_past_the_float_range_fails_as_the_quadrature(self):
+        from transient_lab import QuadratureFailure
+        huge = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1e308),)))
+        with pytest.raises(QuadratureFailure, match="overflows"):
+            inner_product(huge, huge)
 
     def test_norm_within_the_coefficient_bound(self, rng):
         # ||x||^2 <= (sum |coeff|)^2 / (2 min rate), with equality for one
