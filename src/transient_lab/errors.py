@@ -22,7 +22,9 @@ class NonDecaying(TransientLabError):
 
 
 class Diverging(TransientLabError):
-    """The reweighted tail grows, indicating an overestimated decay rate."""
+    """A fitted quantity leaves the float range or grows where it should not:
+    a reweighted tail that grows (an overestimated decay rate), a residual
+    that overflows, or Prony amplitudes too large at t = 0."""
 
 
 class RankDeficient(TransientLabError):

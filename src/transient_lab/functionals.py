@@ -13,8 +13,11 @@ correspondence check verifies exactly that.
 
 The extraction order is forced: functional n strips the values of
 functionals 1..n-1, so rate_functionals computes all of them, in order, on
-one source.  On a polynomial the monomial strip removes each lower
-coefficient exactly, so monomial functional n is its coefficient of z^n.
+one source.  Read numerically they carry one residual: each extracted term
+is stripped once, after the functional that read it, and each residual is
+fitted through one tail_limits.TailRead.  On a polynomial the monomial
+strip removes each lower coefficient exactly, so monomial functional n is
+its coefficient of z^n.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 
 from .errors import SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, _reweighted, _validate_support,
-                          estimate_coefficient, scan_horizons, shrink_support, tail_slice)
+from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, TailRead, _validate_support,
+                          estimate_coefficient, scan_horizons, shrink_support)
 
 # a stripped residual this small everywhere, relative to the input's peak,
 # is numerically zero: its content is the rounding left over from earlier
@@ -103,50 +106,42 @@ def rate_functionals(source: SignalSource, rates, cfg: TailFitConfig = None,
         raise ValueError("support holds too few samples for the configured window")
     values = evaluate_many(source, ts)
     cfg = cfg or TailFitConfig(fit_order="richardson_1")
+    scale = float(np.abs(values).max())
+    residual = values.copy()
     extracted = []
-    for rate in rates:
-        extracted.append(_numeric_functional(ts, values, support[0], rate,
-                                             zip(rates, extracted), cfg))
+    for n, rate in enumerate(rates):
+        if n:
+            # strip the term the previous functional read off; an overflow
+            # leaves an inf for the finite check below to refuse
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual -= extracted[-1] * np.exp(-rates[n - 1] * ts)
+        if not np.all(np.isfinite(residual)):
+            raise ValueError("the signal less the extracted terms is not finite on the "
+                             "evaluation grid")
+        extracted.append(_scanned_coefficient(ts, residual, rate, support[0], cfg, scale))
     return extracted
 
 
-def _numeric_functional(ts, values, t_lo, rate, known_terms, cfg):
-    """The functional at rate by the tail estimate, on the values of a source
-    at the nodes ts of a support from t_lo, less the (rate, value) pairs
-    known_terms that the earlier functionals extracted."""
-    stripped = values.copy()
-    # an overflow here leaves an inf for the finite check below to refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        for known, value in known_terms:
-            stripped -= value * np.exp(-known * ts)
-    if not np.all(np.isfinite(stripped)):
-        raise ValueError("the signal less the extracted terms is not finite on the "
-                         "evaluation grid")
+def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
+    """The functional at rate on the residual with these values on the
+    ascending nodes ts of a support from t_lo: its coefficient estimate over
+    several shrunk horizons, every fit through one TailRead of the values.
 
-    # a residual below the vanish tolerance everywhere is the rounding left
-    # over from the earlier subtractions, not signal
-    scale = float(np.abs(values).max())
-    if scale == 0.0 or float(np.abs(stripped).max()) <= RESIDUAL_VANISH_TOL * scale:
-        return 0.0
-
-    try:
-        return float(_scanned_coefficient(ts, stripped, rate, t_lo, cfg))
-    except SignalVanished:
-        return 0.0
-
-
-def _scanned_coefficient(ts, values, rate, t_lo, cfg):
-    """Coefficient estimate over several shrunk horizons of the residual
-    with these values on the ascending nodes ts of a support from t_lo.
-
-    The reweighted tail is constant where neither the faster terms (early)
-    nor the leftovers of the stripped slower terms (late) intrude, so the
-    window with the flattest reweighted values wins.
+    A residual below the vanish tolerance of scale, the input's peak, is the
+    rounding left over from the earlier subtractions and reads 0.0.  The
+    reweighted tail is constant where neither the faster terms (early) nor
+    the leftovers of the stripped slower terms (late) intrude, so the window
+    with the flattest reweighted values wins.
     """
+    read = TailRead(ts, values)
+    if scale == 0.0 or float(np.maximum.reduce(read.mag)) <= RESIDUAL_VANISH_TOL * scale:
+        return 0.0
+
     def fit(t_hi):
-        value = estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg)
-        _, window = tail_slice(ts, t_lo, t_hi)
-        v = _reweighted(ts[window], values[window], rate)
+        value = estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg, read=read)
+        # the samples that value averages, reweighted as it reweights them
+        _, win = read.window((t_lo, t_hi))
+        v = np.sign(win.xs) * np.exp(rate * win.ts + win.logs)
         mag = np.abs(v)
         # the score is scale-free, and the sums of squares in np.std overflow
         # near the top of the float range, so large values are scored scaled
@@ -157,8 +152,11 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg):
             v, mag = np.ldexp(v, shift), np.ldexp(mag, shift)
         return float(np.std(v) / max(mag.mean(), 1e-300)), value
 
-    ends = shrink_support(ts, values, (1e-6, 1e-8, 1e-10, 1e-12))
-    return scan_horizons(fit, ends, t_lo)
+    try:
+        ends = shrink_support(ts, values, (1e-6, 1e-8, 1e-10, 1e-12))
+        return float(scan_horizons(fit, ends, t_lo))
+    except SignalVanished:
+        return 0.0
 
 
 def _functional_source(transient: SymbolicTransient, mode: str, horizon):

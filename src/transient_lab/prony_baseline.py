@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import RankDeficient
+from .errors import Diverging, RankDeficient
 from .signal_core import UNIFORM_REL_TOL, SampledSignal, uniform_grid_step
 
 _REAL_ROOT_TOL = 1e-8
@@ -118,8 +118,13 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     rates = -np.log(kept) / step
     vandermonde = kept[None, :] ** np.arange(n)[:, None]
     amplitudes, *_ = np.linalg.lstsq(vandermonde, values, rcond=None)
-    # grid may start at t0 > 0; translate amplitudes back to t = 0
-    amplitudes = amplitudes * np.exp(rates * signal.times[0])
+    # grid may start at t0 > 0; translate amplitudes back to t = 0, which a
+    # late start can carry past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = amplitudes * np.exp(rates * signal.times[0])
+    if not np.all(np.isfinite(amplitudes)):
+        raise Diverging(f"the amplitudes overflow when translated back to t = 0 from the "
+                        f"first sample at t = {float(signal.times[0])!r}")
 
     return PronyModel(
         order=int(p),

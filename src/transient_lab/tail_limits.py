@@ -334,14 +334,6 @@ def estimate_rate(ts, values, support, cfg: TailFitConfig = None, *,
     return RateEstimate(rate=rate, intercept=icpt, window=bounds, residual_rms=rms)
 
 
-def _reweighted(ts, xs, rate):
-    """exp(rate*t) * x(t) computed in log space to dodge overflow."""
-    out = np.zeros_like(xs)
-    nz = xs != 0.0
-    out[nz] = np.sign(xs[nz]) * np.exp(rate * ts[nz] + np.log(np.abs(xs[nz])))
-    return out
-
-
 def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = None, *,
                          read: TailRead = None) -> float:
     """Leading coefficient: tail-window average of exp(rate*t) x(t).
@@ -355,8 +347,8 @@ def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = 
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     _, win = _read_of(ts, values, read).window(support)
-    # the kept samples are nonzero, so no sample needs _reweighted's zero test;
-    # an overflow leaves an inf for the finite check below to refuse
+    # the kept samples are nonzero, so each has a log; an overflow leaves an
+    # inf for the finite check below to refuse
     with np.errstate(over="ignore"):
         values = np.sign(win.xs) * np.exp(rate * win.ts + win.logs)
     mag = np.abs(values)
@@ -440,37 +432,32 @@ def scan_horizons(fit, ends, t_lo):
 
     fit(t_hi) returns (score, result), or None to decline that horizon; the
     lowest score wins and ties keep the first.  Ends at or before t_lo are
-    passed over.  Each distinct end is fitted once: a repeated end cannot
-    win, since it would only tie with its first fit, and if that fit raised,
-    its error counts again as the latest.  When no horizon fits, the last
-    SignalVanished, NonDecaying or Diverging a fit raised is raised again, or
-    SignalVanished if none was.
+    passed over.  The ends come in ascending order from shrink_support, so a
+    repeated end follows its first, and an end equal to the one before it is
+    passed over too: fitting it again would only tie with its first fit, or
+    raise its error again.  When no horizon fits, the last SignalVanished,
+    NonDecaying or Diverging a fit raised is raised again, or SignalVanished
+    if none was.
     """
     best = None
     last_error = None
-    tried = {}               # end -> the error its fit raised, or None
+    previous = None
     for t_hi in ends:
-        if t_hi <= t_lo:
+        if t_hi <= t_lo or t_hi == previous:
             continue
-        if t_hi in tried:
-            if tried[t_hi] is not None:
-                last_error = tried[t_hi]
-            continue
+        previous = t_hi
         try:
             scored = fit(t_hi)
         except (SignalVanished, NonDecaying, Diverging) as exc:
             # without its traceback the kept error holds no frame, so it
             # forms no reference cycle with this one
-            last_error = tried[t_hi] = exc.with_traceback(None)
+            last_error = exc.with_traceback(None)
             continue
-        tried[t_hi] = None
         if scored is not None and (best is None or scored[0] < best[0]):
             best = scored
     if best is None:
         if last_error is None:
             raise SignalVanished("no horizon gives a usable fit")
-        # the raise's traceback holds this frame, so the frame keeps no error
-        tried.clear()
         try:
             raise last_error
         finally:

@@ -390,6 +390,11 @@ TINY_STEP_CSV = "t,x\n" + "".join(f"{k * 1e-200!r},{math.exp(-k * 1e-200)!r}\n"
 _FLIP_T = np.linspace(0.0, 40.0, 4001)
 FLIP_CSV = "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in zip(
     _FLIP_T.tolist(), (np.where(_FLIP_T < 20.0, 1e308, -1e308) * np.exp(-_FLIP_T)).tolist()))
+# nine samples of 2 e^-(t-710) + 3 e^-2(t-710) from t = 710: Prony's amplitudes
+# at t = 0 overflow
+LATE_START_CSV = "t,x\n" + "".join(
+    f"{t!r},{2.0 * math.exp(710.0 - t) + 3.0 * math.exp(2.0 * (710.0 - t))!r}\n"
+    for t in map(float, range(710, 719)))
 # the documented exit codes a file verb may return (2 is argparse's, not reachable here)
 DOCUMENTED_EXITS = {0, 3, 4, 5, 7, 8}
 _EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
@@ -402,6 +407,7 @@ _EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
 @example(text="t,x\n0.0,1e+308\n1.0,-1e+308\n2.0,1e+308\n3.0,-1e+308\n4.0,1e+308\n")
 @example(text=TINY_STEP_CSV)
 @example(text=FLIP_CSV)
+@example(text=LATE_START_CSV)
 @settings(max_examples=60)
 def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
     folder = tmp_path_factory.mktemp("fuzz")
@@ -409,6 +415,14 @@ def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
     path.write_text(text, encoding="utf-8", newline="")
     _check_exit_contract(path, folder / "out.json",
                          (("decompose",), ("prony", "--order", 2), ("oet", "--max-index", 4)))
+
+
+def test_prony_refuses_amplitudes_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text(LATE_START_CSV)
+    assert run("prony", "--input", path, "--order", 2, "--output", tmp_path / "out.json") == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: Diverging: the amplitudes overflow") and err.count("\n") == 1
 
 
 def _check_exit_contract(path, out, verbs, exits=DOCUMENTED_EXITS):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from transient_lab import (Diverging, PolynomialNoConstant, SignalSource, SymbolicTransient,
-                           TailFitConfig, correspondence_check, monomial_functional_matrix,
-                           rate_functional_matrix, rate_functionals)
+from transient_lab import (Diverging, PolynomialNoConstant, SampledSignal, SignalSource,
+                           SymbolicTransient, TailFitConfig, correspondence_check,
+                           monomial_functional_matrix, rate_functional_matrix, rate_functionals)
 
 FIVE_RATES = (0.5, 1.0, 1.7, 2.2, 3.0)
 
@@ -156,6 +156,19 @@ class TestRateFunctional:
         src = SignalSource.from_evaluator(SymbolicTransient(((1.0, 1e308),)), support=(0, 40))
         [value] = rate_functionals(src, (1.0,), support=(0, 40))
         assert value == pytest.approx(1e308, rel=1e-9)
+
+    def test_zero_samples_in_the_tail_move_no_functional(self):
+        # a sample of exactly zero is one a window's floor drops, the one case
+        # where the flatness score covers fewer samples than the whole window
+        ts = np.linspace(0.0, 60.0, 4001)
+        clean = 1.3 * np.exp(-ts) + 0.7 * np.exp(-2.5 * ts)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            values = clean.copy()
+            values[rng.choice(np.arange(1001, 4001), int(rng.integers(1, 6)), replace=False)] = 0.0
+            src = SignalSource.from_sampled(SampledSignal(ts, values))
+            got = rate_functionals(src, (1.0, 2.5), support=(0.0, 60.0))
+            assert got == pytest.approx([1.3, 0.7], rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("source", [
         SignalSource.from_evaluator(lambda ts: np.exp(-np.asarray(ts))),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from transient_lab import (RankDeficient, SampledSignal, SymbolicTransient,
+from transient_lab import (Diverging, RankDeficient, SampledSignal, SymbolicTransient,
                            prony_fit, synthesize_samples, vandermonde_condition)
 
 from conftest import random_transient
@@ -137,6 +137,14 @@ class TestPronyFit:
         grid = 1.0 + np.arange(12) * 0.5   # grid starts at t = 1
         model = prony_fit(synthesize_samples(sig, grid), 1)
         assert model.amplitudes[0] == pytest.approx(2.0, abs=1e-9)
+
+    def test_amplitudes_past_the_float_range_at_the_origin_refused(self):
+        # nine samples of 2 e^-(t-710) + 3 e^-2(t-710) from t = 710: the fit
+        # holds, but at t = 0 the amplitudes are 2 e^710 and 3 e^1420
+        times = np.arange(710.0, 719.0)
+        values = 2.0 * np.exp(-(times - 710.0)) + 3.0 * np.exp(-2.0 * (times - 710.0))
+        with pytest.raises(Diverging, match="t = 0 from the first sample at t = 710.0"):
+            prony_fit(SampledSignal(times, values), 2)
 
 
     @pytest.mark.parametrize("order", [1, 2, 3])

@@ -361,28 +361,43 @@ class TestScanHorizons:
         with pytest.raises(SignalVanished):
             scan_horizons(fit, ends, 1.0)
 
-    def test_each_distinct_end_is_fitted_once(self):
+    def test_adjacent_repeated_end_is_fitted_once(self):
+        # shrink_support gives the ends in ascending order, so a repeat follows
+        # its first and is passed over; a later repeat is fitted again, to the
+        # same result
         calls = []
         fit = self.scripted({1.0: (0.3, "a"), 2.0: (0.4, "b")}, calls)
-        assert scan_horizons(fit, [1.0, 2.0, 1.0, 1.0], 0.0) == "a"
+        assert scan_horizons(fit, [1.0, 1.0, 2.0, 2.0], 0.0) == "a"
         assert calls == [1.0, 2.0]
+        calls.clear()
+        assert scan_horizons(fit, [1.0, 2.0, 1.0, 1.0], 0.0) == "a"
+        assert calls == [1.0, 2.0, 1.0]
 
     def test_repeated_end_raises_its_first_error_again(self):
-        # the repeat of a failed end makes its error the latest once more,
-        # exactly as fitting it again would
+        # the repeat of a failed end makes its error the latest once more:
+        # passed over next to its first, whose error is still the latest, and
+        # fitted again after another end
         first, second = NonDecaying("at 1"), SignalVanished("at 2")
         calls = []
         fit = self.scripted({1.0: first, 2.0: second}, calls)
         with pytest.raises(NonDecaying) as caught:
+            scan_horizons(fit, [2.0, 1.0, 1.0], 0.0)
+        assert caught.value is first
+        assert calls == [2.0, 1.0]
+        calls.clear()
+        with pytest.raises(NonDecaying) as caught:
             scan_horizons(fit, [1.0, 2.0, 1.0], 0.0)
         assert caught.value is first
-        assert calls == [1.0, 2.0]
+        assert calls == [1.0, 2.0, 1.0]
 
     def test_repeated_end_keeps_the_first_of_a_tie(self):
         calls = []
         fit = self.scripted({1.0: (0.2, "a"), 2.0: (0.1, "b"), 3.0: (0.1, "c")}, calls)
-        assert scan_horizons(fit, [1.0, 2.0, 3.0, 2.0, 3.0], 0.0) == "b"
+        assert scan_horizons(fit, [1.0, 2.0, 2.0, 3.0, 3.0], 0.0) == "b"
         assert calls == [1.0, 2.0, 3.0]
+        calls.clear()
+        assert scan_horizons(fit, [1.0, 2.0, 3.0, 2.0, 3.0], 0.0) == "b"
+        assert calls == [1.0, 2.0, 3.0, 2.0, 3.0]
 
     def test_raised_error_leaves_no_reference_cycles(self):
         # the kept errors must not link the scan's frame to the error it raises
@@ -481,7 +496,10 @@ def reference_coefficient(ts, values, rate, support, order):
     t_lo, t_hi = support
     _, window = tail_limits.tail_slice(ts, t_lo, t_hi)
     ts, xs = _reference_kept(ts[window], values[window])
-    values = tail_limits._reweighted(ts, xs, rate)
+    # exp(rate*t) * x(t) computed in log space to dodge overflow
+    values = np.zeros_like(xs)
+    nz = xs != 0.0
+    values[nz] = np.sign(xs[nz]) * np.exp(rate * ts[nz] + np.log(np.abs(xs[nz])))
     if not np.all(np.isfinite(values)):
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
     scale = 2.0 ** max(math.frexp(float(np.abs(values).max()))[1] - 960, 0)
