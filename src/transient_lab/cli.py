@@ -2,11 +2,12 @@
 
 Each verb is one function, run_<verb>(args), that reads its flags straight
 from the argparse namespace.  A verb's subparser declares only the flags it
-reads, so any other flag is a usage error, and each default is written once,
-in _build_parser.  --config is taken by decompose (tail and stopping
-sections), oet (quadrature) and compare (all three); --seed by synth and
-compare.  A --horizon or --step that is not a finite positive number is
-refused before any work.
+reads, so any other flag is a usage error.  --fit-order and --max-terms are
+taken by decompose and compare, --quadrature-nodes by oet and compare.  Each
+sets the one field of a config type, which alone checks the value; an absent
+flag passes None, so the library function picks its default config.  --seed
+is taken by synth and compare.  A refused config value, and a --horizon or
+--step that is not a finite positive number, exit before any input is read.
 
 Every run is deterministic for a fixed configuration: seeds derive from the
 --seed flag alone, output rows are sorted before writing, and floats are
@@ -31,14 +32,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import errors
 from .decomposer import StoppingPolicy, decompose_exact, decompose_numeric
 from .functionals import monomial_functional_matrix, rate_functional_matrix
-from .oet_jacobi import build_exponential_basis, oet_analyze, save_basis_table_csv
+from .oet_jacobi import build_exponential_basis, oet_analyze
 from .prony_baseline import prony_fit
 from .quadrature import QuadratureConfig
 from .signal_core import (SignalSource, SymbolicTransient, evaluation_grid, load_samples_csv,
@@ -52,10 +52,6 @@ _EXIT_CODES = (
     ((errors.OutOfSupport, errors.QuadratureFailure), 4),
 )
 
-# --config sections, each mirroring the config type whose fields it may set
-_CONFIG_SECTIONS = {"tail": TailFitConfig, "stopping": StoppingPolicy,
-                    "quadrature": QuadratureConfig}
-
 # most steps a --horizon/--step grid may hold: 10**7 float64 nodes are 80 MB
 MAX_GRID_STEPS = 10 ** 7
 # largest functionals matrix, as --size or as the --rates count: at 100, on
@@ -64,47 +60,25 @@ MAX_GRID_STEPS = 10 ** 7
 # the size
 MAX_MATRIX_SIZE = 100
 
+# flags that each set the one field of a config type
+_CONFIG_FLAGS = {"--fit-order": TailFitConfig, "--max-terms": StoppingPolicy,
+                 "--quadrature-nodes": QuadratureConfig}
+
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
 
 
-def _config_sections(path, max_terms=None) -> dict:
-    """Section name -> config object: the --config file (if any, every section
-    and key checked by name, every value by its config type) over the
-    defaults, with the tail fit order richardson_2 unless the file sets one,
-    and --max-terms over the stopping section."""
-    overrides = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
+def _read_config_flags(args):
+    """Replace each given config flag's value by the config it sets (an absent
+    flag stays None, the library default); a refused value names the flag."""
+    for flag, kind in _CONFIG_FLAGS.items():
+        dest = _SHARED_FLAGS[flag]["dest"]
+        value = getattr(args, dest, None)
+        if value is not None:
             try:
-                overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{path}: top level must be a JSON object")
-    for name, section in overrides.items():
-        if name not in _CONFIG_SECTIONS:
-            raise ValueError(f"{path}: unknown section {name!r}; "
-                             f"expected one of {sorted(_CONFIG_SECTIONS)}")
-        if not isinstance(section, dict):
-            raise ValueError(f"{path}: section {name!r} must be a JSON object")
-        known = {f.name for f in fields(_CONFIG_SECTIONS[name])}
-        for key in section:
-            if key not in known:
-                raise ValueError(f"{path}: section {name!r} has unknown key {key!r}")
-    kwargs = {name: dict(overrides.get(name, {})) for name in _CONFIG_SECTIONS}
-    kwargs["tail"].setdefault("fit_order", "richardson_2")
-    if max_terms is not None:
-        kwargs["stopping"]["max_terms"] = max_terms
-    sections = {}
-    for name, kind in _CONFIG_SECTIONS.items():
-        try:
-            sections[name] = kind(**kwargs[name])
-        except ValueError as exc:
-            if name not in overrides:   # the bad value came from --max-terms
-                raise
-            raise ValueError(f"{path}: section {name!r}: {exc}") from exc
-    return sections
+                setattr(args, dest, kind(value))
+            except ValueError as exc:
+                raise ValueError(f"{flag} {value!r}: {exc}") from None
 
 
 def _check_positive(args, *names):
@@ -175,13 +149,12 @@ def run_synth(args):
 
 
 def run_decompose(args):
-    cfg = _config_sections(args.config, args.max_terms)
     spec, samples = _load_input_signal(args.input)
     if spec is not None:
         result = decompose_exact(spec.canonicalize())
     else:
         source = SignalSource.from_sampled(samples)
-        result = decompose_numeric(source, samples.support, cfg["tail"], cfg["stopping"])
+        result = decompose_numeric(source, samples.support, args.tail, args.stop)
     _write_json({
         "terms": [{"rate": r, "coeff": c} for r, c in result.terms],
         "diagnostics": {
@@ -199,14 +172,15 @@ def run_decompose(args):
 
 
 def run_oet(args):
-    cfg = _config_sections(args.config)
     spec, samples = _load_input_signal(args.input)
     source = (SignalSource.from_symbolic(spec) if spec is not None
               else SignalSource.from_sampled(samples))
     basis = build_exponential_basis(args.max_index)
     if args.basis_out:
-        save_basis_table_csv(basis, args.basis_out)
-    coeffs = oet_analyze(source, basis, cfg["quadrature"])
+        _write_csv(["element", "rate", "coeff"],
+                   ((n, k, repr(float(c))) for n, row in enumerate(basis.coeff_table, 1)
+                    for k, c in enumerate(row, 1)), args.basis_out)
+    coeffs = oet_analyze(source, basis, args.quadrature)
     _write_json({
         "max_index": args.max_index,
         "projections": list(coeffs.projections),
@@ -260,30 +234,30 @@ def run_functionals(args):
 # comparison sweep
 # ---------------------------------------------------------------------------
 
-def _fit_decomposer(args, cfg, truth, samples):
+def _fit_decomposer(args, truth, samples):
     source = SignalSource.from_sampled(samples)
-    result = decompose_numeric(source, samples.support, cfg["tail"], cfg["stopping"])
+    result = decompose_numeric(source, samples.support, args.tail, args.stop)
     est = list(result.terms)
     diag = {"terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason}
     return est, "", diag
 
 
-def _fit_prony(args, cfg, truth, samples):
+def _fit_prony(args, truth, samples):
     model = prony_fit(samples, order=len(truth.terms))
     est = list(zip(model.rates, model.amplitudes))
     flag = ";".join(model.flags)
     return est, flag, {"vandermonde_condition": _finite_or_none(model.vandermonde_condition)}
 
 
-def _fit_oet(args, cfg, truth, samples):
+def _fit_oet(args, truth, samples):
     rates = truth.rates
     if np.any(np.abs(rates - np.round(rates)) > 1e-9):
         return None, "out_of_model", {"truncation_index": args.max_index}
     max_index = max(args.max_index, int(np.round(rates.max())))
     basis = build_exponential_basis(max_index)
     source = SignalSource.from_sampled(samples)
-    coeffs = oet_analyze(source, basis, cfg["quadrature"])
+    coeffs = oet_analyze(source, basis, args.quadrature)
     est = [(float(k), coeffs.exponential_coeffs[int(k) - 1]) for k in np.round(rates)]
     return est, "", {"truncation_index": max_index}
 
@@ -292,7 +266,6 @@ _METHODS = {"decomposer": _fit_decomposer, "prony": _fit_prony, "oet": _fit_oet}
 
 
 def run_compare(args):
-    cfg = _config_sections(args.config)
     _check_positive(args, "horizon", "step")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -311,7 +284,7 @@ def run_compare(args):
             samples = synthesize_samples(truth, grid, noise_sigma=sigma, seed=seed)
             for method in args.methods:
                 try:
-                    est, flag, diag = _METHODS[method](args, cfg, truth, samples)
+                    est, flag, diag = _METHODS[method](args, truth, samples)
                 except errors.TransientLabError as exc:
                     est, flag, diag = None, f"error:{type(exc).__name__}", {"error": str(exc)}
                 diagnostics.append({"method": method, "sigma": sigma, "trial": trial,
@@ -343,7 +316,11 @@ def run_compare(args):
 _SHARED_FLAGS = {
     "--input": dict(help="input file (signal spec .json or samples .csv)"),
     "--output": dict(help="output file (stdout when omitted)"),
-    "--config": dict(help="JSON file with tail/stopping/quadrature overrides"),
+    # each config flag's value becomes its config (_read_config_flags) under dest
+    "--fit-order": dict(dest="tail", metavar="ORDER", help="TailFitConfig.fit_order"),
+    "--max-terms": dict(dest="stop", type=int, metavar="N", help="StoppingPolicy.max_terms"),
+    "--quadrature-nodes": dict(dest="quadrature", type=int, metavar="N",
+                               help="QuadratureConfig.nodes"),
     "--seed": dict(type=int, default=0),
     "--horizon": dict(type=float, default=40.0),
     "--step": dict(type=float, default=0.01),
@@ -378,11 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0)
 
     p = verb("decompose", run_decompose, "extract (rate, coeff) terms",
-             "--input", "--output", "--config")
-    p.add_argument("--max-terms", type=int)
+             "--input", "--output", "--fit-order", "--max-terms")
 
     p = verb("oet", run_oet, "orthogonal exponential transform analysis",
-             "--input", "--output", "--config", "--max-index")
+             "--input", "--output", "--quadrature-nodes", "--max-index")
     p.add_argument("--basis-out", help="also export the basis coefficient table as CSV")
 
     p = verb("prony", run_prony, "classical Prony baseline fit", "--input", "--output")
@@ -395,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=60.0)
 
     p = verb("compare", run_compare, "method comparison sweep over noise levels",
-             "--input", "--output", "--config", "--seed", "--horizon", "--step", "--max-index")
+             "--input", "--output", "--fit-order", "--max-terms", "--quadrature-nodes",
+             "--seed", "--horizon", "--step", "--max-index")
     p.add_argument("--methods", nargs="+", required=True, choices=sorted(_METHODS))
     p.add_argument("--sigma", type=float, nargs="+", default=[0.0])
     p.add_argument("--trials", type=int, default=1)
@@ -407,6 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _read_config_flags(args)
         args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

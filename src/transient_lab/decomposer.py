@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, TailRead, _validate_support,
-                          estimate_coefficient, estimate_rate, scan_horizons, shrink_support,
+from .tail_limits import (TailFitConfig, TailRead, _validate_support, estimate_coefficient,
+                          estimate_rate, require_tail_nodes, scan_horizons, shrink_support,
                           tail_slice)
 
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
@@ -163,8 +163,7 @@ class _NumericState:
         self.cfg = cfg
         self.t_lo, self.t_hi = _validate_support(support)
         self.grid = evaluation_grid(source, support)
-        if len(self.grid) < MIN_WINDOW_POINTS:
-            raise ValueError("support holds too few samples for the configured window")
+        require_tail_nodes(self.grid, (self.t_lo, self.t_hi))
         self.base_values = evaluate_many(source, self.grid)
         if not np.all(np.isfinite(self.base_values)):
             raise ValueError("signal is not finite on the evaluation grid")

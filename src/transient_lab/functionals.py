@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (MIN_WINDOW_POINTS, TailFitConfig, TailRead, _validate_support,
-                          estimate_coefficient, scan_horizons, shrink_support)
+from .tail_limits import (TailFitConfig, TailRead, _validate_support, estimate_coefficient,
+                          require_tail_nodes, scan_horizons, shrink_support)
 
 # a stripped residual this small everywhere, relative to the input's peak,
 # is numerically zero: its content is the rounding left over from earlier
@@ -102,8 +102,7 @@ def rate_functionals(source: SignalSource, rates, cfg: TailFitConfig = None,
         raise ValueError("numeric evaluation needs an explicit (t_lo, t_hi) support")
     support = _validate_support(support)
     ts = evaluation_grid(source, support)
-    if len(ts) < MIN_WINDOW_POINTS:
-        raise ValueError("support holds too few samples for the configured window")
+    require_tail_nodes(ts, support)
     values = evaluate_many(source, ts)
     cfg = cfg or TailFitConfig(fit_order="richardson_1")
     scale = float(np.abs(values).max())

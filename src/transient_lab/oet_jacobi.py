@@ -232,18 +232,6 @@ def build_exponential_basis(max_index: int) -> ExponentialBasis:
     return ExponentialBasis(max_index=max_index, coeff_table=tuple(rows))
 
 
-def save_basis_table_csv(basis: ExponentialBasis, path) -> None:
-    """Write the coefficient table as rows "element,rate,coeff" for inspection."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["element", "rate", "coeff"])
-        for n in range(1, basis.max_index + 1):
-            for k, c in enumerate(basis.coeff_table[n - 1], start=1):
-                writer.writerow([n, k, repr(float(c))])
-
-
 @dataclass(frozen=True)
 class OetCoefficients:
     """Projections onto the basis elements plus the folded per-rate coefficients."""

@@ -108,6 +108,17 @@ def tail_slice(ts, t_lo, t_hi):
                                   int(ts.searchsorted(t_hi, "right")))
 
 
+def require_tail_nodes(ts, support):
+    """Refuse the ascending nodes ts when the tail window over the whole
+    (validated) support holds fewer than MIN_WINDOW_POINTS of them: no
+    horizon's fit could then read a tail."""
+    _, window = tail_slice(ts, *support)
+    count = window.stop - window.start
+    if count < MIN_WINDOW_POINTS:
+        raise ValueError(f"support holds too few samples: {count} in its tail window, "
+                         f"need {MIN_WINDOW_POINTS}")
+
+
 def _kept(ts, xs, mag=None):
     """The samples above the relative magnitude floor and their magnitudes,
     (ts, xs, |xs|); ts and xs are the windows themselves when none is dropped.

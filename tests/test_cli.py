@@ -242,68 +242,79 @@ class TestCompare:
         assert json.loads(diag.read_text())[0]["vandermonde_condition"] is None
 
 class TestConfigPlumbing:
-    def test_quadrature_nodes_key_changes_oet_projections(self, tmp_path, two_term_spec):
+    def test_quadrature_nodes_flag_changes_oet_projections(self, tmp_path, two_term_spec):
         # oet reads a sampled input through its interpolant, which no node
         # count integrates exactly, so the node count shows in the output
         csv_path = tmp_path / "samples.csv"
         assert run("synth", "--input", two_term_spec, "--output", csv_path,
                    "--horizon", 40.0, "--step", 0.01) == 0
-        config = tmp_path / "config.json"
-        config.write_text('{"quadrature": {"nodes": 64}}')
         default, coarse = tmp_path / "default.json", tmp_path / "coarse.json"
         assert run("oet", "--input", csv_path, "--output", default) == 0
-        assert run("oet", "--input", csv_path, "--config", config, "--output", coarse) == 0
+        assert run("oet", "--input", csv_path, "--quadrature-nodes", 64, "--output", coarse) == 0
         default_proj = json.loads(default.read_text())["projections"]
         coarse_proj = json.loads(coarse.read_text())["projections"]
         assert coarse_proj != default_proj
         assert np.allclose(coarse_proj, default_proj, rtol=0.0, atol=1e-5)
 
-    def test_config_file_overrides(self, tmp_path, two_term_spec):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"stopping": {"max_terms": 1},
-                                      "tail": {"fit_order": "richardson_1"}}))
+    def test_fit_order_and_max_terms_flags(self, tmp_path, two_term_spec):
         csv_path = tmp_path / "samples.csv"
         run("synth", "--input", two_term_spec, "--output", csv_path,
             "--horizon", 40.0, "--step", 0.01)
         out = tmp_path / "result.json"
-        assert run("decompose", "--input", csv_path, "--config", config,
-                   "--output", out) == 0
+        assert run("decompose", "--input", csv_path, "--fit-order", "richardson_1",
+                   "--max-terms", 1, "--output", out) == 0
         payload = json.loads(out.read_text())
         assert len(payload["terms"]) == 1
         assert payload["diagnostics"]["termination_reason"] == "max_terms"
 
-    @pytest.mark.parametrize("payload, named", [
-        ('{"stopping": {"bogus": 1}}', "section 'stopping' has unknown key 'bogus'"),
-        ('{"stopping": {"eval_points": 4001}}', "unknown key 'eval_points'"),
-        ('{"tail": [1, 2]}', "section 'tail' must be a JSON object"),
-        ('[1]', "top level must be a JSON object"),
-        ('{"stoping": {}}', "unknown section 'stoping'"),
-        ('{"quadrature": {"nodes": "many"}}', "section 'quadrature'"),
-        ('{"quadrature": {"nodes": 2.5}}', "section 'quadrature': nodes must be an integer"),
-        ('{"quadrature": {"nodes": 100000}}', "nodes must be from 2 to 1000, got 100000"),
-        ('{"quadrature": {"nodes": 1}}', "nodes must be from 2 to 1000, got 1"),
-        ('{"stopping": {"max_terms": 2.5}}', "section 'stopping': max_terms must be an integer"),
-        ('{"stopping": {"max_terms": true}}', "max_terms must be an integer, got True"),
-        ('{"stopping": {"refine_sweeps": 1}}', "section 'stopping' has unknown key 'refine_sweeps'"),
-        ('{"tail": {"fit_order": ["slope_fit"]}}', "section 'tail': fit_order must be one of"),
-    ])
-    def test_malformed_config_rejected_in_one_line(self, tmp_path, two_term_spec, capsys,
-                                                   payload, named):
-        config = tmp_path / "config.json"
-        config.write_text(payload)
-        assert run("decompose", "--input", two_term_spec, "--config", config) == 3
-        err = capsys.readouterr().err
-        assert named in err and str(config) in err
-        assert len(err.strip().splitlines()) == 1
+    def test_compare_passes_the_flags_to_both_methods(self, tmp_path, two_term_spec):
+        def sweep(name, *flags):
+            out, diag = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run("compare", "--input", two_term_spec, "--methods", "decomposer", "oet",
+                       *flags, "--output", out, "--diagnostics-out", diag) == 0
+            with open(out, newline="") as fh:
+                rows = [row for row in csv.DictReader(fh) if row["method"] == "oet"]
+            return rows, {e["method"]: e["returned_terms"] for e in json.loads(diag.read_text())}
 
-    def test_readme_config_table_names_every_field(self):
-        # every settable field is documented, and nothing else is
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("| section | key |", 1)[1].split("\n\n", 1)[0]
-        documented = [tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
-                      for line in table.splitlines()[2:]]
-        assert documented == [(name, field.name) for name, kind in cli._CONFIG_SECTIONS.items()
-                              for field in dataclasses.fields(kind)]
+        default_rows, default_returned = sweep("default")
+        rows, returned = sweep("flags", "--max-terms", 1, "--quadrature-nodes", 64)
+        assert default_returned["decomposer"] == 2 and returned["decomposer"] == 1
+        assert rows != default_rows
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("oet", "--quadrature-nodes", "1"), "--quadrature-nodes"),
+        (("compare", "--methods", "oet", "--quadrature-nodes", "100000"), "--quadrature-nodes"),
+        (("decompose", "--max-terms", "0"), "--max-terms"),
+        (("compare", "--methods", "decomposer", "--max-terms", "0"), "--max-terms"),
+        (("decompose", "--fit-order", "cubic"), "--fit-order"),
+        (("compare", "--methods", "decomposer", "--fit-order", "cubic"), "--fit-order"),
+    ], ids=" ".join)
+    def test_refused_value_names_the_flag_before_any_input_is_read(self, tmp_path, capsys,
+                                                                   argv, flag):
+        # the input does not exist: the flag is checked first
+        out = tmp_path / "out"
+        assert run(*argv, "--input", tmp_path / "missing.json", "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+        assert "missing" not in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("verb, defaults", [
+        (("decompose",), ("--fit-order", "richardson_2", "--max-terms", 16)),
+        (("oet",), ("--quadrature-nodes", 128)),
+        (("compare", "--methods", "decomposer", "prony", "oet", "--sigma", 0, 1e-4),
+         ("--fit-order", "richardson_2", "--max-terms", 16, "--quadrature-nodes", 128)),
+    ], ids=["decompose", "oet", "compare"])
+    def test_no_flag_writes_what_the_explicit_defaults_write(self, tmp_path, two_term_spec,
+                                                             verb, defaults):
+        # decompose and oet read the samples, compare its spec
+        csv_path = tmp_path / "samples.csv"
+        assert run("synth", "--input", two_term_spec, "--output", csv_path,
+                   "--horizon", 40.0, "--step", 0.01, "--sigma", 1e-5) == 0
+        source = two_term_spec if verb[0] == "compare" else csv_path
+        bare, explicit = tmp_path / "bare", tmp_path / "explicit"
+        assert run(*verb, "--input", source, "--output", bare) == 0
+        assert run(*verb, "--input", source, *defaults, "--output", explicit) == 0
+        assert bare.read_bytes() == explicit.read_bytes()
 
     def test_bundled_example_file(self, tmp_path):
         out = tmp_path / "result.json"
@@ -316,11 +327,14 @@ class TestAuxiliaryExports:
         basis_csv = tmp_path / "basis.csv"
         assert run("oet", "--input", two_term_spec, "--max-index", 3,
                    "--basis-out", basis_csv) == 0
-        with open(basis_csv, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["element", "rate", "coeff"]
-        assert len(rows) == 1 + 1 + 2 + 3   # header + triangular table
-        assert float(rows[1][2]) == pytest.approx(math.sqrt(2.0))
+        # the triangular table, element n holding rates 1..n; sqrt(2) leads it
+        assert basis_csv.read_bytes() == (b"element,rate,coeff\n"
+                                          b"1,1,1.4142135623730951\n"
+                                          b"2,1,-4.0\n"
+                                          b"2,2,6.0\n"
+                                          b"3,1,7.3484692283495345\n"
+                                          b"3,2,-29.393876913398138\n"
+                                          b"3,3,24.494897427831784\n")
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -417,6 +431,17 @@ def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
                          (("decompose",), ("prony", "--order", 2), ("oet", "--max-index", 4)))
 
 
+def test_decompose_refuses_a_tail_window_of_too_few_samples(tmp_path, capsys):
+    # the tail window t = 714..718 holds 5 samples: too few to fit, which is
+    # not a vanished signal
+    path, out = tmp_path / "samples.csv", tmp_path / "out.json"
+    path.write_text(LATE_START_CSV)
+    assert run("decompose", "--input", path, "--output", out) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: support holds too few samples: 5 in its tail window, need 8"]
+    assert not out.exists()
+
+
 def test_prony_refuses_amplitudes_past_the_float_range(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_text(LATE_START_CSV)
@@ -459,7 +484,10 @@ class TestVerbFlags:
         ("synth", "--config", "c.json"), ("decompose", "--seed", "1"), ("oet", "--seed", "1"),
         ("prony", "--config", "c.json"), ("prony", "--seed", "1"),
         ("functionals", "--input", "s.json"), ("functionals", "--seed", "1"),
-        ("functionals", "--config", "c.json"),
+        ("functionals", "--config", "c.json"), ("decompose", "--config", "c.json"),
+        ("oet", "--config", "c.json"), ("compare", "--methods", "oet", "--config", "c.json"),
+        ("oet", "--fit-order", "slope_fit"), ("oet", "--max-terms", "1"),
+        ("decompose", "--quadrature-nodes", "64"), ("prony", "--max-terms", "1"),
         ("synth", "--sigma", "0", "0.1"), ("compare", "--sigma"),
     ], ids=" ".join)
     def test_flag_the_verb_does_not_read_is_a_usage_error(self, capsys, argv):
@@ -643,46 +671,30 @@ def test_functionals_keeps_the_exit_contract(tmp_path_factory, rates, ascending,
                 f"--horizon={horizon!r}", "--output", out), DOCUMENTED_EXITS | {2})
 
 
-# any JSON value, and values in and around what each config key takes
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=6)
-_CONFIG_VALUES = st.one_of(
-    _JSON, st.integers(-3, 20),
-    st.sampled_from([1, 2, 10 ** 6, 10 ** 400, 2.0, 1e308, math.nan]))
-# each section holds mostly its own keys, and those mostly valid values
-_CONFIG_SECTIONS = {
-    "tail": st.fixed_dictionaries({}, optional={"fit_order": st.one_of(
-        st.sampled_from(["slope_fit", "richardson_1", "richardson_2"]), _CONFIG_VALUES)}),
-    "stopping": st.fixed_dictionaries({}, optional={"max_terms": st.one_of(
-        st.integers(1, 20), st.sampled_from([10 ** 6, 10 ** 400]), _CONFIG_VALUES)}),
-    "quadrature": st.fixed_dictionaries({}, optional={"nodes": st.one_of(
-        st.integers(2, 200), st.sampled_from([MAX_NODES, MAX_NODES + 1]), _CONFIG_VALUES)}),
-}
+# each config flag's value: ints in and around what its config type takes,
+# written as argparse reads them, and arbitrary short text
+def _flag_values(*values):
+    return st.one_of(st.none(), st.sampled_from(values).map(str), st.text(max_size=5))
 
 
-@given(config=st.one_of(
-    st.fixed_dictionaries({}, optional=_CONFIG_SECTIONS),
-    st.fixed_dictionaries({}, optional=_CONFIG_SECTIONS).flatmap(
-        lambda sections: st.dictionaries(st.text(max_size=4), _JSON, max_size=2).map(
-            lambda extra: {**extra, **sections})),
-    st.dictionaries(st.sampled_from(["tail", "stopping", "quadrature"]),
-                    st.dictionaries(st.text(max_size=4), _CONFIG_VALUES, max_size=2), max_size=3),
-    _JSON))
-@example(config={"quadrature": {"nodes": 10 ** 6}})
-@example(config={"quadrature": {"nodes": MAX_NODES}, "stopping": {"max_terms": 10 ** 400},
-                 "tail": {"fit_order": "slope_fit"}})
+@given(fit_order=_flag_values("slope_fit", "richardson_1", "richardson_2", "cubic"),
+       max_terms=_flag_values(-1, 0, 1, 2, 16, 10 ** 6, 10 ** 400),
+       nodes=_flag_values(-1, 0, 1, 2, 3, 128, MAX_NODES, MAX_NODES + 1, 10 ** 400))
+@example(fit_order="richardson_1", max_terms="1", nodes=str(MAX_NODES))
+@example(fit_order="", max_terms="2.5", nodes="0x10")
 @settings(max_examples=60)
-def test_config_sections_keep_the_exit_contract(tmp_path_factory, config):
-    folder = tmp_path_factory.mktemp("config")
-    spec, path = folder / "spec.json", folder / "config.json"
+def test_config_flags_keep_the_exit_contract(tmp_path_factory, fit_order, max_terms, nodes):
+    folder = tmp_path_factory.mktemp("flags")
+    spec, samples, out = folder / "spec.json", folder / "samples.csv", folder / "out"
     spec.write_text(TWO_TERM)
-    path.write_text(json.dumps(config))
-    _check_exit_contract(spec, folder / "out",
-                         (("decompose", "--config", path),
-                          ("oet", "--max-index", 4, "--config", path),
-                          ("compare", "--config", path, "--horizon", 2, "--step", 0.1,
-                           "--methods", "decomposer", "prony", "oet")),
-                         exits={0, 3})
+    assert run("synth", "--input", spec, "--output", samples, "--horizon", 20.0,
+               "--step", 0.05) == 0
+    # "--flag=value", so that a value starting with "-" is read as the value
+    tail, stop, quadrature = ([] if value is None else [f"{flag}={value}"] for flag, value in
+                              (("--fit-order", fit_order), ("--max-terms", max_terms),
+                               ("--quadrature-nodes", nodes)))
+    exits = {0, 2, 3}
+    _check_run(("decompose", "--input", samples, *tail, *stop, "--output", out), exits)
+    _check_run(("oet", "--input", spec, "--max-index", 4, *quadrature, "--output", out), exits)
+    _check_run(("compare", "--input", spec, "--horizon", 2, "--step", 0.1, *tail, *stop,
+                *quadrature, "--methods", "decomposer", "prony", "oet", "--output", out), exits)

@@ -391,6 +391,15 @@ class TestGridResidency:
         with pytest.raises(error, match=match):
             decompose_numeric(src, (0.0, horizon))
 
+    def test_tail_window_of_too_few_samples_refused(self):
+        # nine samples of a plainly present signal on t = 710..718: the tail
+        # window over their whole support, 714..718, holds 5 of them, which no
+        # horizon's fit can read; that is too few samples, not a vanished signal
+        ts = np.arange(710.0, 719.0)
+        samples = SampledSignal(ts, 2.0 * np.exp(710.0 - ts) + 3.0 * np.exp(2.0 * (710.0 - ts)))
+        with pytest.raises(ValueError, match="too few samples: 5 in its tail window, need 8"):
+            decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+
 
 class TestPinnedTerms:
     """decompose_numeric's terms, bit for bit, as the estimators gave them

@@ -33,6 +33,13 @@ class TestConfigValidation:
             TailFitConfig(fit_order="cubic")
 
 
+def test_require_tail_nodes_at_the_window_minimum():
+    # the tail window of (0, 2m) is [m, 2m], which holds m + 1 integer nodes
+    tail_limits.require_tail_nodes(np.arange(0.0, 15.0), (0.0, 14.0))
+    with pytest.raises(ValueError, match="too few samples: 7 in its tail window, need 8"):
+        tail_limits.require_tail_nodes(np.arange(0.0, 13.0), (0.0, 12.0))
+
+
 class TestEstimateRate:
     def test_single_exponential_exact(self):
         est = estimate_rate(*read(source_of(((3.0, 1.0),)), (0.0, 20.0)), (0.0, 20.0))
