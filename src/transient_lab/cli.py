@@ -3,11 +3,12 @@
 Each verb is one function, run_<verb>(args), that reads its flags straight
 from the argparse namespace.  A verb's subparser declares only the flags it
 reads, so any other flag is a usage error.  --fit-order and --max-terms are
-taken by decompose and compare, --quadrature-nodes by oet and compare.  Each
-sets the one field of a config type, which alone checks the value; an absent
-flag passes None, so the library function picks its default config.  --seed
-is taken by synth and compare.  A refused config value, and a --horizon or
---step that is not a finite positive number, exit before any input is read.
+taken by decompose (on sample files only) and compare, --quadrature-nodes by
+oet and compare.  Each sets the one field of a config type, which alone
+checks the value; an absent flag passes None, so the library function picks
+its default config.  --seed is taken by synth and compare.  A refused config
+value, and a --horizon or --step that is not a finite positive number, exit
+before any input is read.
 
 Every run is deterministic for a fixed configuration: seeds derive from the
 --seed flag alone, output rows are sorted before writing, and floats are
@@ -60,25 +61,24 @@ MAX_GRID_STEPS = 10 ** 7
 # the size
 MAX_MATRIX_SIZE = 100
 
-# flags that each set the one field of a config type
-_CONFIG_FLAGS = {"--fit-order": TailFitConfig, "--max-terms": StoppingPolicy,
-                 "--quadrature-nodes": QuadratureConfig}
+# the flags, by dest, whose value main replaces with the config it sets
+_CONFIG_FLAGS = {"fit_order": TailFitConfig, "max_terms": StoppingPolicy,
+                 "quadrature_nodes": QuadratureConfig}
 
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
 
 
 def _read_config_flags(args):
-    """Replace each given config flag's value by the config it sets (an absent
-    flag stays None, the library default); a refused value names the flag."""
-    for flag, kind in _CONFIG_FLAGS.items():
-        dest = _SHARED_FLAGS[flag]["dest"]
+    """An absent config flag stays None, the library default; a value its
+    config type refuses names the flag."""
+    for dest, kind in _CONFIG_FLAGS.items():
         value = getattr(args, dest, None)
         if value is not None:
             try:
                 setattr(args, dest, kind(value))
             except ValueError as exc:
-                raise ValueError(f"{flag} {value!r}: {exc}") from None
+                raise ValueError(f"--{dest.replace('_', '-')} {value!r}: {exc}") from None
 
 
 def _check_positive(args, *names):
@@ -151,10 +151,12 @@ def run_synth(args):
 def run_decompose(args):
     spec, samples = _load_input_signal(args.input)
     if spec is not None:
+        if args.fit_order or args.max_terms:
+            raise ValueError("--fit-order and --max-terms tune sample files, not a spec")
         result = decompose_exact(spec.canonicalize())
     else:
         source = SignalSource.from_sampled(samples)
-        result = decompose_numeric(source, samples.support, args.tail, args.stop)
+        result = decompose_numeric(source, samples.support, args.fit_order, args.max_terms)
     _write_json({
         "terms": [{"rate": r, "coeff": c} for r, c in result.terms],
         "diagnostics": {
@@ -180,7 +182,7 @@ def run_oet(args):
         _write_csv(["element", "rate", "coeff"],
                    ((n, k, repr(float(c))) for n, row in enumerate(basis.coeff_table, 1)
                     for k, c in enumerate(row, 1)), args.basis_out)
-    coeffs = oet_analyze(source, basis, args.quadrature)
+    coeffs = oet_analyze(source, basis, args.quadrature_nodes)
     _write_json({
         "max_index": args.max_index,
         "projections": list(coeffs.projections),
@@ -236,7 +238,7 @@ def run_functionals(args):
 
 def _fit_decomposer(args, truth, samples):
     source = SignalSource.from_sampled(samples)
-    result = decompose_numeric(source, samples.support, args.tail, args.stop)
+    result = decompose_numeric(source, samples.support, args.fit_order, args.max_terms)
     est = list(result.terms)
     diag = {"terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason}
@@ -257,7 +259,7 @@ def _fit_oet(args, truth, samples):
     max_index = max(args.max_index, int(np.round(rates.max())))
     basis = build_exponential_basis(max_index)
     source = SignalSource.from_sampled(samples)
-    coeffs = oet_analyze(source, basis, args.quadrature)
+    coeffs = oet_analyze(source, basis, args.quadrature_nodes)
     est = [(float(k), coeffs.exponential_coeffs[int(k) - 1]) for k in np.round(rates)]
     return est, "", {"truncation_index": max_index}
 
@@ -316,11 +318,9 @@ def run_compare(args):
 _SHARED_FLAGS = {
     "--input": dict(help="input file (signal spec .json or samples .csv)"),
     "--output": dict(help="output file (stdout when omitted)"),
-    # each config flag's value becomes its config (_read_config_flags) under dest
-    "--fit-order": dict(dest="tail", metavar="ORDER", help="TailFitConfig.fit_order"),
-    "--max-terms": dict(dest="stop", type=int, metavar="N", help="StoppingPolicy.max_terms"),
-    "--quadrature-nodes": dict(dest="quadrature", type=int, metavar="N",
-                               help="QuadratureConfig.nodes"),
+    "--fit-order": {},
+    "--max-terms": dict(type=int),
+    "--quadrature-nodes": dict(type=int),
     "--seed": dict(type=int, default=0),
     "--horizon": dict(type=float, default=40.0),
     "--step": dict(type=float, default=0.01),

@@ -109,14 +109,19 @@ def tail_slice(ts, t_lo, t_hi):
 
 
 def require_tail_nodes(ts, support):
-    """Refuse the ascending nodes ts when the tail window over the whole
-    (validated) support holds fewer than MIN_WINDOW_POINTS of them: no
-    horizon's fit could then read a tail."""
+    """Refuse the ascending nodes ts over the (validated) support when the tail
+    window of no horizon ending at one of them holds MIN_WINDOW_POINTS nodes:
+    no fit could then read a tail.  Horizons end at nodes (shrink_support), and
+    on a non-uniform grid a short horizon's window may hold the most nodes."""
     _, window = tail_slice(ts, *support)
     count = window.stop - window.start
     if count < MIN_WINDOW_POINTS:
-        raise ValueError(f"support holds too few samples: {count} in its tail window, "
-                         f"need {MIN_WINDOW_POINTS}")
+        # the whole support's window, read first, seldom falls short
+        starts = ts.searchsorted(ts - WINDOW_FRACTION * (ts - support[0]), "left")
+        count = int((ts.searchsorted(ts, "right") - starts).max(initial=0))
+    if count < MIN_WINDOW_POINTS:
+        raise ValueError(f"support holds too few samples: at most {count} in a tail "
+                         f"window, need {MIN_WINDOW_POINTS}")
 
 
 def _kept(ts, xs, mag=None):

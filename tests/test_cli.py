@@ -57,6 +57,17 @@ class TestSynthDecompose:
                                     {"rate": 2.0, "coeff": 3.0}]
         assert payload["diagnostics"]["per_term"][0]["mode"] == "exact"
 
+    @pytest.mark.parametrize("flag", [("--fit-order", "slope_fit"), ("--max-terms", "1")],
+                             ids=lambda flag: flag[0])
+    def test_decompose_spec_refuses_the_numeric_flags(self, tmp_path, two_term_spec, capsys,
+                                                     flag):
+        # exact mode reads neither flag, so a spec refuses both
+        out_path = tmp_path / "result.json"
+        assert run("decompose", "--input", two_term_spec, *flag, "--output", out_path) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --fit-order and --max-terms tune sample files, not a spec"]
+        assert not out_path.exists()
+
     def test_malformed_spec_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"terms": [{"rate": 2.0, "coeff": 1.0}, {"rate": 1.0, "coeff": 0.5}]}')
@@ -432,14 +443,27 @@ def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
 
 
 def test_decompose_refuses_a_tail_window_of_too_few_samples(tmp_path, capsys):
-    # the tail window t = 714..718 holds 5 samples: too few to fit, which is
-    # not a vanished signal
+    # the widest tail window, t = 714..718, holds 5 samples: too few to fit,
+    # which is not a vanished signal
     path, out = tmp_path / "samples.csv", tmp_path / "out.json"
     path.write_text(LATE_START_CSV)
     assert run("decompose", "--input", path, "--output", out) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: support holds too few samples: 5 in its tail window, need 8"]
+    assert err == ["error: support holds too few samples: at most 5 in a tail window, need 8"]
     assert not out.exists()
+
+
+def test_decompose_reads_dense_early_samples_before_a_sparse_tail(tmp_path):
+    # the whole support's tail window, t = 50..100, holds one sample, but the
+    # horizons the decomposer fits end near t = 8, where the samples are dense
+    ts = [round(0.01 * i, 2) for i in range(1001)] + [100.0]
+    rows = "".join(f"{t!r},{2.0 * math.exp(-t) + 3.0 * math.exp(-2.0 * t)!r}\n" for t in ts)
+    path, out = tmp_path / "samples.csv", tmp_path / "out.json"
+    path.write_text("t,x\n" + rows)
+    assert run("decompose", "--input", path, "--output", out) == 0
+    terms = json.loads(out.read_text())["terms"]
+    assert [t["rate"] for t in terms] == pytest.approx([1.0, 2.0], rel=1e-9)
+    assert [t["coeff"] for t in terms] == pytest.approx([2.0, 3.0], rel=1e-9)
 
 
 def test_prony_refuses_amplitudes_past_the_float_range(tmp_path, capsys):
@@ -488,6 +512,7 @@ class TestVerbFlags:
         ("oet", "--config", "c.json"), ("compare", "--methods", "oet", "--config", "c.json"),
         ("oet", "--fit-order", "slope_fit"), ("oet", "--max-terms", "1"),
         ("decompose", "--quadrature-nodes", "64"), ("prony", "--max-terms", "1"),
+        ("synth", "--fit-order", "slope_fit"), ("functionals", "--quadrature-nodes", "64"),
         ("synth", "--sigma", "0", "0.1"), ("compare", "--sigma"),
     ], ids=" ".join)
     def test_flag_the_verb_does_not_read_is_a_usage_error(self, capsys, argv):

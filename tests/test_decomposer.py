@@ -392,13 +392,23 @@ class TestGridResidency:
             decompose_numeric(src, (0.0, horizon))
 
     def test_tail_window_of_too_few_samples_refused(self):
-        # nine samples of a plainly present signal on t = 710..718: the tail
-        # window over their whole support, 714..718, holds 5 of them, which no
-        # horizon's fit can read; that is too few samples, not a vanished signal
+        # nine samples of a plainly present signal on t = 710..718: no
+        # horizon's tail window holds more than 5 of them (the whole support's,
+        # 714..718), which no fit can read; that is too few samples, not a
+        # vanished signal
         ts = np.arange(710.0, 719.0)
         samples = SampledSignal(ts, 2.0 * np.exp(710.0 - ts) + 3.0 * np.exp(2.0 * (710.0 - ts)))
-        with pytest.raises(ValueError, match="too few samples: 5 in its tail window, need 8"):
+        with pytest.raises(ValueError, match="too few samples: at most 5 in a tail window, need 8"):
             decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+
+    def test_dense_early_samples_before_a_sparse_tail_decompose(self):
+        # one late sample at t = 100 leaves the whole support's tail window a
+        # single node; the fitted horizons end near t = 8, where nodes are dense
+        ts = np.append(np.linspace(0.0, 10.0, 1001), 100.0)
+        samples = SampledSignal(ts, 2.0 * np.exp(-ts) + 3.0 * np.exp(-2.0 * ts))
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert [r for r, _ in result.terms] == pytest.approx([1.0, 2.0], rel=1e-9)
+        assert [c for _, c in result.terms] == pytest.approx([2.0, 3.0], rel=1e-9)
 
 
 class TestPinnedTerms:

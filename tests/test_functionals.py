@@ -185,6 +185,16 @@ class TestRateFunctional:
         with pytest.raises(ValueError, match="too few samples"):
             rate_functionals(src, (1.0,), support=(0.0, 60.0))
 
+    def test_dense_early_grid_before_a_sparse_tail_accepted(self):
+        # the whole support's tail window [50, 100] holds one node; the
+        # horizons fitted end where the nodes are dense
+        grid = np.append(np.linspace(0.0, 10.0, 1001), 100.0)
+        src = SignalSource.from_evaluator(
+            lambda ts: 2.0 * np.exp(-np.asarray(ts)) + 3.0 * np.exp(-2.0 * np.asarray(ts)),
+            grid=grid)
+        assert rate_functionals(src, (1.0, 2.0), support=(0.0, 100.0)) == pytest.approx(
+            [2.0, 3.0], rel=1e-9)
+
     def test_linearity_exact_in_symbolic_mode(self, rng):
         rates = (0.5, 1.3, 2.4)
         for _ in range(10):

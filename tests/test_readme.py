@@ -63,4 +63,4 @@ def test_flag_table_names_the_verbs_of_each_config_flag():
         documented[flag.strip("`")] = {verb.strip().strip("`") for verb in verbs.split(",")}
     assert documented == {flag: {name for name, sub in _verbs().items()
                                  if flag in sub._option_string_actions}
-                          for flag in cli._CONFIG_FLAGS}
+                          for flag in ("--" + dest.replace("_", "-") for dest in cli._CONFIG_FLAGS)}

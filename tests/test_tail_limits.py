@@ -36,8 +36,17 @@ class TestConfigValidation:
 def test_require_tail_nodes_at_the_window_minimum():
     # the tail window of (0, 2m) is [m, 2m], which holds m + 1 integer nodes
     tail_limits.require_tail_nodes(np.arange(0.0, 15.0), (0.0, 14.0))
-    with pytest.raises(ValueError, match="too few samples: 7 in its tail window, need 8"):
+    with pytest.raises(ValueError, match="too few samples: at most 7 in a tail window, need 8"):
         tail_limits.require_tail_nodes(np.arange(0.0, 13.0), (0.0, 12.0))
+
+
+def test_require_tail_nodes_counts_the_window_of_every_horizon_end():
+    # one node at t = 100 leaves the whole support's window [50, 100] one
+    # node, but the horizon ending at t = 10 has 501 in its window [5, 10]
+    ts = np.append(np.linspace(0.0, 10.0, 1001), 100.0)
+    tail_limits.require_tail_nodes(ts, (0.0, 100.0))
+    with pytest.raises(ValueError, match="at most 7 in a tail window"):
+        tail_limits.require_tail_nodes(np.append(np.arange(13.0), 100.0), (0.0, 100.0))
 
 
 class TestEstimateRate:
