@@ -333,10 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first main() call.
 
     parse_args keeps no state between calls, and no verb mutates the shared
-    list defaults (compare's --sigma, functionals' --rates).
+    list defaults (compare's --sigma, functionals' --rates).  No parser
+    accepts a prefix of a flag for the flag, so each value has one spelling.
     """
     parser = argparse.ArgumentParser(
         prog="transient-lab",
+        allow_abbrev=False,
         description="Decompose transient signals into decaying exponentials.",
         epilog=__doc__.split("Exit codes")[1].join(["Exit codes", ""]),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -344,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def verb(name, run, summary, *shared):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(run=run)
         for flag in shared:
             p.add_argument(flag, **_SHARED_FLAGS[flag])

@@ -28,6 +28,11 @@ values on that grid, and the tail estimators take the grid and that array
 as they are, so nothing is read or checked again.  Each held term
 keeps its own column, coeff * exp(-rate * grid), computed once when the
 term is estimated, so a residual costs one subtraction per held term.
+The grid side of every fit window (its blocks' mean nodes, centred rows
+and spreads) is built once per decomposition, and its few numbers a block
+outlive it in tail_limits.grid_block_stats while the next decomposition
+runs on the same grid: a Monte-Carlo sweep over sample sets of one grid
+recomputes only the centred rows of most windows.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ import numpy as np
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
 from .tail_limits import (TailFitConfig, TailRead, _validate_support, estimate_coefficient,
-                          estimate_rate, require_tail_nodes, scan_horizons, shrink_support,
-                          tail_slice)
+                          estimate_rate, grid_block_stats, require_tail_nodes, scan_horizons,
+                          shrink_support, tail_slice)
 
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
 
@@ -164,31 +169,40 @@ class _NumericState:
         self.t_lo, self.t_hi = _validate_support(support)
         self.grid = evaluation_grid(source, support)
         require_tail_nodes(self.grid, (self.t_lo, self.t_hi))
-        self.base_values = evaluate_many(source, self.grid)
-        if not np.all(np.isfinite(self.base_values)):
+        base = evaluate_many(source, self.grid)
+        if not np.all(np.isfinite(base)):
             raise ValueError("signal is not finite on the evaluation grid")
+        # residual_values may hand out the base values themselves: a read-only
+        # view keeps them unchanged, and leaves the evaluator's array as it was
+        self.base_values = base.view()
+        self.base_values.flags.writeable = False
         self.noise_sigma = _noise_level(self.base_values)
         self.terms = []          # [_Term], rates ascending
-        # the grid-side block statistics of each fit window, shared by the
-        # tail reads of every residual (tail_limits.TailRead)
+        # the grid-side blocks of each fit window, shared by the tail reads of
+        # every residual, and the grid's store they are rebuilt from when the
+        # memo misses them (tail_limits.TailRead)
         self.block_memo = {}
+        self.block_stats = grid_block_stats(self.grid)
 
     # -- residual bookkeeping -------------------------------------------
 
     def residual_values(self, skip=None):
-        """Base values minus every held term except the one at index skip.
+        """Base values minus every held term except the one at index skip;
+        the (read-only) base values themselves when no term is subtracted.
 
         Raises Diverging when that overflows: the held terms then oppose the
         input near the top of the float range instead of cancelling it.
         """
-        out = self.base_values.copy()
+        columns = [term.column for i, term in enumerate(self.terms) if i != skip]
+        if not columns:
+            return self.base_values
         try:
             # numpy reads its overflow flag after each subtraction anyway;
             # raising on it spares a finite check's pass over the values
             with np.errstate(over="raise"):
-                for i, term in enumerate(self.terms):
-                    if i != skip:
-                        out -= term.column
+                out = self.base_values - columns[0]
+                for column in columns[1:]:
+                    out -= column
         except FloatingPointError:
             raise Diverging("the signal less the held terms overflows") from None
         return out
@@ -226,7 +240,7 @@ class _NumericState:
         ends = shrink_support(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
         if len(ends) > len(HORIZON_FLOORS):
             ends = [t_hi for t_hi in ends if t_hi <= ends[-1]]
-        read = TailRead(self.grid, values, self.block_memo)
+        read = TailRead(self.grid, values, self.block_memo, self.block_stats)
 
         def fit(t_hi):
             est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg, read=read)
@@ -239,8 +253,10 @@ class _NumericState:
         best = scan_horizons(fit, ends, self.t_lo)
         coeff = estimate_coefficient(self.grid, values, best.rate, (self.t_lo, best.window[1]),
                                      self.cfg, read=read)
-        return _Term(best.rate, coeff, best.residual_rms, best.window,
-                     coeff * np.exp(-best.rate * self.grid))
+        column = np.multiply(-best.rate, self.grid)
+        np.exp(column, out=column)
+        column *= coeff
+        return _Term(best.rate, coeff, best.residual_rms, best.window, column)
 
     def collides(self, rate, skip=None):
         return any(abs(rate - term.rate) < RATE_MERGE_TOL

@@ -138,9 +138,9 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
 
     def fit(t_hi):
         value = estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg, read=read)
-        # the samples that value averages, reweighted as it reweights them
+        # the samples that value averages, as the read kept them reweighted
         _, win = read.window((t_lo, t_hi))
-        v = np.sign(win.xs) * np.exp(rate * win.ts + win.logs)
+        v = read.reweighted(win, rate)
         mag = np.abs(v)
         # the score is scale-free, and the sums of squares in np.std overflow
         # near the top of the float range, so large values are scored scaled

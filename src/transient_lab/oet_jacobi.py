@@ -47,6 +47,7 @@ available behind a flag.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb, gamma
@@ -201,22 +202,38 @@ class ExponentialBasis:
     max_index: int
     coeff_table: tuple
 
-    def element(self, n: int) -> SymbolicTransient:
+    def _check_index(self, n):
         if not 1 <= n <= self.max_index:
             raise ValueError(f"element index {n} outside 1..{self.max_index}")
+
+    def element(self, n: int) -> SymbolicTransient:
+        self._check_index(n)
         row = self.coeff_table[n - 1]
         return SymbolicTransient(tuple((float(k + 1), float(c)) for k, c in enumerate(row)))
 
+    @functools.cached_property
+    def _sources(self):
+        return [None] * self.max_index
+
     def element_source(self, n: int) -> SignalSource:
-        return SignalSource.from_symbolic(self.element(n))
+        """Source of element n, built on the first request and returned again
+        on every later one, so projections onto one basis share it."""
+        self._check_index(n)
+        source = self._sources[n - 1]
+        if source is None:
+            source = self._sources[n - 1] = SignalSource.from_symbolic(self.element(n))
+        return source
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def build_exponential_basis(max_index: int) -> ExponentialBasis:
     """Table the first max_index orthonormal exponential elements.
 
     The coefficients grow geometrically and leave the float range at
     element 136; a max_index that reaches that far raises ValueError there,
-    before any later (slower, larger) row is built.
+    before any later (slower, larger) row is built.  A basis is built once
+    per max_index and returned again on every later call, its rows
+    read-only; only 1..135 build, and a call that raises keeps nothing.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
@@ -226,6 +243,7 @@ def build_exponential_basis(max_index: int) -> ExponentialBasis:
         poly = jacobi_monomial_coeffs(params, n - 1)
         scale = (-1.0) ** (n - 1) * math.sqrt(2.0 * n ** 3)
         rows.append(scale * poly)
+        rows[-1].flags.writeable = False
         if not np.all(np.isfinite(rows[-1])):
             raise ValueError(f"element {n} of the exponential basis overflows the float "
                              f"range; the basis holds at most {n - 1} elements")

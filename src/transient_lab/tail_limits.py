@@ -26,11 +26,18 @@ every fit, which slices out the nodes in the trailing window of its
 support.  Only rate_sequence reads a source itself.  A caller that fits one
 residual several times hands every fit one TailRead of it: the read takes
 |x| once, and log|x| once per fit window, which the coefficient read off
-the winning window reuses.  The grid-side statistics of a window's blocks
-(their mean nodes, centred rows and spreads, and whether a line can be
-fitted at all) depend on the nodes alone, so the read keeps them in a memo
-that the reads of every residual on one grid may share.  A fit without a
-read builds its own, so there is one fit path.
+the winning window reuses, and it keeps the last window the coefficient
+reweighted, for a caller that scores it.  The grid-side statistics of a
+window's blocks (their mean nodes, centred rows and spreads, and whether a
+line can be fitted at all) depend on the nodes alone, so the read keeps
+them in a memo that the reads of every residual on one grid may share.  A
+fit without a read builds its own, so there is one fit path.
+
+Beyond one decomposition, grid_block_stats keeps the few numbers a block
+of those statistics (its mean node and spread, and the error) for the last
+grid it was given, matched by its bytes; a memo that misses them there
+recomputes only the centred rows.  A Monte-Carlo sweep decomposes sample
+set after sample set on one grid, and most of its windows recur.
 
 The decomposer and the extraction functionals both take their horizons
 from here: shrink_support trims at several relative floors in one pass, and
@@ -167,30 +174,44 @@ def _rows(x, starts, length):
                       (starts.step * x.itemsize, x.itemsize))
 
 
-class _Blocks(NamedTuple):
-    """The grid side of the line fits on the blocks of a window's nodes t:
-    everything that does not depend on the values fitted."""
+class _BlockStats(NamedTuple):
+    """The grid side of the line fits on the blocks of a window's nodes t,
+    less the centred rows: a few numbers a block."""
     starts: range
     length: int
     tm: np.ndarray            # each block's mean node
-    dt: np.ndarray            # each block's nodes less that mean, one row a block
-    den: np.ndarray           # each row's dot product with itself
+    den: np.ndarray           # each block's centred nodes dotted with themselves
     error: Optional[str]      # why no line can be fitted, or None
 
 
-def _blocks(t, nsub):
+class _Blocks(NamedTuple):
+    """_BlockStats, in its order, and then the centred rows: everything on
+    the grid side of the line fits that does not depend on the values
+    fitted."""
+    starts: range
+    length: int
+    tm: np.ndarray
+    den: np.ndarray
+    error: Optional[str]
+    dt: np.ndarray            # each block's nodes less its mean, one row a block
+
+
+def _blocks(t, nsub, stats=None):
     """_Blocks of the equal-stride blocks (_index_blocks) of the nodes t.
 
-    The first block whose nodes' spread squares to zero or overflows sets
-    error: no line can be fitted on it.
+    stats, when given, are the _BlockStats of these same nodes in nsub
+    blocks, and only the centred rows are computed.  The first block whose
+    nodes' spread squares to zero or overflows sets error: no line can be
+    fitted on it.
     """
+    if stats is not None:
+        return _Blocks(*stats, _rows(t, stats.starts, stats.length) - stats.tm[:, None])
     starts, length = _index_blocks(len(t), nsub)
     t_rows = _rows(t, starts, length)
     tm = _mean(t_rows)
     dt = t_rows - tm[:, None]
-    # a stacked (1, n) @ (n, 1) product is a dot product per block, the same
-    # BLAS call, and so the same bits, as np.dot on that block
-    den = np.matmul(dt[:, None, :], dt[:, :, None])[:, 0, 0]
+    # a dot product per block, with the same bits as np.dot on that block
+    den = np.vecdot(dt, dt)
     error = None
     for j, d in enumerate(den.tolist()):
         if not 0.0 < d < math.inf:
@@ -198,7 +219,7 @@ def _blocks(t, nsub):
                      f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
                      f"can be fitted")
             break
-    return _Blocks(starts, length, tm, dt, den, error)
+    return _Blocks(starts, length, tm, den, error, dt)
 
 
 def _slopes(blocks, y):
@@ -209,7 +230,7 @@ def _slopes(blocks, y):
         raise NonDecaying(blocks.error)
     y_rows = _rows(y, blocks.starts, blocks.length)
     ym = _mean(y_rows)
-    slopes = np.matmul(blocks.dt[:, None, :], (y_rows - ym[:, None])[:, :, None])[:, 0, 0]
+    slopes = np.vecdot(blocks.dt, y_rows - ym[:, None])
     return slopes / blocks.den, ym
 
 
@@ -272,21 +293,26 @@ class TailRead:
     ts holds ascending grid nodes and values the finite values there, as the
     estimators take them.  The read takes |values| once, and for each fit
     window the kept samples and the log of their magnitudes once, so the
-    coefficient read off a rate fit's window reuses that fit's logs.  memo,
-    a dict that the reads of every residual on the same grid may share,
-    keeps the grid-side _Blocks of each window from which the floor drops no
-    sample, since those depend on the nodes alone; without one the read
+    coefficient read off a rate fit's window reuses that fit's logs; it also
+    keeps the last window the coefficient reweighted (reweighted).  memo, a
+    dict that the reads of every residual on the same grid may share, keeps
+    the grid-side _Blocks of each window from which the floor drops no
+    sample, since those depend on the nodes alone; stats, when given, is the
+    store grid_block_stats returned for ts, from which a block the memo
+    misses is rebuilt with its centred rows alone.  Without them the read
     keeps its own.
     """
 
-    __slots__ = ("ts", "values", "mag", "memo", "_windows")
+    __slots__ = ("ts", "values", "mag", "memo", "stats", "_windows", "_reweighted")
 
-    def __init__(self, ts, values, memo=None):
+    def __init__(self, ts, values, memo=None, stats=None):
         self.ts = ts
         self.values = values
         self.mag = np.abs(values)
         self.memo = {} if memo is None else memo
+        self.stats = {} if stats is None else stats
         self._windows = {}      # (start, stop) of a window -> its _Window
+        self._reweighted = None
 
     def window(self, support):
         """Bounds of the tail window of support, and its _Window.  Raises
@@ -302,14 +328,55 @@ class TailRead:
 
     def blocks(self, win, nsub):
         """_Blocks of the kept nodes of win in nsub blocks, from the memo
-        when the floor dropped no sample."""
+        when the floor dropped no sample, else built, from stats when they
+        hold the window."""
         if win.key is None:
             return _blocks(win.ts, nsub)
         key = win.key + (nsub,)
         blocks = self.memo.get(key)
         if blocks is None:
-            blocks = self.memo[key] = _blocks(win.ts, nsub)
+            stats = self.stats.get(key)
+            blocks = self.memo[key] = _blocks(win.ts, nsub, stats)
+            if stats is None:
+                self.stats[key] = _BlockStats(*blocks[:-1])
         return blocks
+
+    def reweighted(self, win, rate):
+        """The kept samples of win times exp(rate * t), taken as
+        sign(x) exp(rate t + log|x|); an overflow leaves an inf.  The last
+        array is kept and returned again for the same window and rate."""
+        last = self._reweighted
+        if last is not None and last[0] is win and last[1] == rate:
+            return last[2]
+        with np.errstate(over="ignore"):
+            out = np.multiply(rate, win.ts)
+            out += win.logs
+            np.exp(out, out=out)
+        # the kept samples are nonzero, so each carries its sign onto exp
+        np.copysign(out, win.xs, out=out)
+        self._reweighted = win, rate, out
+        return out
+
+
+# the grid-side block statistics of the last grid given to grid_block_stats:
+# (that grid's bytes, {(start, stop, nsub): _BlockStats})
+_grid_store = None
+
+
+def grid_block_stats(grid):
+    """The store of _BlockStats for the windows of grid, which TailRead
+    fills: the one kept for the last grid given when grid holds the same
+    bytes, else a new empty store that replaces it.
+
+    The store keeps its own copy of the grid's bytes, so a caller that
+    changes the array afterwards gets a new store, and -0.0 and 0.0 are
+    different nodes.  It holds one grid's windows at most.
+    """
+    global _grid_store
+    key = grid.tobytes()
+    if _grid_store is None or _grid_store[0] != key:
+        _grid_store = key, {}
+    return _grid_store[1]
 
 
 def _read_of(ts, values, read):
@@ -346,7 +413,11 @@ def estimate_rate(ts, values, support, cfg: TailFitConfig = None, *,
         icpt = ym.item() - slopes.item() * blocks.tm.item()
     else:
         icpt = float(_mean(win.logs + rts))
-    rms = math.sqrt(float(_mean((win.logs - (icpt - rts)) ** 2)))
+    # the squared deviations log|x| - (icpt - rate t), in place
+    dev = np.subtract(icpt, rts, out=rts)
+    np.subtract(win.logs, dev, out=dev)
+    dev *= dev
+    rms = math.sqrt(float(_mean(dev)))
     return RateEstimate(rate=rate, intercept=icpt, window=bounds, residual_rms=rms)
 
 
@@ -362,11 +433,10 @@ def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = 
     cfg = cfg or TailFitConfig()
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    _, win = _read_of(ts, values, read).window(support)
-    # the kept samples are nonzero, so each has a log; an overflow leaves an
-    # inf for the finite check below to refuse
-    with np.errstate(over="ignore"):
-        values = np.sign(win.xs) * np.exp(rate * win.ts + win.logs)
+    read = _read_of(ts, values, read)
+    _, win = read.window(support)
+    # an overflow leaves an inf for the finite check below to refuse
+    values = read.reweighted(win, rate)
     mag = np.abs(values)
     peak = float(np.maximum.reduce(mag))
     if not math.isfinite(peak):
@@ -437,9 +507,12 @@ def shrink_support(ts, values, rel_floors, noise=0.0):
     crossings = (reversed_mag >= levels[:, None]).argmax(axis=1)
     ends = ts[n - 1 - crossings].tolist()
     if noise > 1e-9 * peak:
-        above = np.flatnonzero(reversed_mag[::-1] >= min(0.5, 5.0 * noise / peak) * peak)
+        # the nodes at or above the level, counted from the last node back:
+        # the first gap from the front is the last one here, and the end is
+        # the node just past it, or the hit nearest the end without a gap
+        above = np.flatnonzero(reversed_mag >= min(0.5, 5.0 * noise / peak) * peak)
         gaps = np.flatnonzero(above[1:] - above[:-1] > n // 20)
-        ends.append(float(ts[above[gaps[0]] if len(gaps) else above[-1]]))
+        ends.append(float(ts[n - 1 - above[gaps[-1] + 1 if len(gaps) else 0]]))
     return ends
 
 

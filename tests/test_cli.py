@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -347,6 +348,20 @@ class TestAuxiliaryExports:
                                           b"3,2,-29.393876913398138\n"
                                           b"3,3,24.494897427831784\n")
 
+    def test_oet_basis_table_export_same_from_the_kept_basis(self, tmp_path, two_term_spec):
+        # the second run reads the basis kept by the first; both write what a
+        # basis built for the call writes
+        fresh = transient_lab.build_exponential_basis.__wrapped__(8)
+        want = "element,rate,coeff\n" + "".join(
+            f"{n},{k},{float(c)!r}\n"
+            for n, row in enumerate(fresh.coeff_table, 1) for k, c in enumerate(row, 1))
+        for i in range(2):
+            basis_csv = tmp_path / f"basis{i}.csv"
+            assert run("oet", "--input", two_term_spec, "--basis-out", basis_csv,
+                       "--output", tmp_path / f"oet{i}.json") == 0
+            assert basis_csv.read_bytes() == want.encode()
+        assert (tmp_path / "oet0.json").read_bytes() == (tmp_path / "oet1.json").read_bytes()
+
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -520,6 +535,27 @@ class TestVerbFlags:
             main(list(argv))
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("oet", "--quad", "1"), ("decompose", "--max-t", "1"),
+        ("decompose", "--fit", "richardson_1"), ("compare", "--methods", "oet", "--tri", "2"),
+    ], ids=" ".join)
+    def test_prefix_of_a_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_parser_matches_flag_prefixes(self):
+        # a verb added later inherits nothing from the top-level parser, so
+        # each one is checked, whichever verbs there are
+        parser = cli._build_parser()
+        verbs = next(action.choices for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        assert verbs
+        assert parser.allow_abbrev is False
+        assert {name: sub.allow_abbrev for name, sub in verbs.items()} == dict.fromkeys(
+            verbs, False)
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "0"])
     @pytest.mark.parametrize("argv, flag", [

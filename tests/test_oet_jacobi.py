@@ -7,7 +7,8 @@ from transient_lab import (GammaPole, JacobiParams, QuadratureConfig, SignalSour
                            SymbolicTransient, build_exponential_basis,
                            check_derivative_recurrence, check_multiplication_recurrence,
                            inner_product, jacobi_monomial_coeffs, oet_analyze,
-                           orthogonality_closed_form, orthogonality_integral)
+                           orthogonality_closed_form, orthogonality_integral,
+                           synthesize_samples)
 from transient_lab.oet_jacobi import fold_exponential_coeffs, jacobi_eval
 
 STANDARD = JacobiParams(2.0, 2.0)
@@ -165,6 +166,32 @@ class TestExponentialBasis:
         with pytest.raises(ValueError):
             build_exponential_basis(3).element(4)
 
+    def test_one_basis_per_max_index(self):
+        assert build_exponential_basis(8) is build_exponential_basis(8)
+        assert build_exponential_basis(7) is not build_exponential_basis(8)
+        assert build_exponential_basis(7).max_index == 7
+
+    def test_rows_are_read_only(self):
+        row = build_exponential_basis(4).coeff_table[2]
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        assert row[0] == build_exponential_basis.__wrapped__(4).coeff_table[2][0]
+
+    def test_refused_max_index_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="element 136 "):
+                build_exponential_basis(136)
+
+    def test_element_source_built_once(self):
+        basis = build_exponential_basis(6)
+        for n in range(1, 7):
+            source = basis.element_source(n)
+            assert source is basis.element_source(n)
+            assert source.symbolic == basis.element(n)
+        for n in (0, 7):
+            with pytest.raises(ValueError, match="outside 1..6"):
+                basis.element_source(n)
+
 
 class TestAnalyzeSynthesize:
     def test_basis_element_projects_to_unit_vector(self):
@@ -228,6 +255,27 @@ class TestAnalyzeSynthesize:
             for r, c in sig.terms:
                 want[int(r) - 1] = c
             assert np.abs(folded - want).max() < 1e-6
+
+    @pytest.mark.parametrize("kind", ["symbolic", "sampled", "evaluator"])
+    def test_projections_equal_a_fresh_build(self, kind):
+        # the kept basis and its kept element sources give every bit that a
+        # basis and sources built for this one call give
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        source = {
+            "symbolic": lambda: SignalSource.from_symbolic(sig),
+            "sampled": lambda: SignalSource.from_sampled(
+                synthesize_samples(sig, np.linspace(0.0, 40.0, 4001), noise_sigma=1e-4,
+                                   seed=3)),
+            "evaluator": lambda: SignalSource.from_evaluator(sig),
+        }[kind]()
+        fresh = build_exponential_basis.__wrapped__(8)
+        want = [inner_product(source, SignalSource.from_symbolic(fresh.element(n)))
+                for n in range(1, 9)]
+        for basis in (fresh, build_exponential_basis(8), build_exponential_basis(8)):
+            got = oet_analyze(source, basis)
+            assert np.array_equal(got.projections, want)
+            assert np.array_equal(got.exponential_coeffs,
+                                  oet_analyze(source, fresh).exponential_coeffs)
 
     def test_quadrature_config_respected(self):
         basis = build_exponential_basis(3)

@@ -622,6 +622,20 @@ class TestKernelParity:
                 assert (outcome(fit_coefficient, ts, values, rate, support, cfg)
                         == outcome(reference_coefficient, ts, values, rate, support, order))
 
+    def test_reweighted_window_is_kept_for_a_score(self):
+        # the coefficient leaves its reweighted window on the read, where a
+        # caller scoring that window finds the very array it averaged
+        ts = np.linspace(0.0, 10.0, 101)
+        xs = -2.0 * np.exp(-ts) + 0.5 * np.exp(-3.0 * ts)
+        shared = tail_limits.TailRead(ts, xs)
+        estimate_coefficient(ts, xs, 1.0, (0.0, 10.0), read=shared)
+        _, win = shared.window((0.0, 10.0))
+        kept = shared.reweighted(win, 1.0)
+        assert shared.reweighted(win, 1.0) is kept
+        assert np.array_equal(kept, np.sign(win.xs) * np.exp(1.0 * win.ts + win.logs))
+        assert (kept < 0.0).all()
+        assert shared.reweighted(win, 2.0) is not kept
+
     def test_read_of_other_values_refused(self):
         ts = np.linspace(0.0, 10.0, 101)
         xs = np.exp(-ts)
