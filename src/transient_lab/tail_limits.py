@@ -185,14 +185,9 @@ class _BlockStats(NamedTuple):
 
 
 class _Blocks(NamedTuple):
-    """_BlockStats, in its order, and then the centred rows: everything on
-    the grid side of the line fits that does not depend on the values
-    fitted."""
-    starts: range
-    length: int
-    tm: np.ndarray
-    den: np.ndarray
-    error: Optional[str]
+    """Everything on the grid side of the line fits on the blocks of a
+    window's nodes: what does not depend on the values fitted."""
+    stats: _BlockStats
     dt: np.ndarray            # each block's nodes less its mean, one row a block
 
 
@@ -205,13 +200,14 @@ def _blocks(t, nsub, stats=None):
     fitted on it.
     """
     if stats is not None:
-        return _Blocks(*stats, _rows(t, stats.starts, stats.length) - stats.tm[:, None])
+        return _Blocks(stats, _rows(t, stats.starts, stats.length) - stats.tm[:, None])
     starts, length = _index_blocks(len(t), nsub)
     t_rows = _rows(t, starts, length)
     tm = _mean(t_rows)
     dt = t_rows - tm[:, None]
-    # a dot product per block, with the same bits as np.dot on that block
-    den = np.vecdot(dt, dt)
+    # a stacked (1, n) @ (n, 1) product is a dot product per block, the same
+    # BLAS call, and so the same bits, as np.dot on that block
+    den = np.matmul(dt[:, None, :], dt[:, :, None])[:, 0, 0]
     error = None
     for j, d in enumerate(den.tolist()):
         if not 0.0 < d < math.inf:
@@ -219,19 +215,20 @@ def _blocks(t, nsub, stats=None):
                      f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
                      f"can be fitted")
             break
-    return _Blocks(starts, length, tm, den, error, dt)
+    return _Blocks(_BlockStats(starts, length, tm, den, error), dt)
 
 
 def _slopes(blocks, y):
     """Least-squares slopes of y against the nodes on each of blocks, from
     sums centred on each block's means, and the means of y on the blocks.
     Raises NonDecaying when blocks holds a block with no usable spread."""
-    if blocks.error is not None:
-        raise NonDecaying(blocks.error)
-    y_rows = _rows(y, blocks.starts, blocks.length)
+    stats = blocks.stats
+    if stats.error is not None:
+        raise NonDecaying(stats.error)
+    y_rows = _rows(y, stats.starts, stats.length)
     ym = _mean(y_rows)
-    slopes = np.vecdot(blocks.dt, y_rows - ym[:, None])
-    return slopes / blocks.den, ym
+    slopes = np.matmul(blocks.dt[:, None, :], (y_rows - ym[:, None])[:, :, None])[:, 0, 0]
+    return slopes / stats.den, ym
 
 
 def _aitken_pass(seq):
@@ -335,10 +332,8 @@ class TailRead:
         key = win.key + (nsub,)
         blocks = self.memo.get(key)
         if blocks is None:
-            stats = self.stats.get(key)
-            blocks = self.memo[key] = _blocks(win.ts, nsub, stats)
-            if stats is None:
-                self.stats[key] = _BlockStats(*blocks[:-1])
+            blocks = self.memo[key] = _blocks(win.ts, nsub, self.stats.get(key))
+            self.stats[key] = blocks.stats
         return blocks
 
     def reweighted(self, win, rate):
@@ -408,9 +403,9 @@ def estimate_rate(ts, values, support, cfg: TailFitConfig = None, *,
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
     rts = rate * win.ts
-    if len(blocks.starts) == 1:
+    if len(blocks.stats.starts) == 1:
         # one block fits the whole window and gives the intercept with its slope
-        icpt = ym.item() - slopes.item() * blocks.tm.item()
+        icpt = ym.item() - slopes.item() * blocks.stats.tm.item()
     else:
         icpt = float(_mean(win.logs + rts))
     # the squared deviations log|x| - (icpt - rate t), in place
