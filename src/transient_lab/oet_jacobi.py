@@ -190,39 +190,33 @@ def orthogonality_closed_form(params: JacobiParams, n: int,
 # orthogonal exponential basis (a = b = 2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentialBasis:
     """Coefficient table of the orthonormal exponential family.
 
     coeff_table[n - 1][k - 1] multiplies exp(-k t) inside the n-th element,
     1 <= k <= n.  Element n is sqrt(2 n^3) exp(-t) J_{n-1}(exp(-t)) with the
-    alternating sign folded in.
+    alternating sign folded in.  The table alone fixes the basis: max_index
+    is its length, and elements holds one symbolic source per row, built
+    with the basis, so every projection onto it reads the same sources.  A
+    basis compares by identity.
     """
 
-    max_index: int
     coeff_table: tuple
 
-    def _check_index(self, n):
-        if not 1 <= n <= self.max_index:
-            raise ValueError(f"element index {n} outside 1..{self.max_index}")
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(
+            SignalSource.from_symbolic(SymbolicTransient(tuple(enumerate(row, 1))))
+            for row in self.coeff_table))
+
+    @property
+    def max_index(self) -> int:
+        return len(self.coeff_table)
 
     def element(self, n: int) -> SymbolicTransient:
-        self._check_index(n)
-        row = self.coeff_table[n - 1]
-        return SymbolicTransient(tuple((float(k + 1), float(c)) for k, c in enumerate(row)))
-
-    @functools.cached_property
-    def _sources(self):
-        return [None] * self.max_index
-
-    def element_source(self, n: int) -> SignalSource:
-        """Source of element n, built on the first request and returned again
-        on every later one, so projections onto one basis share it."""
-        self._check_index(n)
-        source = self._sources[n - 1]
-        if source is None:
-            source = self._sources[n - 1] = SignalSource.from_symbolic(self.element(n))
-        return source
+        if not 1 <= n <= self.max_index:
+            raise ValueError(f"element index {n} outside 1..{self.max_index}")
+        return self.elements[n - 1].symbolic
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -232,8 +226,9 @@ def build_exponential_basis(max_index: int) -> ExponentialBasis:
     The coefficients grow geometrically and leave the float range at
     element 136; a max_index that reaches that far raises ValueError there,
     before any later (slower, larger) row is built.  A basis is built once
-    per max_index and returned again on every later call, its rows
-    read-only; only 1..135 build, and a call that raises keeps nothing.
+    per max_index, with its element sources, and returned again on every
+    later call, its rows read-only; only 1..135 build, and a call that
+    raises keeps nothing.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
@@ -247,10 +242,10 @@ def build_exponential_basis(max_index: int) -> ExponentialBasis:
         if not np.all(np.isfinite(rows[-1])):
             raise ValueError(f"element {n} of the exponential basis overflows the float "
                              f"range; the basis holds at most {n - 1} elements")
-    return ExponentialBasis(max_index=max_index, coeff_table=tuple(rows))
+    return ExponentialBasis(tuple(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OetCoefficients:
     """Projections onto the basis elements plus the folded per-rate coefficients."""
     projections: np.ndarray
@@ -272,10 +267,7 @@ def fold_exponential_coeffs(projections, basis: ExponentialBasis) -> np.ndarray:
 def oet_analyze(source: SignalSource, basis: ExponentialBasis,
                 q: QuadratureConfig = None) -> OetCoefficients:
     """Project a signal onto the basis and fold back to per-rate coefficients."""
-    projections = np.array([
-        inner_product(source, basis.element_source(n), q)
-        for n in range(1, basis.max_index + 1)
-    ])
+    projections = np.array([inner_product(source, element, q) for element in basis.elements])
     with np.errstate(over="ignore", invalid="ignore"):
         folded = fold_exponential_coeffs(projections, basis)
     if not np.all(np.isfinite(folded)):

@@ -109,7 +109,7 @@ class SymbolicTransient:
         return out.reshape(ts.shape) if ts.ndim else float(out[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSignal:
     """Finite observation of a transient on a strictly increasing time grid.
 
@@ -148,25 +148,34 @@ class SampledSignal:
         return float(self.times[0]), float(self.times[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalSource:
     """One evaluatable signal: symbolic, sampled, or black-box.
 
-    grid, when present, lists the source's own nodes (a sampled signal's
-    sample times), strictly increasing; numeric methods read the source
-    there (evaluation_grid).
+    support is the range the source is defined on, (0, inf) unless given.
+    grid, when present, lists the source's own nodes, strictly increasing;
+    numeric methods read the source there (evaluation_grid).  A sampled
+    source takes both from its samples, their time range and their times,
+    and refuses an explicit support or grid.  Sources compare by identity.
     """
 
     symbolic: Optional[SymbolicTransient] = None
     sampled: Optional[SampledSignal] = None
     evaluator: Optional[Callable] = None
-    support: tuple = (0.0, math.inf)
+    support: Optional[tuple] = None
     grid: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         filled = sum(x is not None for x in (self.symbolic, self.sampled, self.evaluator))
         if filled != 1:
             raise ValueError("exactly one of symbolic, sampled, evaluator must be set")
+        if self.sampled is not None:
+            if self.support is not None or self.grid is not None:
+                raise ValueError("a sampled source takes its support and grid from its samples")
+            object.__setattr__(self, "support", self.sampled.support)
+            object.__setattr__(self, "grid", self.sampled.times)
+        elif self.support is None:
+            object.__setattr__(self, "support", (0.0, math.inf))
         if self.grid is not None:
             grid = np.asarray(self.grid, dtype=float)
             if not np.all(grid[1:] > grid[:-1]):
@@ -179,7 +188,7 @@ class SignalSource:
 
     @classmethod
     def from_sampled(cls, signal: SampledSignal) -> "SignalSource":
-        return cls(sampled=signal, support=signal.support, grid=signal.times)
+        return cls(sampled=signal)
 
     @classmethod
     def from_evaluator(cls, fn: Callable, support=(0.0, math.inf), grid=None) -> "SignalSource":

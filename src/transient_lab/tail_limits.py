@@ -93,7 +93,7 @@ class RateEstimate:
     residual_rms: float       # rms of log|x| about the fitted line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateSequence:
     """Raw slowest-rate sequence (t, -log|x(t)|/t) for diagnostics."""
     points: np.ndarray        # shape (n, 2)
@@ -485,10 +485,11 @@ def shrink_support(ts, values, rel_floors, noise=0.0):
     floors: where |x| sinks into five times the noise (at most half the
     peak).  Noise alone clears that level now and then, and a lone such
     sample far out in the tail would set the end there, so the nodes at or
-    above it are cut at their first gap of more than a twentieth of the
-    grid, and the end is the last node before the cut.  An end at or before
-    the start of the support leaves no horizon; scan_horizons passes over
-    it.  Raises SignalVanished when the values are zero everywhere.
+    above it are cut at their first gap, an index step of more than n // 20
+    on a grid of n nodes and never one between adjacent nodes, and the end
+    is the last node before the cut.  An end at or before the start of the
+    support leaves no horizon; scan_horizons passes over it.  Raises
+    SignalVanished when the values are zero everywhere.
     """
     # magnitudes from the last node back: a floor's end is the node of the
     # first of them at or above its level, found by one comparison against
@@ -506,7 +507,7 @@ def shrink_support(ts, values, rel_floors, noise=0.0):
         # the first gap from the front is the last one here, and the end is
         # the node just past it, or the hit nearest the end without a gap
         above = np.flatnonzero(reversed_mag >= min(0.5, 5.0 * noise / peak) * peak)
-        gaps = np.flatnonzero(above[1:] - above[:-1] > n // 20)
+        gaps = np.flatnonzero(above[1:] - above[:-1] > max(n // 20, 1))
         ends.append(float(ts[n - 1 - above[gaps[-1] + 1 if len(gaps) else 0]]))
     return ends
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from transient_lab import (GammaPole, JacobiParams, QuadratureConfig, SignalSource,
-                           SymbolicTransient, build_exponential_basis,
+from transient_lab import (ExponentialBasis, GammaPole, JacobiParams, QuadratureConfig,
+                           SignalSource, SymbolicTransient, build_exponential_basis,
                            check_derivative_recurrence, check_multiplication_recurrence,
                            inner_product, jacobi_monomial_coeffs, oet_analyze,
                            orthogonality_closed_form, orthogonality_integral,
@@ -182,21 +182,35 @@ class TestExponentialBasis:
             with pytest.raises(ValueError, match="element 136 "):
                 build_exponential_basis(136)
 
-    def test_element_source_built_once(self):
+    def test_elements_built_with_the_basis(self):
         basis = build_exponential_basis(6)
+        assert len(basis.elements) == 6
         for n in range(1, 7):
-            source = basis.element_source(n)
-            assert source is basis.element_source(n)
+            source = basis.elements[n - 1]
+            assert source is basis.elements[n - 1]
             assert source.symbolic == basis.element(n)
         for n in (0, 7):
             with pytest.raises(ValueError, match="outside 1..6"):
-                basis.element_source(n)
+                basis.element(n)
+
+    def test_bases_compare_by_identity(self):
+        first = build_exponential_basis.__wrapped__(3)
+        second = build_exponential_basis.__wrapped__(3)
+        assert (first == second) is False
+        assert (first == first) is True
+        assert len({first, second}) == 2
+
+    def test_size_follows_the_table(self):
+        basis = ExponentialBasis(build_exponential_basis(2).coeff_table)
+        assert basis.max_index == 2
+        src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
+        assert len(oet_analyze(src, basis).projections) == 2
 
 
 class TestAnalyzeSynthesize:
     def test_basis_element_projects_to_unit_vector(self):
         basis = build_exponential_basis(5)
-        coeffs = oet_analyze(basis.element_source(1), basis)
+        coeffs = oet_analyze(basis.elements[0], basis)
         expected = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         assert np.abs(coeffs.projections - expected).max() < 1e-9
 

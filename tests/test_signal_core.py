@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transient_lab import (OutOfSupport, SampledSignal, SignalSource, SymbolicTransient,
-                           evaluate_many, inner_product, load_samples_csv, load_signal_spec,
-                           save_samples_csv, signal_core, synthesize_samples)
+                           build_exponential_basis, decompose_numeric, evaluate_many,
+                           inner_product, load_samples_csv, load_signal_spec, oet_analyze,
+                           rate_sequence, save_samples_csv, signal_core, synthesize_samples)
+from transient_lab.signal_core import evaluation_grid
 
 from conftest import random_transient, sample_csv_texts
 
@@ -175,6 +177,48 @@ class TestEvaluationGrid:
     def test_own_nodes_must_increase(self, grid):
         with pytest.raises(ValueError, match="strictly increasing"):
             SignalSource.from_evaluator(np.exp, grid=grid)
+
+
+class TestSignalSource:
+    def test_sampled_source_reads_its_samples_however_spelled(self):
+        sig = synthesize_samples(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))),
+                                 np.linspace(0.0, 10.0, 11))
+        for src in (SignalSource(sampled=sig), SignalSource.from_sampled(sig)):
+            assert src.support == (0.0, 10.0)
+            assert np.array_equal(evaluation_grid(src, src.support), sig.times)
+
+    def test_sampled_spellings_decompose_alike(self):
+        sig = synthesize_samples(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))),
+                                 np.linspace(0.0, 20.0, 2001))
+        terms = [[(r.hex(), c.hex()) for r, c in decompose_numeric(src, sig.support).terms]
+                 for src in (SignalSource(sampled=sig), SignalSource.from_sampled(sig))]
+        assert len(terms[0]) == 2
+        assert terms[0] == terms[1]
+
+    @pytest.mark.parametrize("extra", [dict(support=(0.0, 10.0)), dict(grid=[0.0, 1.0])])
+    def test_sampled_source_refuses_its_own_support_or_grid(self, extra):
+        sig = SampledSignal(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="takes its support and grid from its samples"):
+            SignalSource(sampled=sig, **extra)
+
+    def test_types_holding_arrays_compare_by_identity(self):
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        samples = synthesize_samples(sig, np.linspace(0.0, 10.0, 11))
+        builders = [
+            lambda: SampledSignal(samples.times, samples.values),
+            lambda: SignalSource.from_sampled(samples),
+            lambda: SignalSource.from_symbolic(sig),
+            lambda: oet_analyze(SignalSource.from_symbolic(sig), build_exponential_basis(3)),
+            lambda: rate_sequence(SignalSource.from_symbolic(sig), (0.0, 10.0)),
+        ]
+        for build in builders:
+            first, second = build(), build()
+            assert (first == second) is False
+            assert (first == first) is True
+            assert len({first, second}) == 2
+        # the value types keep value equality
+        assert SymbolicTransient(sig.terms) == sig
+        assert hash(SymbolicTransient(sig.terms)) == hash(sig)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A name in transient_lab.__all__ must be referenced somewhere in src/ other
 than __init__.py and its own definition, or in the acceptance suite; a name
-that only its own unit tests call is a cost with no caller.
+that only its own unit tests call is a cost with no caller.  The package
+also keeps to the numpy names that its declared floor, numpy 1.24, provides.
 """
 
 import ast
@@ -42,3 +43,53 @@ def test_all_lists_exactly_the_imported_names():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(transient_lab.__all__) == len(set(transient_lab.__all__))
     assert set(transient_lab.__all__) == imported
+
+
+# every numpy name src/ uses, each present in numpy 1.24 (pyproject.toml's floor)
+NUMPY_1_24_NAMES = {
+    "abs", "add.reduce", "all", "any", "arange", "argmax", "array", "asarray",
+    "ascontiguousarray", "column_stack", "concatenate", "copysign", "count_nonzero",
+    "diff", "dot", "errstate", "exp", "eye", "finfo", "flatnonzero", "interp",
+    "isfinite", "ldexp", "linalg.eigvals", "linalg.lstsq", "linalg.svd", "linspace",
+    "loadtxt", "log", "matmul", "maximum", "maximum.reduce", "median",
+    "minimum.reduce", "multiply", "ndarray", "ndenumerate", "outer",
+    "polynomial.legendre.leggauss", "polynomial.polynomial.polyval",
+    "random.default_rng", "round", "sort", "std", "subtract", "unique", "zeros",
+    "zeros_like", "numpy.lib.stride_tricks.sliding_window_view",
+}
+
+
+class _NumpyNames(ast.NodeVisitor):
+    """Each np.<dotted name> read whole (np.linalg.svd, not also np.linalg),
+    and each name a from-numpy import brings in, as module.name."""
+
+    def __init__(self):
+        self.names = set()
+
+    def visit_Attribute(self, node):
+        parts, root = [], node
+        while isinstance(root, ast.Attribute):
+            parts.append(root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id == "np":
+            self.names.add(".".join(reversed(parts)))
+        else:
+            self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module and node.module.split(".")[0] == "numpy":
+            self.names.update(f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_numpy_names_within_the_declared_floor():
+    """The tests run on one numpy only, so a name added after 1.24 (such as
+    np.vecdot, new in 2.0) would pass them and break every install on an
+    older numpy.  Only names are checked: a keyword argument that an older
+    numpy lacks goes unseen."""
+    visitor = _NumpyNames()
+    for path in PACKAGE.glob("*.py"):
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    new = sorted(visitor.names - NUMPY_1_24_NAMES)
+    assert new == [], (f"numpy names outside the checked list: {new}; check each against "
+                       f"numpy 1.24 before adding it here, or raise the floor in "
+                       f"pyproject.toml in the same change")

@@ -328,6 +328,14 @@ class TestShrinkSupport:
         assert spiked_ends[:-1] == [float(ts[spiked >= rel][-1]) for rel in floors]
         assert spiked_ends[1] == 25.0
 
+    def test_noise_end_on_a_grid_under_twenty_nodes(self):
+        # adjacent nodes are no gap: the noise end of these 17 rows at the
+        # decomposer's noise level is where the signal meets it, not t_lo
+        ts = np.arange(710.0, 727.0)
+        xs = 2.0 * np.exp(-(ts - 710.0)) + 3.0 * np.exp(-2.0 * (ts - 710.0))
+        (end,) = shrink_support(ts, xs, (), noise=2.22e-6)
+        assert end == 722.0
+
     def test_zero_signal_raises(self):
         sig = synthesize_samples(SymbolicTransient(), np.linspace(0, 5, 50))
         with pytest.raises(SignalVanished):
@@ -540,7 +548,7 @@ def reference_ends(ts, values, rel_floors, noise):
     ends = [float(ts[mag >= rel * peak][-1]) for rel in rel_floors]
     if noise > 1e-9 * peak:
         above = np.flatnonzero(mag >= min(0.5, 5.0 * noise / peak) * peak)
-        gaps = np.flatnonzero(np.diff(above) > len(ts) // 20)
+        gaps = np.flatnonzero(np.diff(above) > max(len(ts) // 20, 1))
         ends.append(float(ts[above[gaps[0]] if len(gaps) else above[-1]]))
     return ends
 
