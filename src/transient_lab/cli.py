@@ -169,6 +169,8 @@ def run_decompose(args):
             "terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason,
             "flagged": result.flagged,
+            "noise_sigma": _finite_or_none(result.noise_sigma),
+            "residual_rms": _finite_or_none(result.residual_rms),
         },
     }, args.output)
 

@@ -13,8 +13,12 @@ policies the idealized loop does not need:
   tail_limits.scan_horizons picks, the same two steps the extraction
   functionals use.  A floor's end past the noise end is not fitted, since
   the tail beyond it is noise;
-* stopping: residual below a relative floor, a term budget, or a rate that
-  collides with one already extracted;
+* stopping: residual below a relative floor, a term budget, a rate that
+  collides with one already extracted, or, on input with a measured noise
+  level, the noise itself: after each iteration every held term is refitted
+  jointly over the whole grid (_joint_refit), and a refit that explains the
+  samples to within NOISE_FIT_RATIO of the noise ends the loop with its
+  terms, reason "residual_floor";
 * cyclic re-estimation: after each extraction, every held term is
   re-estimated against the signal minus the other terms.  A sweep feeds
   each term the others' latest values, so the cross-contamination of the
@@ -46,10 +50,13 @@ import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (TailFitConfig, TailRead, _validate_support, estimate_coefficient,
-                          estimate_rate, grid_block_stats, require_tail_nodes, scan_horizons,
-                          shrink_support, tail_slice)
+from .tail_limits import (MIN_WINDOW_POINTS, NOISE_FLOOR, TailFitConfig, TailRead,
+                          _validate_support, estimate_coefficient, estimate_rate,
+                          grid_block_stats, require_tail_nodes, scan_horizons, shrink_support,
+                          tail_slice)
 
+# why the loop ended; "residual_floor": the residual reached its floor, 1e-8
+# of the signal (RESIDUAL_FLOOR) or, on noisy input, the measured noise
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
 
 # stop once the tail sup norm of the residual drops below this fraction of
@@ -64,6 +71,17 @@ RATE_MERGE_TOL = 1e-3
 HORIZON_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 # extra re-estimation sweeps after extraction ends
 REFINE_SWEEPS = 2
+# a joint refit that leaves a whole-grid rms within this multiple of the
+# measured noise ends a noisy decomposition; the true model reads 0.94-1.02
+NOISE_FIT_RATIO = 1.5
+# Levenberg-Marquardt damping of the joint refit: its start and the cap past
+# which the refit gives up; its step budget; and the relative drop of the sum
+# of squares below which it has converged
+LM_DAMPING = 1e-3
+LM_MAX_DAMPING = 1e10
+LM_MAX_STEPS = 20
+LM_RSS_TOL = 1e-6
+FLOAT_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,8 @@ class DecompositionResult:
     termination_reason: str
     flagged: Optional[str] = None
     iteration_tail_norms: tuple = ()  # residual sup norm per iteration, fixed window
+    noise_sigma: float = 0.0          # measured noise level of the input
+    residual_rms: float = 0.0         # whole-grid rms of the final residual
 
     def __post_init__(self):
         rates = [r for r, _ in self.terms]
@@ -148,6 +168,20 @@ def _noise_level(values) -> float:
     return mad / (0.6745 * math.sqrt(70.0))
 
 
+def _rms(values) -> float:
+    """Root mean square of values, also where their squares leave the float
+    range: the values are then scaled by their peak first."""
+    with np.errstate(over="ignore"):
+        squares = float(np.dot(values, values))
+    if FLOAT_TINY <= squares < math.inf:
+        return math.sqrt(squares / len(values))
+    peak = float(np.abs(values).max())
+    if peak == 0.0:
+        return 0.0
+    scaled = values / peak
+    return peak * math.sqrt(float(np.dot(scaled, scaled)) / len(values))
+
+
 class _Term(NamedTuple):
     """One held term and the rate fit that produced it."""
     rate: float
@@ -177,6 +211,10 @@ class _NumericState:
         self.base_values = base.view()
         self.base_values.flags.writeable = False
         self.noise_sigma = _noise_level(self.base_values)
+        self.peak = float(np.abs(self.base_values).max())
+        # whether the input has a measured noise level, by the test
+        # shrink_support applies
+        self.noisy = NOISE_FLOOR * self.peak < self.noise_sigma < math.inf
         self.terms = []          # [_Term], rates ascending
         # the grid-side blocks of each fit window, shared by the tail reads of
         # every residual, and the grid's store they are rebuilt from when the
@@ -250,13 +288,33 @@ class _NumericState:
                 return None
             return est.residual_rms, est
 
-        best = scan_horizons(fit, ends, self.t_lo)
+        try:
+            best = scan_horizons(fit, ends, self.t_lo)
+        except SignalVanished:
+            if not self.terms:
+                self.require_window_nodes(ends)
+            raise
         coeff = estimate_coefficient(self.grid, values, best.rate, (self.t_lo, best.window[1]),
                                      self.cfg, read=read)
         column = np.multiply(-best.rate, self.grid)
         np.exp(column, out=column)
         column *= coeff
         return _Term(best.rate, coeff, best.residual_rms, best.window, column)
+
+    def require_window_nodes(self, ends):
+        """Refuse the grid when the tail window of no horizon a scan fitted,
+        the ends past the support's start, holds MIN_WINDOW_POINTS nodes: with
+        no term held, the signal did not vanish, it was sampled too sparsely
+        to fit.  With no such horizon at all (a noise end at the start) the
+        signal did vanish, and nothing is refused."""
+        windows = [tail_slice(self.grid, self.t_lo, t_hi)[1] for t_hi in ends if t_hi > self.t_lo]
+        if not windows:
+            return
+        count = max(window.stop - window.start for window in windows)
+        if count < MIN_WINDOW_POINTS:
+            where = " at or before the noise end" if self.noisy else ""
+            raise ValueError(f"support holds too few samples: at most {count} in a tail window"
+                             f"{where}, need {MIN_WINDOW_POINTS}")
 
     def collides(self, rate, skip=None):
         return any(abs(rate - term.rate) < RATE_MERGE_TOL
@@ -280,6 +338,98 @@ class _NumericState:
             if self.floor_hit(values, self.tail_window(values)):
                 del self.terms[j]
 
+    def refit(self):
+        """The held terms refitted jointly, when that refit explains the
+        samples to within their measured noise; None otherwise.
+
+        The refit's rates are finite and positive, its coefficients finite;
+        accepted, its rates also ascend at least RATE_MERGE_TOL apart and
+        leave a whole-grid rms of at most NOISE_FIT_RATIO times the noise
+        level.  Each refitted term keeps the rate fit that seeded it."""
+        # in units of the peak, where the noise reads above NOISE_FLOOR, the
+        # sums of squares stay inside the float range at any signal scale
+        rss_goal = len(self.grid) * (NOISE_FIT_RATIO * self.noise_sigma / self.peak) ** 2
+        fitted = _joint_refit(self.grid, self.base_values / self.peak,
+                              [term.rate for term in self.terms],
+                              [term.coeff / self.peak for term in self.terms], rss_goal)
+        if fitted is None:
+            return None
+        rates, coeffs, basis, rss = fitted
+        if not (np.all(np.diff(rates) >= RATE_MERGE_TOL) and rss <= rss_goal):
+            return None
+        coeffs = coeffs * self.peak
+        return [term._replace(rate=float(rate), coeff=float(coeff), column=basis[i] * coeff)
+                for i, (term, rate, coeff) in enumerate(zip(self.terms, rates, coeffs))]
+
+
+def _joint_refit(grid, values, rates, coeffs, rss_goal):
+    """Levenberg-Marquardt least squares of sum coeff * exp(-rate * grid)
+    against values over the whole grid, on the full (rate, coeff) Jacobian J,
+    from the given terms (Golub & Pereyra 1973 frame it as variable
+    projection).  Each step solves the damped normal equations
+    (G + lam I) step = J' residual by lstsq, G = J'J in units of each
+    parameter's column norm (Marquardt's scaling); G has two rows a term, so a
+    step costs a few passes over the grid.  A trial step that leaves a rate
+    non-positive or any parameter or value non-finite counts as a rise of the
+    sum of squares: the damping grows, and past LM_MAX_DAMPING the refit
+    gives up.  So does a refit that would not bring the sum of squares down
+    to rss_goal if every step left cut it by the last step's ratio.
+
+    Returns (rates, coeffs, basis, rss), basis holding exp(-rate * grid) a
+    row and rss the sum of squares, after the step that lowers it by less than
+    LM_RSS_TOL of itself or after LM_MAX_STEPS steps; None when it gave up.
+    """
+    k = len(rates)
+    params = np.array(rates + coeffs)
+    # J' a row a parameter: d model / d rate = -coeff * grid * exp(-rate * grid)
+    # in the first k rows; d model / d coeff = exp(-rate * grid), the current
+    # terms' basis, in the last k
+    jac = np.zeros((2 * k, len(grid)))
+    basis, trial_basis = jac[k:], np.zeros((k, len(grid)))
+    with np.errstate(all="ignore"):
+        np.exp(np.outer(-params[:k], grid, out=basis), out=basis)
+        resid = values - np.matmul(params[k:], basis)
+        rss = float(np.dot(resid, resid))
+        if not math.isfinite(rss):
+            return None
+        lam = LM_DAMPING
+        for steps in range(LM_MAX_STEPS):
+            np.multiply(basis, grid, out=jac[:k])
+            jac[:k] *= -params[k:, None]
+            # in units of each parameter's column norm, G has a unit diagonal
+            # (Marquardt's scaling), so lstsq's cutoff reads every parameter
+            # alike whatever the terms' sizes
+            gram = np.matmul(jac, jac.T)
+            scale = gram.diagonal() ** 0.5
+            scale[scale == 0.0] = 1.0
+            gram /= np.outer(scale, scale)
+            grad = np.matmul(jac, resid) / scale
+            # lstsq on a non-finite matrix has LAPACK print to stderr
+            if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(grad))):
+                return None
+            while True:
+                damped = gram.copy()
+                damped.flat[::2 * k + 1] += lam
+                trial = params + np.linalg.lstsq(damped, grad, rcond=None)[0] / scale
+                if np.all(np.isfinite(trial)) and np.all(trial[:k] > 0.0):
+                    np.exp(np.outer(-trial[:k], grid, out=trial_basis), out=trial_basis)
+                    trial_resid = values - np.matmul(trial[k:], trial_basis)
+                    trial_rss = float(np.dot(trial_resid, trial_resid))
+                    if trial_rss <= rss:
+                        break
+                lam *= 10.0
+                if lam > LM_MAX_DAMPING:
+                    return None
+            basis[...] = trial_basis
+            drop = rss - trial_rss
+            params, resid, rss = trial, trial_resid, trial_rss
+            if drop <= LM_RSS_TOL * (rss + drop):
+                break
+            if rss * (rss / (rss + drop)) ** (LM_MAX_STEPS - 1 - steps) > rss_goal:
+                return None
+            lam /= 10.0
+    return params[:k], params[k:], basis, rss
+
 
 def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
                       stop: StoppingPolicy = None) -> DecompositionResult:
@@ -294,6 +444,7 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
 
     reason = "max_terms"
     flagged = None
+    refitted = False
     tail_norms = []
     # fixed reference window: successive residual sup norms are only
     # comparable over one window, and the first tail window is where the
@@ -328,11 +479,19 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
         state.terms.sort(key=lambda held: held.rate)
         if len(state.terms) > 1:
             state.sweep()
+        if state.noisy:
+            terms = state.refit()
+            if terms is not None:
+                state.terms = terms
+                reason = "residual_floor"
+                refitted = True
+                break
 
-    state.prune()
-    for _ in range(REFINE_SWEEPS):
-        if state.terms:
-            state.sweep()
+    if not refitted:
+        state.prune()
+        for _ in range(REFINE_SWEEPS):
+            if state.terms:
+                state.sweep()
 
     final_values = state.residual_values()
     window = state.tail_window(final_values)
@@ -341,10 +500,12 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
     return DecompositionResult(
         terms=tuple((term.rate, term.coeff) for term in state.terms),
         diagnostics=tuple(TermDiagnostics(rate_residual_rms=term.rms, window=term.window,
-                                          mode="numeric")
+                                          mode="refit" if refitted else "numeric")
                           for term in state.terms),
         terminal_residual_norm=terminal,
         termination_reason=reason,
         flagged=flagged,
         iteration_tail_norms=tuple(tail_norms),
+        noise_sigma=state.noise_sigma,
+        residual_rms=_rms(final_values),
     )

@@ -64,6 +64,9 @@ MIN_WINDOW_POINTS = 8
 # samples below this fraction of the window's peak magnitude are skipped:
 # log|x| is undefined at zeros and meaningless below rounding
 ABS_FLOOR = 1e-13
+# a noise level above this fraction of the peak magnitude is measured noise;
+# clean input reads its noise at rounding level, far below it
+NOISE_FLOOR = 1e-9
 # growth of the reweighted tail, across the window, beyond which the
 # coefficient estimate reports Diverging
 DIVERGE_FACTOR = 10.0
@@ -481,8 +484,8 @@ def shrink_support(ts, values, rel_floors, noise=0.0):
     values carry no usable precision relative to the signal's own scale
     (inside a decomposition, the leftovers of earlier subtractions dominate
     them).  One abs/max pass and one comparison serve every floor.  With a
-    measured noise level above 1e-9 of the peak, one more end follows the
-    floors: where |x| sinks into five times the noise (at most half the
+    measured noise level above NOISE_FLOOR of the peak, one more end follows
+    the floors: where |x| sinks into five times the noise (at most half the
     peak).  Noise alone clears that level now and then, and a lone such
     sample far out in the tail would set the end there, so the nodes at or
     above it are cut at their first gap, an index step of more than n // 20
@@ -502,7 +505,7 @@ def shrink_support(ts, values, rel_floors, noise=0.0):
     levels = np.multiply(rel_floors, peak)
     crossings = (reversed_mag >= levels[:, None]).argmax(axis=1)
     ends = ts[n - 1 - crossings].tolist()
-    if noise > 1e-9 * peak:
+    if noise > NOISE_FLOOR * peak:
         # the nodes at or above the level, counted from the last node back:
         # the first gap from the front is the last one here, and the end is
         # the node just past it, or the hit nearest the end without a gap

@@ -29,6 +29,23 @@ def rng():
     return np.random.default_rng(20260808)
 
 
+@pytest.fixture
+def refit_sizes(monkeypatch):
+    """The number of terms each joint refit of a decomposition starts from,
+    in call order."""
+    from transient_lab import decomposer
+
+    sizes = []
+    real = decomposer._joint_refit
+
+    def counted(grid, values, rates, *args):
+        sizes.append(len(rates))
+        return real(grid, values, rates, *args)
+
+    monkeypatch.setattr(decomposer, "_joint_refit", counted)
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # sample CSV text in and around the format load_samples_csv accepts
 # ---------------------------------------------------------------------------

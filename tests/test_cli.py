@@ -209,17 +209,24 @@ class TestCompare:
 
 
     def test_diagnostics_sidecar_counts_what_each_method_returned(self, tmp_path):
-        # at this noise the decomposer returns more terms than the spec holds;
-        # the CSV shows the first two of them, the sidecar how many there were
-        diag = tmp_path / "diag.json"
-        spec = Path(__file__).parents[1] / "data" / "two_term.json"
+        # rates 1 and 1.1 under noise: the decomposer returns another count
+        # than the spec's two terms; the CSV shows two rows, the sidecar the
+        # count decompose_numeric returns for that very sample set
+        diag, spec = tmp_path / "diag.json", tmp_path / "close.json"
+        spec.write_text('{"terms": [{"rate": 1.0, "coeff": 2.0}, {"rate": 1.1, "coeff": 3.0}]}')
         assert run("compare", "--input", spec, "--methods", "decomposer",
-                   "prony", "oet", "--sigma", 1e-4, "--seed", 3,
+                   "prony", "oet", "--sigma", 1e-6, "--seed", 3,
                    "--output", tmp_path / "compare.csv", "--diagnostics-out", diag) == 0
         returned = {entry["method"]: entry["returned_terms"]
                     for entry in json.loads(diag.read_text())}
-        assert returned["decomposer"] > 2
-        assert returned["prony"] == returned["oet"] == 2
+        samples = transient_lab.synthesize_samples(
+            transient_lab.load_signal_spec(spec), np.linspace(0.0, 40.0, 4001),
+            noise_sigma=1e-6, seed=3)
+        result = transient_lab.decompose_numeric(
+            transient_lab.SignalSource.from_sampled(samples), samples.support)
+        assert returned["decomposer"] == len(result.terms) != 2
+        assert returned["prony"] == 2
+        assert returned["oet"] == 0        # rate 1.1 is out of the OET's model
 
     def test_diagnostics_sidecar_keeps_the_error_message(self, tmp_path, two_term_spec,
                                                          monkeypatch):
@@ -466,6 +473,55 @@ def test_decompose_refuses_a_tail_window_of_too_few_samples(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: support holds too few samples: at most 5 in a tail window, need 8"]
     assert not out.exists()
+
+
+def test_decompose_refuses_horizons_before_the_noise_end_of_too_few_samples(tmp_path, capsys):
+    # 17 samples on t = 710..726: the horizons at or before the noise end
+    # (t = 722) hold at most 7 samples in their tail windows
+    path, out = tmp_path / "samples.csv", tmp_path / "out.json"
+    path.write_text("t,x\n" + "".join(
+        f"{t!r},{2.0 * math.exp(710.0 - t) + 3.0 * math.exp(2.0 * (710.0 - t))!r}\n"
+        for t in map(float, range(710, 727))))
+    assert run("decompose", "--input", path, "--output", out) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: support holds too few samples: at most 7 in a tail window "
+                   "at or before the noise end, need 8"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step, sigma, refits", [
+    (0.01, 1e-2, True),     # the default grid at the highest noise of the sweeps
+    (0.5, 1e-4, True),      # a coarse grid: one term found, refitted, not enough
+    (0.5, 1e-2, False),     # no tail window above the noise holds 8 samples: exit 3
+])
+def test_noisy_decompose_keeps_the_exit_contract(tmp_path, capfd, refit_sizes, two_term_spec,
+                                                 step, sigma, refits):
+    # the joint refit runs on noisy samples only; whatever it meets, it
+    # raises no warning and lets LAPACK print nothing to the stderr descriptor
+    path = tmp_path / "samples.csv"
+    for seed in range(5):
+        assert run("synth", "--input", two_term_spec, "--horizon", 40.0, "--step", step,
+                   "--sigma", sigma, "--seed", seed, "--output", path) == 0
+        _check_run(("decompose", "--input", path, "--output", tmp_path / "out.json"),
+                   DOCUMENTED_EXITS)
+    assert bool(refit_sizes) == refits
+    assert capfd.readouterr().err == ""
+
+
+def test_noisy_decompose_reports_its_fit(tmp_path, two_term_spec):
+    # at seed 0 the extraction stops at one term, which no refit lifts to
+    # two (ROADMAP item 3); seed 1 reaches the noise stop
+    path, out = tmp_path / "samples.csv", tmp_path / "out.json"
+    assert run("synth", "--input", two_term_spec, "--horizon", 40.0, "--step", 0.01,
+               "--sigma", 1e-4, "--seed", 1, "--output", path) == 0
+    assert run("decompose", "--input", path, "--output", out) == 0
+    payload = json.loads(out.read_text())
+    diagnostics = payload["diagnostics"]
+    assert diagnostics["termination_reason"] == "residual_floor"
+    assert [term["mode"] for term in diagnostics["per_term"]] == ["refit", "refit"]
+    assert diagnostics["noise_sigma"] == pytest.approx(1e-4, rel=0.1)
+    assert diagnostics["residual_rms"] <= 1.5 * diagnostics["noise_sigma"]
+    assert [term["rate"] for term in payload["terms"]] == pytest.approx([1.0, 2.0], abs=1e-3)
 
 
 def test_decompose_reads_dense_early_samples_before_a_sparse_tail(tmp_path):

@@ -178,9 +178,9 @@ class TestDecomposeNumeric:
 
 class TestNoisyData:
     def test_first_term_recovered_under_noise(self):
-        # noise blocks the residual floor, so accuracy is noise-limited and
-        # extraction ends by estimator refusal or collision; the dominant
-        # term still comes out at the few-percent level
+        # noise blocks the relative residual floor, so accuracy is
+        # noise-limited; the dominant term comes out at the few-percent level
+        # however the loop ends
         sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
         grid = np.arange(0.0, 40.0 + 1e-9, 0.01)
         recovered = 0
@@ -294,6 +294,62 @@ class TestNoiseHorizon:
         assert errors <= self.PARENT_COUNT_ERRORS[sigma]
 
 
+class TestNoiseStop:
+    """On input with a measured noise level, a joint refit of the held terms
+    ends the loop as soon as they explain the samples to within that noise."""
+
+    @pytest.mark.parametrize("sigma_index, sigma", [(1, 1e-6), (2, 1e-4), (3, 1e-3)])
+    def test_true_count_under_noise(self, sigma_index, sigma):
+        true_rates = [rate for rate, _ in load_signal_spec(DATA / "two_term.json").terms]
+        hits, worst = 0, 0.0
+        for trial in range(20):
+            samples = two_term_samples(sigma, sigma_index, trial)
+            result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+            if len(result.terms) == 2:
+                hits += 1
+                worst = max(worst, *(abs(rate - true) for (rate, _), true
+                                     in zip(result.terms, true_rates)))
+        assert hits >= 19
+        assert worst <= 10.0 * sigma
+
+    def test_clean_input_is_never_refitted(self, refit_sizes):
+        rng = np.random.default_rng(SEED + 13)
+        for _ in TestPinnedTerms.THREE_TERM:
+            signal, _, grid = three_term_family(rng)
+            samples = synthesize_samples(signal, grid)
+            decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        samples = two_term_samples(0.0, 0)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert refit_sizes == []
+        assert [d.mode for d in result.diagnostics] == ["numeric", "numeric"]
+        assert result.residual_rms <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_stop_reads_alike_at_any_scale(self, scale):
+        # the squared noise of these samples times 1e-200 underflows to zero;
+        # the refit compares sums of squares in units of the peak, so it
+        # reads the scaled samples as it reads the originals
+        samples = two_term_samples(1e-4, 2)
+        scaled = SampledSignal(samples.times, samples.values * scale)
+        want = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        got = decompose_numeric(SignalSource.from_sampled(scaled), scaled.support)
+        assert got.termination_reason == want.termination_reason == "residual_floor"
+        assert [r for r, _ in got.terms] == pytest.approx([r for r, _ in want.terms], rel=1e-6)
+        assert [c / scale for _, c in got.terms] == pytest.approx([c for _, c in want.terms],
+                                                                  rel=1e-6)
+
+    def test_stopped_run_reports_its_fit(self, refit_sizes):
+        samples = two_term_samples(1e-4, 2)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        # one refit after each iteration: one term does not explain the
+        # samples, two do
+        assert refit_sizes == [1, 2]
+        assert result.termination_reason == "residual_floor"
+        assert [d.mode for d in result.diagnostics] == ["refit", "refit"]
+        assert result.noise_sigma == pytest.approx(1e-4, rel=0.1)
+        assert result.residual_rms / result.noise_sigma <= 1.5
+
+
 class TestGridResidency:
     def test_numeric_path_builds_no_closures(self):
         # residuals live as values on one grid, for sampled and evaluator
@@ -401,6 +457,16 @@ class TestGridResidency:
         with pytest.raises(ValueError, match="too few samples: at most 5 in a tail window, need 8"):
             decompose_numeric(SignalSource.from_sampled(samples), samples.support)
 
+    def test_horizons_before_the_noise_end_of_too_few_samples_refused(self):
+        # 17 samples on t = 710..726: the whole support's tail window holds 9,
+        # but its horizon lies past the noise end (t = 722), and the tail
+        # windows of the horizons at or before it hold at most 7
+        ts = np.arange(710.0, 727.0)
+        samples = SampledSignal(ts, 2.0 * np.exp(710.0 - ts) + 3.0 * np.exp(2.0 * (710.0 - ts)))
+        with pytest.raises(ValueError, match="too few samples: at most 7 in a tail window "
+                                             "at or before the noise end, need 8"):
+            decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+
     def test_dense_early_samples_before_a_sparse_tail_decompose(self):
         # one late sample at t = 100 leaves the whole support's tail window a
         # single node; the fitted horizons end near t = 8, where nodes are dense
@@ -426,8 +492,17 @@ class TestPinnedTerms:
     ]
     # data/two_term.json on compare's default grid; the noise seed follows
     # compare's rule seed + 7919 * sigma_index + trial for --seed 0, trial 0
-    # and the sweep (0, 1e-6, 1e-4, 1e-3)
+    # and the sweep (0, 1e-6, 1e-4, 1e-3); the joint refit ends both at two
+    # terms
     NOISY = {
+        (1e-4, 2): [("0x1.000065b88cf3bp+0", "0x1.000001c3ed461p+1"),
+                    ("0x1.fffdb18a69f16p+0", "0x1.7fff296d8a430p+1")],
+        (1e-3, 3): [("0x1.009cfb6cf2729p+0", "0x1.01e50f4853bd2p+1"),
+                    ("0x1.007b01b288f2bp+1", "0x1.7e28ab1edbc0cp+1")],
+    }
+    # the same inputs through the extraction loop alone, as it ran before the
+    # joint refit could end it: the terms it invents past the true two
+    LOOP_ONLY = {
         (1e-4, 2): [("0x1.003c30718e4f3p+0", "0x1.0112eddc63f1cp+1"),
                     ("0x1.04fa50691adaep+1", "0x1.a33351a4cc258p+1"),
                     ("0x1.b30a026272c6dp+1", "-0x1.11ecca65da2fap+0")],
@@ -458,6 +533,26 @@ class TestPinnedTerms:
         samples = synthesize_samples(truth, np.linspace(0.0, 40.0, 4001), noise_sigma=sigma,
                                      seed=7919 * sigma_index)
         assert self.hex_terms(samples) == self.NOISY[sigma, sigma_index]
+
+    @pytest.mark.parametrize("sigma, sigma_index", [(1e-4, 2), (1e-3, 3)])
+    def test_rejected_refit_leaves_the_loop_as_it_was(self, monkeypatch, sigma, sigma_index):
+        # every refit comes back with its rates within RATE_MERGE_TOL of each
+        # other, which the stop refuses: the loop then runs as it did without
+        # a refit, to the last bit
+        import transient_lab.decomposer as decomposer
+
+        real = decomposer._joint_refit
+
+        def collided(*args):
+            fitted = real(*args)
+            if fitted is None:
+                return None
+            rates, *rest = fitted
+            return (rates[0] + 0.5 * decomposer.RATE_MERGE_TOL * np.arange(len(rates)), *rest)
+
+        monkeypatch.setattr(decomposer, "_joint_refit", collided)
+        samples = two_term_samples(sigma, sigma_index)
+        assert self.hex_terms(samples) == self.LOOP_ONLY[sigma, sigma_index]
 
 
 class TestGridBlockStore:
