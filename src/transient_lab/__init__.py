@@ -10,7 +10,7 @@ from .decomposer import (DecompositionResult, StoppingPolicy, TermDiagnostics,
                          decompose_exact, decompose_numeric)
 from .errors import (Diverging, GammaPole, NonDecaying, OutOfSupport,
                      QuadratureFailure, RankDeficient, SignalVanished,
-                     TransientLabError)
+                     TooFewSamples, TransientLabError)
 from .functionals import (PolynomialNoConstant, correspondence_check,
                           monomial_functional_matrix, rate_functional_matrix,
                           rate_functionals)
@@ -33,7 +33,7 @@ __all__ = [
     "DecompositionResult", "StoppingPolicy", "TermDiagnostics",
     "decompose_exact", "decompose_numeric",
     "TransientLabError", "OutOfSupport", "QuadratureFailure", "SignalVanished",
-    "NonDecaying", "Diverging", "RankDeficient", "GammaPole",
+    "TooFewSamples", "NonDecaying", "Diverging", "RankDeficient", "GammaPole",
     "PolynomialNoConstant", "correspondence_check", "monomial_functional_matrix",
     "rate_functional_matrix", "rate_functionals",
     "ExponentialBasis", "JacobiParams", "build_exponential_basis",

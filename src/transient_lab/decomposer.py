@@ -18,7 +18,9 @@ policies the idealized loop does not need:
   level, the noise itself: after each iteration every held term is refitted
   jointly over the whole grid (_joint_refit), and a refit that explains the
   samples to within NOISE_FIT_RATIO of the noise ends the loop with its
-  terms, reason "residual_floor";
+  terms, reason "residual_floor".  Once a refit ends no lower than the one
+  before it, the extraction's terms no longer seed a better joint fit, and
+  the loop goes on without refitting;
 * cyclic re-estimation: after each extraction, every held term is
   re-estimated against the signal minus the other terms.  A sweep feeds
   each term the others' latest values, so the cross-contamination of the
@@ -50,10 +52,9 @@ import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (MIN_WINDOW_POINTS, NOISE_FLOOR, TailFitConfig, TailRead,
-                          _validate_support, estimate_coefficient, estimate_rate,
-                          grid_block_stats, require_tail_nodes, scan_horizons, shrink_support,
-                          tail_slice)
+from .tail_limits import (NOISE_FLOOR, TailFitConfig, TailRead, _validate_support,
+                          estimate_coefficient, estimate_rate, grid_block_stats,
+                          require_tail_nodes, scan_horizons, shrink_support, tail_slice)
 
 # why the loop ended; "residual_floor": the residual reached its floor, 1e-8
 # of the signal (RESIDUAL_FLOOR) or, on noisy input, the measured noise
@@ -81,7 +82,6 @@ LM_DAMPING = 1e-3
 LM_MAX_DAMPING = 1e10
 LM_MAX_STEPS = 20
 LM_RSS_TOL = 1e-6
-FLOAT_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -169,12 +169,8 @@ def _noise_level(values) -> float:
 
 
 def _rms(values) -> float:
-    """Root mean square of values, also where their squares leave the float
-    range: the values are then scaled by their peak first."""
-    with np.errstate(over="ignore"):
-        squares = float(np.dot(values, values))
-    if FLOAT_TINY <= squares < math.inf:
-        return math.sqrt(squares / len(values))
+    """Root mean square of values, taken in units of their peak, so that
+    their squares stay inside the float range at any scale."""
     peak = float(np.abs(values).max())
     if peak == 0.0:
         return 0.0
@@ -215,6 +211,10 @@ class _NumericState:
         # whether the input has a measured noise level, by the test
         # shrink_support applies
         self.noisy = NOISE_FLOOR * self.peak < self.noise_sigma < math.inf
+        # whether the next iteration refits the held terms (refit), and the
+        # sum of squares the last refit left
+        self.refitting = self.noisy
+        self.refit_rss = math.inf
         self.terms = []          # [_Term], rates ascending
         # the grid-side blocks of each fit window, shared by the tail reads of
         # every residual, and the grid's store they are rebuilt from when the
@@ -291,8 +291,14 @@ class _NumericState:
         try:
             best = scan_horizons(fit, ends, self.t_lo)
         except SignalVanished:
-            if not self.terms:
-                self.require_window_nodes(ends)
+            # with no term held and a horizon past the start, the signal did
+            # not vanish when no horizon there holds enough nodes: it was
+            # sampled too sparsely to fit
+            t_end = max(ends)
+            if not self.terms and t_end > self.t_lo:
+                require_tail_nodes(self.grid[:self.grid.searchsorted(t_end, "right")],
+                                   (self.t_lo, t_end),
+                                   " at or before the noise end" if self.noisy else "")
             raise
         coeff = estimate_coefficient(self.grid, values, best.rate, (self.t_lo, best.window[1]),
                                      self.cfg, read=read)
@@ -300,21 +306,6 @@ class _NumericState:
         np.exp(column, out=column)
         column *= coeff
         return _Term(best.rate, coeff, best.residual_rms, best.window, column)
-
-    def require_window_nodes(self, ends):
-        """Refuse the grid when the tail window of no horizon a scan fitted,
-        the ends past the support's start, holds MIN_WINDOW_POINTS nodes: with
-        no term held, the signal did not vanish, it was sampled too sparsely
-        to fit.  With no such horizon at all (a noise end at the start) the
-        signal did vanish, and nothing is refused."""
-        windows = [tail_slice(self.grid, self.t_lo, t_hi)[1] for t_hi in ends if t_hi > self.t_lo]
-        if not windows:
-            return
-        count = max(window.stop - window.start for window in windows)
-        if count < MIN_WINDOW_POINTS:
-            where = " at or before the noise end" if self.noisy else ""
-            raise ValueError(f"support holds too few samples: at most {count} in a tail window"
-                             f"{where}, need {MIN_WINDOW_POINTS}")
 
     def collides(self, rate, skip=None):
         return any(abs(rate - term.rate) < RATE_MERGE_TOL
@@ -349,12 +340,15 @@ class _NumericState:
         # in units of the peak, where the noise reads above NOISE_FLOOR, the
         # sums of squares stay inside the float range at any signal scale
         rss_goal = len(self.grid) * (NOISE_FIT_RATIO * self.noise_sigma / self.peak) ** 2
-        fitted = _joint_refit(self.grid, self.base_values / self.peak,
-                              [term.rate for term in self.terms],
-                              [term.coeff / self.peak for term in self.terms], rss_goal)
-        if fitted is None:
-            return None
-        rates, coeffs, basis, rss = fitted
+        rates, coeffs, basis, rss = _joint_refit(self.grid, self.base_values / self.peak,
+                                                 [term.rate for term in self.terms],
+                                                 [term.coeff / self.peak for term in self.terms],
+                                                 rss_goal)
+        # a refit that ends no lower than the last one, which held a term
+        # fewer, shows the extraction's terms no longer seed a better joint
+        # fit: the rest of the decomposition is not refitted
+        self.refitting = rss < self.refit_rss
+        self.refit_rss = rss
         if not (np.all(np.diff(rates) >= RATE_MERGE_TOL) and rss <= rss_goal):
             return None
         coeffs = coeffs * self.peak
@@ -373,11 +367,15 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     non-positive or any parameter or value non-finite counts as a rise of the
     sum of squares: the damping grows, and past LM_MAX_DAMPING the refit
     gives up.  So does a refit that would not bring the sum of squares down
-    to rss_goal if every step left cut it by the last step's ratio.
+    to rss_goal if every step left cut it by the last step's ratio, and one
+    whose G is not finite (lstsq would have LAPACK print to stderr).
 
     Returns (rates, coeffs, basis, rss), basis holding exp(-rate * grid) a
-    row and rss the sum of squares, after the step that lowers it by less than
-    LM_RSS_TOL of itself or after LM_MAX_STEPS steps; None when it gave up.
+    row and rss the sum of squares, as the last step that lowered the sum of
+    squares left them: the step that lowers it by less than LM_RSS_TOL of
+    itself, the last of LM_MAX_STEPS steps, or the last before the refit gave
+    up (the given terms, with rss infinite when their sum of squares is not
+    finite).
     """
     k = len(rates)
     params = np.array(rates + coeffs)
@@ -391,7 +389,7 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
         resid = values - np.matmul(params[k:], basis)
         rss = float(np.dot(resid, resid))
         if not math.isfinite(rss):
-            return None
+            return params[:k], params[k:], basis, math.inf
         lam = LM_DAMPING
         for steps in range(LM_MAX_STEPS):
             np.multiply(basis, grid, out=jac[:k])
@@ -404,9 +402,8 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
             scale[scale == 0.0] = 1.0
             gram /= np.outer(scale, scale)
             grad = np.matmul(jac, resid) / scale
-            # lstsq on a non-finite matrix has LAPACK print to stderr
             if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(grad))):
-                return None
+                break
             while True:
                 damped = gram.copy()
                 damped.flat[::2 * k + 1] += lam
@@ -419,14 +416,14 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
                         break
                 lam *= 10.0
                 if lam > LM_MAX_DAMPING:
-                    return None
+                    return params[:k], params[k:], basis, rss
             basis[...] = trial_basis
             drop = rss - trial_rss
             params, resid, rss = trial, trial_resid, trial_rss
             if drop <= LM_RSS_TOL * (rss + drop):
                 break
             if rss * (rss / (rss + drop)) ** (LM_MAX_STEPS - 1 - steps) > rss_goal:
-                return None
+                break
             lam /= 10.0
     return params[:k], params[k:], basis, rss
 
@@ -479,7 +476,7 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
         state.terms.sort(key=lambda held: held.rate)
         if len(state.terms) > 1:
             state.sweep()
-        if state.noisy:
+        if state.refitting:
             terms = state.refit()
             if terms is not None:
                 state.terms = terms

@@ -17,6 +17,12 @@ class SignalVanished(TransientLabError):
     """Too few tail samples above the magnitude floor to fit anything."""
 
 
+class TooFewSamples(TransientLabError, ValueError):
+    """No tail window a fit could read holds enough samples.  It is a
+    ValueError, like every refused input, and a library error, so a sweep
+    records it as the failure of the one sample set that met it."""
+
+
 class NonDecaying(TransientLabError):
     """The fitted tail slope is non-negative; the signal does not decay."""
 

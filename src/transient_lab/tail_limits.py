@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import Diverging, NonDecaying, SignalVanished
+from .errors import Diverging, NonDecaying, SignalVanished, TooFewSamples
 from .signal_core import SignalSource, evaluate_many, evaluation_grid
 
 _FIT_ORDERS = {"slope_fit": 1, "richardson_1": 3, "richardson_2": 5}
@@ -118,11 +118,13 @@ def tail_slice(ts, t_lo, t_hi):
                                   int(ts.searchsorted(t_hi, "right")))
 
 
-def require_tail_nodes(ts, support):
+def require_tail_nodes(ts, support, where=""):
     """Refuse the ascending nodes ts over the (validated) support when the tail
     window of no horizon ending at one of them holds MIN_WINDOW_POINTS nodes:
     no fit could then read a tail.  Horizons end at nodes (shrink_support), and
-    on a non-uniform grid a short horizon's window may hold the most nodes."""
+    on a non-uniform grid a short horizon's window may hold the most nodes.
+    Raises TooFewSamples; where, when given, follows "in a tail window" in
+    its message to say which windows were counted."""
     _, window = tail_slice(ts, *support)
     count = window.stop - window.start
     if count < MIN_WINDOW_POINTS:
@@ -130,8 +132,8 @@ def require_tail_nodes(ts, support):
         starts = ts.searchsorted(ts - WINDOW_FRACTION * (ts - support[0]), "left")
         count = int((ts.searchsorted(ts, "right") - starts).max(initial=0))
     if count < MIN_WINDOW_POINTS:
-        raise ValueError(f"support holds too few samples: at most {count} in a tail "
-                         f"window, need {MIN_WINDOW_POINTS}")
+        raise TooFewSamples(f"support holds too few samples: at most {count} in a tail "
+                            f"window{where}, need {MIN_WINDOW_POINTS}")
 
 
 def _kept(ts, xs, mag=None):

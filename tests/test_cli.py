@@ -228,6 +228,27 @@ class TestCompare:
         assert returned["prony"] == 2
         assert returned["oet"] == 0        # rate 1.1 is out of the OET's model
 
+    @pytest.mark.parametrize("sigma, horizon, step", [
+        (1e-2, 40.0, 0.5),  # no tail window above the noise holds 8 samples
+        (0.0, 11.0, 1.0),   # no tail window of the grid holds 8 samples
+    ])
+    def test_too_few_samples_is_the_error_of_one_trial(self, tmp_path, two_term_spec,
+                                                       sigma, horizon, step):
+        # each decomposition is refused; the sweep goes on to the next
+        # method and trial
+        out, diag = tmp_path / "compare.csv", tmp_path / "diag.json"
+        assert run("compare", "--input", two_term_spec, "--methods", "decomposer", "prony",
+                   "--sigma", sigma, "--trials", 2, "--horizon", horizon, "--step", step,
+                   "--output", out, "--diagnostics-out", diag) == 0
+        with open(out, newline="") as fh:
+            flags = {(row["method"], row["flag"]) for row in csv.DictReader(fh)}
+        assert ("decomposer", "error:TooFewSamples") in flags
+        assert {method for method, _ in flags} == {"decomposer", "prony"}
+        errors = [entry["error"] for entry in json.loads(diag.read_text())
+                  if entry["method"] == "decomposer"]
+        assert len(errors) == 2
+        assert all("too few samples" in error for error in errors)
+
     def test_diagnostics_sidecar_keeps_the_error_message(self, tmp_path, two_term_spec,
                                                          monkeypatch):
         def failing(samples, order):

@@ -338,6 +338,17 @@ class TestNoiseStop:
         assert [c / scale for _, c in got.terms] == pytest.approx([c for _, c in want.terms],
                                                                   rel=1e-6)
 
+    def test_refits_end_once_they_stop_improving(self, refit_sizes):
+        # rates 1 and 1.1 under noise: the extraction's terms seed no joint
+        # fit within the noise, and the size-3 refit ends higher than the
+        # size-2 one, so no later iteration pays for a refit
+        samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (1.1, 3.0))),
+                                     np.linspace(0.0, 40.0, 4001), noise_sigma=1e-6, seed=3)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert refit_sizes == [1, 2, 3]
+        assert len(result.terms) > 3
+        assert {d.mode for d in result.diagnostics} == {"numeric"}
+
     def test_stopped_run_reports_its_fit(self, refit_sizes):
         samples = two_term_samples(1e-4, 2)
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
@@ -544,10 +555,7 @@ class TestPinnedTerms:
         real = decomposer._joint_refit
 
         def collided(*args):
-            fitted = real(*args)
-            if fitted is None:
-                return None
-            rates, *rest = fitted
+            rates, *rest = real(*args)
             return (rates[0] + 0.5 * decomposer.RATE_MERGE_TOL * np.arange(len(rates)), *rest)
 
         monkeypatch.setattr(decomposer, "_joint_refit", collided)

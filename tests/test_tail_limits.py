@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transient_lab import (Diverging, NonDecaying, RateEstimate, SignalSource, SignalVanished,
-                           SymbolicTransient, TailFitConfig, estimate_coefficient,
+                           SymbolicTransient, TailFitConfig, TooFewSamples,
+                           TransientLabError, estimate_coefficient,
                            estimate_rate, evaluate_many, rate_sequence, shrink_support,
                            synthesize_samples)
 from transient_lab import tail_limits
@@ -36,8 +37,14 @@ class TestConfigValidation:
 def test_require_tail_nodes_at_the_window_minimum():
     # the tail window of (0, 2m) is [m, 2m], which holds m + 1 integer nodes
     tail_limits.require_tail_nodes(np.arange(0.0, 15.0), (0.0, 14.0))
-    with pytest.raises(ValueError, match="too few samples: at most 7 in a tail window, need 8"):
+    with pytest.raises(TooFewSamples, match="too few samples: at most 7 in a tail window, need 8"):
         tail_limits.require_tail_nodes(np.arange(0.0, 13.0), (0.0, 12.0))
+    with pytest.raises(TooFewSamples, match="at most 7 in a tail window past t = 0, need 8"):
+        tail_limits.require_tail_nodes(np.arange(0.0, 13.0), (0.0, 12.0), " past t = 0")
+    # main reports it as a refused input (exit 3); a sweep records it as
+    # the error of the one sample set that met it
+    assert issubclass(TooFewSamples, ValueError)
+    assert issubclass(TooFewSamples, TransientLabError)
 
 
 def test_require_tail_nodes_counts_the_window_of_every_horizon_end():
