@@ -243,7 +243,9 @@ def _fit_decomposer(args, truth, samples):
     result = decompose_numeric(source, samples.support, args.fit_order, args.max_terms)
     est = list(result.terms)
     diag = {"terminal_residual_norm": result.terminal_residual_norm,
-            "termination_reason": result.termination_reason}
+            "termination_reason": result.termination_reason,
+            "noise_sigma": _finite_or_none(result.noise_sigma),
+            "residual_rms": _finite_or_none(result.residual_rms)}
     return est, "", diag
 
 

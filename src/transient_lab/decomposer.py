@@ -14,18 +14,21 @@ policies the idealized loop does not need:
   functionals use.  A floor's end past the noise end is not fitted, since
   the tail beyond it is noise;
 * stopping: residual below a relative floor, a term budget, a rate that
-  collides with one already extracted, or, on input with a measured noise
-  level, the noise itself: after each iteration every held term is refitted
-  jointly over the whole grid (_joint_refit), and a refit that explains the
-  samples to within NOISE_FIT_RATIO of the noise ends the loop with its
-  terms, reason "residual_floor".  Once a refit ends no lower than the one
-  before it, the extraction's terms no longer seed a better joint fit, and
-  the loop goes on without refitting;
-* cyclic re-estimation: after each extraction, every held term is
+  collides with one already extracted, or the fit itself: after each
+  extraction every held term is refitted jointly over the whole grid
+  (_joint_refit), and a refit that explains the samples to within
+  NOISE_FIT_RATIO of their measured noise, or on clean input to the rounding
+  floor (ROUNDING_FLOOR of the peak), ends the loop with its terms, reason
+  "residual_floor".  The refit carries the precision the tail estimates
+  cannot, so no sweep refines the terms after the loop.  Once two refits in
+  a row end no lower than the best before them, the extraction's terms no
+  longer seed a better joint fit, and the loop goes on without refitting;
+* cyclic re-estimation, only after a missed refit: every held term is
   re-estimated against the signal minus the other terms.  A sweep feeds
   each term the others' latest values, so the cross-contamination of the
   estimates shrinks multiplicatively, which is what keeps later (faster,
-  smaller) terms recoverable in double precision.
+  smaller) terms recoverable in double precision.  A refit that came within
+  REFIT_RETRY_RATIO of its goal is tried again from the swept terms.
 
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
@@ -56,8 +59,10 @@ from .tail_limits import (NOISE_FLOOR, TailFitConfig, TailRead, _validate_suppor
                           estimate_coefficient, estimate_rate, grid_block_stats,
                           require_tail_nodes, scan_horizons, shrink_support, tail_slice)
 
-# why the loop ended; "residual_floor": the residual reached its floor, 1e-8
-# of the signal (RESIDUAL_FLOOR) or, on noisy input, the measured noise
+# why the loop ended; "residual_floor": a joint refit of the held terms
+# explains the samples to within their measured noise or, on clean input, to
+# rounding (the terms' mode is then "refit"), or the residual's tail reached
+# RESIDUAL_FLOOR of the signal's
 TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_collision")
 
 # stop once the tail sup norm of the residual drops below this fraction of
@@ -70,15 +75,22 @@ RATE_MERGE_TOL = 1e-3
 # candidate relative floors for the per-iteration horizon trim; the fit with
 # the smallest log-magnitude residual wins
 HORIZON_FLOORS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
-# extra re-estimation sweeps after extraction ends
-REFINE_SWEEPS = 2
 # a joint refit that leaves a whole-grid rms within this multiple of the
 # measured noise ends a noisy decomposition; the true model reads 0.94-1.02
 NOISE_FIT_RATIO = 1.5
-# Levenberg-Marquardt damping of the joint refit: its start and the cap past
-# which the refit gives up; its step budget; and the relative drop of the sum
-# of squares below which it has converged
-LM_DAMPING = 1e-3
+# the rounding floor of a whole-grid rms, as a fraction of the signal's peak:
+# a joint refit that reaches it ends a clean decomposition.  The acceptance
+# suite's true models refit to at most 4e-17 of their peak; the margin covers
+# terms that cancel to a peak far below their own sizes
+ROUNDING_FLOOR = 1e-13
+# a missed refit whose sum of squares came within this multiple of its goal is
+# tried once more after the iteration's sweep has moved its seed
+REFIT_RETRY_RATIO = 100.0
+# Levenberg-Marquardt damping of the joint refit: its start, near Gauss-Newton
+# but positive, since a rejected step grows it tenfold, and the cap past which
+# the refit gives up; its step budget; and the relative drop of the sum of
+# squares below which it has converged
+LM_DAMPING = 1e-9
 LM_MAX_DAMPING = 1e10
 LM_MAX_STEPS = 20
 LM_RSS_TOL = 1e-6
@@ -211,10 +223,13 @@ class _NumericState:
         # whether the input has a measured noise level, by the test
         # shrink_support applies
         self.noisy = NOISE_FLOOR * self.peak < self.noise_sigma < math.inf
-        # whether the next iteration refits the held terms (refit), and the
-        # sum of squares the last refit left
-        self.refitting = self.noisy
-        self.refit_rss = math.inf
+        # whether the next iteration refits the held terms (refit); the lowest
+        # sum of squares a refit has left, the refits since that one, and
+        # whether the last refit came within REFIT_RETRY_RATIO of its goal
+        self.refitting = True
+        self.refit_best = math.inf
+        self.refit_misses = 0
+        self.refit_close = False
         self.terms = []          # [_Term], rates ascending
         # the grid-side blocks of each fit window, shared by the tail reads of
         # every residual, and the grid's store they are rebuilt from when the
@@ -322,33 +337,33 @@ class _NumericState:
                 self.terms[j] = term
         self.terms.sort(key=lambda held: held.rate)
 
-    def prune(self):
-        """Drop terms whose removal already satisfies the residual floor."""
-        for j in range(len(self.terms) - 1, -1, -1):
-            values = self.residual_values(skip=j)
-            if self.floor_hit(values, self.tail_window(values)):
-                del self.terms[j]
-
     def refit(self):
         """The held terms refitted jointly, when that refit explains the
-        samples to within their measured noise; None otherwise.
+        samples to within their measured noise, or to ROUNDING_FLOOR of their
+        peak; None otherwise.
 
         The refit's rates are finite and positive, its coefficients finite;
         accepted, its rates also ascend at least RATE_MERGE_TOL apart and
-        leave a whole-grid rms of at most NOISE_FIT_RATIO times the noise
-        level.  Each refitted term keeps the rate fit that seeded it."""
-        # in units of the peak, where the noise reads above NOISE_FLOOR, the
-        # sums of squares stay inside the float range at any signal scale
-        rss_goal = len(self.grid) * (NOISE_FIT_RATIO * self.noise_sigma / self.peak) ** 2
+        leave a whole-grid rms of at most the larger of NOISE_FIT_RATIO times
+        the noise level and ROUNDING_FLOOR of the peak.  Each refitted term
+        keeps the rate fit that seeded it."""
+        # in units of the peak the sums of squares stay inside the float range
+        # at any signal scale
+        rss_goal = len(self.grid) * max(NOISE_FIT_RATIO * self.noise_sigma / self.peak,
+                                        ROUNDING_FLOOR) ** 2
         rates, coeffs, basis, rss = _joint_refit(self.grid, self.base_values / self.peak,
                                                  [term.rate for term in self.terms],
                                                  [term.coeff / self.peak for term in self.terms],
                                                  rss_goal)
-        # a refit that ends no lower than the last one, which held a term
-        # fewer, shows the extraction's terms no longer seed a better joint
-        # fit: the rest of the decomposition is not refitted
-        self.refitting = rss < self.refit_rss
-        self.refit_rss = rss
+        # two refits in a row that end no lower than the best one before them
+        # show the extraction's terms no longer seed a better joint fit: the
+        # rest of the decomposition is not refitted
+        if rss < self.refit_best:
+            self.refit_best, self.refit_misses = rss, 0
+        else:
+            self.refit_misses += 1
+        self.refitting = self.refit_misses < 2
+        self.refit_close = rss <= REFIT_RETRY_RATIO * rss_goal
         if not (np.all(np.diff(rates) >= RATE_MERGE_TOL) and rss <= rss_goal):
             return None
         coeffs = coeffs * self.peak
@@ -368,7 +383,9 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     sum of squares: the damping grows, and past LM_MAX_DAMPING the refit
     gives up.  So does a refit that would not bring the sum of squares down
     to rss_goal if every step left cut it by the last step's ratio, and one
-    whose G is not finite (lstsq would have LAPACK print to stderr).
+    whose G is not finite (lstsq would have LAPACK print to stderr).  A sum
+    of squares at the rounding floor, ROUNDING_FLOOR of values in units of
+    their peak, ends the refit at once.
 
     Returns (rates, coeffs, basis, rss), basis holding exp(-rate * grid) a
     row and rss the sum of squares, as the last step that lowered the sum of
@@ -378,6 +395,7 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     finite).
     """
     k = len(rates)
+    rss_floor = len(grid) * ROUNDING_FLOOR ** 2
     params = np.array(rates + coeffs)
     # J' a row a parameter: d model / d rate = -coeff * grid * exp(-rate * grid)
     # in the first k rows; d model / d coeff = exp(-rate * grid), the current
@@ -392,6 +410,8 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
             return params[:k], params[k:], basis, math.inf
         lam = LM_DAMPING
         for steps in range(LM_MAX_STEPS):
+            if rss <= rss_floor:
+                break
             np.multiply(basis, grid, out=jac[:k])
             jac[:k] *= -params[k:, None]
             # in units of each parameter's column norm, G has a unit diagonal
@@ -474,21 +494,18 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
             break
         state.terms.append(term)
         state.terms.sort(key=lambda held: held.rate)
-        if len(state.terms) > 1:
+        # the refit comes first; only a missed one pays for a sweep, and one
+        # that came close is tried again from the swept terms
+        terms = state.refit() if state.refitting else None
+        if terms is None and len(state.terms) > 1:
             state.sweep()
-        if state.refitting:
-            terms = state.refit()
-            if terms is not None:
-                state.terms = terms
-                reason = "residual_floor"
-                refitted = True
-                break
-
-    if not refitted:
-        state.prune()
-        for _ in range(REFINE_SWEEPS):
-            if state.terms:
-                state.sweep()
+            if state.refitting and state.refit_close:
+                terms = state.refit()
+        if terms is not None:
+            state.terms = terms
+            reason = "residual_floor"
+            refitted = True
+            break
 
     final_values = state.residual_values()
     window = state.tail_window(final_values)

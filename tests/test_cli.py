@@ -211,20 +211,23 @@ class TestCompare:
     def test_diagnostics_sidecar_counts_what_each_method_returned(self, tmp_path):
         # rates 1 and 1.1 under noise: the decomposer returns another count
         # than the spec's two terms; the CSV shows two rows, the sidecar the
-        # count decompose_numeric returns for that very sample set
+        # count, noise level and whole-grid rms decompose_numeric returns for
+        # that very sample set
         diag, spec = tmp_path / "diag.json", tmp_path / "close.json"
         spec.write_text('{"terms": [{"rate": 1.0, "coeff": 2.0}, {"rate": 1.1, "coeff": 3.0}]}')
         assert run("compare", "--input", spec, "--methods", "decomposer",
                    "prony", "oet", "--sigma", 1e-6, "--seed", 3,
                    "--output", tmp_path / "compare.csv", "--diagnostics-out", diag) == 0
-        returned = {entry["method"]: entry["returned_terms"]
-                    for entry in json.loads(diag.read_text())}
+        entries = {entry["method"]: entry for entry in json.loads(diag.read_text())}
+        returned = {method: entry["returned_terms"] for method, entry in entries.items()}
         samples = transient_lab.synthesize_samples(
             transient_lab.load_signal_spec(spec), np.linspace(0.0, 40.0, 4001),
             noise_sigma=1e-6, seed=3)
         result = transient_lab.decompose_numeric(
             transient_lab.SignalSource.from_sampled(samples), samples.support)
         assert returned["decomposer"] == len(result.terms) != 2
+        assert entries["decomposer"]["noise_sigma"] == result.noise_sigma > 0.0
+        assert entries["decomposer"]["residual_rms"] == result.residual_rms > 0.0
         assert returned["prony"] == 2
         assert returned["oet"] == 0        # rate 1.1 is out of the OET's model
 
@@ -517,8 +520,9 @@ def test_decompose_refuses_horizons_before_the_noise_end_of_too_few_samples(tmp_
 ])
 def test_noisy_decompose_keeps_the_exit_contract(tmp_path, capfd, refit_sizes, two_term_spec,
                                                  step, sigma, refits):
-    # the joint refit runs on noisy samples only; whatever it meets, it
-    # raises no warning and lets LAPACK print nothing to the stderr descriptor
+    # the joint refit runs wherever the extraction finds a term; whatever it
+    # meets, it raises no warning and lets LAPACK print nothing to the
+    # stderr descriptor
     path = tmp_path / "samples.csv"
     for seed in range(5):
         assert run("synth", "--input", two_term_spec, "--horizon", 40.0, "--step", step,
