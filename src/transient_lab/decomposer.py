@@ -37,11 +37,6 @@ values on that grid, and the tail estimators take the grid and that array
 as they are, so nothing is read or checked again.  Each held term
 keeps its own column, coeff * exp(-rate * grid), computed once when the
 term is estimated, so a residual costs one subtraction per held term.
-The grid side of every fit window (its blocks' mean nodes, centred rows
-and spreads) is built once per decomposition, and its few numbers a block
-outlive it in tail_limits.grid_block_stats while the next decomposition
-runs on the same grid: a Monte-Carlo sweep over sample sets of one grid
-recomputes only the centred rows of most windows.
 """
 
 from __future__ import annotations
@@ -56,8 +51,8 @@ import numpy as np
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
 from .tail_limits import (NOISE_FLOOR, TailFitConfig, TailRead, _validate_support,
-                          estimate_coefficient, estimate_rate, grid_block_stats,
-                          require_tail_nodes, scan_horizons, shrink_support, tail_slice)
+                          estimate_coefficient, estimate_rate, require_tail_nodes,
+                          scan_horizons, shrink_support, tail_slice)
 
 # why the loop ended; "residual_floor": a joint refit of the held terms
 # explains the samples to within their measured noise or, on clean input, to
@@ -231,11 +226,6 @@ class _NumericState:
         self.refit_misses = 0
         self.refit_close = False
         self.terms = []          # [_Term], rates ascending
-        # the grid-side blocks of each fit window, shared by the tail reads of
-        # every residual, and the grid's store they are rebuilt from when the
-        # memo misses them (tail_limits.TailRead)
-        self.block_memo = {}
-        self.block_stats = grid_block_stats(self.grid)
 
     # -- residual bookkeeping -------------------------------------------
 
@@ -293,7 +283,7 @@ class _NumericState:
         ends = shrink_support(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
         if len(ends) > len(HORIZON_FLOORS):
             ends = [t_hi for t_hi in ends if t_hi <= ends[-1]]
-        read = TailRead(self.grid, values, self.block_memo, self.block_stats)
+        read = TailRead(self.grid, values)
 
         def fit(t_hi):
             est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg, read=read)
@@ -452,8 +442,11 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
                       stop: StoppingPolicy = None) -> DecompositionResult:
     """Extract (rate, coeff) terms from samples or an evaluatable signal.
 
-    Terms come back in ascending rate order, which is also discovery order:
-    every iteration isolates the slowest rate remaining in the residual.
+    Terms come back with their rates ascending.  Every iteration fits the
+    slowest rate its tail fits find in the residual, but on a decomposition
+    that goes wrong, such as one that invents terms on noisy input, a later
+    iteration can find a slower rate than an earlier one: the order of the
+    terms is then not the order of their discovery.
     """
     cfg = cfg or TailFitConfig(fit_order="richardson_2")
     stop = stop or StoppingPolicy()

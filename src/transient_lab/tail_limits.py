@@ -27,17 +27,8 @@ support.  Only rate_sequence reads a source itself.  A caller that fits one
 residual several times hands every fit one TailRead of it: the read takes
 |x| once, and log|x| once per fit window, which the coefficient read off
 the winning window reuses, and it keeps the last window the coefficient
-reweighted, for a caller that scores it.  The grid-side statistics of a
-window's blocks (their mean nodes, centred rows and spreads, and whether a
-line can be fitted at all) depend on the nodes alone, so the read keeps
-them in a memo that the reads of every residual on one grid may share.  A
-fit without a read builds its own, so there is one fit path.
-
-Beyond one decomposition, grid_block_stats keeps the few numbers a block
-of those statistics (its mean node and spread, and the error) for the last
-grid it was given, matched by its bytes; a memo that misses them there
-recomputes only the centred rows.  A Monte-Carlo sweep decomposes sample
-set after sample set on one grid, and most of its windows recur.
+reweighted, for a caller that scores it.  A fit without a read builds its
+own, so there is one fit path.
 
 The decomposer and the extraction functionals both take their horizons
 from here: shrink_support trims at several relative floors in one pass, and
@@ -179,33 +170,23 @@ def _rows(x, starts, length):
                       (starts.step * x.itemsize, x.itemsize))
 
 
-class _BlockStats(NamedTuple):
-    """The grid side of the line fits on the blocks of a window's nodes t,
-    less the centred rows: a few numbers a block."""
+class _Blocks(NamedTuple):
+    """Everything on the grid side of the line fits on the blocks of a
+    window's nodes: what does not depend on the values fitted."""
     starts: range
     length: int
     tm: np.ndarray            # each block's mean node
+    dt: np.ndarray            # each block's nodes less its mean, one row a block
     den: np.ndarray           # each block's centred nodes dotted with themselves
     error: Optional[str]      # why no line can be fitted, or None
 
 
-class _Blocks(NamedTuple):
-    """Everything on the grid side of the line fits on the blocks of a
-    window's nodes: what does not depend on the values fitted."""
-    stats: _BlockStats
-    dt: np.ndarray            # each block's nodes less its mean, one row a block
-
-
-def _blocks(t, nsub, stats=None):
+def _blocks(t, nsub):
     """_Blocks of the equal-stride blocks (_index_blocks) of the nodes t.
 
-    stats, when given, are the _BlockStats of these same nodes in nsub
-    blocks, and only the centred rows are computed.  The first block whose
-    nodes' spread squares to zero or overflows sets error: no line can be
-    fitted on it.
+    The first block whose nodes' spread squares to zero or overflows sets
+    error: no line can be fitted on it.
     """
-    if stats is not None:
-        return _Blocks(stats, _rows(t, stats.starts, stats.length) - stats.tm[:, None])
     starts, length = _index_blocks(len(t), nsub)
     t_rows = _rows(t, starts, length)
     tm = _mean(t_rows)
@@ -220,20 +201,19 @@ def _blocks(t, nsub, stats=None):
                      f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
                      f"can be fitted")
             break
-    return _Blocks(_BlockStats(starts, length, tm, den, error), dt)
+    return _Blocks(starts, length, tm, dt, den, error)
 
 
 def _slopes(blocks, y):
     """Least-squares slopes of y against the nodes on each of blocks, from
     sums centred on each block's means, and the means of y on the blocks.
     Raises NonDecaying when blocks holds a block with no usable spread."""
-    stats = blocks.stats
-    if stats.error is not None:
-        raise NonDecaying(stats.error)
-    y_rows = _rows(y, stats.starts, stats.length)
+    if blocks.error is not None:
+        raise NonDecaying(blocks.error)
+    y_rows = _rows(y, blocks.starts, blocks.length)
     ym = _mean(y_rows)
     slopes = np.matmul(blocks.dt[:, None, :], (y_rows - ym[:, None])[:, :, None])[:, 0, 0]
-    return slopes / stats.den, ym
+    return slopes / blocks.den, ym
 
 
 def _aitken_pass(seq):
@@ -285,8 +265,6 @@ class _Window(NamedTuple):
     ts: np.ndarray
     xs: np.ndarray
     logs: np.ndarray          # log|xs|
-    key: Optional[tuple]      # (start, stop) of the window on the grid when
-                              # the floor drops no sample, else None
 
 
 class TailRead:
@@ -296,23 +274,15 @@ class TailRead:
     estimators take them.  The read takes |values| once, and for each fit
     window the kept samples and the log of their magnitudes once, so the
     coefficient read off a rate fit's window reuses that fit's logs; it also
-    keeps the last window the coefficient reweighted (reweighted).  memo, a
-    dict that the reads of every residual on the same grid may share, keeps
-    the grid-side _Blocks of each window from which the floor drops no
-    sample, since those depend on the nodes alone; stats, when given, is the
-    store grid_block_stats returned for ts, from which a block the memo
-    misses is rebuilt with its centred rows alone.  Without them the read
-    keeps its own.
+    keeps the last window the coefficient reweighted (reweighted).
     """
 
-    __slots__ = ("ts", "values", "mag", "memo", "stats", "_windows", "_reweighted")
+    __slots__ = ("ts", "values", "mag", "_windows", "_reweighted")
 
-    def __init__(self, ts, values, memo=None, stats=None):
+    def __init__(self, ts, values):
         self.ts = ts
         self.values = values
         self.mag = np.abs(values)
-        self.memo = {} if memo is None else memo
-        self.stats = {} if stats is None else stats
         self._windows = {}      # (start, stop) of a window -> its _Window
         self._reweighted = None
 
@@ -324,22 +294,8 @@ class TailRead:
         win = self._windows.get(key)
         if win is None:
             ts, xs, mag = _kept(self.ts[window], self.values[window], self.mag[window])
-            whole = len(ts) == window.stop - window.start
-            win = self._windows[key] = _Window(ts, xs, np.log(mag), key if whole else None)
+            win = self._windows[key] = _Window(ts, xs, np.log(mag))
         return bounds, win
-
-    def blocks(self, win, nsub):
-        """_Blocks of the kept nodes of win in nsub blocks, from the memo
-        when the floor dropped no sample, else built, from stats when they
-        hold the window."""
-        if win.key is None:
-            return _blocks(win.ts, nsub)
-        key = win.key + (nsub,)
-        blocks = self.memo.get(key)
-        if blocks is None:
-            blocks = self.memo[key] = _blocks(win.ts, nsub, self.stats.get(key))
-            self.stats[key] = blocks.stats
-        return blocks
 
     def reweighted(self, win, rate):
         """The kept samples of win times exp(rate * t), taken as
@@ -356,27 +312,6 @@ class TailRead:
         np.copysign(out, win.xs, out=out)
         self._reweighted = win, rate, out
         return out
-
-
-# the grid-side block statistics of the last grid given to grid_block_stats:
-# (that grid's bytes, {(start, stop, nsub): _BlockStats})
-_grid_store = None
-
-
-def grid_block_stats(grid):
-    """The store of _BlockStats for the windows of grid, which TailRead
-    fills: the one kept for the last grid given when grid holds the same
-    bytes, else a new empty store that replaces it.
-
-    The store keeps its own copy of the grid's bytes, so a caller that
-    changes the array afterwards gets a new store, and -0.0 and 0.0 are
-    different nodes.  It holds one grid's windows at most.
-    """
-    global _grid_store
-    key = grid.tobytes()
-    if _grid_store is None or _grid_store[0] != key:
-        _grid_store = key, {}
-    return _grid_store[1]
 
 
 def _read_of(ts, values, read):
@@ -402,15 +337,15 @@ def estimate_rate(ts, values, support, cfg: TailFitConfig = None, *,
     cfg = cfg or TailFitConfig()
     read = _read_of(ts, values, read)
     bounds, win = read.window(support)
-    blocks = read.blocks(win, _FIT_ORDERS[cfg.fit_order])
+    blocks = _blocks(win.ts, _FIT_ORDERS[cfg.fit_order])
     slopes, ym = _slopes(blocks, win.logs)
     rate = -_extrapolate(slopes.tolist())
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
     rts = rate * win.ts
-    if len(blocks.stats.starts) == 1:
+    if len(blocks.starts) == 1:
         # one block fits the whole window and gives the intercept with its slope
-        icpt = ym.item() - slopes.item() * blocks.stats.tm.item()
+        icpt = ym.item() - slopes.item() * blocks.tm.item()
     else:
         icpt = float(_mean(win.logs + rts))
     # the squared deviations log|x| - (icpt - rate t), in place

@@ -592,23 +592,17 @@ class TestPinnedTerms:
 
 
 class TestGridBlockStore:
-    """The grid-side block statistics kept for the last grid decomposed
-    (tail_limits.grid_block_stats) change no bit of any decomposition."""
+    """No grid-side block statistics outlive a decomposition: what ran before
+    moves no bit of the next one's terms."""
 
     @staticmethod
     def hex_terms(samples):
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
         return [(rate.hex(), coeff.hex()) for rate, coeff in result.terms]
 
-    @staticmethod
-    def fresh_store(monkeypatch):
-        import transient_lab.tail_limits as tail_limits
-
-        monkeypatch.setattr(tail_limits, "_grid_store", None)
-
-    def test_terms_do_not_depend_on_what_ran_before(self, monkeypatch):
-        # B after A on the same grid reads A's windows from the store; B after
-        # C on another grid starts it again; neither moves a bit of B
+    def test_terms_do_not_depend_on_what_ran_before(self):
+        # B after A on the same grid, after C on another grid, and after
+        # itself: none of them moves a bit of B
         truth = load_signal_spec(DATA / "two_term.json")
         grid = np.linspace(0.0, 40.0, 4001)
         runs = {
@@ -617,44 +611,8 @@ class TestGridBlockStore:
             "C": synthesize_samples(truth, np.linspace(0.0, 30.0, 4001), noise_sigma=1e-4,
                                     seed=6),
         }
-        self.fresh_store(monkeypatch)
         want = self.hex_terms(runs["B"])
         assert len(want) >= 2
         for before in ("A", "C", "B"):
-            self.fresh_store(monkeypatch)
             self.hex_terms(runs[before])
             assert self.hex_terms(runs["B"]) == want, before
-
-    def test_changing_the_callers_grid_after_a_run_changes_nothing(self, monkeypatch):
-        import transient_lab.tail_limits as tail_limits
-
-        truth = load_signal_spec(DATA / "two_term.json")
-        times = np.linspace(0.0, 40.0, 4001)
-        kept = times.tobytes()
-        self.fresh_store(monkeypatch)
-        self.hex_terms(synthesize_samples(truth, times, noise_sigma=1e-4, seed=1))
-        times *= 0.75                    # the same array, now on 0 .. 30
-        assert tail_limits._grid_store[0] == kept
-        samples = synthesize_samples(truth, times, noise_sigma=1e-4, seed=2)
-        got = self.hex_terms(samples)
-        self.fresh_store(monkeypatch)
-        assert got == self.hex_terms(samples)
-
-    def test_store_is_replaced_when_the_grid_changes(self, monkeypatch):
-        from transient_lab.tail_limits import grid_block_stats
-
-        truth = load_signal_spec(DATA / "two_term.json")
-        grid = np.linspace(0.0, 40.0, 4001)
-        self.fresh_store(monkeypatch)
-        self.hex_terms(synthesize_samples(truth, grid, noise_sigma=1e-4, seed=1))
-        store = grid_block_stats(grid)
-        assert store and grid_block_stats(grid.copy()) is store
-        # a store holds the windows of one grid: another grid empties it
-        other = np.linspace(0.0, 30.0, 4001)
-        self.hex_terms(synthesize_samples(truth, other, noise_sigma=1e-4, seed=1))
-        assert grid_block_stats(other) is not store
-        assert grid_block_stats(grid) == {}
-        # matched by bytes: -0.0 is not the node 0.0
-        signed = grid.copy()
-        signed[0] = -0.0
-        assert grid_block_stats(signed) is not grid_block_stats(grid)

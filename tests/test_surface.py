@@ -3,7 +3,8 @@
 A name in transient_lab.__all__ must be referenced somewhere in src/ other
 than __init__.py and its own definition, or in the acceptance suite; a name
 that only its own unit tests call is a cost with no caller.  The package
-also keeps to the numpy names that its declared floor, numpy 1.24, provides.
+also keeps to the numpy names that its declared floor, numpy 1.24, provides,
+and rebinds no module global, so no call leaves hidden state for the next.
 """
 
 import ast
@@ -93,3 +94,13 @@ def test_numpy_names_within_the_declared_floor():
     assert new == [], (f"numpy names outside the checked list: {new}; check each against "
                        f"numpy 1.24 before adding it here, or raise the floor in "
                        f"pyproject.toml in the same change")
+
+
+def test_no_module_rebinds_a_global():
+    """A global statement lets one call leave state that changes the next
+    call's work, out of sight of its arguments and of the tests that pass
+    them."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []

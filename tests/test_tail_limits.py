@@ -611,22 +611,21 @@ class TestKernelParity:
             assert (shrink_support(ts, xs, floors, noise)
                     == reference_ends(ts, xs, floors, noise))
         # several supports fitted through one read of the values, then a
-        # second residual on the same grid, one more zero in it, through a
-        # read that shares the first one's block memo
+        # second residual on the same grid, one more zero in it, through its
+        # own read
         t_end = support[1]
         supports = [support, (0.0, 0.8 * t_end), (0.5 * t_end, t_end),
                     (0.25 * t_end, 0.95 * t_end), support]
         faster = xs * np.exp(-0.5 * (ts - ts[0]))
         faster[len(faster) // 3] = 0.0
-        memo = {}
         for values in (xs, faster):
-            self.check_shared_read(ts, values, rate, supports, memo)
+            self.check_shared_read(ts, values, rate, supports)
 
     @staticmethod
-    def check_shared_read(ts, values, rate, supports, memo):
+    def check_shared_read(ts, values, rate, supports):
         """Every fit of values over each of supports, in every order, through
-        one TailRead with this block memo, equals the per-block loop's."""
-        shared = tail_limits.TailRead(ts, values, memo)
+        one TailRead, equals the per-block loop's."""
+        shared = tail_limits.TailRead(ts, values)
         fit_rate = functools.partial(estimate_rate, read=shared)
         fit_coefficient = functools.partial(estimate_coefficient, read=shared)
         for order in ("slope_fit", "richardson_1", "richardson_2"):
