@@ -261,7 +261,15 @@ def _fit_oet(args, truth, samples):
     if np.any(np.abs(rates - np.round(rates)) > 1e-9):
         return None, "out_of_model", {"truncation_index": args.max_index}
     max_index = max(args.max_index, int(np.round(rates.max())))
-    basis = build_exponential_basis(max_index)
+    try:
+        basis = build_exponential_basis(max_index)
+    except ValueError:
+        # a basis raised to the largest true rate that the float range cannot
+        # hold puts that rate out of the model's reach; a --max-index it
+        # cannot hold is a refused value
+        if max_index == args.max_index:
+            raise
+        return None, "out_of_model", {"truncation_index": args.max_index}
     source = SignalSource.from_sampled(samples)
     coeffs = oet_analyze(source, basis, args.quadrature_nodes)
     est = [(float(k), coeffs.exponential_coeffs[int(k) - 1]) for k in np.round(rates)]
@@ -280,6 +288,8 @@ def run_compare(args):
     truth, _ = _load_input_signal(args.input)
     if truth is None:
         raise ValueError("compare needs a JSON signal spec as --input")
+    if not truth.terms:
+        raise ValueError(f"{args.input}: the spec holds no terms; compare needs at least one")
 
     grid = _grid(args)
     rows = []

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (NOISE_FLOOR, TailFitConfig, TailRead, _validate_support,
+from .tail_limits import (NOISE_FLOOR, TailFitConfig, _validate_support,
                           estimate_coefficient, estimate_rate, require_tail_nodes,
                           scan_horizons, shrink_support, tail_slice)
 
@@ -277,16 +277,14 @@ class _NumericState:
         fit whose log-magnitude residual is smallest; the coefficient is then
         read off the winning window.  With a measured noise level, a floor's
         end past the noise end is not fitted: the tail there is noise, whose
-        log-magnitude is no decay.  Every fit takes one TailRead of the
-        values, so they are read once for the whole scan.
+        log-magnitude is no decay.
         """
         ends = shrink_support(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
         if len(ends) > len(HORIZON_FLOORS):
             ends = [t_hi for t_hi in ends if t_hi <= ends[-1]]
-        read = TailRead(self.grid, values)
 
         def fit(t_hi):
-            est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg, read=read)
+            est = estimate_rate(self.grid, values, (self.t_lo, t_hi), self.cfg)
             # a log-magnitude spread beyond 0.5 means the window straddles a
             # noise floor or a sign flip, not an exponential
             if est.residual_rms > 0.5:
@@ -306,7 +304,7 @@ class _NumericState:
                                    " at or before the noise end" if self.noisy else "")
             raise
         coeff = estimate_coefficient(self.grid, values, best.rate, (self.t_lo, best.window[1]),
-                                     self.cfg, read=read)
+                                     self.cfg)
         column = np.multiply(-best.rate, self.grid)
         np.exp(column, out=column)
         column *= coeff

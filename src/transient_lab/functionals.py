@@ -14,10 +14,9 @@ correspondence check verifies exactly that.
 The extraction order is forced: functional n strips the values of
 functionals 1..n-1, so rate_functionals computes all of them, in order, on
 one source.  Read numerically they carry one residual: each extracted term
-is stripped once, after the functional that read it, and each residual is
-fitted through one tail_limits.TailRead.  On a polynomial the monomial
-strip removes each lower coefficient exactly, so monomial functional n is
-its coefficient of z^n.
+is stripped once, after the functional that read it.  On a polynomial the
+monomial strip removes each lower coefficient exactly, so monomial
+functional n is its coefficient of z^n.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (TailFitConfig, TailRead, _validate_support, estimate_coefficient,
+from .tail_limits import (TailFitConfig, _reweighted, _validate_support, estimate_coefficient,
                           require_tail_nodes, scan_horizons, shrink_support)
 
 # a stripped residual this small everywhere, relative to the input's peak,
@@ -124,7 +123,7 @@ def rate_functionals(source: SignalSource, rates, cfg: TailFitConfig = None,
 def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
     """The functional at rate on the residual with these values on the
     ascending nodes ts of a support from t_lo: its coefficient estimate over
-    several shrunk horizons, every fit through one TailRead of the values.
+    several shrunk horizons.
 
     A residual below the vanish tolerance of scale, the input's peak, is the
     rounding left over from the earlier subtractions and reads 0.0.  The
@@ -132,15 +131,13 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
     the leftovers of the stripped slower terms (late) intrude, so the window
     with the flattest reweighted values wins.
     """
-    read = TailRead(ts, values)
-    if scale == 0.0 or float(np.maximum.reduce(read.mag)) <= RESIDUAL_VANISH_TOL * scale:
+    if scale == 0.0 or float(np.abs(values).max()) <= RESIDUAL_VANISH_TOL * scale:
         return 0.0
 
     def fit(t_hi):
-        value = estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg, read=read)
-        # the samples that value averages, as the read kept them reweighted
-        _, win = read.window((t_lo, t_hi))
-        v = read.reweighted(win, rate)
+        value = estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg)
+        # the samples that value averages
+        v = _reweighted(ts, values, rate, (t_lo, t_hi))
         mag = np.abs(v)
         # the score is scale-free, and the sums of squares in np.std overflow
         # near the top of the float range, so large values are scored scaled

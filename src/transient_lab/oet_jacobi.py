@@ -114,12 +114,6 @@ def jacobi_eval(coeffs, z):
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=float), coeffs)
 
 
-def _poly_derivative(coeffs):
-    if len(coeffs) == 1:
-        return np.zeros(1)
-    return np.array([(j + 1) * coeffs[j + 1] for j in range(len(coeffs) - 1)])
-
-
 def check_derivative_recurrence(params: JacobiParams, n: int, sample_points) -> float:
     """Max |d/dz J_n^(a,b) + (n(n+a)/b) J_{n-1}^(a+2,b+1)| over the points."""
     if n < 1:
@@ -127,7 +121,7 @@ def check_derivative_recurrence(params: JacobiParams, n: int, sample_points) -> 
     if params.b == 0.0:
         raise GammaPole("b = 0 has no valid derivative recurrence factor")
     z = np.asarray(sample_points, dtype=float)
-    lhs = jacobi_eval(_poly_derivative(jacobi_monomial_coeffs(params, n)), z)
+    lhs = jacobi_eval(np.polynomial.polynomial.polyder(jacobi_monomial_coeffs(params, n)), z)
     factor = n * (n + params.a) / params.b
     partner = JacobiParams(params.a + 2.0, params.b + 1.0)
     rhs = -factor * jacobi_eval(jacobi_monomial_coeffs(partner, n - 1), z)

@@ -23,12 +23,8 @@ a caller makes is the extrapolation order, in TailFitConfig.
 The estimators take arrays: ascending grid nodes and the finite values
 there, read once by the caller (signal_core.evaluation_grid) and passed to
 every fit, which slices out the nodes in the trailing window of its
-support.  Only rate_sequence reads a source itself.  A caller that fits one
-residual several times hands every fit one TailRead of it: the read takes
-|x| once, and log|x| once per fit window, which the coefficient read off
-the winning window reuses, and it keeps the last window the coefficient
-reweighted, for a caller that scores it.  A fit without a read builds its
-own, so there is one fit path.
+support and takes |x| and log|x| there.  Only rate_sequence reads a source
+itself.
 
 The decomposer and the extraction functionals both take their horizons
 from here: shrink_support trims at several relative floors in one pass, and
@@ -127,12 +123,10 @@ def require_tail_nodes(ts, support, where=""):
                             f"window{where}, need {MIN_WINDOW_POINTS}")
 
 
-def _kept(ts, xs, mag=None):
+def _kept(ts, xs):
     """The samples above the relative magnitude floor and their magnitudes,
-    (ts, xs, |xs|); ts and xs are the windows themselves when none is dropped.
-    mag, when given, is |xs| already taken."""
-    if mag is None:
-        mag = np.abs(xs)
+    (ts, xs, |xs|); ts and xs are the windows themselves when none is dropped."""
+    mag = np.abs(xs)
     peak = float(np.maximum.reduce(mag)) if len(mag) else 0.0
     if peak == 0.0:
         raise SignalVanished("signal is identically zero on the tail window")
@@ -260,118 +254,69 @@ def _index_blocks(n, nsub):
     return range(1), n
 
 
-class _Window(NamedTuple):
-    """The samples of a fit window above the floor (_kept)."""
-    ts: np.ndarray
-    xs: np.ndarray
-    logs: np.ndarray          # log|xs|
+def _window(ts, values, support):
+    """Bounds of the tail window of support, and the samples there above the
+    floor with the log of their magnitudes, (ts, xs, log|xs|).  Raises
+    ValueError on a bad support and SignalVanished as _kept does."""
+    bounds, window = tail_slice(ts, *_validate_support(support))
+    ts, xs, mag = _kept(ts[window], values[window])
+    return bounds, ts, xs, np.log(mag)
 
 
-class TailRead:
-    """One residual, read once for every tail fit of a horizon scan.
-
-    ts holds ascending grid nodes and values the finite values there, as the
-    estimators take them.  The read takes |values| once, and for each fit
-    window the kept samples and the log of their magnitudes once, so the
-    coefficient read off a rate fit's window reuses that fit's logs; it also
-    keeps the last window the coefficient reweighted (reweighted).
-    """
-
-    __slots__ = ("ts", "values", "mag", "_windows", "_reweighted")
-
-    def __init__(self, ts, values):
-        self.ts = ts
-        self.values = values
-        self.mag = np.abs(values)
-        self._windows = {}      # (start, stop) of a window -> its _Window
-        self._reweighted = None
-
-    def window(self, support):
-        """Bounds of the tail window of support, and its _Window.  Raises
-        ValueError on a bad support and SignalVanished as _kept does."""
-        bounds, window = tail_slice(self.ts, *_validate_support(support))
-        key = window.start, window.stop
-        win = self._windows.get(key)
-        if win is None:
-            ts, xs, mag = _kept(self.ts[window], self.values[window], self.mag[window])
-            win = self._windows[key] = _Window(ts, xs, np.log(mag))
-        return bounds, win
-
-    def reweighted(self, win, rate):
-        """The kept samples of win times exp(rate * t), taken as
-        sign(x) exp(rate t + log|x|); an overflow leaves an inf.  The last
-        array is kept and returned again for the same window and rate."""
-        last = self._reweighted
-        if last is not None and last[0] is win and last[1] == rate:
-            return last[2]
-        with np.errstate(over="ignore"):
-            out = np.multiply(rate, win.ts)
-            out += win.logs
-            np.exp(out, out=out)
-        # the kept samples are nonzero, so each carries its sign onto exp
-        np.copysign(out, win.xs, out=out)
-        self._reweighted = win, rate, out
-        return out
-
-
-def _read_of(ts, values, read):
-    """read, or a new TailRead of ts and values when it is None."""
-    if read is None:
-        return TailRead(ts, values)
-    if read.ts is not ts or read.values is not values:
-        raise ValueError("the read holds other nodes or values than the ones passed")
-    return read
-
-
-def estimate_rate(ts, values, support, cfg: TailFitConfig = None, *,
-                  read: TailRead = None) -> RateEstimate:
+def estimate_rate(ts, values, support, cfg: TailFitConfig = None) -> RateEstimate:
     """Slowest decay rate from a line fit to log|x| over the tail window.
 
-    ts holds ascending grid nodes and values the finite values there; read,
-    when given, is a TailRead of exactly these, shared with other fits of
-    the same values.  Exact (to rounding) for a single exponential.  Raises
-    SignalVanished when too few samples clear the floor and NonDecaying when
-    the fitted slope is non-negative or the window's nodes are too close to
-    fit one.
+    ts holds ascending grid nodes and values the finite values there.  Exact
+    (to rounding) for a single exponential.  Raises SignalVanished when too
+    few samples clear the floor and NonDecaying when the fitted slope is
+    non-negative or the window's nodes are too close to fit one.
     """
     cfg = cfg or TailFitConfig()
-    read = _read_of(ts, values, read)
-    bounds, win = read.window(support)
-    blocks = _blocks(win.ts, _FIT_ORDERS[cfg.fit_order])
-    slopes, ym = _slopes(blocks, win.logs)
+    bounds, ts, _, logs = _window(ts, values, support)
+    blocks = _blocks(ts, _FIT_ORDERS[cfg.fit_order])
+    slopes, ym = _slopes(blocks, logs)
     rate = -_extrapolate(slopes.tolist())
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
-    rts = rate * win.ts
+    rts = rate * ts
     if len(blocks.starts) == 1:
         # one block fits the whole window and gives the intercept with its slope
         icpt = ym.item() - slopes.item() * blocks.tm.item()
     else:
-        icpt = float(_mean(win.logs + rts))
+        icpt = float(_mean(logs + rts))
     # the squared deviations log|x| - (icpt - rate t), in place
     dev = np.subtract(icpt, rts, out=rts)
-    np.subtract(win.logs, dev, out=dev)
+    np.subtract(logs, dev, out=dev)
     dev *= dev
     rms = math.sqrt(float(_mean(dev)))
     return RateEstimate(rate=rate, intercept=icpt, window=bounds, residual_rms=rms)
 
 
-def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = None, *,
-                         read: TailRead = None) -> float:
+def _reweighted(ts, values, rate, support):
+    """The kept samples of the tail window of support times exp(rate * t),
+    taken as sign(x) exp(rate t + log|x|); an overflow leaves an inf."""
+    _, ts, xs, logs = _window(ts, values, support)
+    with np.errstate(over="ignore"):
+        out = np.multiply(rate, ts)
+        out += logs
+        np.exp(out, out=out)
+    # the kept samples are nonzero, so each carries its sign onto exp
+    return np.copysign(out, xs, out=out)
+
+
+def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = None) -> float:
     """Leading coefficient: tail-window average of exp(rate*t) x(t).
 
-    ts, values and read are taken as by estimate_rate.  With richardson
-    variants the averages over shifted sub-windows are Aitken-extrapolated.
-    Raises Diverging when the reweighted tail grows by more than
-    DIVERGE_FACTOR across the window (the rate was too big).
+    ts and values are taken as by estimate_rate.  With richardson variants
+    the averages over shifted sub-windows are Aitken-extrapolated.  Raises
+    Diverging when the reweighted tail grows by more than DIVERGE_FACTOR
+    across the window (the rate was too big).
     """
     cfg = cfg or TailFitConfig()
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    read = _read_of(ts, values, read)
-    _, win = read.window(support)
     # an overflow leaves an inf for the finite check below to refuse
-    values = read.reweighted(win, rate)
+    values = _reweighted(ts, values, rate, support)
     mag = np.abs(values)
     peak = float(np.maximum.reduce(mag))
     if not math.isfinite(peak):

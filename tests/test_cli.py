@@ -187,6 +187,42 @@ class TestCompare:
                 assert row["flag"] == ""
                 assert abs(float(row["est_rate"]) - float(row["true_rate"])) <= 1e-3
 
+    def test_rate_past_the_basis_flags_oet_only(self, tmp_path, capsys):
+        # the basis raised to rate 150 overflows the float range at element
+        # 136; that trial's oet rows say so and the sweep goes on
+        spec = tmp_path / "r150.json"
+        spec.write_text('{"terms": [{"rate": 1.0, "coeff": 2.0}, {"rate": 150.0, "coeff": 3.0}]}')
+        out = tmp_path / "compare.csv"
+        assert run("compare", "--input", spec, "--methods", "decomposer", "prony",
+                   "oet", "--sigma", 0.0, "--trials", 1, "--output", out) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        by_method = {}
+        for row in rows:
+            by_method.setdefault(row["method"], []).append(row)
+        assert [r["flag"] for r in by_method["oet"]] == ["out_of_model"] * 2
+        assert all(math.isnan(float(r["est_rate"])) for r in by_method["oet"])
+        for method in ("decomposer", "prony"):
+            assert len(by_method[method]) == 2
+            for row in by_method[method]:
+                assert row["flag"] == ""
+                assert abs(float(row["est_rate"]) - float(row["true_rate"])) <= 1e-9
+        # a --max-index the basis cannot hold is still refused
+        assert run("compare", "--input", spec, "--methods", "oet", "--max-index", 200,
+                   "--output", tmp_path / "refused.csv") == 3
+        assert "element 136" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", [("oet",), ("prony",), ("decomposer",),
+                                         ("decomposer", "prony", "oet")])
+    def test_spec_without_terms_refused(self, tmp_path, capsys, methods):
+        spec = tmp_path / "empty.json"
+        spec.write_text('{"terms": []}')
+        out = tmp_path / "compare.csv"
+        assert run("compare", "--input", spec, "--methods", *methods, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "holds no terms" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("methods", [(), ("--methods",)], ids=["omitted", "empty"])
     def test_no_method_is_a_usage_error(self, tmp_path, two_term_spec, capsys, methods):
         # a sweep with no method would write a header-only table

@@ -71,6 +71,24 @@ class TestDecomposeNumeric:
         assert result.termination_reason in ("residual_floor", "signal_vanished")
         assert result.terms[0][0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_residual_tail_below_its_floor_ends_the_loop(self):
+        # rates 0.007 apart merge into one term; no refit reaches rounding,
+        # and the loop ends once the residual's tail sinks below
+        # RESIDUAL_FLOOR of the signal's (without that stop it runs on to
+        # a dozen terms)
+        rates = (0.1738631586605054, 3.52467814503262, 3.5318379478231834, 4.448779913376774)
+        coeffs = (-1.5692382165806391, 0.7642235779180151, 2.0332953475528814,
+                  1.326169818907923)
+        samples = synthesize_samples(SymbolicTransient(tuple(zip(rates, coeffs))),
+                                     np.linspace(0.0, 40.0, 4001))
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert result.termination_reason == "residual_floor"
+        assert [d.mode for d in result.diagnostics] == ["numeric"] * 3
+        got_rates = [rate for rate, _ in result.terms]
+        assert got_rates == pytest.approx([rates[0], 3.5298, 4.4468], abs=1e-4)
+        assert result.terms[1][1] == pytest.approx(2.796, abs=1e-3)
+        assert result.residual_rms == pytest.approx(9.9e-5, rel=0.01)
+
     def test_close_rates_fail_as_predicted(self):
         # gap 0.05 on a horizon of 20: the contamination at the window start,
         # exp(-0.05 * 10) = 0.61, sits far above any usable fit tolerance,

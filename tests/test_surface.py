@@ -54,7 +54,8 @@ NUMPY_1_24_NAMES = {
     "isfinite", "ldexp", "linalg.eigvals", "linalg.lstsq", "linalg.svd", "linspace",
     "loadtxt", "log", "matmul", "maximum", "maximum.reduce", "median",
     "minimum.reduce", "multiply", "ndarray", "ndenumerate", "outer",
-    "polynomial.legendre.leggauss", "polynomial.polynomial.polyval",
+    "polynomial.legendre.leggauss", "polynomial.polynomial.polyder",
+    "polynomial.polynomial.polyval",
     "random.default_rng", "round", "sort", "std", "subtract", "unique", "zeros",
     "zeros_like", "numpy.lib.stride_tricks.sliding_window_view",
 }

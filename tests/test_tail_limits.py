@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -610,54 +609,27 @@ class TestKernelParity:
         if np.any(xs):
             assert (shrink_support(ts, xs, floors, noise)
                     == reference_ends(ts, xs, floors, noise))
-        # several supports fitted through one read of the values, then a
-        # second residual on the same grid, one more zero in it, through its
-        # own read
+        # several supports fitted on the values, then a second residual on the
+        # same grid, one more zero in it
         t_end = support[1]
         supports = [support, (0.0, 0.8 * t_end), (0.5 * t_end, t_end),
                     (0.25 * t_end, 0.95 * t_end), support]
         faster = xs * np.exp(-0.5 * (ts - ts[0]))
         faster[len(faster) // 3] = 0.0
         for values in (xs, faster):
-            self.check_shared_read(ts, values, rate, supports)
+            self.check_supports(ts, values, rate, supports)
 
     @staticmethod
-    def check_shared_read(ts, values, rate, supports):
-        """Every fit of values over each of supports, in every order, through
-        one TailRead, equals the per-block loop's."""
-        shared = tail_limits.TailRead(ts, values)
-        fit_rate = functools.partial(estimate_rate, read=shared)
-        fit_coefficient = functools.partial(estimate_coefficient, read=shared)
+    def check_supports(ts, values, rate, supports):
+        """Every fit of values over each of supports, in every order, equals
+        the per-block loop's."""
         for order in ("slope_fit", "richardson_1", "richardson_2"):
             cfg = TailFitConfig(fit_order=order)
             for support in supports:
-                assert (outcome(fit_rate, ts, values, support, cfg)
+                assert (outcome(estimate_rate, ts, values, support, cfg)
                         == outcome(reference_rate, ts, values, support, order))
-                assert (outcome(fit_coefficient, ts, values, rate, support, cfg)
+                assert (outcome(estimate_coefficient, ts, values, rate, support, cfg)
                         == outcome(reference_coefficient, ts, values, rate, support, order))
-
-    def test_reweighted_window_is_kept_for_a_score(self):
-        # the coefficient leaves its reweighted window on the read, where a
-        # caller scoring that window finds the very array it averaged
-        ts = np.linspace(0.0, 10.0, 101)
-        xs = -2.0 * np.exp(-ts) + 0.5 * np.exp(-3.0 * ts)
-        shared = tail_limits.TailRead(ts, xs)
-        estimate_coefficient(ts, xs, 1.0, (0.0, 10.0), read=shared)
-        _, win = shared.window((0.0, 10.0))
-        kept = shared.reweighted(win, 1.0)
-        assert shared.reweighted(win, 1.0) is kept
-        assert np.array_equal(kept, np.sign(win.xs) * np.exp(1.0 * win.ts + win.logs))
-        assert (kept < 0.0).all()
-        assert shared.reweighted(win, 2.0) is not kept
-
-    def test_read_of_other_values_refused(self):
-        ts = np.linspace(0.0, 10.0, 101)
-        xs = np.exp(-ts)
-        shared = tail_limits.TailRead(ts, xs)
-        with pytest.raises(ValueError, match="other nodes or values"):
-            estimate_rate(ts, xs.copy(), (0.0, 10.0), read=shared)
-        with pytest.raises(ValueError, match="other nodes or values"):
-            estimate_coefficient(ts.copy(), xs, 1.0, (0.0, 10.0), read=shared)
 
     @pytest.mark.parametrize("order", ["slope_fit", "richardson_1", "richardson_2"])
     def test_zero_spread_message_unchanged(self, order):
