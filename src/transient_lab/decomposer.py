@@ -23,12 +23,12 @@ policies the idealized loop does not need:
   cannot, so no sweep refines the terms after the loop.  Once two refits in
   a row end no lower than the best before them, the extraction's terms no
   longer seed a better joint fit, and the loop goes on without refitting;
-* cyclic re-estimation, only after a missed refit: every held term is
-  re-estimated against the signal minus the other terms.  A sweep feeds
-  each term the others' latest values, so the cross-contamination of the
-  estimates shrinks multiplicatively, which is what keeps later (faster,
-  smaller) terms recoverable in double precision.  A refit that came within
-  REFIT_RETRY_RATIO of its goal is tried again from the swept terms.
+* cyclic re-estimation, only to reseed a refit that missed its goal by at
+  most REFIT_RETRY_RATIO: every held term is re-estimated against the
+  signal minus the other terms, each fed the others' latest values, and the
+  refit is tried once more from the swept terms.  A refit that misses by
+  more, such as a size-2 refit of a three-term signal, leaves the terms as
+  extracted and the loop goes on to the next extraction.
 
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
@@ -79,7 +79,8 @@ NOISE_FIT_RATIO = 1.5
 # terms that cancel to a peak far below their own sizes
 ROUNDING_FLOOR = 1e-13
 # a missed refit whose sum of squares came within this multiple of its goal is
-# tried once more after the iteration's sweep has moved its seed
+# tried once more after a sweep has moved its seed; only such a refit pays
+# for a sweep
 REFIT_RETRY_RATIO = 100.0
 # Levenberg-Marquardt damping of the joint refit: its start, near Gauss-Newton
 # but positive, since a rejected step grows it tenfold, and the cap past which
@@ -485,13 +486,13 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
             break
         state.terms.append(term)
         state.terms.sort(key=lambda held: held.rate)
-        # the refit comes first; only a missed one pays for a sweep, and one
-        # that came close is tried again from the swept terms
+        # the refit comes first; a sweep runs only to reseed a refit that
+        # came close, which is then tried again from the swept terms; a far
+        # miss goes straight on to the next extraction
         terms = state.refit() if state.refitting else None
-        if terms is None and len(state.terms) > 1:
+        if terms is None and len(state.terms) > 1 and state.refitting and state.refit_close:
             state.sweep()
-            if state.refitting and state.refit_close:
-                terms = state.refit()
+            terms = state.refit()
         if terms is not None:
             state.terms = terms
             reason = "residual_floor"

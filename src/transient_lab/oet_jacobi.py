@@ -213,6 +213,17 @@ class ExponentialBasis:
         return self.elements[n - 1].symbolic
 
 
+@functools.lru_cache(maxsize=None)
+def _element_row(n: int) -> np.ndarray:
+    """Coefficient row of element n, read-only; built once, and kept also
+    when it has left the float range, so that a refused index is refused
+    again without building a row."""
+    row = (-1.0) ** (n - 1) * math.sqrt(2.0 * n ** 3) * jacobi_monomial_coeffs(
+        JacobiParams(2.0, 2.0), n - 1)
+    row.flags.writeable = False
+    return row
+
+
 @functools.lru_cache(maxsize=None, typed=True)
 def build_exponential_basis(max_index: int) -> ExponentialBasis:
     """Table the first max_index orthonormal exponential elements.
@@ -221,18 +232,15 @@ def build_exponential_basis(max_index: int) -> ExponentialBasis:
     element 136; a max_index that reaches that far raises ValueError there,
     before any later (slower, larger) row is built.  A basis is built once
     per max_index, with its element sources, and returned again on every
-    later call, its rows read-only; only 1..135 build, and a call that
-    raises keeps nothing.
+    later call, its rows read-only; only 1..135 build.  Each row is built
+    once, whatever max_index asks for it, so a refused max_index builds no
+    row after the first call that reached element 136.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    params = JacobiParams(2.0, 2.0)
     rows = []
     for n in range(1, max_index + 1):
-        poly = jacobi_monomial_coeffs(params, n - 1)
-        scale = (-1.0) ** (n - 1) * math.sqrt(2.0 * n ** 3)
-        rows.append(scale * poly)
-        rows[-1].flags.writeable = False
+        rows.append(_element_row(n))
         if not np.all(np.isfinite(rows[-1])):
             raise ValueError(f"element {n} of the exponential basis overflows the float "
                              f"range; the basis holds at most {n - 1} elements")

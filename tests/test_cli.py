@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -211,6 +212,32 @@ class TestCompare:
         assert run("compare", "--input", spec, "--methods", "oet", "--max-index", 200,
                    "--output", tmp_path / "refused.csv") == 3
         assert "element 136" in capsys.readouterr().err
+
+    def test_refused_basis_rows_are_built_once(self, tmp_path, monkeypatch):
+        # every trial of rates (1, 150) asks for a basis past element 135;
+        # the rows up to the one that overflows are built once over all 40
+        from transient_lab import oet_jacobi
+
+        built = collections.Counter()
+        real = oet_jacobi.jacobi_monomial_coeffs
+
+        def counting(params, n):
+            built[n] += 1
+            return real(params, n)
+
+        monkeypatch.setattr(oet_jacobi, "jacobi_monomial_coeffs", counting)
+        oet_jacobi.build_exponential_basis.cache_clear()
+        oet_jacobi._element_row.cache_clear()
+        spec = tmp_path / "r150.json"
+        spec.write_text('{"terms": [{"rate": 1.0, "coeff": 2.0}, {"rate": 150.0, "coeff": 3.0}]}')
+        out = tmp_path / "compare.csv"
+        assert run("compare", "--input", spec, "--methods", "oet", "--trials", 20,
+                   "--sigma", 0.0, 1e-3, "--output", out) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 80 and {r["flag"] for r in rows} == {"out_of_model"}
+        assert sorted(built) == list(range(136))
+        assert set(built.values()) == {1}
 
     @pytest.mark.parametrize("methods", [("oet",), ("prony",), ("decomposer",),
                                          ("decomposer", "prony", "oet")])

@@ -87,7 +87,7 @@ class TestDecomposeNumeric:
         got_rates = [rate for rate, _ in result.terms]
         assert got_rates == pytest.approx([rates[0], 3.5298, 4.4468], abs=1e-4)
         assert result.terms[1][1] == pytest.approx(2.796, abs=1e-3)
-        assert result.residual_rms == pytest.approx(9.9e-5, rel=0.01)
+        assert result.residual_rms == pytest.approx(9.34e-5, rel=0.01)
 
     def test_close_rates_fail_as_predicted(self):
         # gap 0.05 on a horizon of 20: the contamination at the window start,
@@ -386,14 +386,19 @@ class TestNoiseStop:
 
     def test_refits_end_once_they_stop_improving(self, refit_sizes):
         # rates 1 and 1.1 under noise: the extraction's terms seed no joint
-        # fit within the noise, and the size-3 and size-4 refits both end
-        # higher than the size-2 one, so no later iteration pays for a refit
-        samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (1.1, 3.0))),
-                                     np.linspace(0.0, 40.0, 4001), noise_sigma=1e-6, seed=3)
-        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
-        assert refit_sizes == [1, 2, 3, 4]
-        assert len(result.terms) > 3
-        assert {d.mode for d in result.diagnostics} == {"numeric"}
+        # fit within the noise.  At seed 7 the size-3 and size-4 refits both
+        # end higher than the size-2 one, so no later iteration pays for a
+        # refit; at seed 3 the fourth extraction finds a residual that does
+        # not decay before a second refit has ended higher
+        for seed, sizes, count in [(3, [1, 2, 3], 3), (7, [1, 2, 3, 4], 10)]:
+            samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (1.1, 3.0))),
+                                         np.linspace(0.0, 40.0, 4001), noise_sigma=1e-6,
+                                         seed=seed)
+            result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+            assert refit_sizes == sizes
+            assert len(result.terms) == count
+            assert {d.mode for d in result.diagnostics} == {"numeric"}
+            refit_sizes.clear()
 
     def test_stopped_run_reports_its_fit(self, refit_sizes):
         samples = two_term_samples(1e-4, 2)
@@ -405,6 +410,83 @@ class TestNoiseStop:
         assert [d.mode for d in result.diagnostics] == ["refit", "refit"]
         assert result.noise_sigma == pytest.approx(1e-4, rel=0.1)
         assert result.residual_rms / result.noise_sigma <= 1.5
+
+
+class TestReseedSweep:
+    """The cyclic sweep runs only to reseed a refit that came within
+    REFIT_RETRY_RATIO of its goal; a far miss goes on to the next
+    extraction, so clean input fits one horizon scan per term."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Per decomposition: the held-term count at each sweep, and the
+        estimate_term and estimate_rate calls."""
+        import transient_lab.decomposer as decomposer
+
+        seen = {"sweeps": [], "estimate_term": 0, "estimate_rate": 0}
+        real_sweep = decomposer._NumericState.sweep
+        real_term = decomposer._NumericState.estimate_term
+        real_rate = decomposer.estimate_rate
+
+        def sweep(self):
+            seen["sweeps"].append(len(self.terms))
+            return real_sweep(self)
+
+        def estimate_term(self, values):
+            seen["estimate_term"] += 1
+            return real_term(self, values)
+
+        def estimate_rate(*args, **kwargs):
+            seen["estimate_rate"] += 1
+            return real_rate(*args, **kwargs)
+
+        monkeypatch.setattr(decomposer._NumericState, "sweep", sweep)
+        monkeypatch.setattr(decomposer._NumericState, "estimate_term", estimate_term)
+        monkeypatch.setattr(decomposer, "estimate_rate", estimate_rate)
+        return seen
+
+    @staticmethod
+    def clean_inputs():
+        """The pinned clean three-term inputs and clean two_term.json."""
+        rng = np.random.default_rng(SEED + 13)
+        for _ in TestPinnedTerms.THREE_TERM:
+            signal, _, grid = three_term_family(rng)
+            yield synthesize_samples(signal, grid)
+        yield two_term_samples(0.0, 0)
+
+    def test_clean_input_never_sweeps(self, monkeypatch):
+        # a three-term signal never fits at size 2, but that refit misses by
+        # far more than the retry ratio: no sweep, one horizon scan per term
+        seen = self.counted(monkeypatch)
+        for samples in self.clean_inputs():
+            seen["estimate_term"] = 0
+            result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+            assert {d.mode for d in result.diagnostics} == {"refit"}
+            assert seen["estimate_term"] == len(result.terms)
+        assert seen["sweeps"] == []
+
+    def test_clean_input_fits_within_its_work_budget(self, monkeypatch):
+        # each term costs at most one rate fit per horizon floor; a sweep on
+        # the common path would re-fit every held term and overrun this
+        from transient_lab.decomposer import HORIZON_FLOORS
+
+        seen = self.counted(monkeypatch)
+        for samples in self.clean_inputs():
+            seen["estimate_rate"] = 0
+            result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+            assert 0 < seen["estimate_rate"] <= len(HORIZON_FLOORS) * len(result.terms)
+
+    def test_near_miss_is_swept_and_retried(self, monkeypatch, refit_sizes):
+        # sigma=1e-4, trial 16: the size-2 refit from the extracted terms
+        # misses within the retry ratio; the sweep reseeds it, and the retry
+        # returns the true two terms
+        seen = self.counted(monkeypatch)
+        samples = two_term_samples(1e-4, 2, trial=16)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert seen["sweeps"] == [2]
+        assert refit_sizes == [1, 2, 2]
+        assert result.termination_reason == "residual_floor"
+        assert [r for r, _ in result.terms] == pytest.approx([1.0, 2.0], abs=1e-3)
 
 
 class TestGridResidency:
@@ -540,12 +622,12 @@ class TestPinnedTerms:
     kernels that moves any bit of a result shows here."""
 
     THREE_TERM = [
-        [("0x1.33fd28bbb2a47p-2", "0x1.cf1c340596381p+0"),
-         ("0x1.598fbe353daa6p+0", "0x1.9dc50fe622ebep+1"),
-         ("0x1.239453f2ff2e4p+1", "0x1.3bf43f2db22d1p+2")],
-        [("0x1.09fd0b9f8ef93p-1", "-0x1.7c1b981c9853ep+0"),
-         ("0x1.575d7708ad7e3p+0", "0x1.efc13c8d31772p+0"),
-         ("0x1.224c29258212ep+1", "0x1.12179f0c88867p+0")],
+        [("0x1.33fd28bbb90eep-2", "0x1.cf1c3405acb59p+0"),
+         ("0x1.598fbe35aaaf6p+0", "0x1.9dc50fe7d57f5p+1"),
+         ("0x1.239453f33a99bp+1", "0x1.3bf43f2cd401bp+2")],
+        [("0x1.09fd0b9f8f5aap-1", "-0x1.7c1b981c9a43cp+0"),
+         ("0x1.575d7708a93dap+0", "0x1.efc13c8d22e50p+0"),
+         ("0x1.224c29257de9bp+1", "0x1.12179f0c98fe6p+0")],
     ]
     # data/two_term.json on compare's default grid; the noise seed follows
     # compare's rule seed + 7919 * sigma_index + trial for --seed 0, trial 0
@@ -563,14 +645,12 @@ class TestPinnedTerms:
         (1e-4, 2): [("0x1.006cc4ffe212ap+0", "0x1.027366ed6f3e4p+1"),
                     ("0x1.053f6dfccba32p+1", "0x1.9782799f46c13p+1"),
                     ("0x1.73df442a4c8bep+1", "-0x1.fe57671fc002ep-3")],
-        (1e-3, 3): [("0x1.0224045643384p+0", "0x1.0c09ff8dfb9cap+1"),
-                    ("0x1.1ef273b7141c2p+1", "0x1.26306671b9a15p+2"),
-                    ("0x1.93088ef3176c2p+1", "-0x1.7642f420c3eb6p+1"),
-                    ("0x1.4a0742d94ad23p+2", "0x1.58d10ff379f0ap+1"),
-                    ("0x1.1bc105f19d55fp+3", "-0x1.0f0d2f0e5b16ap+2"),
-                    ("0x1.cf49ce252964ap+3", "0x1.178ef7a29373cp+3"),
-                    ("0x1.5c084c21c2664p+4", "-0x1.bc8aca1e660bdp+3"),
-                    ("0x1.2cb810f515cbfp+5", "0x1.9758da184c960p+4")],
+        (1e-3, 3): [("0x1.03edd9da0f2a8p+0", "0x1.155fb15e46fa3p+1"),
+                    ("0x1.17af4b9c09e2cp+1", "0x1.a214e7e277a9cp+1"),
+                    ("0x1.2acf1f3e00461p+2", "-0x1.196629146550fp+0"),
+                    ("0x1.06a8cc9f79120p+3", "0x1.696bfaad9ac1dp+0"),
+                    ("0x1.c3788102bb768p+3", "-0x1.3489cf0e3a9e6p+0"),
+                    ("0x1.04ea0d44f59e1p+5", "0x1.284f7b61e2546p+0")],
     }
 
     @staticmethod
@@ -594,8 +674,9 @@ class TestPinnedTerms:
     @pytest.mark.parametrize("sigma, sigma_index", [(1e-4, 2), (1e-3, 3)])
     def test_rejected_refit_leaves_the_loop_as_it_was(self, monkeypatch, sigma, sigma_index):
         # every refit comes back with its rates within RATE_MERGE_TOL of each
-        # other, which the stop refuses: the loop then runs as it did without
-        # a refit, to the last bit
+        # other, which the stop refuses: the loop goes on from its own terms,
+        # bit for bit, swept only to reseed a refit that came within
+        # REFIT_RETRY_RATIO of its goal
         import transient_lab.decomposer as decomposer
 
         real = decomposer._joint_refit

@@ -177,6 +177,11 @@ class TestExponentialBasis:
             row[0] = 0.0
         assert row[0] == build_exponential_basis.__wrapped__(4).coeff_table[2][0]
 
+    def test_last_element_the_float_range_holds(self):
+        assert build_exponential_basis(135).max_index == 135
+        with pytest.raises(ValueError, match="element 136 .* at most 135 elements"):
+            build_exponential_basis(136)
+
     def test_refused_max_index_raises_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="element 136 "):
