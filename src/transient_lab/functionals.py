@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import SignalVanished
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
-from .tail_limits import (TailFitConfig, _reweighted, _validate_support, estimate_coefficient,
-                          require_tail_nodes, scan_horizons, shrink_support)
+from .tail_limits import (TailFitConfig, _reweighted, _scaled_tail, _validate_support,
+                          estimate_coefficient, require_tail_nodes, scan_horizons,
+                          shrink_support)
 
 # a stripped residual this small everywhere, relative to the input's peak,
 # is numerically zero: its content is the rounding left over from earlier
@@ -129,15 +130,17 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
     rounding left over from the earlier subtractions and reads 0.0.  The
     reweighted tail is constant where neither the faster terms (early) nor
     the leftovers of the stripped slower terms (late) intrude, so the window
-    with the flattest reweighted values wins.
+    with the flattest reweighted values wins.  Each window is reweighted once
+    for its score; only the winner's coefficient is estimated.
     """
     if scale == 0.0 or float(np.abs(values).max()) <= RESIDUAL_VANISH_TOL * scale:
         return 0.0
 
     def fit(t_hi):
-        value = estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg)
-        # the samples that value averages
+        # the samples the coefficient over this horizon averages; a horizon
+        # whose coefficient estimate would raise Diverging is refused here
         v = _reweighted(ts, values, rate, (t_lo, t_hi))
+        _scaled_tail(v)
         mag = np.abs(v)
         # the score is scale-free, and the sums of squares in np.std overflow
         # near the top of the float range, so large values are scored scaled
@@ -146,13 +149,14 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
         if peak > 2.0 ** 400:
             shift = -math.frexp(peak)[1]
             v, mag = np.ldexp(v, shift), np.ldexp(mag, shift)
-        return float(np.std(v) / max(mag.mean(), 1e-300)), value
+        return float(np.std(v) / max(mag.mean(), 1e-300)), t_hi
 
     try:
         ends = shrink_support(ts, values, (1e-6, 1e-8, 1e-10, 1e-12))
-        return float(scan_horizons(fit, ends, t_lo))
+        t_hi = scan_horizons(fit, ends, t_lo)
     except SignalVanished:
         return 0.0
+    return float(estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg))
 
 
 def _functional_source(transient: SymbolicTransient, mode: str, horizon):

@@ -315,15 +315,26 @@ def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = 
     cfg = cfg or TailFitConfig()
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    # an overflow leaves an inf for the finite check below to refuse
-    values = _reweighted(ts, values, rate, support)
+    values, scale = _scaled_tail(_reweighted(ts, values, rate, support))
+    starts, length = _index_blocks(len(values), _FIT_ORDERS[cfg.fit_order])
+    means = _mean(_rows(values, starts, length)).tolist()
+    return float(_extrapolate(means)) * scale
+
+
+def _scaled_tail(values):
+    """(values / scale, scale) for the reweighted samples values, scale the
+    power of two that brings their largest magnitude below 2**960.  Raises
+    Diverging when they overflowed or grow by more than DIVERGE_FACTOR
+    across the window: the rate was too big.
+
+    Near the top of the float range a sum of values overflows where their
+    mean does not; dividing by a power of two is exact, so averages run on
+    the scaled values and are scaled back."""
+    # an overflow in the reweighting left an inf, refused here
     mag = np.abs(values)
     peak = float(np.maximum.reduce(mag))
     if not math.isfinite(peak):
         raise Diverging("reweighted tail overflowed; decay rate is overestimated")
-    # near the top of the float range a sum of values overflows where their
-    # mean does not; dividing by a power of two is exact, so the averages
-    # run on values scaled below 2**960 and the result is scaled back
     scale = 2.0 ** max(math.frexp(peak)[1] - 960, 0)
     if scale != 1.0:
         values, mag = values / scale, mag / scale
@@ -335,10 +346,7 @@ def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = 
         raise Diverging(
             f"reweighted tail grows by {tail / head:.3g} across the window "
             f"(limit {DIVERGE_FACTOR}); decay rate is overestimated")
-
-    starts, length = _index_blocks(len(values), _FIT_ORDERS[cfg.fit_order])
-    means = _mean(_rows(values, starts, length)).tolist()
-    return float(_extrapolate(means)) * scale
+    return values, scale
 
 
 def rate_sequence(source: SignalSource, support) -> RateSequence:

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -312,6 +313,46 @@ class TestNoiseHorizon:
         assert errors <= self.PARENT_COUNT_ERRORS[sigma]
 
 
+class TestHorizonFloors:
+    """Each horizon floor seeds a decomposition that the others cannot: with
+    it dropped, one seeded input no longer returns its true rates."""
+
+    @staticmethod
+    def clean_three_term():
+        # the twelfth draw of the pinned family: without the deep floor the
+        # tail fits misread its faster terms, and four terms come back
+        rng = np.random.default_rng(SEED + 13)
+        for _ in range(12):
+            signal, _, grid = three_term_family(rng)
+        return signal, synthesize_samples(signal, grid)
+
+    @staticmethod
+    def noisy_two_term():
+        # sigma=1e-6, trial 3: without the shallow floor only the noise end
+        # is fitted (the deep floor's end lies past it), and one term comes
+        # back
+        return load_signal_spec(DATA / "two_term.json"), two_term_samples(1e-6, 1, trial=3)
+
+    @pytest.mark.parametrize("inputs, floor", [(clean_three_term, 1e-12),
+                                               (noisy_two_term, 1e-4)],
+                             ids=["clean_needs_1e-12", "noisy_needs_1e-4"])
+    def test_each_floor_earns_its_place(self, monkeypatch, inputs, floor):
+        import transient_lab.decomposer as decomposer
+
+        signal, samples = inputs()
+        true_rates = pytest.approx([rate for rate, _ in signal.terms], rel=0.0, abs=1e-3)
+
+        def rates():
+            result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+            return [rate for rate, _ in result.terms]
+
+        assert floor in decomposer.HORIZON_FLOORS
+        assert rates() == true_rates
+        monkeypatch.setattr(decomposer, "HORIZON_FLOORS",
+                            tuple(f for f in decomposer.HORIZON_FLOORS if f != floor))
+        assert rates() != true_rates
+
+
 class TestNoiseStop:
     """A joint refit of the held terms ends the loop as soon as they explain
     the samples to within their measured noise or, on clean input, to
@@ -476,6 +517,21 @@ class TestReseedSweep:
             result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
             assert 0 < seen["estimate_rate"] <= len(HORIZON_FLOORS) * len(result.terms)
 
+    def test_cli_decompose_fits_within_its_work_budget(self, monkeypatch, tmp_path):
+        # the same budget on the command-line path: clean two_term.json
+        # samples written by synth and read back by decompose
+        from transient_lab.cli import main
+        from transient_lab.decomposer import HORIZON_FLOORS
+
+        csv_path, out_path = tmp_path / "samples.csv", tmp_path / "result.json"
+        assert main(["synth", "--input", str(DATA / "two_term.json"), "--output",
+                     str(csv_path), "--horizon", "40", "--step", "0.01"]) == 0
+        seen = self.counted(monkeypatch)
+        assert main(["decompose", "--input", str(csv_path), "--output", str(out_path)]) == 0
+        terms = json.loads(out_path.read_text())["terms"]
+        assert len(terms) == 2
+        assert 0 < seen["estimate_rate"] <= len(HORIZON_FLOORS) * len(terms)
+
     def test_near_miss_is_swept_and_retried(self, monkeypatch, refit_sizes):
         # sigma=1e-4, trial 16: the size-2 refit from the extracted terms
         # misses within the retry ratio; the sweep reseeds it, and the retry
@@ -618,13 +674,14 @@ class TestGridResidency:
 
 class TestPinnedTerms:
     """decompose_numeric's terms, bit for bit, as the estimators gave them
-    when the sub-block fits ran one block at a time; a change to the tail
-    kernels that moves any bit of a result shows here."""
+    when the sub-block fits ran one block at a time, seeded from the two
+    horizon floors; a change to the tail kernels or to the floors that moves
+    any bit of a result shows here."""
 
     THREE_TERM = [
-        [("0x1.33fd28bbb90eep-2", "0x1.cf1c3405acb59p+0"),
-         ("0x1.598fbe35aaaf6p+0", "0x1.9dc50fe7d57f5p+1"),
-         ("0x1.239453f33a99bp+1", "0x1.3bf43f2cd401bp+2")],
+        [("0x1.33fd28bbb7880p-2", "0x1.cf1c3405a759fp+0"),
+         ("0x1.598fbe3590412p+0", "0x1.9dc50fe76a933p+1"),
+         ("0x1.239453f32b184p+1", "0x1.3bf43f2d0aa25p+2")],
         [("0x1.09fd0b9f8f5aap-1", "-0x1.7c1b981c9a43cp+0"),
          ("0x1.575d7708a93dap+0", "0x1.efc13c8d22e50p+0"),
          ("0x1.224c29257de9bp+1", "0x1.12179f0c98fe6p+0")],

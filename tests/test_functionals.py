@@ -101,6 +101,33 @@ class TestRateFunctional:
         assert values == pytest.approx([1.0, 0.5])
         assert len(calls) == 2
 
+    def test_each_window_reweighted_once(self, monkeypatch):
+        # each horizon's flatness score reweights its window once, and the
+        # winning horizon's coefficient estimate once more
+        from transient_lab import functionals, tail_limits
+
+        counts = {"reweighted": 0, "fits": 0, "winners": 0}
+        real_reweighted, real_scan = tail_limits._reweighted, functionals.scan_horizons
+
+        def reweighted(*args):
+            counts["reweighted"] += 1
+            return real_reweighted(*args)
+
+        def scan(fit, ends, t_lo):
+            def counted(t_hi):
+                counts["fits"] += 1
+                return fit(t_hi)
+            best = real_scan(counted, ends, t_lo)
+            counts["winners"] += 1
+            return best
+
+        monkeypatch.setattr(tail_limits, "_reweighted", reweighted)
+        monkeypatch.setattr(functionals, "_reweighted", reweighted)
+        monkeypatch.setattr(functionals, "scan_horizons", scan)
+        rate_functional_matrix(FIVE_RATES, mode="numeric", horizon=60.0)
+        assert counts["fits"] > counts["winners"] > 0
+        assert counts["reweighted"] == counts["fits"] + counts["winners"]
+
     def test_numeric_read_refuses_non_finite_values(self):
         src = SignalSource.from_evaluator(
             lambda ts: np.where(np.asarray(ts) > 5.0, np.nan, 1.0), support=(0.0, 10.0))
