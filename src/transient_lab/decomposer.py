@@ -179,8 +179,22 @@ def _noise_level(values) -> float:
     if len(tail) < 9:
         return 0.0
     fourth = np.diff(tail, n=4)
-    mad = float(np.median(np.abs(fourth - np.median(fourth))))
+    mad = _median(np.abs(fourth - _median(fourth)))
     return mad / (0.6745 * math.sqrt(70.0))
+
+
+def _median(values) -> float:
+    """np.median of a non-empty 1-D array, bit for bit, from one
+    np.partition: the middle value, or the mean (a + b) / 2 of the two
+    middle values for an even length; NaN when any value is NaN, which the
+    partition puts last."""
+    half = len(values) // 2
+    part = np.partition(values, (half - 1 + len(values) % 2, half, -1))
+    if math.isnan(part[-1]):
+        return math.nan
+    if len(values) % 2:
+        return float(part[half])
+    return float((part[half - 1] + part[half]) / 2.0)
 
 
 def _rms(values) -> float:

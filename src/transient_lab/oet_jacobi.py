@@ -268,8 +268,13 @@ def fold_exponential_coeffs(projections, basis: ExponentialBasis) -> np.ndarray:
 
 def oet_analyze(source: SignalSource, basis: ExponentialBasis,
                 q: QuadratureConfig = None) -> OetCoefficients:
-    """Project a signal onto the basis and fold back to per-rate coefficients."""
-    projections = np.array([inner_product(source, element, q) for element in basis.elements])
+    """Project a signal onto the basis and fold back to per-rate coefficients.
+
+    One inner_product call takes every projection: a signal that is not
+    symbolic on the whole half line is read once, at one set of quadrature
+    nodes, and each projection keeps the bits of its own product with the
+    element."""
+    projections = inner_product(source, basis.elements, q)
     with np.errstate(over="ignore", invalid="ignore"):
         folded = fold_exponential_coeffs(projections, basis)
     if not np.all(np.isfinite(folded)):

@@ -47,10 +47,9 @@ class PronyModel:
     rejected_roots: tuple = ()  # complex or out-of-range roots, kept visible
 
 
-def _condition(matrix) -> float:
-    """Condition number of matrix: the ratio of its extreme singular values,
-    inf when it is singular."""
-    singular = np.linalg.svd(matrix, compute_uv=False)
+def _condition(singular) -> float:
+    """Condition number of a matrix from its singular values, largest
+    first: the ratio of the extreme two, inf when the matrix is singular."""
     return float(singular[0] / singular[-1]) if singular[-1] > 0.0 else float("inf")
 
 
@@ -117,7 +116,8 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
 
     rates = -np.log(kept) / step
     vandermonde = kept[None, :] ** np.arange(n)[:, None]
-    amplitudes, *_ = np.linalg.lstsq(vandermonde, values, rcond=None)
+    # the solve's own singular values give the condition: no second SVD
+    amplitudes, _, _, singular = np.linalg.lstsq(vandermonde, values, rcond=None)
     # grid may start at t0 > 0; translate amplitudes back to t = 0, which a
     # late start can carry past the float range
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,7 +131,7 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
         poles=tuple(kept.tolist()),
         rates=tuple(rates.tolist()),
         amplitudes=tuple(amplitudes.tolist()),
-        vandermonde_condition=_condition(vandermonde),
+        vandermonde_condition=_condition(singular),
         flags=tuple(flags),
         rejected_roots=rejected,
     )
@@ -153,4 +153,5 @@ def vandermonde_condition(rates, times) -> float:
         raise ValueError(f"times must be a uniform increasing grid: every step within "
                          f"a relative {UNIFORM_REL_TOL:g} of a positive mean step")
     poles = np.exp(-rates * step)
-    return _condition(poles[None, :] ** np.arange(len(times))[:, None])
+    return _condition(np.linalg.svd(poles[None, :] ** np.arange(len(times))[:, None],
+                                    compute_uv=False))

@@ -59,9 +59,16 @@ def gauss_legendre_nodes(order, a=0.0, b=1.0):
 def integrate_semi_infinite(fn, config=None, t_window=None):
     """Integrate fn(t) over [0, inf) via z = exp(-t).
 
-    fn must accept a numpy array of times.  t_window, when given as
-    (t_lo, t_hi), restricts the integration to that time range; this is how
-    finitely supported (sampled) signals take part without extrapolation.
+    fn must accept a numpy array of times.  It returns either one value per
+    time, and the integral is one float, or one row of values per integrand,
+    and the result is an array holding one integral per row; each row is
+    summed on its own, so it keeps the bits it would have as a lone
+    integrand.  All rows share one set of nodes and one call of fn.
+
+    t_window, when given as (t_lo, t_hi), restricts the integration to that
+    time range; this is how finitely supported (sampled) signals take part
+    without extrapolation.  An empty range integrates to 0.0 without calling
+    fn, whatever fn would return.
     """
     cfg = config or QuadratureConfig()
     z_lo, z_hi = LOWER_CUTOFF, 1.0
@@ -80,7 +87,7 @@ def integrate_semi_infinite(fn, config=None, t_window=None):
         vals = np.asarray(fn(t), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureFailure("integrand returned a non-finite value at a quadrature node")
-        total = float(np.dot(w, vals / z))
-    if not math.isfinite(total):
+        totals = [float(np.dot(w, row)) for row in (vals / z).reshape(-1, len(w))]
+    if not all(math.isfinite(total) for total in totals):
         raise QuadratureFailure("integral overflows the float range")
-    return total
+    return np.array(totals) if vals.ndim == 2 else totals[0]

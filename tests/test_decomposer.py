@@ -232,6 +232,28 @@ def two_term_samples(sigma, sigma_index, trial=0):
                               seed=7919 * sigma_index + trial)
 
 
+class TestMedian:
+    """The noise level's median is np.median's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 1995, 1996])
+    def test_equals_np_median(self, n, rng):
+        from transient_lab.decomposer import _median
+
+        for values in (rng.normal(size=n),
+                       np.round(rng.normal(size=n), 1),          # ties
+                       np.full(n, 0.25),                         # all tied
+                       rng.integers(0, 3, size=n).astype(float)):
+            got = _median(values)
+            assert type(got) is float
+            assert got == np.median(values)
+
+    def test_nan_gives_nan(self):
+        from transient_lab.decomposer import _median
+
+        assert math.isnan(_median(np.array([1.0, np.nan, 0.5, 2.0])))
+        assert math.isnan(_median(np.array([np.nan, 3.0, 1.0])))
+
+
 class TestNoiseHorizon:
     """With a measured noise level, no horizon past the noise end is fitted."""
 

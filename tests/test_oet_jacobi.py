@@ -296,6 +296,32 @@ class TestAnalyzeSynthesize:
             assert np.array_equal(got.exponential_coeffs,
                                   oet_analyze(source, fresh).exponential_coeffs)
 
+    def test_one_quadrature_pass_per_analysis(self, monkeypatch):
+        # a sampled source is read once: one inner_product call, one
+        # integral of all eight element rows, one evaluation of the samples
+        import transient_lab.oet_jacobi as oet_jacobi
+        import transient_lab.signal_core as signal_core
+
+        calls = {"inner_product": 0, "integrate_semi_infinite": 0, "evaluate_many": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(oet_jacobi, "inner_product")
+        counted(signal_core, "integrate_semi_infinite")
+        counted(signal_core, "evaluate_many")
+        source = SignalSource.from_sampled(synthesize_samples(
+            SymbolicTransient(((1.0, 2.0), (2.0, 3.0))), np.linspace(0.0, 40.0, 4001),
+            noise_sigma=1e-4, seed=3))
+        oet_analyze(source, build_exponential_basis(8))
+        assert calls == {"inner_product": 1, "integrate_semi_infinite": 1, "evaluate_many": 1}
+
     def test_quadrature_config_respected(self):
         basis = build_exponential_basis(3)
         src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))

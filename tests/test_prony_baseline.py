@@ -170,6 +170,17 @@ class TestPronyFit:
 
 
 class TestVandermondeCondition:
+    @pytest.mark.parametrize("sigma, t0", [(0.0, 0.0), (1e-4, 0.0), (0.0, 2.5)])
+    def test_fit_reads_the_condition_of_its_own_solve(self, sigma, t0):
+        # prony_fit takes the condition from the amplitude solve's singular
+        # values; the public function runs its own SVD on the same matrix
+        times = t0 + np.arange(4001) * 0.01
+        sig = synthesize_samples(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))), times,
+                                 noise_sigma=sigma, seed=5)
+        model = prony_fit(sig, 2)
+        assert model.vandermonde_condition == pytest.approx(
+            vandermonde_condition(model.rates, times), rel=1e-12)
+
     def test_single_pole_is_one(self):
         assert vandermonde_condition([0.5], np.arange(10.0)) == pytest.approx(1.0)
 

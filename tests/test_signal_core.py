@@ -291,6 +291,70 @@ class TestInnerProduct:
             inner_product(bad, bad)
 
 
+class TestInnerProductSequence:
+    """inner_product(f, [g1, g2, ...]): one pass, each product's own bits."""
+
+    SIG = SymbolicTransient(((1.0, 2.0), (2.5, -3.0)))
+
+    @staticmethod
+    def sources(rng):
+        basis = build_exponential_basis(8).elements
+        extra = [SignalSource.from_symbolic(random_transient(rng, 3)),
+                 SignalSource.from_symbolic(SymbolicTransient()),
+                 SignalSource.from_evaluator(random_transient(rng, 2))]
+        return list(basis) + extra
+
+    @pytest.mark.parametrize("kind", ["sampled", "evaluator", "windowed_symbolic"])
+    def test_equals_one_call_per_source_bit_for_bit(self, kind, rng):
+        f = {
+            "sampled": lambda: SignalSource.from_sampled(synthesize_samples(
+                self.SIG, np.linspace(0.0, 40.0, 4001), noise_sigma=1e-4, seed=3)),
+            "evaluator": lambda: SignalSource.from_evaluator(self.SIG),
+            "windowed_symbolic": lambda: SignalSource(symbolic=self.SIG, support=(0.5, 30.0)),
+        }[kind]()
+        gs = self.sources(rng)
+        got = inner_product(f, gs)
+        assert isinstance(got, np.ndarray) and got.shape == (len(gs),)
+        assert np.array_equal(got, [inner_product(f, g) for g in gs])
+        assert np.array_equal(inner_product(f, gs[:1]), [inner_product(f, gs[0])])
+        assert type(inner_product(f, gs[0])) is float
+
+    def test_symbolic_pairs_on_the_half_line_keep_the_closed_form(self, rng):
+        slow = SymbolicTransient(((0.1, 10.0),))
+        f = SignalSource.from_symbolic(slow)
+        gs = [SignalSource.from_symbolic(slow)] + self.sources(rng)
+        got = inner_product(f, gs)
+        assert np.array_equal(got, [inner_product(f, g) for g in gs])
+        # the quadrature reads 444.9 here (see inner_product)
+        assert got[0] == pytest.approx(500.0, rel=1e-12)
+        for value, g in zip(got, gs):
+            if g.symbolic is not None:
+                assert value == signal_core._closed_form_inner(slow, g.symbolic)
+
+    def test_sources_on_different_supports_are_refused(self):
+        f = SignalSource.from_evaluator(self.SIG)
+        gs = [SignalSource.from_symbolic(self.SIG),
+              SignalSource.from_evaluator(self.SIG, support=(0.0, 20.0))]
+        with pytest.raises(ValueError, match="one support"):
+            inner_product(f, gs)
+        with pytest.raises(ValueError, match="one support"):
+            inner_product(f, [])
+
+    def test_a_non_finite_element_fails_the_pass(self):
+        from transient_lab import QuadratureFailure
+        f = SignalSource.from_evaluator(self.SIG)
+        nan_at_late_times = SignalSource.from_evaluator(
+            lambda ts: np.where(np.asarray(ts) > 5.0, np.nan, 1.0))
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            inner_product(f, [SignalSource.from_symbolic(self.SIG), nan_at_late_times])
+
+    def test_an_empty_window_gives_one_zero_per_source(self):
+        f = SignalSource.from_sampled(synthesize_samples(self.SIG, np.linspace(0.0, 10.0, 101)))
+        gs = [SignalSource.from_evaluator(self.SIG, support=(20.0, 30.0)) for _ in range(3)]
+        assert np.array_equal(inner_product(f, gs), np.zeros(3))
+        assert inner_product(f, gs[0]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # synthesize_samples
 # ---------------------------------------------------------------------------

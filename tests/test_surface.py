@@ -52,8 +52,8 @@ NUMPY_1_24_NAMES = {
     "ascontiguousarray", "column_stack", "concatenate", "copysign", "count_nonzero",
     "diff", "dot", "errstate", "exp", "eye", "finfo", "flatnonzero", "interp",
     "isfinite", "ldexp", "linalg.eigvals", "linalg.lstsq", "linalg.svd", "linspace",
-    "loadtxt", "log", "matmul", "maximum", "maximum.reduce", "median",
-    "minimum.reduce", "multiply", "ndarray", "ndenumerate", "outer",
+    "loadtxt", "log", "matmul", "maximum", "maximum.reduce",
+    "minimum.reduce", "multiply", "ndarray", "ndenumerate", "outer", "partition",
     "polynomial.legendre.leggauss", "polynomial.polynomial.polyder",
     "polynomial.polynomial.polyval",
     "random.default_rng", "round", "sort", "std", "subtract", "unique", "zeros",
