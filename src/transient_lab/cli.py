@@ -138,13 +138,13 @@ def _load_input_signal(path):
 # ---------------------------------------------------------------------------
 
 def run_synth(args):
+    if args.output is None:
+        raise ValueError("synth needs --output for the sample CSV")
     _check_positive(args, "horizon", "step")
     spec, _ = _load_input_signal(args.input)
     if spec is None:
         raise ValueError("synth needs a JSON signal spec as --input")
     samples = synthesize_samples(spec, _grid(args), noise_sigma=args.sigma, seed=args.seed)
-    if args.output is None:
-        raise ValueError("synth needs --output for the sample CSV")
     save_samples_csv(samples, args.output)
 
 

@@ -21,15 +21,14 @@ policies the idealized loop does not need:
   NOISE_FIT_RATIO of their measured noise, or on clean input to the rounding
   floor (ROUNDING_FLOOR of the peak), ends the loop with its terms, reason
   "residual_floor".  The refit carries the precision the tail estimates
-  cannot, so no sweep refines the terms after the loop.  Once two refits in
+  cannot, so nothing refines the terms after the loop.  Once two refits in
   a row end no lower than the best before them, the extraction's terms no
   longer seed a better joint fit, and the loop goes on without refitting;
-* cyclic re-estimation, only to reseed a refit that missed its goal by at
-  most REFIT_RETRY_RATIO: every held term is re-estimated against the
-  signal minus the other terms, each fed the others' latest values, and the
-  refit is tried once more from the swept terms.  A refit that misses by
-  more, such as a size-2 refit of a three-term signal, leaves the terms as
-  extracted and the loop goes on to the next extraction.
+* restart: a refit that missed its goal by at most REFIT_RETRY_RATIO is
+  run once more from the terms it stopped at, its damping reset, and the
+  pair counts as one refit.  A refit that misses by more, such as a size-2
+  refit of a three-term signal, leaves the terms as extracted and the loop
+  goes on to the next extraction.
 
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
@@ -63,8 +62,8 @@ TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_c
 
 # stop once the tail sup norm of the residual drops below this fraction of
 # the original signal's tail sup norm over the same window: 1e-8 sits safely
-# above the double-precision leftovers of swept subtractions while staying
-# far below any honest term
+# above the double-precision leftovers of the subtractions while staying far
+# below any honest term
 RESIDUAL_FLOOR = 1e-8
 # a new rate closer than this to a held one is a rate collision
 RATE_MERGE_TOL = 1e-3
@@ -86,8 +85,9 @@ NOISE_FIT_RATIO = 1.5
 # terms that cancel to a peak far below their own sizes
 ROUNDING_FLOOR = 1e-13
 # a missed refit whose sum of squares came within this multiple of its goal is
-# tried once more after a sweep has moved its seed; only such a refit pays
-# for a sweep
+# restarted once from where it stopped: the projected-drop stop of
+# _joint_refit can give up on a refit that a fresh start, damping reset, takes
+# to its goal
 REFIT_RETRY_RATIO = 100.0
 # Levenberg-Marquardt damping of the joint refit: its start, near Gauss-Newton
 # but positive, since a rejected step grows it tenfold, and the cap past which
@@ -241,33 +241,30 @@ class _NumericState:
         # shrink_support applies
         self.noisy = NOISE_FLOOR * self.peak < self.noise_sigma < math.inf
         # whether the next iteration refits the held terms (refit); the lowest
-        # sum of squares a refit has left, the refits since that one, and
-        # whether the last refit came within REFIT_RETRY_RATIO of its goal
+        # sum of squares a refit has left, and the refits since that one
         self.refitting = True
         self.refit_best = math.inf
         self.refit_misses = 0
-        self.refit_close = False
         self.terms = []          # [_Term], rates ascending
 
     # -- residual bookkeeping -------------------------------------------
 
-    def residual_values(self, skip=None):
-        """Base values minus every held term except the one at index skip;
-        the (read-only) base values themselves when no term is subtracted.
+    def residual_values(self):
+        """Base values minus every held term; the (read-only) base values
+        themselves when no term is held.
 
         Raises Diverging when that overflows: the held terms then oppose the
         input near the top of the float range instead of cancelling it.
         """
-        columns = [term.column for i, term in enumerate(self.terms) if i != skip]
-        if not columns:
+        if not self.terms:
             return self.base_values
         try:
             # numpy reads its overflow flag after each subtraction anyway;
             # raising on it spares a finite check's pass over the values
             with np.errstate(over="raise"):
-                out = self.base_values - columns[0]
-                for column in columns[1:]:
-                    out -= column
+                out = self.base_values - self.terms[0].column
+                for term in self.terms[1:]:
+                    out -= term.column
         except FloatingPointError:
             raise Diverging("the signal less the held terms overflows") from None
         return out
@@ -332,39 +329,33 @@ class _NumericState:
         column *= coeff
         return _Term(best.rate, coeff, best.residual_rms, best.window, column)
 
-    def collides(self, rate, skip=None):
-        return any(abs(rate - term.rate) < RATE_MERGE_TOL
-                   for i, term in enumerate(self.terms) if i != skip)
-
-    def sweep(self):
-        """Re-estimate every held term against the signal minus the others."""
-        for j in range(len(self.terms)):
-            try:
-                term = self.estimate_term(self.residual_values(skip=j))
-            except (SignalVanished, NonDecaying, Diverging):
-                continue
-            if not self.collides(term.rate, skip=j):
-                self.terms[j] = term
-        self.terms.sort(key=lambda held: held.rate)
+    def collides(self, rate):
+        return any(abs(rate - term.rate) < RATE_MERGE_TOL for term in self.terms)
 
     def refit(self):
         """The held terms refitted jointly, when that refit explains the
         samples to within their measured noise, or to ROUNDING_FLOOR of their
         peak; None otherwise.
 
-        The refit's rates are finite and positive, its coefficients finite;
-        accepted, its rates also ascend at least RATE_MERGE_TOL apart and
-        leave a whole-grid rms of at most the larger of NOISE_FIT_RATIO times
-        the noise level and ROUNDING_FLOOR of the peak.  Each refitted term
-        keeps the rate fit that seeded it."""
+        A refit that stops short of that goal by at most REFIT_RETRY_RATIO is
+        restarted once from where it stopped, and the pair counts as one
+        refit.  The refit's rates are finite and positive, its coefficients
+        finite; accepted, its rates also lie at least RATE_MERGE_TOL apart, in
+        whatever order they came back, and leave a whole-grid rms of at most
+        the larger of NOISE_FIT_RATIO times the noise level and ROUNDING_FLOOR
+        of the peak.  The refitted terms come back with their rates
+        ascending, each keeping the rate fit that seeded it."""
         # in units of the peak the sums of squares stay inside the float range
         # at any signal scale
         rss_goal = len(self.grid) * max(NOISE_FIT_RATIO * self.noise_sigma / self.peak,
                                         ROUNDING_FLOOR) ** 2
-        rates, coeffs, basis, rss = _joint_refit(self.grid, self.base_values / self.peak,
+        values = self.base_values / self.peak
+        rates, coeffs, basis, rss = _joint_refit(self.grid, values,
                                                  [term.rate for term in self.terms],
                                                  [term.coeff / self.peak for term in self.terms],
                                                  rss_goal)
+        if rss_goal < rss <= REFIT_RETRY_RATIO * rss_goal:
+            rates, coeffs, basis, rss = _joint_refit(self.grid, values, rates, coeffs, rss_goal)
         # two refits in a row that end no lower than the best one before them
         # show the extraction's terms no longer seed a better joint fit: the
         # rest of the decomposition is not refitted
@@ -373,12 +364,13 @@ class _NumericState:
         else:
             self.refit_misses += 1
         self.refitting = self.refit_misses < 2
-        self.refit_close = rss <= REFIT_RETRY_RATIO * rss_goal
-        if not (np.all(np.diff(rates) >= RATE_MERGE_TOL) and rss <= rss_goal):
+        order = rates.argsort()
+        if not (np.all(np.diff(rates[order]) >= RATE_MERGE_TOL) and rss <= rss_goal):
             return None
         coeffs = coeffs * self.peak
-        return [term._replace(rate=float(rate), coeff=float(coeff), column=basis[i] * coeff)
-                for i, (term, rate, coeff) in enumerate(zip(self.terms, rates, coeffs))]
+        return [self.terms[i]._replace(rate=float(rates[i]), coeff=float(coeffs[i]),
+                                       column=basis[i] * coeffs[i])
+                for i in order]
 
 
 def _joint_refit(grid, values, rates, coeffs, rss_goal):
@@ -406,7 +398,7 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     """
     k = len(rates)
     rss_floor = len(grid) * ROUNDING_FLOOR ** 2
-    params = np.array(rates + coeffs)
+    params = np.concatenate((rates, coeffs))
     # J' a row a parameter: d model / d rate = -coeff * grid * exp(-rate * grid)
     # in the first k rows; d model / d coeff = exp(-rate * grid), the current
     # terms' basis, in the last k
@@ -507,13 +499,9 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
             break
         state.terms.append(term)
         state.terms.sort(key=lambda held: held.rate)
-        # the refit comes first; a sweep runs only to reseed a refit that
-        # came close, which is then tried again from the swept terms; a far
-        # miss goes straight on to the next extraction
+        # a refit that lands ends the loop; one that misses, after its restart
+        # when it came close, goes on to the next extraction
         terms = state.refit() if state.refitting else None
-        if terms is None and len(state.terms) > 1 and state.refitting and state.refit_close:
-            state.sweep()
-            terms = state.refit()
         if terms is not None:
             state.terms = terms
             reason = "residual_floor"

@@ -745,6 +745,18 @@ class TestVerbFlags:
         assert len(err) == 1 and "--horizon" in err[0] and "--step" in err[0]
         assert not out.exists()
 
+    def test_synth_without_output_refused_before_sampling(self, two_term_spec, capsys,
+                                                          monkeypatch):
+        # a grid may hold up to 1e7 nodes: none is sampled for a run that has
+        # nowhere to write them
+        def sampled(*args, **kwargs):
+            raise AssertionError("synth sampled with no --output")
+
+        monkeypatch.setattr(cli, "synthesize_samples", sampled)
+        assert run("synth", "--input", two_term_spec, "--horizon", 2, "--step", 0.5) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--output" in err[0]
+
     @pytest.mark.parametrize("argv", [("synth", "--sigma", "nan"), ("synth", "--sigma", "inf"),
                                       ("compare", "--methods", "prony", "--sigma", "0", "nan")],
                              ids=" ".join)

@@ -394,6 +394,28 @@ class TestNoiseStop:
         assert hits >= 19
         assert worst <= 10.0 * sigma
 
+    def test_term_count_on_a_fixed_set(self):
+        # trials 0-99 at sigma 1e-4 and 1e-3 return 11 + 4 terms off the true
+        # two, and no run more than three
+        counts = []
+        for sigma_index, sigma in [(2, 1e-4), (3, 1e-3)]:
+            for trial in range(100):
+                samples = two_term_samples(sigma, sigma_index, trial)
+                result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+                counts.append(len(result.terms))
+        assert sum(abs(count - 2) for count in counts) <= 15
+        assert max(counts) <= 3
+
+    def test_refit_rates_in_any_order_are_accepted(self):
+        # sigma=1e-3, trial 92: the size-2 refit lands within its goal with
+        # its rates descending; it ends the loop with them sorted, where
+        # refusing it ran on to five terms
+        samples = two_term_samples(1e-3, 3, trial=92)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert result.termination_reason == "residual_floor"
+        assert [r for r, _ in result.terms] == pytest.approx([0.9994, 1.9991], abs=1e-4)
+        assert [d.mode for d in result.diagnostics] == ["refit", "refit"]
+
     def test_clean_input_ends_at_the_rounding_floor(self, refit_sizes):
         # clean input refits too: its goal is the rounding floor, and the
         # refit lands every rate far inside what the tail estimates reach
@@ -475,25 +497,19 @@ class TestNoiseStop:
         assert result.residual_rms / result.noise_sigma <= 1.5
 
 
-class TestReseedSweep:
-    """The cyclic sweep runs only to reseed a refit that came within
-    REFIT_RETRY_RATIO of its goal; a far miss goes on to the next
-    extraction, so clean input fits one horizon scan per term."""
+class TestRefitRestart:
+    """A refit that missed its goal by at most REFIT_RETRY_RATIO is restarted
+    once from where it stopped; a far miss goes on to the next extraction,
+    so clean input fits one horizon scan per term."""
 
     @staticmethod
     def counted(monkeypatch):
-        """Per decomposition: the held-term count at each sweep, and the
-        estimate_term and estimate_rate calls."""
+        """Per decomposition: the estimate_term and estimate_rate calls."""
         import transient_lab.decomposer as decomposer
 
-        seen = {"sweeps": [], "estimate_term": 0, "estimate_rate": 0}
-        real_sweep = decomposer._NumericState.sweep
+        seen = {"estimate_term": 0, "estimate_rate": 0}
         real_term = decomposer._NumericState.estimate_term
         real_rate = decomposer.estimate_rate
-
-        def sweep(self):
-            seen["sweeps"].append(len(self.terms))
-            return real_sweep(self)
 
         def estimate_term(self, values):
             seen["estimate_term"] += 1
@@ -503,7 +519,6 @@ class TestReseedSweep:
             seen["estimate_rate"] += 1
             return real_rate(*args, **kwargs)
 
-        monkeypatch.setattr(decomposer._NumericState, "sweep", sweep)
         monkeypatch.setattr(decomposer._NumericState, "estimate_term", estimate_term)
         monkeypatch.setattr(decomposer, "estimate_rate", estimate_rate)
         return seen
@@ -517,20 +532,21 @@ class TestReseedSweep:
             yield synthesize_samples(signal, grid)
         yield two_term_samples(0.0, 0)
 
-    def test_clean_input_never_sweeps(self, monkeypatch):
+    def test_clean_input_never_restarts(self, monkeypatch, refit_sizes):
         # a three-term signal never fits at size 2, but that refit misses by
-        # far more than the retry ratio: no sweep, one horizon scan per term
+        # far more than the retry ratio: no restart, one refit and one
+        # horizon scan per term
         seen = self.counted(monkeypatch)
         for samples in self.clean_inputs():
             seen["estimate_term"] = 0
+            refit_sizes.clear()
             result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
             assert {d.mode for d in result.diagnostics} == {"refit"}
             assert seen["estimate_term"] == len(result.terms)
-        assert seen["sweeps"] == []
+            assert refit_sizes == list(range(1, len(result.terms) + 1))
 
     def test_clean_input_fits_within_its_work_budget(self, monkeypatch):
-        # each term costs at most one rate fit per horizon floor; a sweep on
-        # the common path would re-fit every held term and overrun this
+        # each term costs at most one rate fit per horizon floor
         from transient_lab.decomposer import HORIZON_FLOORS
 
         seen = self.counted(monkeypatch)
@@ -554,15 +570,24 @@ class TestReseedSweep:
         assert len(terms) == 2
         assert 0 < seen["estimate_rate"] <= len(HORIZON_FLOORS) * len(terms)
 
-    def test_near_miss_is_swept_and_retried(self, monkeypatch, refit_sizes):
+    def test_near_miss_is_restarted(self, monkeypatch):
         # sigma=1e-4, trial 16: the size-2 refit from the extracted terms
-        # misses within the retry ratio; the sweep reseeds it, and the retry
-        # returns the true two terms
-        seen = self.counted(monkeypatch)
+        # stops within the retry ratio of its goal, at rates (1.0339, 2.0402);
+        # restarted from there, it returns the true two terms
+        import transient_lab.decomposer as decomposer
+
+        seeds = []
+        real = decomposer._joint_refit
+
+        def recorded(grid, values, rates, *args):
+            seeds.append([float(rate) for rate in rates])
+            return real(grid, values, rates, *args)
+
+        monkeypatch.setattr(decomposer, "_joint_refit", recorded)
         samples = two_term_samples(1e-4, 2, trial=16)
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
-        assert seen["sweeps"] == [2]
-        assert refit_sizes == [1, 2, 2]
+        assert [len(seed) for seed in seeds] == [1, 2, 2]
+        assert seeds[2] == pytest.approx([1.0339, 2.0402], abs=1e-4)
         assert result.termination_reason == "residual_floor"
         assert [r for r, _ in result.terms] == pytest.approx([1.0, 2.0], abs=1e-3)
 
@@ -616,12 +641,10 @@ class TestGridResidency:
         decompose_numeric(SignalSource.from_sampled(samples), samples.support)
         state, = states
         assert len(state.terms) >= 2
-        for skip in [None, *range(len(state.terms))]:
-            want = state.base_values.copy()
-            for i, term in enumerate(state.terms):
-                if i != skip:
-                    want -= term.coeff * np.exp(-term.rate * state.grid)
-            assert np.array_equal(state.residual_values(skip=skip), want)
+        want = state.base_values.copy()
+        for term in state.terms:
+            want -= term.coeff * np.exp(-term.rate * state.grid)
+        assert np.array_equal(state.residual_values(), want)
 
     def test_non_finite_evaluator_rejected(self):
         def fn(ts):
@@ -721,15 +744,15 @@ class TestPinnedTerms:
     # the same inputs through the extraction loop alone, no refit accepted:
     # the terms it invents past the true two
     LOOP_ONLY = {
-        (1e-4, 2): [("0x1.006cc4ffe212ap+0", "0x1.027366ed6f3e4p+1"),
-                    ("0x1.053f6dfccba32p+1", "0x1.9782799f46c13p+1"),
-                    ("0x1.73df442a4c8bep+1", "-0x1.fe57671fc002ep-3")],
-        (1e-3, 3): [("0x1.03edd9da0f2a8p+0", "0x1.155fb15e46fa3p+1"),
-                    ("0x1.17af4b9c09e2cp+1", "0x1.a214e7e277a9cp+1"),
-                    ("0x1.2acf1f3e00461p+2", "-0x1.196629146550fp+0"),
-                    ("0x1.06a8cc9f79120p+3", "0x1.696bfaad9ac1dp+0"),
-                    ("0x1.c3788102bb768p+3", "-0x1.3489cf0e3a9e6p+0"),
-                    ("0x1.04ea0d44f59e1p+5", "0x1.284f7b61e2546p+0")],
+        (1e-4, 2): [("0x1.013d946524065p+0", "0x1.0825af94dc637p+1"),
+                    ("0x1.1ab3baf2663e8p+1", "0x1.12a7119f415b3p+2"),
+                    ("0x1.116fadac02c72p+2", "-0x1.ca1c206c8f593p+3"),
+                    ("0x1.630e4cd5600b2p+2", "0x1.d244ab2f0d8b2p+4")],
+        (1e-3, 3): [("0x1.0633a64593a0ap+0", "0x1.224a863e454dfp+1"),
+                    ("0x1.294536366eabfp+1", "0x1.c1a7b765cc5aap+1"),
+                    ("0x1.1f705a7bac678p+2", "-0x1.89d4cd109d90bp+0"),
+                    ("0x1.3fdd29c37916dp+3", "0x1.88c4656670825p+1"),
+                    ("0x1.bf5c81d0030dbp+3", "-0x1.9d718081ec836p+1")],
     }
 
     @staticmethod
@@ -754,8 +777,7 @@ class TestPinnedTerms:
     def test_rejected_refit_leaves_the_loop_as_it_was(self, monkeypatch, sigma, sigma_index):
         # every refit comes back with its rates within RATE_MERGE_TOL of each
         # other, which the stop refuses: the loop goes on from its own terms,
-        # bit for bit, swept only to reseed a refit that came within
-        # REFIT_RETRY_RATIO of its goal
+        # bit for bit
         import transient_lab.decomposer as decomposer
 
         real = decomposer._joint_refit
