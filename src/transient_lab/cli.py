@@ -171,6 +171,7 @@ def run_decompose(args):
             "flagged": result.flagged,
             "noise_sigma": _finite_or_none(result.noise_sigma),
             "residual_rms": _finite_or_none(result.residual_rms),
+            "min_terms": result.min_terms,
         },
     }, args.output)
 

@@ -21,8 +21,17 @@ policies the idealized loop does not need:
   NOISE_FIT_RATIO of their measured noise, or on clean input to the rounding
   floor (ROUNDING_FLOOR of the peak), ends the loop with its terms, reason
   "residual_floor".  The refit carries the precision the tail estimates
-  cannot, so nothing refines the terms after the loop.  Once two refits in
-  a row end no lower than the best before them, the extraction's terms no
+  cannot, so nothing refines the terms after the loop.  On a grid uniform by
+  the rule prony_fit applies, one eigenproblem per decomposition bounds the
+  sum of squares any k-term fit can leave (_rss_bound): a k-term model's
+  Hankel matrix has rank at most k, so by Weyl's inequality the fit leaves
+  at least the (k+1)-th eigenvalue of the Gram of the samples' Hankel
+  (8 columns at a stride of 16 nodes) over 8, less a rounding margin of
+  (4 M eps + 1e-12) times the Gram's trace, M the Hankel's rows.  A refit
+  whose bound exceeds REFIT_RETRY_RATIO times its goal would miss without a
+  restart, so it is skipped, and a skipped refit counts as no miss.  Other
+  grids, and sizes of 8 terms on, skip no refit.  Once two refits in a
+  row end no lower than the best before them, the extraction's terms no
   longer seed a better joint fit, and the loop goes on without refitting;
 * restart: a refit that missed its goal by at most REFIT_RETRY_RATIO is
   run once more from the terms it stopped at, its damping reset, and the
@@ -47,9 +56,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
+from .signal_core import (SignalSource, SymbolicTransient, evaluate_many, evaluation_grid,
+                          uniform_grid_step)
 from .tail_limits import (NOISE_FLOOR, TailFitConfig, _validate_support,
                           estimate_coefficient, estimate_rate, require_tail_nodes,
                           scan_horizons, shrink_support, tail_slice)
@@ -89,6 +100,11 @@ ROUNDING_FLOOR = 1e-13
 # _joint_refit can give up on a refit that a fresh start, damping reset, takes
 # to its goal
 REFIT_RETRY_RATIO = 100.0
+# the Hankel matrix of the refit's lower bound (_rss_bound): its columns L,
+# which bound sizes 0 to L - 1, and the node stride between them, wide enough
+# that the columns of a slow decay are far from parallel
+HANKEL_COLUMNS = 8
+HANKEL_STRIDE = 16
 # Levenberg-Marquardt damping of the joint refit: its start, near Gauss-Newton
 # but positive, since a rejected step grows it tenfold, and the cap past which
 # the refit gives up; its step budget; and the relative drop of the sum of
@@ -135,6 +151,7 @@ class DecompositionResult:
     iteration_tail_norms: tuple = ()  # residual sup norm per iteration, fixed window
     noise_sigma: float = 0.0          # measured noise level of the input
     residual_rms: float = 0.0         # whole-grid rms of the final residual
+    min_terms: Optional[int] = None   # fewest terms _rss_bound lets a refit land with
 
     def __post_init__(self):
         rates = [r for r, _ in self.terms]
@@ -240,6 +257,19 @@ class _NumericState:
         # whether the input has a measured noise level, by the test
         # shrink_support applies
         self.noisy = NOISE_FLOOR * self.peak < self.noise_sigma < math.inf
+        # the samples and a refit's goal, in units of the peak, where sums of
+        # squares stay inside the float range at any signal scale; and the
+        # fewest terms whose refit _rss_bound lets come within
+        # REFIT_RETRY_RATIO of that goal, None where it bounds nothing
+        self.min_terms = None
+        if self.peak > 0.0:
+            self.unit_values = self.base_values / self.peak
+            self.rss_goal = len(self.grid) * max(NOISE_FIT_RATIO * self.noise_sigma / self.peak,
+                                                 ROUNDING_FLOOR) ** 2
+            bound = _rss_bound(self.grid, self.unit_values)
+            if bound is not None:
+                # the bound never rises with the size
+                self.min_terms = int(np.count_nonzero(bound > REFIT_RETRY_RATIO * self.rss_goal))
         # whether the next iteration refits the held terms (refit); the lowest
         # sum of squares a refit has left, and the refits since that one
         self.refitting = True
@@ -337,6 +367,15 @@ class _NumericState:
         samples to within their measured noise, or to ROUNDING_FLOOR of their
         peak; None otherwise.
 
+        Fewer terms than min_terms return None without a refit: on a uniform
+        grid (uniform_grid_step) _rss_bound shows that any fit of that many
+        terms leaves a sum of squares above REFIT_RETRY_RATIO times the goal,
+        its bound being the Hankel eigenvalue over HANKEL_COLUMNS less the
+        rounding margin (4 M eps + 1e-12) trace(H'H).  Such a refit would miss
+        and not be restarted; skipped, it leaves refit_best and refit_misses
+        as they were, so it does not count as a miss.  Where _rss_bound reads
+        nothing, and from HANKEL_COLUMNS terms on, no refit is skipped.
+
         A refit that stops short of that goal by at most REFIT_RETRY_RATIO is
         restarted once from where it stopped, and the pair counts as one
         refit.  The refit's rates are finite and positive, its coefficients
@@ -345,11 +384,9 @@ class _NumericState:
         the larger of NOISE_FIT_RATIO times the noise level and ROUNDING_FLOOR
         of the peak.  The refitted terms come back with their rates
         ascending, each keeping the rate fit that seeded it."""
-        # in units of the peak the sums of squares stay inside the float range
-        # at any signal scale
-        rss_goal = len(self.grid) * max(NOISE_FIT_RATIO * self.noise_sigma / self.peak,
-                                        ROUNDING_FLOOR) ** 2
-        values = self.base_values / self.peak
+        if len(self.terms) < (self.min_terms or 0):
+            return None
+        rss_goal, values = self.rss_goal, self.unit_values
         rates, coeffs, basis, rss = _joint_refit(self.grid, values,
                                                  [term.rate for term in self.terms],
                                                  [term.coeff / self.peak for term in self.terms],
@@ -371,6 +408,36 @@ class _NumericState:
         return [self.terms[i]._replace(rate=float(rates[i]), coeff=float(coeffs[i]),
                                        column=basis[i] * coeffs[i])
                 for i in order]
+
+
+def _rss_bound(grid, values):
+    """Lower bounds on the sum of squares that any fit of k terms
+    coeff * exp(-rate * grid) leaves on values, for k = 0 .. L - 1
+    (L = HANKEL_COLUMNS); None when the grid is not uniform by the rule
+    prony_fit applies (uniform_grid_step), or too short for the Hankel.
+
+    On a uniform grid a k-term model samples to a sum of k geometric
+    sequences, whose Hankel matrix has rank at most k: the fact Prony's method
+    and the matrix pencil rest on (Hua & Sarkar 1990).  The Hankel
+    H[i, j] = values[i + j * d] of L columns at node stride d = HANKEL_STRIDE
+    holds each sample at most L times, so a fit's residual r has a Hankel of
+    spectral norm at most sqrt(L) |r|, and by Weyl's inequality every k-term
+    fit leaves |r|^2 >= lambda_{k+1} / L, lambda_{k+1} the (k+1)-th largest
+    eigenvalue of the Gram H'H.  Each bound subtracts the rounding margin
+    (4 M eps + 1e-12) trace(H'H) from that eigenvalue, M the rows of H: the
+    one gemm that forms H'H errs by at most about M eps trace(H'H), and
+    eigvalsh by a small multiple of eps times the Gram's norm, which 1e-12
+    of its trace covers.  The bounds never rise with k.
+    """
+    rows = len(values) - (HANKEL_COLUMNS - 1) * HANKEL_STRIDE
+    if rows < HANKEL_COLUMNS or uniform_grid_step(grid) is None:
+        return None
+    # H' a row a column of H, copied out of the overlapping view for the gemm
+    hankel_t = np.ascontiguousarray(sliding_window_view(values, rows)[::HANKEL_STRIDE])
+    gram = np.matmul(hankel_t, hankel_t.T)
+    margin = (4.0 * rows * np.finfo(float).eps + 1e-12) * gram.trace()
+    eigenvalues = np.linalg.eigvalsh(gram)[::-1]
+    return np.maximum(eigenvalues - margin, 0.0) / HANKEL_COLUMNS
 
 
 def _joint_refit(grid, values, rates, coeffs, rss_goal):
@@ -523,4 +590,5 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
         iteration_tail_norms=tuple(tail_norms),
         noise_sigma=state.noise_sigma,
         residual_rms=_rms(final_values),
+        min_terms=state.min_terms,
     )

@@ -58,6 +58,7 @@ class TestSynthDecompose:
         assert payload["terms"] == [{"rate": 1.0, "coeff": 2.0},
                                     {"rate": 2.0, "coeff": 3.0}]
         assert payload["diagnostics"]["per_term"][0]["mode"] == "exact"
+        assert payload["diagnostics"]["min_terms"] is None
 
     @pytest.mark.parametrize("flag", [("--fit-order", "slope_fit"), ("--max-terms", "1")],
                              ids=lambda flag: flag[0])
@@ -609,6 +610,7 @@ def test_noisy_decompose_reports_its_fit(tmp_path, two_term_spec):
     assert [term["mode"] for term in diagnostics["per_term"]] == ["refit", "refit"]
     assert diagnostics["noise_sigma"] == pytest.approx(1e-4, rel=0.1)
     assert diagnostics["residual_rms"] <= 1.5 * diagnostics["noise_sigma"]
+    assert diagnostics["min_terms"] == 2
     assert [term["rate"] for term in payload["terms"]] == pytest.approx([1.0, 2.0], abs=1e-3)
 
 
@@ -620,7 +622,10 @@ def test_decompose_reads_dense_early_samples_before_a_sparse_tail(tmp_path):
     path, out = tmp_path / "samples.csv", tmp_path / "out.json"
     path.write_text("t,x\n" + rows)
     assert run("decompose", "--input", path, "--output", out) == 0
-    terms = json.loads(out.read_text())["terms"]
+    payload = json.loads(out.read_text())
+    terms = payload["terms"]
+    # the grid is not uniform, so the Hankel bound reads nothing
+    assert payload["diagnostics"]["min_terms"] is None
     assert [t["rate"] for t in terms] == pytest.approx([1.0, 2.0], rel=1e-9)
     assert [t["coeff"] for t in terms] == pytest.approx([2.0, 3.0], rel=1e-9)
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transient_lab import (DecompositionResult, Diverging, NonDecaying, QuadratureConfig,
                            SampledSignal, SignalSource, StoppingPolicy, SymbolicTransient,
@@ -433,37 +435,46 @@ class TestNoiseStop:
             assert result.termination_reason == "residual_floor"
             assert {d.mode for d in result.diagnostics} == {"refit"}
             assert result.residual_rms <= ROUNDING_FLOOR * np.abs(samples.values).max()
+            assert result.min_terms == len(signal.terms)
             assert [r for r, _ in result.terms] == pytest.approx(
                 [r for r, _ in signal.terms], rel=0.0, abs=1e-9)
-        # one refit an extraction: each three-term input lands at size 3, the
-        # two-term one at size 2
-        assert refit_sizes == [1, 2, 3, 1, 2, 3, 1, 2]
+        # the Hankel bound skips every refit below the true size: each
+        # three-term input refits once, at size 3, the two-term one at size 2
+        assert refit_sizes == [3, 3, 2]
 
-    @pytest.mark.parametrize("values", [
-        lambda t: 2.0 * np.exp(-t) + 3.0 * np.exp(-1.1 * t),   # rates too close to extract
-        lambda t: 1.0 / (1.0 + t) ** 2,                        # a power law
-        lambda t: t * np.exp(-t) + np.exp(-2.0 * t),           # a repeated pole
+    @pytest.mark.parametrize("values, sizes", [
+        # rates too close to extract
+        (lambda t: 2.0 * np.exp(-t) + 3.0 * np.exp(-1.1 * t), [2, 3, 4]),
+        # a power law
+        (lambda t: 1.0 / (1.0 + t) ** 2, [5, 6, 7]),
+        # a repeated pole
+        (lambda t: t * np.exp(-t) + np.exp(-2.0 * t), [3, 4, 5]),
     ], ids=["close_pair", "power_law", "repeated_pole"])
-    def test_clean_input_that_never_fits_stops_refitting(self, refit_sizes, values):
-        # no extraction seeds a joint fit to rounding here; two refits in a
-        # row that end no lower than the best stop the refits, long before
-        # the term budget of 16 runs out
+    def test_clean_input_that_never_fits_stops_refitting(self, refit_sizes, values, sizes):
+        # no extraction seeds a joint fit to rounding here; the Hankel bound
+        # skips the sizes below min_terms, and two refits in a row that end no
+        # lower than the best stop the refits, long before the term budget of
+        # 16 runs out
         grid = np.arange(0.0, 40.0 + 1e-9, 0.01)
         samples = SampledSignal(grid, values(grid))
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
         assert {d.mode for d in result.diagnostics} == {"numeric"}
-        assert 0 < len(refit_sizes) <= 8
-        assert refit_sizes == list(range(1, len(refit_sizes) + 1))
+        assert refit_sizes == sizes
+        assert result.min_terms == sizes[0]
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_stop_reads_alike_at_any_scale(self, scale):
+    def test_stop_reads_alike_at_any_scale(self, refit_sizes, scale):
         # the squared noise of these samples times 1e-200 underflows to zero;
-        # the refit compares sums of squares in units of the peak, so it
-        # reads the scaled samples as it reads the originals
+        # the refit and its Hankel bound compare sums of squares in units of
+        # the peak, so they read the scaled samples as they read the originals
         samples = two_term_samples(1e-4, 2)
         scaled = SampledSignal(samples.times, samples.values * scale)
         want = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        want_sizes = list(refit_sizes)
+        refit_sizes.clear()
         got = decompose_numeric(SignalSource.from_sampled(scaled), scaled.support)
+        assert refit_sizes == want_sizes == [2]
+        assert got.min_terms == want.min_terms == 2
         assert got.termination_reason == want.termination_reason == "residual_floor"
         assert [r for r, _ in got.terms] == pytest.approx([r for r, _ in want.terms], rel=1e-6)
         assert [c / scale for _, c in got.terms] == pytest.approx([c for _, c in want.terms],
@@ -471,11 +482,12 @@ class TestNoiseStop:
 
     def test_refits_end_once_they_stop_improving(self, refit_sizes):
         # rates 1 and 1.1 under noise: the extraction's terms seed no joint
-        # fit within the noise.  At seed 7 the size-3 and size-4 refits both
-        # end higher than the size-2 one, so no later iteration pays for a
-        # refit; at seed 3 the fourth extraction finds a residual that does
-        # not decay before a second refit has ended higher
-        for seed, sizes, count in [(3, [1, 2, 3], 3), (7, [1, 2, 3, 4], 10)]:
+        # fit within the noise.  The Hankel bound skips size 1.  At seed 7 the
+        # size-3 and size-4 refits both end higher than the size-2 one, so no
+        # later iteration pays for a refit; at seed 3 the fourth extraction
+        # finds a residual that does not decay before a second refit has
+        # ended higher
+        for seed, sizes, count in [(3, [2, 3], 3), (7, [2, 3, 4], 10)]:
             samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (1.1, 3.0))),
                                          np.linspace(0.0, 40.0, 4001), noise_sigma=1e-6,
                                          seed=seed)
@@ -488,9 +500,9 @@ class TestNoiseStop:
     def test_stopped_run_reports_its_fit(self, refit_sizes):
         samples = two_term_samples(1e-4, 2)
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
-        # one refit after each iteration: one term does not explain the
-        # samples, two do
-        assert refit_sizes == [1, 2]
+        # one term cannot explain the samples, by the Hankel bound, so the
+        # first refit is the size-2 one, which lands
+        assert refit_sizes == [2]
         assert result.termination_reason == "residual_floor"
         assert [d.mode for d in result.diagnostics] == ["refit", "refit"]
         assert result.noise_sigma == pytest.approx(1e-4, rel=0.1)
@@ -533,9 +545,10 @@ class TestRefitRestart:
         yield two_term_samples(0.0, 0)
 
     def test_clean_input_never_restarts(self, monkeypatch, refit_sizes):
-        # a three-term signal never fits at size 2, but that refit misses by
-        # far more than the retry ratio: no restart, one refit and one
-        # horizon scan per term
+        # a three-term signal never fits at size 2, and the Hankel bound shows
+        # it misses by far more than the retry ratio: that refit is skipped,
+        # and the one refit, at the returned size, lands without a restart;
+        # one horizon scan per term
         seen = self.counted(monkeypatch)
         for samples in self.clean_inputs():
             seen["estimate_term"] = 0
@@ -543,7 +556,7 @@ class TestRefitRestart:
             result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
             assert {d.mode for d in result.diagnostics} == {"refit"}
             assert seen["estimate_term"] == len(result.terms)
-            assert refit_sizes == list(range(1, len(result.terms) + 1))
+            assert refit_sizes == [len(result.terms)]
 
     def test_clean_input_fits_within_its_work_budget(self, monkeypatch):
         # each term costs at most one rate fit per horizon floor
@@ -571,9 +584,10 @@ class TestRefitRestart:
         assert 0 < seen["estimate_rate"] <= len(HORIZON_FLOORS) * len(terms)
 
     def test_near_miss_is_restarted(self, monkeypatch):
-        # sigma=1e-4, trial 16: the size-2 refit from the extracted terms
-        # stops within the retry ratio of its goal, at rates (1.0339, 2.0402);
-        # restarted from there, it returns the true two terms
+        # sigma=1e-4, trial 16: the Hankel bound skips size 1, and the size-2
+        # refit from the extracted terms stops within the retry ratio of its
+        # goal, at rates (1.0339, 2.0402); restarted from there, it returns
+        # the true two terms
         import transient_lab.decomposer as decomposer
 
         seeds = []
@@ -586,10 +600,104 @@ class TestRefitRestart:
         monkeypatch.setattr(decomposer, "_joint_refit", recorded)
         samples = two_term_samples(1e-4, 2, trial=16)
         result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
-        assert [len(seed) for seed in seeds] == [1, 2, 2]
-        assert seeds[2] == pytest.approx([1.0339, 2.0402], abs=1e-4)
+        assert [len(seed) for seed in seeds] == [2, 2]
+        assert seeds[1] == pytest.approx([1.0339, 2.0402], abs=1e-4)
         assert result.termination_reason == "residual_floor"
         assert [r for r, _ in result.terms] == pytest.approx([1.0, 2.0], abs=1e-3)
+
+
+class TestHankelBound:
+    """On a uniform grid the Hankel matrix of the samples bounds below the
+    sum of squares any k-term fit leaves (_rss_bound); a refit the bound
+    shows cannot come within REFIT_RETRY_RATIO of its goal is skipped.
+    Off a uniform grid every size refits."""
+
+    @staticmethod
+    def state(samples):
+        from transient_lab.decomposer import _NumericState
+
+        return _NumericState(SignalSource.from_sampled(samples), samples.support,
+                             TailFitConfig())
+
+    @given(terms=st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(0.1, 5.0), st.booleans()),
+                          min_size=1, max_size=4),
+           sigma=st.sampled_from([0.0, 1e-6, 1e-3]),
+           step=st.sampled_from([0.005, 0.01, 0.05]),
+           nodes=st.integers(200, 4001), seed=st.integers(0, 2 ** 16), drop=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_never_exceeds_a_fit(self, terms, sigma, step, nodes, seed, drop):
+        # rates 0.05 to 1.5 apart, coefficients of either sign: the bound at
+        # the true size k lies below the true model's sum of squares, and at
+        # size k - 1 below what the refit from the true terms, one dropped,
+        # leaves; so min_terms never exceeds k
+        from transient_lab.decomposer import _joint_refit, _rss_bound
+
+        rates = np.cumsum([gap for gap, _, _ in terms])
+        coeffs = np.array([c if positive else -c for _, c, positive in terms])
+        grid = np.linspace(0.0, step * (nodes - 1), nodes)
+        clean = coeffs @ np.exp(-np.outer(rates, grid))
+        values = clean + sigma * np.random.default_rng(seed).normal(size=nodes)
+        peak = np.abs(values).max()
+        unit = values / peak
+        bound = _rss_bound(grid, unit)
+        k = len(terms)
+        assert np.all(np.diff(bound) <= 0.0)
+        true_rss = float(np.sum((unit - clean / peak) ** 2))
+        assert bound[k] <= true_rss
+        if k == 1:
+            dropped_rss = float(np.dot(unit, unit))
+        else:
+            keep = np.arange(k) != drop % k
+            goal = nodes * max(1.5 * sigma / peak, 1e-13) ** 2
+            dropped_rss = _joint_refit(grid, unit, rates[keep], coeffs[keep] / peak, goal)[3]
+        assert bound[k - 1] <= dropped_rss
+        assert self.state(SampledSignal(grid, values)).min_terms <= k
+
+    def test_min_terms_is_the_true_count_on_clean_input(self):
+        # acceptance criterion 2's fifty three-term inputs
+        rng = np.random.default_rng(SEED + 1)
+        for _ in range(50):
+            signal, _, grid = three_term_family(rng)
+            assert self.state(synthesize_samples(signal, grid)).min_terms == 3
+
+    def test_exact_mode_has_no_min_terms(self):
+        assert decompose_exact(SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))).min_terms is None
+
+    # the nodes of a uniform 400-node grid over 0..40, each moved by up to a
+    # quarter step; the terms each input returned before the bound existed
+    JITTERED = {
+        ((1.0, 2.0), (2.0, 3.0)):
+            [("0x1.fffffffffffc1p-1", "0x1.fffffffffff36p+0"),
+             ("0x1.fffffffffffc7p+0", "0x1.8000000000064p+1")],
+        ((0.5, 1.0), (1.3, -2.0), (2.4, 3.0)):
+            [("0x1.ffffffffffff7p-2", "0x1.fffffffffffdfp-1"),
+             ("0x1.4cccccccccceep+0", "-0x1.0000000000033p+1"),
+             ("0x1.3333333333325p+1", "0x1.800000000003cp+1")],
+    }
+
+    @pytest.mark.parametrize("terms", list(JITTERED), ids=["two_term", "three_term"])
+    def test_non_uniform_grid_refits_every_size(self, refit_sizes, terms):
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, 40.0, 400) + rng.uniform(-0.25, 0.25, 400) * (40.0 / 399)
+        grid[0] = 0.0
+        samples = synthesize_samples(SymbolicTransient(terms), grid)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert result.min_terms is None
+        assert refit_sizes == list(range(1, len(terms) + 1))
+        assert [(r.hex(), c.hex()) for r, c in result.terms] == self.JITTERED[terms]
+
+    def test_grid_too_short_for_the_hankel_refits_every_size(self, refit_sizes):
+        # 100 uniform nodes hold fewer rows than the Hankel's columns
+        from transient_lab.decomposer import HANKEL_COLUMNS, HANKEL_STRIDE
+
+        nodes = 100
+        assert nodes - (HANKEL_COLUMNS - 1) * HANKEL_STRIDE < HANKEL_COLUMNS
+        samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))),
+                                     np.linspace(0.0, 10.0, nodes))
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert result.min_terms is None
+        assert refit_sizes == [1, 2]
+        assert len(result.terms) == 2
 
 
 class TestGridResidency:

@@ -69,15 +69,19 @@ class TestSymbolicTransient:
        times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_call_matches_the_reference_bit_for_bit(terms, times):
-    # the reference builds the arrays from the term list on every call
+    # the reference builds the arrays from the term list on every call.  A
+    # scalar is read against the reference at that one time: numpy's matmul
+    # sums a 2- or 3-column product in another order than a 1-column one, so
+    # with cancelling terms element 0 of a longer call may differ in its last bit
     sig = SymbolicTransient(tuple(sorted(terms)))
     rates = np.array([r for r, _ in sig.terms])
     coeffs = np.array([c for _, c in sig.terms])
     ts = np.array(times)
     with np.errstate(over="ignore"):
         want = coeffs @ np.exp(-np.outer(rates, ts))
+        want_first = coeffs @ np.exp(-np.outer(rates, ts[:1]))
     assert np.array_equal(sig(ts), want)
-    assert sig(times[0]) == want[0]
+    assert sig(times[0]) == want_first[0]
 
 
 class TestSampledSignal:

@@ -51,7 +51,8 @@ NUMPY_1_24_NAMES = {
     "abs", "add.reduce", "all", "any", "arange", "argmax", "array", "asarray",
     "ascontiguousarray", "column_stack", "concatenate", "copysign", "count_nonzero",
     "diff", "dot", "errstate", "exp", "eye", "finfo", "flatnonzero", "interp",
-    "isfinite", "ldexp", "linalg.eigvals", "linalg.lstsq", "linalg.svd", "linspace",
+    "isfinite", "ldexp", "linalg.eigvals", "linalg.eigvalsh", "linalg.lstsq", "linalg.svd",
+    "linspace",
     "loadtxt", "log", "matmul", "maximum", "maximum.reduce",
     "minimum.reduce", "multiply", "ndarray", "ndenumerate", "outer", "partition",
     "polynomial.legendre.leggauss", "polynomial.polynomial.polyder",
