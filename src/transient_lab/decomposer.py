@@ -41,10 +41,16 @@ policies the idealized loop does not need:
 
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
-none; see signal_core.evaluation_grid).  Every residual is an array of
-values on that grid, and the tail estimators take the grid and that array
-as they are, so nothing is read or checked again.  Each held term
-keeps its own column, coeff * exp(-rate * grid), computed once when the
+none; see signal_core.evaluation_grid).  Samples read at all their own
+nodes are copied, not interpolated, and neither their finiteness nor their
+grid's uniformity is checked again: SampledSignal checked both.  Every
+residual is an array of values on that grid, and the tail estimators take
+the grid and that array as they are, so nothing is read or checked again.
+Each iteration trims its residual once: one shrink_support pass at
+RESIDUAL_FLOOR and HORIZON_FLOORS gives both the tail window the residual
+floor is read over and the horizons the rate fits scan, and the first
+iteration's window is the fixed window of iteration_tail_norms.  Each held
+term keeps its own column, coeff * exp(-rate * grid), computed once when the
 term is estimated, so a residual costs one subtraction per held term.
 """
 
@@ -246,7 +252,10 @@ class _NumericState:
         self.grid = evaluation_grid(source, support)
         require_tail_nodes(self.grid, (self.t_lo, self.t_hi))
         base = evaluate_many(source, self.grid)
-        if not np.all(np.isfinite(base)):
+        # samples are finite (SampledSignal checks them), and so are their
+        # values at their own nodes
+        sampled = source.sampled
+        if sampled is None and not np.all(np.isfinite(base)):
             raise ValueError("signal is not finite on the evaluation grid")
         # residual_values may hand out the base values themselves: a read-only
         # view keeps them unchanged, and leaves the evaluator's array as it was
@@ -266,7 +275,12 @@ class _NumericState:
             self.unit_values = self.base_values / self.peak
             self.rss_goal = len(self.grid) * max(NOISE_FIT_RATIO * self.noise_sigma / self.peak,
                                                  ROUNDING_FLOOR) ** 2
-            bound = _rss_bound(self.grid, self.unit_values)
+            # a grid of all the samples' times is uniform when they are
+            if sampled is not None and len(self.grid) == len(sampled.times):
+                step = sampled.uniform_step
+            else:
+                step = uniform_grid_step(self.grid)
+            bound = None if step is None else _rss_bound(self.unit_values)
             if bound is not None:
                 # the bound never rises with the size
                 self.min_terms = int(np.count_nonzero(bound > REFIT_RETRY_RATIO * self.rss_goal))
@@ -299,18 +313,22 @@ class _NumericState:
             raise Diverging("the signal less the held terms overflows") from None
         return out
 
-    def tail_window(self, values):
-        """Slice of the grid in the tail window over the trimmed horizon of
-        these values, or None when they are zero everywhere."""
+    def trim(self, values):
+        """(window, ends) of these values from one shrink_support pass: the
+        slice of the grid in the tail window over their horizon trimmed at
+        RESIDUAL_FLOOR, and the horizon ends estimate_term scans, at
+        HORIZON_FLOORS and then, with a measured noise level, the noise end.
+        (None, None) when the values are zero everywhere."""
         try:
-            t_hi, = shrink_support(self.grid, values, (RESIDUAL_FLOOR,))
+            t_hi, *ends = shrink_support(self.grid, values, (RESIDUAL_FLOOR,) + HORIZON_FLOORS,
+                                         self.noise_sigma)
         except SignalVanished:
-            return None
-        return tail_slice(self.grid, self.t_lo, t_hi)[1]
+            return None, None
+        return tail_slice(self.grid, self.t_lo, t_hi)[1], ends
 
     def floor_hit(self, values, window):
         """Whether these values sit below the residual floor over window, their
-        tail_window, which the caller has already computed."""
+        trimmed window, which the caller has already computed."""
         if window is None:
             return True
         sup_resid = float(np.abs(values[window]).max())
@@ -319,16 +337,16 @@ class _NumericState:
 
     # -- estimation ------------------------------------------------------
 
-    def estimate_term(self, values):
-        """Best _Term for the residual with these grid values.
+    def estimate_term(self, values, ends):
+        """Best _Term for the residual with these grid values, whose horizon
+        ends trim gave.
 
-        Fits the trailing window of each trimmed horizon and keeps the rate
-        fit whose log-magnitude residual is smallest; the coefficient is then
-        read off the winning window.  With a measured noise level, a floor's
-        end past the noise end is not fitted: the tail there is noise, whose
+        Fits the trailing window of each horizon and keeps the rate fit whose
+        log-magnitude residual is smallest; the coefficient is then read off
+        the winning window.  With a measured noise level, a floor's end past
+        the noise end is not fitted: the tail there is noise, whose
         log-magnitude is no decay.
         """
-        ends = shrink_support(self.grid, values, HORIZON_FLOORS, self.noise_sigma)
         if len(ends) > len(HORIZON_FLOORS):
             ends = [t_hi for t_hi in ends if t_hi <= ends[-1]]
 
@@ -410,11 +428,12 @@ class _NumericState:
                 for i in order]
 
 
-def _rss_bound(grid, values):
+def _rss_bound(values):
     """Lower bounds on the sum of squares that any fit of k terms
     coeff * exp(-rate * grid) leaves on values, for k = 0 .. L - 1
-    (L = HANKEL_COLUMNS); None when the grid is not uniform by the rule
-    prony_fit applies (uniform_grid_step), or too short for the Hankel.
+    (L = HANKEL_COLUMNS), values being on a grid uniform by the rule
+    prony_fit applies (uniform_grid_step); None when they are too few for the
+    Hankel.
 
     On a uniform grid a k-term model samples to a sum of k geometric
     sequences, whose Hankel matrix has rank at most k: the fact Prony's method
@@ -430,7 +449,7 @@ def _rss_bound(grid, values):
     of its trace covers.  The bounds never rise with k.
     """
     rows = len(values) - (HANKEL_COLUMNS - 1) * HANKEL_STRIDE
-    if rows < HANKEL_COLUMNS or uniform_grid_step(grid) is None:
+    if rows < HANKEL_COLUMNS:
         return None
     # H' a row a column of H, copied out of the overlapping view for the gemm
     hankel_t = np.ascontiguousarray(sliding_window_view(values, rows)[::HANKEL_STRIDE])
@@ -535,22 +554,24 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
     flagged = None
     refitted = False
     tail_norms = []
-    # fixed reference window: successive residual sup norms are only
-    # comparable over one window, and the first tail window is where the
-    # dominant term was isolated
-    window0 = state.tail_window(state.base_values)
+    window0 = None
     for _ in range(stop.max_terms):
         values = state.residual_values()
-        window = state.tail_window(values)
+        window, ends = state.trim(values)
         if window is None:
             reason = "signal_vanished"
             break
+        if window0 is None:
+            # fixed reference window: successive residual sup norms are only
+            # comparable over one window, and the first tail window is where
+            # the dominant term was isolated
+            window0 = window
         tail_norms.append(float(np.abs(values[window0]).max()))
         if state.floor_hit(values, window):
             reason = "residual_floor"
             break
         try:
-            term = state.estimate_term(values)
+            term = state.estimate_term(values, ends)
         except SignalVanished:
             reason = "signal_vanished"
             break
@@ -576,7 +597,7 @@ def decompose_numeric(source: SignalSource, support, cfg: TailFitConfig = None,
             break
 
     final_values = state.residual_values()
-    window = state.tail_window(final_values)
+    window, _ = state.trim(final_values)
     terminal = float(np.abs(final_values[window]).max()) if window is not None else 0.0
 
     return DecompositionResult(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SignalVanished
+from .errors import SignalVanished, TooFewSamples
 from .signal_core import SignalSource, SymbolicTransient, evaluate_many, evaluation_grid
 from .tail_limits import (TailFitConfig, _reweighted, _scaled_tail, _validate_support,
                           estimate_coefficient, require_tail_nodes, scan_horizons,
@@ -127,7 +127,9 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
     several shrunk horizons.
 
     A residual below the vanish tolerance of scale, the input's peak, is the
-    rounding left over from the earlier subtractions and reads 0.0.  The
+    rounding left over from the earlier subtractions and reads 0.0.  One
+    above it has not vanished: when no horizon holds enough samples above
+    the floor to read it, the functional raises TooFewSamples.  The
     reweighted tail is constant where neither the faster terms (early) nor
     the leftovers of the stripped slower terms (late) intrude, so the window
     with the flattest reweighted values wins.  Each window is reweighted once
@@ -151,11 +153,12 @@ def _scanned_coefficient(ts, values, rate, t_lo, cfg, scale):
             v, mag = np.ldexp(v, shift), np.ldexp(mag, shift)
         return float(np.std(v) / max(mag.mean(), 1e-300)), t_hi
 
+    ends = shrink_support(ts, values, (1e-6, 1e-8, 1e-10, 1e-12))
     try:
-        ends = shrink_support(ts, values, (1e-6, 1e-8, 1e-10, 1e-12))
         t_hi = scan_horizons(fit, ends, t_lo)
-    except SignalVanished:
-        return 0.0
+    except SignalVanished as exc:
+        raise TooFewSamples(f"too few samples to read the functional at rate {rate!r}: "
+                            f"{exc}") from None
     return float(estimate_coefficient(ts, values, rate, (t_lo, t_hi), cfg))
 
 

@@ -84,7 +84,7 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
         deviation = float(np.abs(steps - mean).max() / mean)
         raise ValueError(f"prony_fit needs a uniform sample grid: the steps deviate from "
                          f"their mean by up to {deviation:.1e} of it, over the "
-                         f"tolerance {UNIFORM_REL_TOL:g}")
+                         f"tolerance {UNIFORM_REL_TOL:g} plus the nodes' rounding")
 
     step = signal.uniform_step
     flags = []
@@ -151,7 +151,8 @@ def vandermonde_condition(rates, times) -> float:
     step = uniform_grid_step(times)
     if step is None:
         raise ValueError(f"times must be a uniform increasing grid: every step within "
-                         f"a relative {UNIFORM_REL_TOL:g} of a positive mean step")
+                         f"a relative {UNIFORM_REL_TOL:g} of a positive mean step, plus "
+                         f"the nodes' rounding")
     poles = np.exp(-rates * step)
     return _condition(np.linalg.svd(poles[None, :] ** np.arange(len(times))[:, None],
                                     compute_uv=False))

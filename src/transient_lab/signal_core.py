@@ -26,20 +26,27 @@ import numpy as np
 from .errors import OutOfSupport, QuadratureFailure
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
-# relative spread of sample steps up to which a grid counts as uniform
+# relative spread of sample steps up to which a grid counts as uniform, beside
+# the rounding of its nodes (uniform_grid_step)
 UNIFORM_REL_TOL = 1e-12
 # uniform nodes that numeric methods read a source without nodes of its own on
 GRID_POINTS = 4001
 
 
 def uniform_grid_step(times) -> Optional[float]:
-    """Mean step of the grid times when it is positive and every step lies
-    within UNIFORM_REL_TOL of it, that is, when the grid is uniform and
-    increasing; None otherwise."""
+    """Mean step of the grid times when every step lies within
+    UNIFORM_REL_TOL of it plus the rounding of the nodes themselves,
+    4 eps max|t|, and that allowance is below the mean, so every step is
+    positive: that is, when the grid is uniform and increasing; None
+    otherwise.  A node at t rounds by up to eps |t| / 2, so a grid offset far
+    from t = 0, or fine for its span, such as linspace(0, 40, 40001), has
+    steps that deviate from their mean by more than UNIFORM_REL_TOL of it."""
     steps = np.diff(times)
     if len(steps):
         mean = float(steps.mean())
-        if mean > 0.0 and np.all(np.abs(steps - mean) <= UNIFORM_REL_TOL * mean):
+        rounding = np.finfo(float).eps * max(abs(float(times[0])), abs(float(times[-1])))
+        tol = UNIFORM_REL_TOL * mean + 4.0 * rounding
+        if tol < mean and np.all(np.abs(steps - mean) <= tol):
             return mean
     return None
 
@@ -177,9 +184,11 @@ class SignalSource:
         if self.sampled is not None:
             if self.support is not None or self.grid is not None:
                 raise ValueError("a sampled source takes its support and grid from its samples")
+            # the samples' times, which SampledSignal has checked already
             object.__setattr__(self, "support", self.sampled.support)
             object.__setattr__(self, "grid", self.sampled.times)
-        elif self.support is None:
+            return
+        if self.support is None:
             object.__setattr__(self, "support", (0.0, math.inf))
         if self.grid is not None:
             grid = np.asarray(self.grid, dtype=float)
@@ -201,12 +210,18 @@ class SignalSource:
 
 
 def evaluate_many(source: SignalSource, ts) -> np.ndarray:
-    """Vectorized evaluation at an array of times."""
+    """Vectorized evaluation at an array of times.
+
+    A sampled source asked for exactly its own nodes returns a copy of its
+    values: np.interp returns the value at each node it meets exactly, so
+    those are its bits too."""
     ts = np.asarray(ts, dtype=float)
     if source.symbolic is not None:
         return np.asarray(source.symbolic(ts), dtype=float)
     if source.sampled is not None:
         sig = source.sampled
+        if ts.shape == sig.times.shape and np.all(ts == sig.times):
+            return sig.values.copy()
         lo, hi = sig.support
         span = max(hi - lo, 1.0)
         if np.any(ts < lo - 1e-12 * span) or np.any(ts > hi + 1e-12 * span):
@@ -220,14 +235,17 @@ def evaluate_many(source: SignalSource, ts) -> np.ndarray:
 
 def evaluation_grid(source: SignalSource, support) -> np.ndarray:
     """The nodes numeric methods read source on: its own grid nodes inside
-    support, or GRID_POINTS uniform nodes spanning support when it has none.
+    support, a view of its grid, or GRID_POINTS uniform nodes spanning
+    support when it has none.
 
     Either way the nodes are strictly increasing: a support too narrow for
     GRID_POINTS distinct uniform nodes raises ValueError.
     """
     t_lo, t_hi = support
     if source.grid is not None:
-        return source.grid[(source.grid >= t_lo) & (source.grid <= t_hi)]
+        # the nodes are ascending: those inside support are one slice of them
+        return source.grid[source.grid.searchsorted(t_lo, "left"):
+                           source.grid.searchsorted(t_hi, "right")]
     ts = np.linspace(t_lo, t_hi, GRID_POINTS)
     if not np.all(ts[1:] > ts[:-1]):
         raise ValueError(f"support {tuple(support)} is too narrow for {GRID_POINTS} "

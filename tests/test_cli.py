@@ -129,6 +129,17 @@ class TestPronyAndOet:
         assert len(err) == 1
         assert "uniform" in err[0] and "2.0e-06" in err[0] and "1e-12" in err[0]
 
+    def test_fine_grid_from_synth_is_uniform(self, tmp_path, two_term_spec):
+        # 40001 nodes over 0..40: the nodes alone round by up to 4.8e-12 of a
+        # step, which the uniform rule allows for
+        samples, fit, result = (tmp_path / name for name in ("s.csv", "p.json", "d.json"))
+        assert run("synth", "--input", two_term_spec, "--output", samples, "--horizon", 40,
+                   "--step", 0.001) == 0
+        assert run("prony", "--input", samples, "--order", 2, "--output", fit) == 0
+        assert json.loads(fit.read_text())["rates"] == pytest.approx([1.0, 2.0], abs=1e-6)
+        assert run("decompose", "--input", samples, "--output", result) == 0
+        assert json.loads(result.read_text())["diagnostics"]["min_terms"] == 2
+
     def test_functionals_subcommand(self, tmp_path):
         out = tmp_path / "matrices.csv"
         assert run("functionals", "--rates", 0.5, 1.0, 2.0, "--size", 4,
@@ -795,9 +806,9 @@ class TestVerbFlags:
         # the numeric drivers evaluate the transient itself, whose exp(-rate t)
         # overflows to an exact 0 without a warning
         _check_run(("functionals", "--rates", "1e308", "--mode", "numeric", "--size", 1,
-                    "--output", tmp_path / "out.csv"), {0})
-        # one nonzero node leaves no tail to read, so the value reads 0.0
-        assert (tmp_path / "out.csv").read_text().splitlines()[1] == "rate,1,1,0.0"
+                    "--output", tmp_path / "out.csv"), {3})
+        # one nonzero node leaves no tail to read: refused, not read as 0.0
+        assert not (tmp_path / "out.csv").exists()
 
     def test_numeric_horizon_too_short_for_distinct_nodes_names_the_flag(self, tmp_path,
                                                                          capsys):

@@ -262,23 +262,22 @@ class TestNoiseHorizon:
     @staticmethod
     def scans(monkeypatch, samples):
         """(ends, fitted) per horizon scan of one decomposition: the ends
-        shrink_support gave the scan, and the end of each rate fit it ran."""
+        the iteration's shrink_support pass gave the scan, at HORIZON_FLOORS
+        and the noise level, and the end of each rate fit it ran."""
         import transient_lab.decomposer as decomposer
 
         scans = []
-        real_shrink, real_rate = decomposer.shrink_support, decomposer.estimate_rate
+        real_term, real_rate = decomposer._NumericState.estimate_term, decomposer.estimate_rate
 
-        def shrink(ts, values, rel_floors, noise=0.0):
-            ends = real_shrink(ts, values, rel_floors, noise)
-            if rel_floors == decomposer.HORIZON_FLOORS:
-                scans.append((ends, []))
-            return ends
+        def estimate_term(self, values, ends):
+            scans.append((ends, []))
+            return real_term(self, values, ends)
 
         def rate(ts, values, support, cfg=None, **kwargs):
             scans[-1][1].append(support[1])
             return real_rate(ts, values, support, cfg, **kwargs)
 
-        monkeypatch.setattr(decomposer, "shrink_support", shrink)
+        monkeypatch.setattr(decomposer._NumericState, "estimate_term", estimate_term)
         monkeypatch.setattr(decomposer, "estimate_rate", rate)
         decompose_numeric(SignalSource.from_sampled(samples), samples.support)
         return scans
@@ -523,9 +522,9 @@ class TestRefitRestart:
         real_term = decomposer._NumericState.estimate_term
         real_rate = decomposer.estimate_rate
 
-        def estimate_term(self, values):
+        def estimate_term(self, values, ends):
             seen["estimate_term"] += 1
-            return real_term(self, values)
+            return real_term(self, values, ends)
 
         def estimate_rate(*args, **kwargs):
             seen["estimate_rate"] += 1
@@ -631,6 +630,7 @@ class TestHankelBound:
         # size k - 1 below what the refit from the true terms, one dropped,
         # leaves; so min_terms never exceeds k
         from transient_lab.decomposer import _joint_refit, _rss_bound
+        from transient_lab.signal_core import uniform_grid_step
 
         rates = np.cumsum([gap for gap, _, _ in terms])
         coeffs = np.array([c if positive else -c for _, c, positive in terms])
@@ -639,7 +639,8 @@ class TestHankelBound:
         values = clean + sigma * np.random.default_rng(seed).normal(size=nodes)
         peak = np.abs(values).max()
         unit = values / peak
-        bound = _rss_bound(grid, unit)
+        assert uniform_grid_step(grid) is not None
+        bound = _rss_bound(unit)
         k = len(terms)
         assert np.all(np.diff(bound) <= 0.0)
         true_rss = float(np.sum((unit - clean / peak) ** 2))
@@ -711,6 +712,49 @@ class TestGridResidency:
                                       (0.0, 40.0))
         assert len(sampled.terms) == 2
         assert len(evaluated.terms) == 2
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-4])
+    @pytest.mark.parametrize("support", [(0.0, 40.0), (0.0, 30.0)], ids=["all_nodes", "some"])
+    def test_sampled_and_evaluator_sources_on_one_grid_agree_bit_for_bit(self, sigma, support):
+        # an evaluator that interpolates the samples, on their nodes, gives the
+        # values a sampled source reads there, and so every result; the repr
+        # of a float tells every bit of it
+        samples = two_term_samples(sigma, 2)
+        evaluator = SignalSource.from_evaluator(
+            lambda ts: np.interp(ts, samples.times, samples.values), support=samples.support,
+            grid=samples.times)
+        sampled, evaluated = (decompose_numeric(source, support)
+                              for source in (SignalSource.from_sampled(samples), evaluator))
+        assert len(sampled.terms) == 2 and sampled.min_terms is not None
+        assert repr(sampled) == repr(evaluated)
+
+    def test_sampled_input_is_read_once_and_trimmed_once_per_iteration(self, monkeypatch):
+        # one evaluate_many call copies the samples, with no np.interp; one
+        # shrink_support pass per iteration gives both the tail window and
+        # the horizon ends, and one more trims the final residual
+        import transient_lab.decomposer as decomposer
+
+        inputs = list(TestRefitRestart.clean_inputs()) + [
+            two_term_samples(sigma, index, trial)
+            for index, sigma in ((2, 1e-4), (3, 1e-3)) for trial in range(3)]
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(decomposer, "evaluate_many",
+                            counted("evaluate_many", decomposer.evaluate_many))
+        monkeypatch.setattr(decomposer, "shrink_support",
+                            counted("shrink_support", decomposer.shrink_support))
+        monkeypatch.setattr(np, "interp", counted("interp", np.interp))
+        for samples in inputs:
+            calls.update(evaluate_many=0, shrink_support=0, interp=0)
+            result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+            assert calls == {"evaluate_many": 1, "interp": 0,
+                             "shrink_support": len(result.iteration_tail_norms) + 1}
 
     def test_noisy_run_leaves_no_reference_cycles(self):
         # a rejected horizon's error must not keep the estimator frames (and

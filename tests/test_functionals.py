@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from transient_lab import (Diverging, PolynomialNoConstant, SampledSignal, SignalSource,
-                           SymbolicTransient, TailFitConfig, correspondence_check,
+                           SymbolicTransient, TailFitConfig, TooFewSamples, correspondence_check,
                            monomial_functional_matrix, rate_functional_matrix, rate_functionals)
 
 FIVE_RATES = (0.5, 1.0, 1.7, 2.2, 3.0)
@@ -211,6 +211,14 @@ class TestRateFunctional:
                                           grid=np.array([70.0, 80.0]))
         with pytest.raises(ValueError, match="too few samples"):
             rate_functionals(src, (1.0,), support=(0.0, 60.0))
+
+    def test_fast_term_too_sparse_to_read_is_refused(self):
+        # on a grid of step 0.01, exp(-200 t) falls below 1e-6 of its peak
+        # within seven nodes: no horizon holds 8 samples, and the term, far
+        # above the vanish tolerance, is refused rather than read as 0.0
+        with pytest.raises(TooFewSamples, match="too few samples to read the functional "
+                                                "at rate 200.0"):
+            rate_functional_matrix((200.0, 300.0), mode="numeric", horizon=40.0)
 
     def test_dense_early_grid_before_a_sparse_tail_accepted(self):
         # the whole support's tail window [50, 100] holds one node; the

@@ -11,7 +11,7 @@ from transient_lab import (OutOfSupport, SampledSignal, SignalSource, SymbolicTr
                            build_exponential_basis, decompose_numeric, evaluate_many,
                            inner_product, load_samples_csv, load_signal_spec, oet_analyze,
                            rate_sequence, save_samples_csv, signal_core, synthesize_samples)
-from transient_lab.signal_core import evaluation_grid
+from transient_lab.signal_core import evaluation_grid, uniform_grid_step
 
 from conftest import random_transient, sample_csv_texts
 
@@ -97,6 +97,21 @@ class TestSampledSignal:
         sig = SampledSignal(times=np.array([0.0, 1.0, 3.0]), values=np.zeros(3))
         assert sig.uniform_step is None
 
+    # a node at t rounds by up to eps |t| / 2: on these grids the steps
+    # deviate from their mean by more than UNIFORM_REL_TOL of it, from
+    # rounding alone
+    @given(nodes=st.integers(2, 100_000), offset=st.floats(0.0, 1e4),
+           span=st.floats(1e-3, 1e4))
+    @example(nodes=40001, offset=0.0, span=40.0)
+    @example(nodes=40001, offset=0.0, span=400.0)
+    @example(nodes=4001, offset=1000.0, span=40.0)
+    @settings(max_examples=100, deadline=None)
+    def test_linspace_grids_are_uniform(self, nodes, offset, span):
+        times = np.linspace(offset, offset + span, nodes)
+        step = uniform_grid_step(times)
+        assert step is not None
+        assert step == pytest.approx((times[-1] - times[0]) / (nodes - 1), rel=1e-9)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError, match="increasing"):
             SampledSignal(times=np.array([0.0, 2.0, 1.0]), values=np.zeros(3))
@@ -145,6 +160,24 @@ class TestEvaluate:
         assert evaluate_many(src, [0.5])[0] == pytest.approx(1.0)
         assert evaluate_many(src, [1.0])[0] == 2.0
 
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, -0.0, 1.0, -0.0],
+        [1.7e308, -1.7e308, 1.7e308, -1.7e308, 0.0],
+        [-1.7e308, -0.0, 1.7e308, 0.0, -1.7e308],
+    ])
+    def test_sampled_at_its_own_nodes_gives_interp_bits_in_a_fresh_array(self, values):
+        # np.interp takes a node's own value where it meets the node, even
+        # where the slope beside it overflows or the value is a signed zero
+        sig = SampledSignal(times=np.array([-0.0, 0.5, 1.0, 2.5, 3.0]), values=np.array(values))
+        src = SignalSource.from_sampled(sig)
+        before = sig.values.tobytes()
+        for ts in (sig.times, sig.times.copy(), np.abs(sig.times), sig.times[1:]):
+            got = evaluate_many(src, ts)
+            assert got.tobytes() == np.interp(ts, sig.times, sig.values).tobytes()
+            assert got.tobytes() == sig.values[len(sig.times) - len(ts):].tobytes()
+            got[:] = 7.0
+            assert sig.values.tobytes() == before
+
     def test_sampled_out_of_support(self):
         sig = SampledSignal(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
         src = SignalSource.from_sampled(sig)
@@ -176,6 +209,18 @@ class TestEvaluationGrid:
         src = SignalSource.from_symbolic(SymbolicTransient(((1.0, 1.0),)))
         with pytest.raises(ValueError, match=r"support \(0\.0, 1e-320\) is too narrow"):
             signal_core.evaluation_grid(src, (0.0, 1e-320))
+
+    # supports inside the nodes, on them, straddling either end or both, and
+    # outside them
+    @pytest.mark.parametrize("support", [
+        (0.5, 2.5), (1.2, 1.8), (1.0, 2.0), (-0.0, 3.0), (-1.0, 1.5), (2.5, 9.0),
+        (-2.0, 9.0), (4.0, 9.0), (-2.0, -1.0), (3.0, 3.0)])
+    def test_own_nodes_cut_as_a_mask_cuts_them(self, support):
+        grid = np.array([-0.0, 1.0, 2.0, 3.0])
+        src = SignalSource.from_evaluator(np.exp, grid=grid)
+        t_lo, t_hi = support
+        want = grid[(grid >= t_lo) & (grid <= t_hi)]
+        assert evaluation_grid(src, support).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, math.nan]])
     def test_own_nodes_must_increase(self, grid):
