@@ -23,9 +23,8 @@ from .quadrature import QuadratureConfig, integrate_semi_infinite
 from .signal_core import (SampledSignal, SignalSource, SymbolicTransient, evaluate_many,
                           inner_product, load_samples_csv, load_signal_spec,
                           save_samples_csv, synthesize_samples)
-from .tail_limits import (RateEstimate, RateSequence, TailFitConfig,
-                          estimate_coefficient, estimate_rate, rate_sequence,
-                          shrink_support)
+from .tail_limits import (RateEstimate, RateSequence, estimate_coefficient, estimate_rate,
+                          rate_sequence, shrink_support)
 
 __version__ = "0.1.0"
 
@@ -45,6 +44,6 @@ __all__ = [
     "SampledSignal", "SignalSource", "SymbolicTransient", "evaluate_many",
     "inner_product", "load_samples_csv", "load_signal_spec", "save_samples_csv",
     "synthesize_samples",
-    "RateEstimate", "RateSequence", "TailFitConfig", "estimate_coefficient",
+    "RateEstimate", "RateSequence", "estimate_coefficient",
     "estimate_rate", "rate_sequence", "shrink_support",
 ]

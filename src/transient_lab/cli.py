@@ -2,11 +2,11 @@
 
 Each verb is one function, run_<verb>(args), that reads its flags straight
 from the argparse namespace.  A verb's subparser declares only the flags it
-reads, so any other flag is a usage error.  --fit-order and --max-terms are
-taken by decompose (on sample files only) and compare, --quadrature-nodes by
-oet and compare.  Each sets the one field of a config type, which alone
-checks the value; an absent flag passes None, so the library function picks
-its default config.  --seed is taken by synth and compare.  A refused config
+reads, so any other flag is a usage error.  --max-terms is taken by
+decompose (on sample files only) and compare, --quadrature-nodes by oet and
+compare.  Each sets the one field of a config type, which alone checks the
+value; an absent flag passes None, so the library function picks its
+default config.  --seed is taken by synth and compare.  A refused config
 value, and a --horizon or --step that is not a finite positive number, exit
 before any input is read.
 
@@ -44,7 +44,6 @@ from .prony_baseline import prony_fit
 from .quadrature import QuadratureConfig
 from .signal_core import (SignalSource, SymbolicTransient, evaluation_grid, load_samples_csv,
                           load_signal_spec, save_samples_csv, synthesize_samples)
-from .tail_limits import TailFitConfig
 
 _EXIT_CODES = (
     (errors.RankDeficient, 7),
@@ -62,8 +61,7 @@ MAX_GRID_STEPS = 10 ** 7
 MAX_MATRIX_SIZE = 100
 
 # the flags, by dest, whose value main replaces with the config it sets
-_CONFIG_FLAGS = {"fit_order": TailFitConfig, "max_terms": StoppingPolicy,
-                 "quadrature_nodes": QuadratureConfig}
+_CONFIG_FLAGS = {"max_terms": StoppingPolicy, "quadrature_nodes": QuadratureConfig}
 
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
@@ -151,12 +149,12 @@ def run_synth(args):
 def run_decompose(args):
     spec, samples = _load_input_signal(args.input)
     if spec is not None:
-        if args.fit_order or args.max_terms:
-            raise ValueError("--fit-order and --max-terms tune sample files, not a spec")
+        if args.max_terms:
+            raise ValueError("--max-terms tunes sample files, not a spec")
         result = decompose_exact(spec.canonicalize())
     else:
         source = SignalSource.from_sampled(samples)
-        result = decompose_numeric(source, samples.support, args.fit_order, args.max_terms)
+        result = decompose_numeric(source, samples.support, args.max_terms)
     _write_json({
         "terms": [{"rate": r, "coeff": c} for r, c in result.terms],
         "diagnostics": {
@@ -241,7 +239,7 @@ def run_functionals(args):
 
 def _fit_decomposer(args, truth, samples):
     source = SignalSource.from_sampled(samples)
-    result = decompose_numeric(source, samples.support, args.fit_order, args.max_terms)
+    result = decompose_numeric(source, samples.support, args.max_terms)
     est = list(result.terms)
     diag = {"terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason,
@@ -333,7 +331,6 @@ def run_compare(args):
 _SHARED_FLAGS = {
     "--input": dict(help="input file (signal spec .json or samples .csv)"),
     "--output": dict(help="output file (stdout when omitted)"),
-    "--fit-order": {},
     "--max-terms": dict(type=int),
     "--quadrature-nodes": dict(type=int),
     "--seed": dict(type=int, default=0),
@@ -372,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0)
 
     p = verb("decompose", run_decompose, "extract (rate, coeff) terms",
-             "--input", "--output", "--fit-order", "--max-terms")
+             "--input", "--output", "--max-terms")
 
     p = verb("oet", run_oet, "orthogonal exponential transform analysis",
              "--input", "--output", "--quadrature-nodes", "--max-index")
@@ -388,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=60.0)
 
     p = verb("compare", run_compare, "method comparison sweep over noise levels",
-             "--input", "--output", "--fit-order", "--max-terms", "--quadrature-nodes",
+             "--input", "--output", "--max-terms", "--quadrature-nodes",
              "--seed", "--horizon", "--step", "--max-index")
     p.add_argument("--methods", nargs="+", required=True, choices=sorted(_METHODS))
     p.add_argument("--sigma", type=float, nargs="+", default=[0.0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import Diverging, RankDeficient
+from .errors import Diverging, RankDeficient, TooFewSamples
 from .signal_core import UNIFORM_REL_TOL, SampledSignal, uniform_grid_step
 
 _REAL_ROOT_TOL = 1e-8
@@ -68,16 +68,17 @@ def _companion_roots(monic_low_to_high) -> np.ndarray:
 def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     """Fit `order` exponential terms to uniformly sampled data.
 
-    Raises RankDeficient only when the prediction system carries no rank at
-    all; a merely overestimated order is reduced to the detected rank and
-    flagged instead.
+    Raises TooFewSamples when there are fewer than 2 * order samples, and
+    RankDeficient only when the prediction system carries no rank at all; a
+    merely overestimated order is reduced to the detected rank and flagged
+    instead.
     """
     if order < 1:
         raise ValueError("order must be positive")
     values = signal.values
     n = len(values)
     if n < 2 * order:
-        raise ValueError(f"need at least {2 * order} samples for order {order}, got {n}")
+        raise TooFewSamples(f"need at least {2 * order} samples for order {order}, got {n}")
     if signal.uniform_step is None:
         steps = np.diff(signal.times)
         mean = steps.mean()

@@ -18,7 +18,8 @@ the rows of one strided view, so every block's line is fitted from sums
 centred on its own means in a fixed handful of array calls.
 
 The window placement and floors are fixed constants below; the one choice
-a caller makes is the extrapolation order, in TailFitConfig.
+a caller makes is the number of Aitken passes, 0, 1 or 2, each read over
+2 * passes + 1 sub-windows.
 
 The estimators take arrays: ascending grid nodes and the finite values
 there, read once by the caller (signal_core.evaluation_grid) and passed to
@@ -35,14 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished, TooFewSamples
 from .signal_core import SignalSource, evaluate_many, evaluation_grid
-
-_FIT_ORDERS = {"slope_fit": 1, "richardson_1": 3, "richardson_2": 5}
 
 # trailing portion of the support used as the fit window
 WINDOW_FRACTION = 0.5
@@ -57,22 +55,6 @@ NOISE_FLOOR = 1e-9
 # growth of the reweighted tail, across the window, beyond which the
 # coefficient estimate reports Diverging
 DIVERGE_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class TailFitConfig:
-    """Extrapolation order of the tail estimators.
-
-    fit_order: "slope_fit" for a single least-squares line, "richardson_1"
-        or "richardson_2" for one or two Aitken eliminations over shifted
-        sub-windows.
-    """
-
-    fit_order: str = "slope_fit"
-
-    def __post_init__(self):
-        if not isinstance(self.fit_order, str) or self.fit_order not in _FIT_ORDERS:
-            raise ValueError(f"fit_order must be one of {sorted(_FIT_ORDERS)}")
 
 
 @dataclass(frozen=True)
@@ -164,22 +146,13 @@ def _rows(x, starts, length):
                       (starts.step * x.itemsize, x.itemsize))
 
 
-class _Blocks(NamedTuple):
-    """Everything on the grid side of the line fits on the blocks of a
-    window's nodes: what does not depend on the values fitted."""
-    starts: range
-    length: int
-    tm: np.ndarray            # each block's mean node
-    dt: np.ndarray            # each block's nodes less its mean, one row a block
-    den: np.ndarray           # each block's centred nodes dotted with themselves
-    error: Optional[str]      # why no line can be fitted, or None
+def _block_slopes(t, y, nsub):
+    """Least-squares slopes of y against the nodes t on each of the
+    equal-stride blocks (_index_blocks) of nsub sub-windows, from sums
+    centred on each block's means, with each block's mean node and mean y.
 
-
-def _blocks(t, nsub):
-    """_Blocks of the equal-stride blocks (_index_blocks) of the nodes t.
-
-    The first block whose nodes' spread squares to zero or overflows sets
-    error: no line can be fitted on it.
+    Raises NonDecaying at the first block whose nodes' spread squares to
+    zero or overflows: no line can be fitted on it.
     """
     starts, length = _index_blocks(len(t), nsub)
     t_rows = _rows(t, starts, length)
@@ -188,26 +161,15 @@ def _blocks(t, nsub):
     # a stacked (1, n) @ (n, 1) product is a dot product per block, the same
     # BLAS call, and so the same bits, as np.dot on that block
     den = np.matmul(dt[:, None, :], dt[:, :, None])[:, 0, 0]
-    error = None
     for j, d in enumerate(den.tolist()):
         if not 0.0 < d < math.inf:
-            error = (f"the spread of the tail nodes {float(t_rows[j, 0])!r} .. "
-                     f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
-                     f"can be fitted")
-            break
-    return _Blocks(starts, length, tm, dt, den, error)
-
-
-def _slopes(blocks, y):
-    """Least-squares slopes of y against the nodes on each of blocks, from
-    sums centred on each block's means, and the means of y on the blocks.
-    Raises NonDecaying when blocks holds a block with no usable spread."""
-    if blocks.error is not None:
-        raise NonDecaying(blocks.error)
-    y_rows = _rows(y, blocks.starts, blocks.length)
+            raise NonDecaying(f"the spread of the tail nodes {float(t_rows[j, 0])!r} .. "
+                              f"{float(t_rows[j, -1])!r} squares to {d!r}; no decay rate "
+                              f"can be fitted")
+    y_rows = _rows(y, starts, length)
     ym = _mean(y_rows)
-    slopes = np.matmul(blocks.dt[:, None, :], (y_rows - ym[:, None])[:, :, None])[:, 0, 0]
-    return slopes / blocks.den, ym
+    slopes = np.matmul(dt[:, None, :], (y_rows - ym[:, None])[:, :, None])[:, 0, 0]
+    return slopes / den, tm, ym
 
 
 def _aitken_pass(seq):
@@ -237,6 +199,14 @@ def _extrapolate(seq):
     return seq[-1]
 
 
+def _sub_windows(passes):
+    """The 2 * passes + 1 sub-windows that passes Aitken passes read.
+    Raises ValueError unless passes is 0, 1 or 2."""
+    if passes not in (0, 1, 2):
+        raise ValueError(f"passes must be 0, 1 or 2, got {passes!r}")
+    return 2 * int(passes) + 1
+
+
 def _index_blocks(n, nsub):
     """Equal-length, equal-stride blocks spanning 0..n-1, as (starts, length)
     with starts a range; the one block (range(1), n) when nsub is 1 or the
@@ -263,25 +233,26 @@ def _window(ts, values, support):
     return bounds, ts, xs, np.log(mag)
 
 
-def estimate_rate(ts, values, support, cfg: TailFitConfig = None) -> RateEstimate:
+def estimate_rate(ts, values, support, passes: int = 0) -> RateEstimate:
     """Slowest decay rate from a line fit to log|x| over the tail window.
 
-    ts holds ascending grid nodes and values the finite values there.  Exact
-    (to rounding) for a single exponential.  Raises SignalVanished when too
-    few samples clear the floor and NonDecaying when the fitted slope is
+    ts holds ascending grid nodes and values the finite values there.  With
+    passes Aitken passes (0, 1 or 2) the slopes of 2 * passes + 1 shifted
+    sub-windows are extrapolated.  Exact (to rounding) for a single
+    exponential.  Raises ValueError on any other passes, SignalVanished when
+    too few samples clear the floor and NonDecaying when the fitted slope is
     non-negative or the window's nodes are too close to fit one.
     """
-    cfg = cfg or TailFitConfig()
+    nsub = _sub_windows(passes)
     bounds, ts, _, logs = _window(ts, values, support)
-    blocks = _blocks(ts, _FIT_ORDERS[cfg.fit_order])
-    slopes, ym = _slopes(blocks, logs)
+    slopes, tm, ym = _block_slopes(ts, logs, nsub)
     rate = -_extrapolate(slopes.tolist())
     if not math.isfinite(rate) or rate <= 0.0:
         raise NonDecaying(f"fitted tail slope is non-negative (rate {rate})")
     rts = rate * ts
-    if len(blocks.starts) == 1:
+    if len(slopes) == 1:
         # one block fits the whole window and gives the intercept with its slope
-        icpt = ym.item() - slopes.item() * blocks.tm.item()
+        icpt = ym.item() - slopes.item() * tm.item()
     else:
         icpt = float(_mean(logs + rts))
     # the squared deviations log|x| - (icpt - rate t), in place
@@ -304,19 +275,19 @@ def _reweighted(ts, values, rate, support):
     return np.copysign(out, xs, out=out)
 
 
-def estimate_coefficient(ts, values, rate: float, support, cfg: TailFitConfig = None) -> float:
+def estimate_coefficient(ts, values, rate: float, support, passes: int = 0) -> float:
     """Leading coefficient: tail-window average of exp(rate*t) x(t).
 
-    ts and values are taken as by estimate_rate.  With richardson variants
+    ts, values and passes are taken as by estimate_rate: with passes above 0
     the averages over shifted sub-windows are Aitken-extrapolated.  Raises
     Diverging when the reweighted tail grows by more than DIVERGE_FACTOR
     across the window (the rate was too big).
     """
-    cfg = cfg or TailFitConfig()
+    nsub = _sub_windows(passes)
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     values, scale = _scaled_tail(_reweighted(ts, values, rate, support))
-    starts, length = _index_blocks(len(values), _FIT_ORDERS[cfg.fit_order])
+    starts, length = _index_blocks(len(values), nsub)
     means = _mean(_rows(values, starts, length)).tolist()
     return float(_extrapolate(means)) * scale
 

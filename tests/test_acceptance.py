@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from transient_lab import (JacobiParams, SignalSource, SymbolicTransient,
-                           TailFitConfig, build_exponential_basis,
+                           build_exponential_basis,
                            check_derivative_recurrence, check_multiplication_recurrence,
                            decompose_exact, decompose_numeric,
                            monomial_functional_matrix, oet_analyze,
@@ -184,8 +184,7 @@ def test_criterion_7_biorthogonality_matrices():
         assert np.array_equal(symbolic, np.eye(5))
         monomial = monomial_functional_matrix(10)
         assert np.array_equal(monomial, np.eye(10))
-        numeric = rate_functional_matrix(rates, mode="numeric", horizon=60.0,
-                                         cfg=TailFitConfig(fit_order="richardson_1"))
+        numeric = rate_functional_matrix(rates, mode="numeric", horizon=60.0)
         assert np.abs(numeric - np.eye(5)).max() < 1e-8
 
 

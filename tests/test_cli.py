@@ -60,15 +60,13 @@ class TestSynthDecompose:
         assert payload["diagnostics"]["per_term"][0]["mode"] == "exact"
         assert payload["diagnostics"]["min_terms"] is None
 
-    @pytest.mark.parametrize("flag", [("--fit-order", "slope_fit"), ("--max-terms", "1")],
-                             ids=lambda flag: flag[0])
-    def test_decompose_spec_refuses_the_numeric_flags(self, tmp_path, two_term_spec, capsys,
-                                                     flag):
-        # exact mode reads neither flag, so a spec refuses both
+    def test_decompose_spec_refuses_max_terms(self, tmp_path, two_term_spec, capsys):
+        # exact mode does not read the term budget, so a spec refuses it
         out_path = tmp_path / "result.json"
-        assert run("decompose", "--input", two_term_spec, *flag, "--output", out_path) == 3
+        assert run("decompose", "--input", two_term_spec, "--max-terms", "1",
+                   "--output", out_path) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: --fit-order and --max-terms tune sample files, not a spec"]
+        assert err == ["error: --max-terms tunes sample files, not a spec"]
         assert not out_path.exists()
 
     def test_malformed_spec_names_field(self, tmp_path, capsys):
@@ -309,6 +307,7 @@ class TestCompare:
     @pytest.mark.parametrize("sigma, horizon, step", [
         (1e-2, 40.0, 0.5),  # no tail window above the noise holds 8 samples
         (0.0, 11.0, 1.0),   # no tail window of the grid holds 8 samples
+        (0.0, 1.0, 0.5),    # three nodes: too few for Prony as well
     ])
     def test_too_few_samples_is_the_error_of_one_trial(self, tmp_path, two_term_spec,
                                                        sigma, horizon, step):
@@ -322,6 +321,9 @@ class TestCompare:
             flags = {(row["method"], row["flag"]) for row in csv.DictReader(fh)}
         assert ("decomposer", "error:TooFewSamples") in flags
         assert {method for method, _ in flags} == {"decomposer", "prony"}
+        if horizon / step + 1 < 4:
+            # prony_fit needs four samples for two terms
+            assert ("prony", "error:TooFewSamples") in flags
         errors = [entry["error"] for entry in json.loads(diag.read_text())
                   if entry["method"] == "decomposer"]
         assert len(errors) == 2
@@ -374,13 +376,12 @@ class TestConfigPlumbing:
         assert coarse_proj != default_proj
         assert np.allclose(coarse_proj, default_proj, rtol=0.0, atol=1e-5)
 
-    def test_fit_order_and_max_terms_flags(self, tmp_path, two_term_spec):
+    def test_max_terms_flag(self, tmp_path, two_term_spec):
         csv_path = tmp_path / "samples.csv"
         run("synth", "--input", two_term_spec, "--output", csv_path,
             "--horizon", 40.0, "--step", 0.01)
         out = tmp_path / "result.json"
-        assert run("decompose", "--input", csv_path, "--fit-order", "richardson_1",
-                   "--max-terms", 1, "--output", out) == 0
+        assert run("decompose", "--input", csv_path, "--max-terms", 1, "--output", out) == 0
         payload = json.loads(out.read_text())
         assert len(payload["terms"]) == 1
         assert payload["diagnostics"]["termination_reason"] == "max_terms"
@@ -404,8 +405,6 @@ class TestConfigPlumbing:
         (("compare", "--methods", "oet", "--quadrature-nodes", "100000"), "--quadrature-nodes"),
         (("decompose", "--max-terms", "0"), "--max-terms"),
         (("compare", "--methods", "decomposer", "--max-terms", "0"), "--max-terms"),
-        (("decompose", "--fit-order", "cubic"), "--fit-order"),
-        (("compare", "--methods", "decomposer", "--fit-order", "cubic"), "--fit-order"),
     ], ids=" ".join)
     def test_refused_value_names_the_flag_before_any_input_is_read(self, tmp_path, capsys,
                                                                    argv, flag):
@@ -417,10 +416,10 @@ class TestConfigPlumbing:
         assert "missing" not in err[0] and not out.exists()
 
     @pytest.mark.parametrize("verb, defaults", [
-        (("decompose",), ("--fit-order", "richardson_2", "--max-terms", 16)),
+        (("decompose",), ("--max-terms", 16)),
         (("oet",), ("--quadrature-nodes", 128)),
         (("compare", "--methods", "decomposer", "prony", "oet", "--sigma", 0, 1e-4),
-         ("--fit-order", "richardson_2", "--max-terms", 16, "--quadrature-nodes", 128)),
+         ("--max-terms", 16, "--quadrature-nodes", 128)),
     ], ids=["decompose", "oet", "compare"])
     def test_no_flag_writes_what_the_explicit_defaults_write(self, tmp_path, two_term_spec,
                                                              verb, defaults):
@@ -685,10 +684,12 @@ class TestVerbFlags:
         ("functionals", "--input", "s.json"), ("functionals", "--seed", "1"),
         ("functionals", "--config", "c.json"), ("decompose", "--config", "c.json"),
         ("oet", "--config", "c.json"), ("compare", "--methods", "oet", "--config", "c.json"),
-        ("oet", "--fit-order", "slope_fit"), ("oet", "--max-terms", "1"),
+        ("oet", "--horizon", "10"), ("oet", "--max-terms", "1"),
         ("decompose", "--quadrature-nodes", "64"), ("prony", "--max-terms", "1"),
-        ("synth", "--fit-order", "slope_fit"), ("functionals", "--quadrature-nodes", "64"),
+        ("synth", "--max-terms", "1"), ("functionals", "--quadrature-nodes", "64"),
         ("synth", "--sigma", "0", "0.1"), ("compare", "--sigma"),
+        ("decompose", "--fit-order", "richardson_1"),
+        ("compare", "--methods", "decomposer", "--fit-order", "slope_fit"),
     ], ids=" ".join)
     def test_flag_the_verb_does_not_read_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -698,7 +699,7 @@ class TestVerbFlags:
 
     @pytest.mark.parametrize("argv", [
         ("oet", "--quad", "1"), ("decompose", "--max-t", "1"),
-        ("decompose", "--fit", "richardson_1"), ("compare", "--methods", "oet", "--tri", "2"),
+        ("decompose", "--inp", "s.csv"), ("compare", "--methods", "oet", "--tri", "2"),
     ], ids=" ".join)
     def test_prefix_of_a_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -910,24 +911,22 @@ def _flag_values(*values):
     return st.one_of(st.none(), st.sampled_from(values).map(str), st.text(max_size=5))
 
 
-@given(fit_order=_flag_values("slope_fit", "richardson_1", "richardson_2", "cubic"),
-       max_terms=_flag_values(-1, 0, 1, 2, 16, 10 ** 6, 10 ** 400),
+@given(max_terms=_flag_values(-1, 0, 1, 2, 16, 10 ** 6, 10 ** 400),
        nodes=_flag_values(-1, 0, 1, 2, 3, 128, MAX_NODES, MAX_NODES + 1, 10 ** 400))
-@example(fit_order="richardson_1", max_terms="1", nodes=str(MAX_NODES))
-@example(fit_order="", max_terms="2.5", nodes="0x10")
+@example(max_terms="1", nodes=str(MAX_NODES))
+@example(max_terms="2.5", nodes="0x10")
 @settings(max_examples=60)
-def test_config_flags_keep_the_exit_contract(tmp_path_factory, fit_order, max_terms, nodes):
+def test_config_flags_keep_the_exit_contract(tmp_path_factory, max_terms, nodes):
     folder = tmp_path_factory.mktemp("flags")
     spec, samples, out = folder / "spec.json", folder / "samples.csv", folder / "out"
     spec.write_text(TWO_TERM)
     assert run("synth", "--input", spec, "--output", samples, "--horizon", 20.0,
                "--step", 0.05) == 0
     # "--flag=value", so that a value starting with "-" is read as the value
-    tail, stop, quadrature = ([] if value is None else [f"{flag}={value}"] for flag, value in
-                              (("--fit-order", fit_order), ("--max-terms", max_terms),
-                               ("--quadrature-nodes", nodes)))
+    stop, quadrature = ([] if value is None else [f"{flag}={value}"] for flag, value in
+                        (("--max-terms", max_terms), ("--quadrature-nodes", nodes)))
     exits = {0, 2, 3}
-    _check_run(("decompose", "--input", samples, *tail, *stop, "--output", out), exits)
+    _check_run(("decompose", "--input", samples, *stop, "--output", out), exits)
     _check_run(("oet", "--input", spec, "--max-index", 4, *quadrature, "--output", out), exits)
-    _check_run(("compare", "--input", spec, "--horizon", 2, "--step", 0.1, *tail, *stop,
+    _check_run(("compare", "--input", spec, "--horizon", 2, "--step", 0.1, *stop,
                 *quadrature, "--methods", "decomposer", "prony", "oet", "--output", out), exits)

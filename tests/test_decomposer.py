@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from transient_lab import (DecompositionResult, Diverging, NonDecaying, QuadratureConfig,
                            SampledSignal, SignalSource, StoppingPolicy, SymbolicTransient,
-                           TailFitConfig, TermDiagnostics, TransientLabError,
+                           TermDiagnostics, TransientLabError,
                            decompose_exact, decompose_numeric, load_signal_spec,
                            shrink_support, synthesize_samples)
 
@@ -168,13 +168,6 @@ class TestDecomposeNumeric:
         assert len(result.terms) <= 2
         assert result.termination_reason == "max_terms"
 
-    def test_custom_tail_config_is_honored(self):
-        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
-        samples = synthesize_samples(sig, np.arange(0.0, 40.0 + 1e-9, 0.01))
-        cfg = TailFitConfig(fit_order="slope_fit")
-        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support, cfg)
-        assert result.terms[0][0] == pytest.approx(1.0, abs=1e-3)
-
     def test_overflowing_residual_raises_diverging(self):
         # 1e308 e^-t that flips sign at t = 20: the term read off before the
         # flip, subtracted after it, overflows the residual; pytest turns a
@@ -273,9 +266,9 @@ class TestNoiseHorizon:
             scans.append((ends, []))
             return real_term(self, values, ends)
 
-        def rate(ts, values, support, cfg=None, **kwargs):
+        def rate(ts, values, support, *args):
             scans[-1][1].append(support[1])
-            return real_rate(ts, values, support, cfg, **kwargs)
+            return real_rate(ts, values, support, *args)
 
         monkeypatch.setattr(decomposer._NumericState, "estimate_term", estimate_term)
         monkeypatch.setattr(decomposer, "estimate_rate", rate)
@@ -615,8 +608,7 @@ class TestHankelBound:
     def state(samples):
         from transient_lab.decomposer import _NumericState
 
-        return _NumericState(SignalSource.from_sampled(samples), samples.support,
-                             TailFitConfig())
+        return _NumericState(SignalSource.from_sampled(samples), samples.support)
 
     @given(terms=st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(0.1, 5.0), st.booleans()),
                           min_size=1, max_size=4),

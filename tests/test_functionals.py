@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from transient_lab import (Diverging, PolynomialNoConstant, SampledSignal, SignalSource,
-                           SymbolicTransient, TailFitConfig, TooFewSamples, correspondence_check,
+                           SymbolicTransient, TooFewSamples, correspondence_check,
                            monomial_functional_matrix, rate_functional_matrix, rate_functionals)
 
 FIVE_RATES = (0.5, 1.0, 1.7, 2.2, 3.0)
@@ -60,8 +60,7 @@ class TestRateFunctional:
         assert np.array_equal(matrix, np.eye(5))
 
     def test_numeric_matrix_close_to_identity(self):
-        cfg = TailFitConfig(fit_order="richardson_1")
-        matrix = rate_functional_matrix(FIVE_RATES, mode="numeric", horizon=60.0, cfg=cfg)
+        matrix = rate_functional_matrix(FIVE_RATES, mode="numeric", horizon=60.0)
         assert np.abs(matrix - np.eye(5)).max() < 1e-8
 
     def test_numeric_mode_reads_each_source_once_on_one_grid(self, monkeypatch):
@@ -278,22 +277,20 @@ class TestCorrespondence:
         assert dev < 1e-6
 
     def test_random_degree_four_numeric(self, rng):
-        cfg = TailFitConfig(fit_order="richardson_2")
         for degree in (3, 4):
             coeffs = tuple(rng.uniform(-2.0, 2.0, degree))
             dev = correspondence_check(PolynomialNoConstant(coeffs), horizon=60.0,
-                                       mode="numeric", cfg=cfg)
+                                       mode="numeric")
             assert dev < 1e-6
 
     def test_degree_six_numeric_error_compounds_by_index(self, rng):
         # the functional recursion feeds each estimate's error into every later
         # strip, so numeric accuracy decays with the functional index; the
         # first indices stay sharp while the last ones lose several digits
-        cfg = TailFitConfig(fit_order="richardson_2")
         coeffs = tuple(rng.uniform(-2.0, 2.0, 6))
         poly = PolynomialNoConstant(coeffs)
         src = SignalSource.from_evaluator(poly.to_transient(), support=(0.0, 60.0))
-        values = rate_functionals(src, tuple(float(k) for k in range(1, 7)), cfg=cfg,
+        values = rate_functionals(src, tuple(float(k) for k in range(1, 7)),
                                   support=(0.0, 60.0))
         errors = [abs(value - poly.coefficient(n)) for n, value in enumerate(values, start=1)]
         assert errors[0] < 1e-9

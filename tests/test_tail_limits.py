@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transient_lab import (Diverging, NonDecaying, RateEstimate, SignalSource, SignalVanished,
-                           SymbolicTransient, TailFitConfig, TooFewSamples,
-                           TransientLabError, estimate_coefficient,
+                           SymbolicTransient, TooFewSamples, TransientLabError, estimate_coefficient,
                            estimate_rate, evaluate_many, rate_sequence, shrink_support,
                            synthesize_samples)
 from transient_lab import tail_limits
@@ -27,10 +26,15 @@ def read(source, support):
     return ts, evaluate_many(source, ts)
 
 
-class TestConfigValidation:
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            TailFitConfig(fit_order="cubic")
+class TestPassesValidation:
+    @pytest.mark.parametrize("passes", [-1, 3, 1.5, "cubic", None])
+    def test_refuses_passes_other_than_0_1_or_2(self, passes):
+        support = (0.0, 20.0)
+        ts, xs = read(source_of(((1.0, 1.0),)), support)
+        with pytest.raises(ValueError, match="passes must be 0, 1 or 2"):
+            estimate_rate(ts, xs, support, passes)
+        with pytest.raises(ValueError, match="passes must be 0, 1 or 2"):
+            estimate_coefficient(ts, xs, 1.0, support, passes)
 
 
 def test_require_tail_nodes_at_the_window_minimum():
@@ -64,8 +68,7 @@ class TestEstimateRate:
     def test_two_term_within_contamination_bound(self):
         # slowest rate 1, gap 1: contamination (3/2) e^{-t} at the window start
         support = (0.0, 40.0)
-        est = estimate_rate(*read(source_of(((1.0, 2.0), (2.0, 3.0))), support), support,
-                            TailFitConfig(fit_order="slope_fit"))
+        est = estimate_rate(*read(source_of(((1.0, 2.0), (2.0, 3.0))), support), support)
         assert est.rate == pytest.approx(1.0, abs=1e-6)
         a = est.window[0]
         bound = 12.0 * (3.0 / 2.0) * math.exp(-1.0 * a) / a
@@ -118,22 +121,21 @@ class TestEstimateRate:
                                      np.arange(4001) * 0.01, noise_sigma=1e-5, seed=7)
         support = (0.0, 9.3377)
         frozen = {
-            "slope_fit": (RateEstimate(rate=1.0015834817620441, intercept=0.7075575720970031,
+            0: (RateEstimate(rate=1.0015834817620441, intercept=0.7075575720970031,
                                        window=(4.66885, 9.3377),
                                        residual_rms=0.01778946099004574),
                           2.029351236472775),
-            "richardson_2": (RateEstimate(rate=1.0021614288432177,
+            2: (RateEstimate(rate=1.0021614288432177,
                                           intercept=0.7116032016652186,
                                           window=(4.66885, 9.3377),
                                           residual_rms=0.017806514970794447),
                              2.032994221650308),
         }
-        for order, (want_rate, want_coeff) in frozen.items():
-            cfg = TailFitConfig(fit_order=order)
-            est = estimate_rate(samples.times, samples.values, support, cfg)
+        for passes, (want_rate, want_coeff) in frozen.items():
+            est = estimate_rate(samples.times, samples.values, support, passes)
             assert est == want_rate
             assert estimate_coefficient(samples.times, samples.values, est.rate, support,
-                                        cfg) == want_coeff
+                                        passes) == want_coeff
 
 
 class TestEstimateCoefficient:
@@ -145,15 +147,15 @@ class TestEstimateCoefficient:
     def test_two_term_within_bound(self):
         support = (0.0, 40.0)
         value = estimate_coefficient(*read(source_of(((1.0, 2.0), (2.0, 3.0))), support), 1.0,
-                                     support, TailFitConfig(fit_order="slope_fit"))
+                                     support)
         assert value == pytest.approx(2.0, abs=1e-6)
 
-    @pytest.mark.parametrize("fit_order", ["slope_fit", "richardson_2"])
-    def test_coefficient_near_the_float_limit(self, fit_order):
+    @pytest.mark.parametrize("passes", [0, 2])
+    def test_coefficient_near_the_float_limit(self, passes):
         # the window's values sum past 1.8e308 although their mean does not
         support = (0.0, 2.0)
         value = estimate_coefficient(*read(source_of(((1.0, 1e308),)), support), 1.0, support,
-                                     TailFitConfig(fit_order=fit_order))
+                                     passes)
         assert value == pytest.approx(1e308, rel=1e-12)
 
     def test_overestimated_rate_diverges(self):
@@ -176,7 +178,6 @@ class TestEstimateCoefficient:
 
     def test_fast_term_perturbation_bound(self, rng):
         # adding a much faster term moves the estimate by at most its window max
-        cfg = TailFitConfig(fit_order="slope_fit")
         for _ in range(10):
             lam = rng.uniform(0.5, 1.5)
             alpha = rng.uniform(0.5, 3.0)
@@ -184,10 +185,10 @@ class TestEstimateCoefficient:
             extra_coeff = rng.uniform(-2.0, 2.0)
             support = (0.0, 30.0)
             base = estimate_coefficient(*read(source_of(((lam, alpha),)), support), lam,
-                                        support, cfg)
+                                        support)
             mixed_terms = tuple(sorted([(lam, alpha), (extra_rate, extra_coeff)]))
             mixed = estimate_coefficient(*read(source_of(mixed_terms), support), lam,
-                                         support, cfg)
+                                         support)
             window_start = support[1] - 0.5 * support[1]
             bound = abs(extra_coeff) * math.exp(-(extra_rate - lam) * window_start)
             assert abs(mixed - base) <= bound * (1 + 1e-9) + 1e-12
@@ -197,21 +198,20 @@ class TestRichardsonVariants:
     def test_improves_on_slope_fit(self):
         support = (0.0, 24.0)
         ts, xs = read(source_of(((1.0, 2.0), (1.6, 3.0))), support)
-        plain = estimate_rate(ts, xs, support, TailFitConfig(fit_order="slope_fit"))
-        acc1 = estimate_rate(ts, xs, support, TailFitConfig(fit_order="richardson_1"))
+        plain = estimate_rate(ts, xs, support, 0)
+        acc1 = estimate_rate(ts, xs, support, 1)
         assert abs(acc1.rate - 1.0) < abs(plain.rate - 1.0)
 
     def test_exact_for_single_term(self):
         support = (0.0, 15.0)
         ts, xs = read(source_of(((2.5, 1.5),)), support)
-        for order in ("richardson_1", "richardson_2"):
-            est = estimate_rate(ts, xs, support, TailFitConfig(fit_order=order))
+        for passes in (1, 2):
+            est = estimate_rate(ts, xs, support, passes)
             assert est.rate == pytest.approx(2.5, abs=1e-9)
 
 
 class TestHorizonDoubling:
     def test_error_never_grows(self, rng):
-        cfg = TailFitConfig(fit_order="slope_fit")
         for _ in range(10):
             sig = random_transient(rng, 2, rate_lo=0.8, rate_start_hi=1.2,
                                    gap_lo=0.5, gap_hi=1.0, coeff_lo=0.5, coeff_hi=3.0)
@@ -219,7 +219,7 @@ class TestHorizonDoubling:
             prev = None
             for horizon in (10.0, 20.0, 40.0):
                 support = (0.0, horizon)
-                est = estimate_rate(*read(SignalSource.from_symbolic(sig), support), support, cfg)
+                est = estimate_rate(*read(SignalSource.from_symbolic(sig), support), support)
                 err = abs(est.rate - lam)
                 if prev is not None:
                     assert err <= prev * (1 + 1e-9) + 1e-14
@@ -271,7 +271,6 @@ class TestRateSequence:
 
 class TestBiasOrdering:
     def test_two_term_error_below_derived_bound(self, rng):
-        cfg = TailFitConfig(fit_order="slope_fit")
         for _ in range(15):
             lam = rng.uniform(0.5, 1.5)
             gap = rng.uniform(0.5, 2.0)
@@ -279,7 +278,7 @@ class TestBiasOrdering:
             a2 = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
             sig = SymbolicTransient(((lam, a1), (lam + gap, a2)))
             support = (0.0, 24.0)
-            est = estimate_rate(*read(SignalSource.from_symbolic(sig), support), support, cfg)
+            est = estimate_rate(*read(SignalSource.from_symbolic(sig), support), support)
             t_start = est.window[0]
             constant = 12.0 * abs(a2) / abs(a1)
             bound = constant * math.exp(-gap * t_start) / t_start
@@ -503,12 +502,12 @@ def _reference_blocks(n, nsub):
     return [(j * step, j * step + length) for j in range(nsub)]
 
 
-def reference_rate(ts, values, support, order):
+def reference_rate(ts, values, support, passes):
     t_lo, t_hi = support
     bounds, window = tail_limits.tail_slice(ts, t_lo, t_hi)
     ts, xs = _reference_kept(ts[window], values[window])
     logs = np.log(np.abs(xs))
-    blocks = _reference_blocks(len(ts), tail_limits._FIT_ORDERS[order])
+    blocks = _reference_blocks(len(ts), 2 * passes + 1)
     if blocks is None:
         slope, icpt = _reference_line_fit(ts, logs)
         rate = -slope
@@ -522,7 +521,7 @@ def reference_rate(ts, values, support, order):
     return RateEstimate(rate=float(rate), intercept=float(icpt), window=bounds, residual_rms=rms)
 
 
-def reference_coefficient(ts, values, rate, support, order):
+def reference_coefficient(ts, values, rate, support, passes):
     t_lo, t_hi = support
     _, window = tail_limits.tail_slice(ts, t_lo, t_hi)
     ts, xs = _reference_kept(ts[window], values[window])
@@ -540,7 +539,7 @@ def reference_coefficient(ts, values, rate, support, order):
     if head > 0.0 and tail / head > tail_limits.DIVERGE_FACTOR:
         raise Diverging(f"reweighted tail grows by {tail / head:.3g} across the window "
                         f"(limit {tail_limits.DIVERGE_FACTOR}); decay rate is overestimated")
-    blocks = _reference_blocks(len(values), tail_limits._FIT_ORDERS[order])
+    blocks = _reference_blocks(len(values), 2 * passes + 1)
     if blocks is None:
         return float(_reference_mean(values)) * scale
     means = [float(_reference_mean(values[a:b])) for a, b in blocks]
@@ -599,12 +598,11 @@ class TestKernelParity:
     @settings(max_examples=80)
     def test_estimators_equal_the_per_block_loop(self, window):
         ts, xs, support, rate, noise = window
-        for order in ("slope_fit", "richardson_1", "richardson_2"):
-            cfg = TailFitConfig(fit_order=order)
-            got = outcome(estimate_rate, ts, xs, support, cfg)
-            assert got == outcome(reference_rate, ts, xs, support, order)
-            assert (outcome(estimate_coefficient, ts, xs, rate, support, cfg)
-                    == outcome(reference_coefficient, ts, xs, rate, support, order))
+        for passes in (0, 1, 2):
+            got = outcome(estimate_rate, ts, xs, support, passes)
+            assert got == outcome(reference_rate, ts, xs, support, passes)
+            assert (outcome(estimate_coefficient, ts, xs, rate, support, passes)
+                    == outcome(reference_coefficient, ts, xs, rate, support, passes))
         floors = (1e-4, 1e-8, 1e-12, 0.5, 1.0)
         if np.any(xs):
             assert (shrink_support(ts, xs, floors, noise)
@@ -621,22 +619,21 @@ class TestKernelParity:
 
     @staticmethod
     def check_supports(ts, values, rate, supports):
-        """Every fit of values over each of supports, in every order, equals
+        """Every fit of values over each of supports, at 0, 1 and 2 passes, equals
         the per-block loop's."""
-        for order in ("slope_fit", "richardson_1", "richardson_2"):
-            cfg = TailFitConfig(fit_order=order)
+        for passes in (0, 1, 2):
             for support in supports:
-                assert (outcome(estimate_rate, ts, values, support, cfg)
-                        == outcome(reference_rate, ts, values, support, order))
-                assert (outcome(estimate_coefficient, ts, values, rate, support, cfg)
-                        == outcome(reference_coefficient, ts, values, rate, support, order))
+                assert (outcome(estimate_rate, ts, values, support, passes)
+                        == outcome(reference_rate, ts, values, support, passes))
+                assert (outcome(estimate_coefficient, ts, values, rate, support, passes)
+                        == outcome(reference_coefficient, ts, values, rate, support, passes))
 
-    @pytest.mark.parametrize("order", ["slope_fit", "richardson_1", "richardson_2"])
-    def test_zero_spread_message_unchanged(self, order):
+    @pytest.mark.parametrize("passes", [0, 1, 2])
+    def test_zero_spread_message_unchanged(self, passes):
         ts = np.arange(200) * 1e-200
         support = (0.0, float(ts[-1]))
-        got = outcome(estimate_rate, ts, np.exp(-ts), support, TailFitConfig(fit_order=order))
-        assert got == outcome(reference_rate, ts, np.exp(-ts), support, order)
+        got = outcome(estimate_rate, ts, np.exp(-ts), support, passes)
+        assert got == outcome(reference_rate, ts, np.exp(-ts), support, passes)
         assert got[0] is NonDecaying and "squares to 0.0" in got[1]
 
     def test_kept_window_is_a_view_when_nothing_is_dropped(self):
