@@ -28,16 +28,17 @@ policies the idealized loop does not need:
   at least the (k+1)-th eigenvalue of the Gram of the samples' Hankel
   (8 columns at a stride of 16 nodes) over 8, less a rounding margin of
   (4 M eps + 1e-12) times the Gram's trace, M the Hankel's rows.  A refit
-  whose bound exceeds REFIT_RETRY_RATIO times its goal would miss without a
-  restart, so it is skipped, and a skipped refit counts as no miss.  Other
+  whose bound exceeds its goal cannot reach it, restarted or not, so it is
+  skipped, and a skipped refit counts as no miss: min_terms is the fewest
+  terms whose refit the bound lets land, 2 on noisy two-term input.  Other
   grids, and sizes of 8 terms on, skip no refit.  Once two refits in a
   row end no lower than the best before them, the extraction's terms no
   longer seed a better joint fit, and the loop goes on without refitting;
 * restart: a refit that missed its goal by at most REFIT_RETRY_RATIO is
   run once more from the terms it stopped at, its damping reset, and the
-  pair counts as one refit.  A refit that misses by more, such as a size-2
-  refit of a three-term signal, leaves the terms as extracted and the loop
-  goes on to the next extraction.
+  pair counts as one refit; the ratio governs nothing else.  A refit that
+  misses by more leaves the terms as extracted and the loop goes on to the
+  next extraction.
 
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
@@ -62,11 +63,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import (SignalSource, SymbolicTransient, evaluate_many, evaluation_grid,
-                          uniform_grid_step)
+from .signal_core import (SignalSource, SymbolicTransient, _rows, evaluate_many,
+                          evaluation_grid, uniform_grid_step)
 from .tail_limits import (NOISE_FLOOR, _validate_support, estimate_coefficient,
                           estimate_rate, require_tail_nodes, scan_horizons, shrink_support,
                           tail_slice)
@@ -276,8 +276,8 @@ class _NumericState:
         self.noisy = NOISE_FLOOR * self.peak < self.noise_sigma < math.inf
         # the samples and a refit's goal, in units of the peak, where sums of
         # squares stay inside the float range at any signal scale; and the
-        # fewest terms whose refit _rss_bound lets come within
-        # REFIT_RETRY_RATIO of that goal, None where it bounds nothing
+        # fewest terms whose refit _rss_bound lets reach that goal, None where
+        # it bounds nothing
         self.min_terms = None
         if self.peak > 0.0:
             self.unit_values = self.base_values / self.peak
@@ -291,7 +291,7 @@ class _NumericState:
             bound = None if step is None else _rss_bound(self.unit_values)
             if bound is not None:
                 # the bound never rises with the size
-                self.min_terms = int(np.count_nonzero(bound > REFIT_RETRY_RATIO * self.rss_goal))
+                self.min_terms = int(np.count_nonzero(bound > self.rss_goal))
         # whether the next iteration refits the held terms (refit); the lowest
         # sum of squares a refit has left, and the refits since that one
         self.refitting = True
@@ -335,10 +335,12 @@ class _NumericState:
         return tail_slice(self.grid, self.t_lo, t_hi)[1], ends
 
     def floor_hit(self, values, window):
-        """Whether these values sit below the residual floor over window, their
-        trimmed window, which the caller has already computed."""
-        if window is None:
-            return True
+        """Whether these values, the residual of the held terms, sit below the
+        residual floor over window, their trimmed window, which the caller has
+        already computed.  Never with no term held: the values are then the
+        base values, which no floor below them can hold."""
+        if not self.terms:
+            return False
         sup_resid = float(np.abs(values[window]).max())
         sup_base = float(np.abs(self.base_values[window]).max())
         return sup_resid < RESIDUAL_FLOOR * sup_base
@@ -395,12 +397,13 @@ class _NumericState:
 
         Fewer terms than min_terms return None without a refit: on a uniform
         grid (uniform_grid_step) _rss_bound shows that any fit of that many
-        terms leaves a sum of squares above REFIT_RETRY_RATIO times the goal,
-        its bound being the Hankel eigenvalue over HANKEL_COLUMNS less the
-        rounding margin (4 M eps + 1e-12) trace(H'H).  Such a refit would miss
-        and not be restarted; skipped, it leaves refit_best and refit_misses
-        as they were, so it does not count as a miss.  Where _rss_bound reads
-        nothing, and from HANKEL_COLUMNS terms on, no refit is skipped.
+        terms leaves a sum of squares above the goal, its bound being the
+        Hankel eigenvalue over HANKEL_COLUMNS less the rounding margin
+        (4 M eps + 1e-12) trace(H'H).  Such a refit would miss, restarted or
+        not; skipped, it leaves refit_best and refit_misses as they were, so
+        it does not count as a miss.  On noisy two-term input min_terms is 2.
+        Where _rss_bound reads nothing, and from HANKEL_COLUMNS terms on, no
+        refit is skipped.
 
         A refit that stops short of that goal by at most REFIT_RETRY_RATIO is
         restarted once from where it stopped, and the pair counts as one
@@ -460,7 +463,8 @@ def _rss_bound(values):
     if rows < HANKEL_COLUMNS:
         return None
     # H' a row a column of H, copied out of the overlapping view for the gemm
-    hankel_t = np.ascontiguousarray(sliding_window_view(values, rows)[::HANKEL_STRIDE])
+    hankel_t = np.ascontiguousarray(
+        _rows(values, range(0, HANKEL_COLUMNS * HANKEL_STRIDE, HANKEL_STRIDE), rows))
     gram = np.matmul(hankel_t, hankel_t.T)
     margin = (4.0 * rows * np.finfo(float).eps + 1e-12) * gram.trace()
     eigenvalues = np.linalg.eigvalsh(gram)[::-1]
@@ -495,11 +499,14 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     params = np.concatenate((rates, coeffs))
     # J' a row a parameter: d model / d rate = -coeff * grid * exp(-rate * grid)
     # in the first k rows; d model / d coeff = exp(-rate * grid), the current
-    # terms' basis, in the last k
-    jac = np.zeros((2 * k, len(grid)))
-    basis, trial_basis = jac[k:], np.zeros((k, len(grid)))
+    # terms' basis, in the last k.  A trial step writes its basis into the
+    # spare's last k rows, and an accepted one swaps the two.  One allocation
+    # holds both: as two, they cost perfbench's clean3 about 14 more page
+    # faults a signal (glibc malloc), as one no more than before
+    jac, spare = np.zeros((2, 2 * k, len(grid)))
+    basis = jac[k:]
     with np.errstate(all="ignore"):
-        np.exp(np.outer(-params[:k], grid, out=basis), out=basis)
+        np.exp(np.multiply(-params[:k, None], grid, out=basis), out=basis)
         resid = values - np.matmul(params[k:], basis)
         rss = float(np.dot(resid, resid))
         if not math.isfinite(rss):
@@ -516,16 +523,17 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
             gram = np.matmul(jac, jac.T)
             scale = gram.diagonal() ** 0.5
             scale[scale == 0.0] = 1.0
-            gram /= np.outer(scale, scale)
+            gram /= scale[:, None] * scale
             grad = np.matmul(jac, resid) / scale
-            if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(grad))):
+            if not (np.isfinite(gram).all() and np.isfinite(grad).all()):
                 break
             while True:
                 damped = gram.copy()
                 damped.flat[::2 * k + 1] += lam
                 trial = params + np.linalg.lstsq(damped, grad, rcond=None)[0] / scale
-                if np.all(np.isfinite(trial)) and np.all(trial[:k] > 0.0):
-                    np.exp(np.outer(-trial[:k], grid, out=trial_basis), out=trial_basis)
+                if np.isfinite(trial).all() and (trial[:k] > 0.0).all():
+                    trial_basis = spare[k:]
+                    np.exp(np.multiply(-trial[:k, None], grid, out=trial_basis), out=trial_basis)
                     trial_resid = values - np.matmul(trial[k:], trial_basis)
                     trial_rss = float(np.dot(trial_resid, trial_resid))
                     if trial_rss <= rss:
@@ -533,7 +541,7 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
                 lam *= 10.0
                 if lam > LM_MAX_DAMPING:
                     return params[:k], params[k:], basis, rss
-            basis[...] = trial_basis
+            jac, spare, basis = spare, jac, trial_basis
             drop = rss - trial_rss
             params, resid, rss = trial, trial_resid, trial_rss
             if drop <= LM_RSS_TOL * (rss + drop):

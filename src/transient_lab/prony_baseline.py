@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Diverging, RankDeficient, TooFewSamples
-from .signal_core import UNIFORM_REL_TOL, SampledSignal, uniform_grid_step
+from .signal_core import UNIFORM_REL_TOL, SampledSignal, _rows, uniform_grid_step
 
 _REAL_ROOT_TOL = 1e-8
 # a real root this close below 1 is rounding, not decay.  The lstsq and
@@ -91,7 +90,7 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     flags = []
     p = order
     while True:
-        prediction = sliding_window_view(values, p)[:n - p]
+        prediction = _rows(values, range(n - p), p)
         poly, _, rank, _ = np.linalg.lstsq(prediction, -values[p:], rcond=None)
         if rank == p:
             break

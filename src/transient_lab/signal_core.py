@@ -51,6 +51,21 @@ def uniform_grid_step(times) -> Optional[float]:
     return None
 
 
+def _rows(x, starts, length):
+    """The blocks x[s:s + length] for s in the range starts, as the rows of
+    one (len(starts), length) view of x, rows that overlap when the range's
+    step is below length: the tail fits' sub-windows and the Hankel matrices
+    of Prony's method and of the decomposer's refit bound.
+
+    A plain ndarray over the buffer of x, copied first when it is not
+    contiguous, costs a fraction of what as_strided or sliding_window_view
+    does.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    return np.ndarray((len(starts), length), float, x, starts.start * x.itemsize,
+                      (starts.step * x.itemsize, x.itemsize))
+
+
 @dataclass(frozen=True)
 class SymbolicTransient:
     """Exact finite list of (rate, coeff) terms, rates strictly increasing.

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished, TooFewSamples
-from .signal_core import SignalSource, evaluate_many, evaluation_grid
+from .signal_core import SignalSource, _rows, evaluate_many, evaluation_grid
 
 # trailing portion of the support used as the fit window
 WINDOW_FRACTION = 0.5
@@ -133,17 +133,6 @@ def _mean(x):
     # computes, bit for bit, without its Python-level dispatch, and for the
     # rows of a 2-d one the same pairwise sum of each row
     return np.add.reduce(x, axis=-1) / x.shape[-1]
-
-
-def _rows(x, starts, length):
-    """The blocks x[s:s + length] for s in the range starts, as the rows of
-    one (len(starts), length) view of x.
-
-    A plain ndarray over x's buffer costs a fraction of what as_strided does.
-    """
-    x = np.ascontiguousarray(x, dtype=float)
-    return np.ndarray((len(starts), length), float, x, starts.start * x.itemsize,
-                      (starts.step * x.itemsize, x.itemsize))
 
 
 def _block_slopes(t, y, nsub):

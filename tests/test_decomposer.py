@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -219,12 +220,12 @@ class TestNoisyData:
         assert result.terms[0][0] == pytest.approx(1.0, abs=0.05)
 
 
-def two_term_samples(sigma, sigma_index, trial=0):
+def two_term_samples(sigma, sigma_index, trial=0, seed=0):
     """data/two_term.json on compare's default grid, with the noise of compare's
-    seed rule seed + 7919 * sigma_index + trial at --seed 0."""
+    seed rule seed + 7919 * sigma_index + trial at --seed seed."""
     return synthesize_samples(load_signal_spec(DATA / "two_term.json"),
                               np.linspace(0.0, 40.0, 4001), noise_sigma=sigma,
-                              seed=7919 * sigma_index + trial)
+                              seed=seed + 7919 * sigma_index + trial)
 
 
 class TestMedian:
@@ -538,8 +539,8 @@ class TestRefitRestart:
 
     def test_clean_input_never_restarts(self, monkeypatch, refit_sizes):
         # a three-term signal never fits at size 2, and the Hankel bound shows
-        # it misses by far more than the retry ratio: that refit is skipped,
-        # and the one refit, at the returned size, lands without a restart;
+        # it misses its goal: that refit is skipped, and the one refit, at
+        # the returned size, lands without a restart;
         # one horizon scan per term
         seen = self.counted(monkeypatch)
         for samples in self.clean_inputs():
@@ -600,9 +601,11 @@ class TestRefitRestart:
 
 class TestHankelBound:
     """On a uniform grid the Hankel matrix of the samples bounds below the
-    sum of squares any k-term fit leaves (_rss_bound); a refit the bound
-    shows cannot come within REFIT_RETRY_RATIO of its goal is skipped.
-    Off a uniform grid every size refits."""
+    sum of squares any k-term fit leaves (_rss_bound); min_terms is the
+    fewest terms whose refit the bound lets reach its goal, and every refit
+    of fewer is skipped, with or without the restart, which
+    REFIT_RETRY_RATIO alone governs.  Off a uniform grid every size
+    refits."""
 
     @staticmethod
     def state(samples):
@@ -620,7 +623,8 @@ class TestHankelBound:
         # rates 0.05 to 1.5 apart, coefficients of either sign: the bound at
         # the true size k lies below the true model's sum of squares, and at
         # size k - 1 below what the refit from the true terms, one dropped,
-        # leaves; so min_terms never exceeds k
+        # leaves; so min_terms never exceeds k, and a size-(k - 1) refit that
+        # min_terms skips leaves more than its goal
         from transient_lab.decomposer import _joint_refit, _rss_bound
         from transient_lab.signal_core import uniform_grid_step
 
@@ -633,6 +637,7 @@ class TestHankelBound:
         unit = values / peak
         assert uniform_grid_step(grid) is not None
         bound = _rss_bound(unit)
+        state = self.state(SampledSignal(grid, values))
         k = len(terms)
         assert np.all(np.diff(bound) <= 0.0)
         true_rss = float(np.sum((unit - clean / peak) ** 2))
@@ -641,10 +646,12 @@ class TestHankelBound:
             dropped_rss = float(np.dot(unit, unit))
         else:
             keep = np.arange(k) != drop % k
-            goal = nodes * max(1.5 * sigma / peak, 1e-13) ** 2
-            dropped_rss = _joint_refit(grid, unit, rates[keep], coeffs[keep] / peak, goal)[3]
+            dropped_rss = _joint_refit(grid, unit, rates[keep], coeffs[keep] / peak,
+                                       state.rss_goal)[3]
         assert bound[k - 1] <= dropped_rss
-        assert self.state(SampledSignal(grid, values)).min_terms <= k
+        assert state.min_terms <= k
+        if state.min_terms > k - 1:
+            assert dropped_rss > state.rss_goal
 
     def test_min_terms_is_the_true_count_on_clean_input(self):
         # acceptance criterion 2's fifty three-term inputs
@@ -652,6 +659,28 @@ class TestHankelBound:
         for _ in range(50):
             signal, _, grid = three_term_family(rng)
             assert self.state(synthesize_samples(signal, grid)).min_terms == 3
+
+    @pytest.mark.parametrize("sigma, sigma_index", [(1e-4, 2), (1e-3, 3)])
+    def test_noisy_two_term_refits_first_at_size_2(self, refit_sizes, sigma, sigma_index):
+        # compare's --seed 3, trial 0: no one-term fit comes within the noise
+        # of these samples, so the first refit runs at size 2, not 1
+        samples = two_term_samples(sigma, sigma_index, seed=3)
+        result = decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+        assert result.min_terms == 2
+        assert refit_sizes[:1] == [2]
+
+    def test_strided_values_read_as_a_contiguous_copy(self):
+        # every second element of a wider array holds the samples: the
+        # decomposition reads them as it reads a contiguous copy of them
+        samples = two_term_samples(1e-4, 2)
+        wide = np.zeros(2 * len(samples.values))
+        wide[::2] = samples.values
+        strided = SampledSignal(samples.times, wide[::2])
+        assert not strided.values.flags.c_contiguous
+        got, want = (decompose_numeric(SignalSource.from_sampled(s), s.support)
+                     for s in (strided, SampledSignal(samples.times, wide[::2].copy())))
+        assert got.terms == want.terms and got.min_terms == want.min_terms == 2
+        assert got.residual_rms == want.residual_rms
 
     def test_exact_mode_has_no_min_terms(self):
         assert decompose_exact(SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))).min_terms is None
@@ -933,6 +962,96 @@ class TestPinnedTerms:
         monkeypatch.setattr(decomposer, "_joint_refit", collided)
         samples = two_term_samples(sigma, sigma_index)
         assert self.hex_terms(samples) == self.LOOP_ONLY[sigma, sigma_index]
+
+
+class TestJointRefitPinned:
+    """_joint_refit's rates, coefficients, basis and sum of squares, bit for
+    bit, on one input for each way the refit ends; the basis it returns is
+    the one of the last step that lowered the sum of squares, exp(-rate *
+    grid) of the rates it returns."""
+
+    GRID = np.linspace(0.0, 40.0, 401)
+
+    @classmethod
+    def unit_values(cls, terms, sigma=0.0):
+        """The terms on GRID plus seeded noise, in units of their peak, and a
+        refit's goal for them by the decomposer's rule."""
+        from transient_lab.decomposer import NOISE_FIT_RATIO, ROUNDING_FLOOR
+
+        values = synthesize_samples(SymbolicTransient(terms), cls.GRID, noise_sigma=sigma,
+                                    seed=5).values
+        peak = float(np.abs(values).max())
+        goal = len(cls.GRID) * max(NOISE_FIT_RATIO * sigma / peak, ROUNDING_FLOOR) ** 2
+        return values / peak, peak, goal
+
+    @classmethod
+    def case(cls, name):
+        """(values, rates, coeffs, goal) of the input that ends as name says."""
+        two = ((1.0, 2.0), (2.0, 3.0))
+        if name == "rounding_floor":
+            # clean three terms from rates a little off: the refit lands them
+            # at rounding
+            values, peak, goal = cls.unit_values(((0.5, 1.0), (1.3, -2.0), (2.4, 3.0)))
+            return values, [0.5005, 1.3, 2.4], [1.0 / peak, -2.0 / peak, 3.0 / peak], goal
+        if name == "rss_tol":
+            # noisy two terms from the truth: the sum of squares stops falling
+            values, peak, goal = cls.unit_values(two, 1e-3)
+            return values, [1.0, 2.0], [2.0 / peak, 3.0 / peak], goal
+        if name == "projected_drop":
+            # one term of two: no pace of descent reaches the goal
+            values, peak, goal = cls.unit_values(two)
+            return values, [1.0], [2.0 / peak], goal
+        if name == "max_steps":
+            # two terms from a slow start under a loose goal, still descending
+            # when the step budget runs out
+            values, peak, _ = cls.unit_values(two, 1e-6)
+            return values, [0.5, 2.0], [1.0 / peak] * 2, 1.0
+        if name == "max_damping":
+            # coefficients of the wrong sign: the rates run off until no
+            # damped step lowers the sum of squares
+            values, _, _ = cls.unit_values(((0.2, 1.0), (1.0, 1.0)))
+            return values, [1.75, 2.05], [-0.2, -0.8], 1.0
+        # a rate of -100 overflows its exp on the grid
+        values, _, goal = cls.unit_values(two)
+        return values, [-100.0], [1.0], goal
+
+    # (rates, coeffs, sha256 of the basis's bytes, rss)
+    PINNED = {
+        "rounding_floor": (
+            ["0x1.fffffffffffffp-2", "0x1.4ccccccccccd2p+0", "0x1.3333333333330p+1"],
+            ["0x1.ffffffffffffcp-2", "-0x1.000000000000bp+0", "0x1.800000000000cp+0"],
+            "95f686834bed474a", "0x1.a69737d472e39p-104"),
+        "rss_tol": (
+            ["0x1.00ee6d8f1e563p+0", "0x1.0018aa7309156p+1"],
+            ["0x1.9c80890e84030p-2", "0x1.31b73cf8cf194p-1"],
+            "01204c53f54e4eb2", "0x1.edaacebb04d03p-17"),
+        "projected_drop": (
+            ["0x1.704dc6698b7f2p+0"], ["0x1.f4a89e9683e36p-1"],
+            "7c04c215d30120fd", "0x1.aa593a6d01bf0p-9"),
+        "max_steps": (
+            ["0x1.713f140c6154fp+0", "0x1.7160478e874f6p+0"],
+            ["0x1.7388ee88202c8p+1", "-0x1.ec90475a3b307p+0"],
+            "7824bbf4773659c9", "0x1.a9f75f5efea42p-9"),
+        "max_damping": (
+            ["0x1.433ea7eb72cc2p+10", "0x1.6d5722b6283eap+8"],
+            ["-0x1.c67016271b7e9p+10", "0x1.c6aa1f464ba20p+10"],
+            "7685da53479c35b1", "0x1.65ee5cc068916p+3"),
+        "non_finite_start": (
+            ["-0x1.9000000000000p+6"], ["0x1.0000000000000p+0"],
+            "da068d965cfe3235", "inf"),
+    }
+
+    @pytest.mark.parametrize("name", ["rounding_floor", "rss_tol", "projected_drop",
+                                      "max_steps", "max_damping", "non_finite_start"])
+    def test_outputs_bit_for_bit(self, name):
+        from transient_lab.decomposer import _joint_refit
+
+        rates, coeffs, basis, rss = _joint_refit(self.GRID, *self.case(name))
+        got = ([float(r).hex() for r in rates], [float(c).hex() for c in coeffs],
+               hashlib.sha256(basis.tobytes()).hexdigest()[:16], float(rss).hex())
+        assert got == self.PINNED[name]
+        with np.errstate(over="ignore"):
+            assert np.array_equal(basis, np.exp(np.outer(-rates, self.GRID)))
 
 
 class TestGridBlockStore:

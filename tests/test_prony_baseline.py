@@ -31,6 +31,18 @@ class TestPronyFit:
         assert np.allclose(model.rates, [1.0, 2.0], atol=1e-8)
         assert np.allclose(model.amplitudes, [2.0, 3.0], atol=1e-8)
 
+    def test_strided_values_fit_as_a_contiguous_copy(self):
+        # every second element of a wider array holds the samples: the
+        # prediction matrix, a view that needs a contiguous buffer, is built
+        # over a copy of them, and the fit is the copy's, bit for bit
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        samples = synthesize_samples(sig, np.arange(20) * 0.5, noise_sigma=1e-6, seed=1)
+        wide = np.zeros(40)
+        wide[::2] = samples.values
+        strided = SampledSignal(samples.times, wide[::2])
+        assert not strided.values.flags.c_contiguous
+        assert prony_fit(strided, 2) == prony_fit(SampledSignal(samples.times, wide[::2].copy()), 2)
+
     def test_noise_degrades_by_an_order(self, rng):
         sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
         grid = np.arange(20) * 0.5
