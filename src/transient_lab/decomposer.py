@@ -28,17 +28,15 @@ policies the idealized loop does not need:
   at least the (k+1)-th eigenvalue of the Gram of the samples' Hankel
   (8 columns at a stride of 16 nodes) over 8, less a rounding margin of
   (4 M eps + 1e-12) times the Gram's trace, M the Hankel's rows.  A refit
-  whose bound exceeds its goal cannot reach it, restarted or not, so it is
-  skipped, and a skipped refit counts as no miss: min_terms is the fewest
-  terms whose refit the bound lets land, 2 on noisy two-term input.  Other
-  grids, and sizes of 8 terms on, skip no refit.  Once two refits in a
-  row end no lower than the best before them, the extraction's terms no
-  longer seed a better joint fit, and the loop goes on without refitting;
-* restart: a refit that missed its goal by at most REFIT_RETRY_RATIO is
-  run once more from the terms it stopped at, its damping reset, and the
-  pair counts as one refit; the ratio governs nothing else.  A refit that
-  misses by more leaves the terms as extracted and the loop goes on to the
-  next extraction.
+  whose bound exceeds its goal cannot reach it, so it is skipped, and a
+  skipped refit counts as no miss: min_terms is the fewest terms whose
+  refit the bound lets land, 2 on noisy two-term input.  Other grids, and
+  sizes of 8 terms on, skip no refit.  Once two refits in a row end no
+  lower than the best before them, the extraction's terms no longer seed a
+  better joint fit, and the loop goes on without refitting;
+* giving up: a refit gives up once its pace of descent projects an end
+  above LM_GIVE_UP_RATIO times its goal; one that misses leaves the terms
+  as extracted, and the loop goes on to the next extraction.
 
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
@@ -101,11 +99,6 @@ NOISE_FIT_RATIO = 1.5
 # suite's true models refit to at most 4e-17 of their peak; the margin covers
 # terms that cancel to a peak far below their own sizes
 ROUNDING_FLOOR = 1e-13
-# a missed refit whose sum of squares came within this multiple of its goal is
-# restarted once from where it stopped: the projected-drop stop of
-# _joint_refit can give up on a refit that a fresh start, damping reset, takes
-# to its goal
-REFIT_RETRY_RATIO = 100.0
 # the Hankel matrix of the refit's lower bound (_rss_bound): its columns L,
 # which bound sizes 0 to L - 1, and the node stride between them, wide enough
 # that the columns of a slow decay are far from parallel
@@ -119,6 +112,11 @@ LM_DAMPING = 1e-9
 LM_MAX_DAMPING = 1e10
 LM_MAX_STEPS = 20
 LM_RSS_TOL = 1e-6
+# the refit gives up once its pace, kept for every step left, would end it
+# above this multiple of its goal.  Against the goal itself, seed-3 noisy_mc
+# trial 28 at sigma 1e-4 gives up at size 2, 2.3e3 times above its goal, and
+# returns 3 terms; with its whole budget that refit lands the true two
+LM_GIVE_UP_RATIO = 100.0
 
 
 @dataclass(frozen=True)
@@ -399,20 +397,17 @@ class _NumericState:
         grid (uniform_grid_step) _rss_bound shows that any fit of that many
         terms leaves a sum of squares above the goal, its bound being the
         Hankel eigenvalue over HANKEL_COLUMNS less the rounding margin
-        (4 M eps + 1e-12) trace(H'H).  Such a refit would miss, restarted or
-        not; skipped, it leaves refit_best and refit_misses as they were, so
-        it does not count as a miss.  On noisy two-term input min_terms is 2.
-        Where _rss_bound reads nothing, and from HANKEL_COLUMNS terms on, no
-        refit is skipped.
+        (4 M eps + 1e-12) trace(H'H).  Such a refit would miss; skipped, it
+        leaves refit_best and refit_misses as they were, so it does not count
+        as a miss.  On noisy two-term input min_terms is 2.  Where _rss_bound
+        reads nothing, and from HANKEL_COLUMNS terms on, no refit is skipped.
 
-        A refit that stops short of that goal by at most REFIT_RETRY_RATIO is
-        restarted once from where it stopped, and the pair counts as one
-        refit.  The refit's rates are finite and positive, its coefficients
-        finite; accepted, its rates also lie at least RATE_MERGE_TOL apart, in
-        whatever order they came back, and leave a whole-grid rms of at most
-        the larger of NOISE_FIT_RATIO times the noise level and ROUNDING_FLOOR
-        of the peak.  The refitted terms come back with their rates
-        ascending, each keeping the rate fit that seeded it."""
+        The refit, one _joint_refit run, has finite positive rates and finite
+        coefficients; accepted, its rates also lie at least RATE_MERGE_TOL
+        apart, in whatever order they came back, and leave a whole-grid rms of
+        at most the larger of NOISE_FIT_RATIO times the noise level and
+        ROUNDING_FLOOR of the peak.  The refitted terms come back with their
+        rates ascending, each keeping the rate fit that seeded it."""
         if len(self.terms) < (self.min_terms or 0):
             return None
         rss_goal, values = self.rss_goal, self.unit_values
@@ -420,8 +415,6 @@ class _NumericState:
                                                  [term.rate for term in self.terms],
                                                  [term.coeff / self.peak for term in self.terms],
                                                  rss_goal)
-        if rss_goal < rss <= REFIT_RETRY_RATIO * rss_goal:
-            rates, coeffs, basis, rss = _joint_refit(self.grid, values, rates, coeffs, rss_goal)
         # two refits in a row that end no lower than the best one before them
         # show the extraction's terms no longer seed a better joint fit: the
         # rest of the decomposition is not refitted
@@ -482,10 +475,10 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     non-positive or any parameter or value non-finite counts as a rise of the
     sum of squares: the damping grows, and past LM_MAX_DAMPING the refit
     gives up.  So does a refit that would not bring the sum of squares down
-    to rss_goal if every step left cut it by the last step's ratio, and one
-    whose G is not finite (lstsq would have LAPACK print to stderr).  A sum
-    of squares at the rounding floor, ROUNDING_FLOOR of values in units of
-    their peak, ends the refit at once.
+    to LM_GIVE_UP_RATIO times rss_goal if every step left cut it by the last
+    step's ratio, and one whose G is not finite (lstsq would have LAPACK
+    print to stderr).  A sum of squares at the rounding floor, ROUNDING_FLOOR
+    of values in units of their peak, ends the refit at once.
 
     Returns (rates, coeffs, basis, rss), basis holding exp(-rate * grid) a
     row and rss the sum of squares, as the last step that lowered the sum of
@@ -546,7 +539,8 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
             params, resid, rss = trial, trial_resid, trial_rss
             if drop <= LM_RSS_TOL * (rss + drop):
                 break
-            if rss * (rss / (rss + drop)) ** (LM_MAX_STEPS - 1 - steps) > rss_goal:
+            if (rss * (rss / (rss + drop)) ** (LM_MAX_STEPS - 1 - steps)
+                    > LM_GIVE_UP_RATIO * rss_goal):
                 break
             lam /= 10.0
     return params[:k], params[k:], basis, rss
@@ -602,8 +596,7 @@ def decompose_numeric(source: SignalSource, support,
             break
         state.terms.append(term)
         state.terms.sort(key=lambda held: held.rate)
-        # a refit that lands ends the loop; one that misses, after its restart
-        # when it came close, goes on to the next extraction
+        # a refit that lands ends the loop
         terms = state.refit() if state.refitting else None
         if terms is not None:
             state.terms = terms

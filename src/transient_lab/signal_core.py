@@ -207,8 +207,14 @@ class SignalSource:
             object.__setattr__(self, "support", (0.0, math.inf))
         if self.grid is not None:
             grid = np.asarray(self.grid, dtype=float)
+            if grid.ndim != 1:
+                raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
             if not np.all(grid[1:] > grid[:-1]):
                 raise ValueError("grid nodes must be strictly increasing")
+            bad = ~np.isfinite(grid)
+            if bad.any():
+                raise ValueError(f"grid nodes must be finite, got {grid[bad][0]} "
+                                 f"at node {int(np.argmax(bad))}")
             object.__setattr__(self, "grid", grid)
 
     @classmethod

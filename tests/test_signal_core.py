@@ -227,6 +227,15 @@ class TestEvaluationGrid:
         with pytest.raises(ValueError, match="strictly increasing"):
             SignalSource.from_evaluator(np.exp, grid=grid)
 
+    def test_own_nodes_must_lie_in_one_dimension(self):
+        # refused here, not later by evaluation_grid's searchsorted
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+            SignalSource.from_evaluator(np.exp, support=(0, 10), grid=[[0, 1], [2, 3]])
+
+    def test_own_nodes_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite, got inf at node 2"):
+            SignalSource.from_evaluator(np.exp, grid=[0.0, 1.0, math.inf])
+
 
 class TestSignalSource:
     def test_sampled_source_reads_its_samples_however_spelled(self):
