@@ -6,8 +6,8 @@ orthogonal exponential transform and a classical Prony fit provide
 cross-checking baselines with complementary restrictions.
 """
 
-from .decomposer import (DecompositionResult, StoppingPolicy, TermDiagnostics,
-                         decompose_exact, decompose_numeric)
+from .decomposer import (DecompositionResult, TermDiagnostics, decompose_exact,
+                         decompose_numeric)
 from .errors import (Diverging, GammaPole, NonDecaying, OutOfSupport,
                      QuadratureFailure, RankDeficient, SignalVanished,
                      TooFewSamples, TransientLabError)
@@ -29,7 +29,7 @@ from .tail_limits import (RateEstimate, RateSequence, estimate_coefficient, esti
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecompositionResult", "StoppingPolicy", "TermDiagnostics",
+    "DecompositionResult", "TermDiagnostics",
     "decompose_exact", "decompose_numeric",
     "TransientLabError", "OutOfSupport", "QuadratureFailure", "SignalVanished",
     "TooFewSamples", "NonDecaying", "Diverging", "RankDeficient", "GammaPole",

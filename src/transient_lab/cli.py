@@ -2,13 +2,12 @@
 
 Each verb is one function, run_<verb>(args), that reads its flags straight
 from the argparse namespace.  A verb's subparser declares only the flags it
-reads, so any other flag is a usage error.  --max-terms is taken by
-decompose (on sample files only) and compare, --quadrature-nodes by oet and
-compare.  Each sets the one field of a config type, which alone checks the
-value; an absent flag passes None, so the library function picks its
-default config.  --seed is taken by synth and compare.  A refused config
-value, and a --horizon or --step that is not a finite positive number, exit
-before any input is read.
+reads, so any other flag is a usage error.  --quadrature-nodes is taken by
+oet and compare; it sets the one field of QuadratureConfig, which alone
+checks the value, and an absent flag passes None, so the library function
+picks its default config.  --seed is taken by synth and compare.  A refused
+config value, a negative --seed, and a --horizon or --step that is not a
+finite positive number exit before any input is read.
 
 Every run is deterministic for a fixed configuration: seeds derive from the
 --seed flag alone, output rows are sorted before writing, and floats are
@@ -37,7 +36,7 @@ import sys
 import numpy as np
 
 from . import errors
-from .decomposer import StoppingPolicy, decompose_exact, decompose_numeric
+from .decomposer import decompose_exact, decompose_numeric
 from .functionals import monomial_functional_matrix, rate_functional_matrix
 from .oet_jacobi import build_exponential_basis, oet_analyze
 from .prony_baseline import prony_fit
@@ -61,7 +60,7 @@ MAX_GRID_STEPS = 10 ** 7
 MAX_MATRIX_SIZE = 100
 
 # the flags, by dest, whose value main replaces with the config it sets
-_CONFIG_FLAGS = {"max_terms": StoppingPolicy, "quadrature_nodes": QuadratureConfig}
+_CONFIG_FLAGS = {"quadrature_nodes": QuadratureConfig}
 
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
@@ -139,6 +138,8 @@ def run_synth(args):
     if args.output is None:
         raise ValueError("synth needs --output for the sample CSV")
     _check_positive(args, "horizon", "step")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     spec, _ = _load_input_signal(args.input)
     if spec is None:
         raise ValueError("synth needs a JSON signal spec as --input")
@@ -149,12 +150,10 @@ def run_synth(args):
 def run_decompose(args):
     spec, samples = _load_input_signal(args.input)
     if spec is not None:
-        if args.max_terms:
-            raise ValueError("--max-terms tunes sample files, not a spec")
         result = decompose_exact(spec.canonicalize())
     else:
         source = SignalSource.from_sampled(samples)
-        result = decompose_numeric(source, samples.support, args.max_terms)
+        result = decompose_numeric(source, samples.support)
     _write_json({
         "terms": [{"rate": r, "coeff": c} for r, c in result.terms],
         "diagnostics": {
@@ -239,7 +238,7 @@ def run_functionals(args):
 
 def _fit_decomposer(args, truth, samples):
     source = SignalSource.from_sampled(samples)
-    result = decompose_numeric(source, samples.support, args.max_terms)
+    result = decompose_numeric(source, samples.support)
     est = list(result.terms)
     diag = {"terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason,
@@ -280,6 +279,8 @@ _METHODS = {"decomposer": _fit_decomposer, "prony": _fit_prony, "oet": _fit_oet}
 
 def run_compare(args):
     _check_positive(args, "horizon", "step")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     if args.max_index < 1:
@@ -331,7 +332,6 @@ def run_compare(args):
 _SHARED_FLAGS = {
     "--input": dict(help="input file (signal spec .json or samples .csv)"),
     "--output": dict(help="output file (stdout when omitted)"),
-    "--max-terms": dict(type=int),
     "--quadrature-nodes": dict(type=int),
     "--seed": dict(type=int, default=0),
     "--horizon": dict(type=float, default=40.0),
@@ -369,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0)
 
     p = verb("decompose", run_decompose, "extract (rate, coeff) terms",
-             "--input", "--output", "--max-terms")
+             "--input", "--output")
 
     p = verb("oet", run_oet, "orthogonal exponential transform analysis",
              "--input", "--output", "--quadrature-nodes", "--max-index")
@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=60.0)
 
     p = verb("compare", run_compare, "method comparison sweep over noise levels",
-             "--input", "--output", "--max-terms", "--quadrature-nodes",
+             "--input", "--output", "--quadrature-nodes",
              "--seed", "--horizon", "--step", "--max-index")
     p.add_argument("--methods", nargs="+", required=True, choices=sorted(_METHODS))
     p.add_argument("--sigma", type=float, nargs="+", default=[0.0])

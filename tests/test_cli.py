@@ -60,15 +60,6 @@ class TestSynthDecompose:
         assert payload["diagnostics"]["per_term"][0]["mode"] == "exact"
         assert payload["diagnostics"]["min_terms"] is None
 
-    def test_decompose_spec_refuses_max_terms(self, tmp_path, two_term_spec, capsys):
-        # exact mode does not read the term budget, so a spec refuses it
-        out_path = tmp_path / "result.json"
-        assert run("decompose", "--input", two_term_spec, "--max-terms", "1",
-                   "--output", out_path) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: --max-terms tunes sample files, not a spec"]
-        assert not out_path.exists()
-
     def test_malformed_spec_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"terms": [{"rate": 2.0, "coeff": 1.0}, {"rate": 1.0, "coeff": 0.5}]}')
@@ -376,35 +367,20 @@ class TestConfigPlumbing:
         assert coarse_proj != default_proj
         assert np.allclose(coarse_proj, default_proj, rtol=0.0, atol=1e-5)
 
-    def test_max_terms_flag(self, tmp_path, two_term_spec):
-        csv_path = tmp_path / "samples.csv"
-        run("synth", "--input", two_term_spec, "--output", csv_path,
-            "--horizon", 40.0, "--step", 0.01)
-        out = tmp_path / "result.json"
-        assert run("decompose", "--input", csv_path, "--max-terms", 1, "--output", out) == 0
-        payload = json.loads(out.read_text())
-        assert len(payload["terms"]) == 1
-        assert payload["diagnostics"]["termination_reason"] == "max_terms"
-
-    def test_compare_passes_the_flags_to_both_methods(self, tmp_path, two_term_spec):
+    def test_compare_passes_the_flag_to_oet(self, tmp_path, two_term_spec):
         def sweep(name, *flags):
-            out, diag = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
-            assert run("compare", "--input", two_term_spec, "--methods", "decomposer", "oet",
-                       *flags, "--output", out, "--diagnostics-out", diag) == 0
-            with open(out, newline="") as fh:
-                rows = [row for row in csv.DictReader(fh) if row["method"] == "oet"]
-            return rows, {e["method"]: e["returned_terms"] for e in json.loads(diag.read_text())}
+            out = tmp_path / f"{name}.csv"
+            assert run("compare", "--input", two_term_spec, "--methods", "oet", *flags,
+                       "--output", out) == 0
+            return out.read_bytes()
 
-        default_rows, default_returned = sweep("default")
-        rows, returned = sweep("flags", "--max-terms", 1, "--quadrature-nodes", 64)
-        assert default_returned["decomposer"] == 2 and returned["decomposer"] == 1
-        assert rows != default_rows
+        assert sweep("flags", "--quadrature-nodes", 64) != sweep("default")
 
     @pytest.mark.parametrize("argv, flag", [
         (("oet", "--quadrature-nodes", "1"), "--quadrature-nodes"),
         (("compare", "--methods", "oet", "--quadrature-nodes", "100000"), "--quadrature-nodes"),
-        (("decompose", "--max-terms", "0"), "--max-terms"),
-        (("compare", "--methods", "decomposer", "--max-terms", "0"), "--max-terms"),
+        (("synth", "--seed", "-1"), "--seed"),
+        (("compare", "--methods", "prony", "--seed", "-1"), "--seed"),
     ], ids=" ".join)
     def test_refused_value_names_the_flag_before_any_input_is_read(self, tmp_path, capsys,
                                                                    argv, flag):
@@ -415,15 +391,30 @@ class TestConfigPlumbing:
         assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
         assert "missing" not in err[0] and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--seed", "-1"),
+        ("synth", "--seed", "-1", "--sigma", "1e-3"),
+        ("compare", "--methods", "decomposer", "--seed", "-7919", "--sigma", "0", "1e-3"),
+        ("compare", "--methods", "decomposer", "--seed", "-7919", "--sigma", "1e-3", "0"),
+    ], ids=" ".join)
+    def test_negative_seed_is_refused_whatever_the_noise(self, tmp_path, capsys,
+                                                         two_term_spec, argv):
+        # compare seeds trial t at noise level i with seed + 7919 i + t, so
+        # which levels draw from a negative seed depends on --sigma
+        out = tmp_path / "out"
+        assert run(*argv, "--input", two_term_spec, "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --seed ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb, defaults", [
-        (("decompose",), ("--max-terms", 16)),
         (("oet",), ("--quadrature-nodes", 128)),
         (("compare", "--methods", "decomposer", "prony", "oet", "--sigma", 0, 1e-4),
-         ("--max-terms", 16, "--quadrature-nodes", 128)),
-    ], ids=["decompose", "oet", "compare"])
+         ("--quadrature-nodes", 128)),
+    ], ids=["oet", "compare"])
     def test_no_flag_writes_what_the_explicit_defaults_write(self, tmp_path, two_term_spec,
                                                              verb, defaults):
-        # decompose and oet read the samples, compare its spec
+        # oet reads the samples, compare its spec
         csv_path = tmp_path / "samples.csv"
         assert run("synth", "--input", two_term_spec, "--output", csv_path,
                    "--horizon", 40.0, "--step", 0.01, "--sigma", 1e-5) == 0
@@ -690,6 +681,8 @@ class TestVerbFlags:
         ("synth", "--sigma", "0", "0.1"), ("compare", "--sigma"),
         ("decompose", "--fit-order", "richardson_1"),
         ("compare", "--methods", "decomposer", "--fit-order", "slope_fit"),
+        ("decompose", "--max-terms", "1"),
+        ("compare", "--methods", "decomposer", "--max-terms", "1"),
     ], ids=" ".join)
     def test_flag_the_verb_does_not_read_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -911,22 +904,17 @@ def _flag_values(*values):
     return st.one_of(st.none(), st.sampled_from(values).map(str), st.text(max_size=5))
 
 
-@given(max_terms=_flag_values(-1, 0, 1, 2, 16, 10 ** 6, 10 ** 400),
-       nodes=_flag_values(-1, 0, 1, 2, 3, 128, MAX_NODES, MAX_NODES + 1, 10 ** 400))
-@example(max_terms="1", nodes=str(MAX_NODES))
-@example(max_terms="2.5", nodes="0x10")
+@given(nodes=_flag_values(-1, 0, 1, 2, 3, 128, MAX_NODES, MAX_NODES + 1, 10 ** 400))
+@example(nodes=str(MAX_NODES))
+@example(nodes="0x10")
 @settings(max_examples=60)
-def test_config_flags_keep_the_exit_contract(tmp_path_factory, max_terms, nodes):
+def test_config_flags_keep_the_exit_contract(tmp_path_factory, nodes):
     folder = tmp_path_factory.mktemp("flags")
-    spec, samples, out = folder / "spec.json", folder / "samples.csv", folder / "out"
+    spec, out = folder / "spec.json", folder / "out"
     spec.write_text(TWO_TERM)
-    assert run("synth", "--input", spec, "--output", samples, "--horizon", 20.0,
-               "--step", 0.05) == 0
     # "--flag=value", so that a value starting with "-" is read as the value
-    stop, quadrature = ([] if value is None else [f"{flag}={value}"] for flag, value in
-                        (("--max-terms", max_terms), ("--quadrature-nodes", nodes)))
+    quadrature = [] if nodes is None else [f"--quadrature-nodes={nodes}"]
     exits = {0, 2, 3}
-    _check_run(("decompose", "--input", samples, *stop, "--output", out), exits)
     _check_run(("oet", "--input", spec, "--max-index", 4, *quadrature, "--output", out), exits)
-    _check_run(("compare", "--input", spec, "--horizon", 2, "--step", 0.1, *stop,
-                *quadrature, "--methods", "decomposer", "prony", "oet", "--output", out), exits)
+    _check_run(("compare", "--input", spec, "--horizon", 2, "--step", 0.1, *quadrature,
+                "--methods", "decomposer", "prony", "oet", "--output", out), exits)
