@@ -17,23 +17,13 @@ policies the idealized loop does not need:
 * stopping: residual below a relative floor, MAX_TERMS terms, a rate that
   collides with one already extracted, or the fit itself: after each
   extraction every held term is refitted jointly over the whole grid
-  (_joint_refit), and a refit that explains the samples to within
-  NOISE_FIT_RATIO of their measured noise, or on clean input to the rounding
-  floor (ROUNDING_FLOOR of the peak), ends the loop with its terms, reason
+  (_joint_refit), and a refit that reaches the goal of the input's record
+  (signal_core.InputRecord) ends the loop with its terms, reason
   "residual_floor".  The refit carries the precision the tail estimates
-  cannot, so nothing refines the terms after the loop.  On a grid uniform by
-  the rule prony_fit applies, one eigenproblem per decomposition bounds the
-  sum of squares any k-term fit can leave (_rss_bound): a k-term model's
-  Hankel matrix has rank at most k, so by Weyl's inequality the fit leaves
-  at least the (k+1)-th eigenvalue of the Gram of the samples' Hankel
-  (8 columns at a stride of 16 nodes) over 8, less a rounding margin of
-  (4 M eps + 1e-12) times the Gram's trace, M the Hankel's rows.  A refit
-  whose bound exceeds its goal cannot reach it, so it is skipped, and a
-  skipped refit counts as no miss: min_terms is the fewest terms whose
-  refit the bound lets land, 2 on noisy two-term input.  Other grids, and
-  sizes of 8 terms on, skip no refit.  Once two refits in a row end no
-  lower than the best before them, the extraction's terms no longer seed a
-  better joint fit, and the loop goes on without refitting;
+  cannot, so nothing refines the terms after the loop.  A refit of fewer
+  terms than the record's min_terms cannot land, so it is skipped, and
+  counts as no miss.  Once two refits in a row end no lower than the best
+  before them, the loop goes on without refitting;
 * giving up: a refit gives up once its pace of descent projects an end
   above LM_GIVE_UP_RATIO times its goal; one that misses leaves the terms
   as extracted, and the loop goes on to the next extraction.
@@ -62,8 +52,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import Diverging, NonDecaying, SignalVanished
-from .signal_core import (SignalSource, SymbolicTransient, _rows, evaluate_many,
-                          evaluation_grid, uniform_grid_step)
+from .signal_core import (ROUNDING_FLOOR, SignalSource, SymbolicTransient, evaluate_many,
+                          evaluation_grid, input_record, uniform_grid_step)
 from .tail_limits import (NOISE_FLOOR, _validate_support, estimate_coefficient,
                           estimate_rate, require_tail_nodes, scan_horizons, shrink_support,
                           tail_slice)
@@ -79,8 +69,9 @@ TERMINATION_REASONS = ("residual_floor", "max_terms", "signal_vanished", "rate_c
 # above the double-precision leftovers of the subtractions while staying far
 # below any honest term
 RESIDUAL_FLOOR = 1e-8
-# a new rate closer than this to a held one is a rate collision
-RATE_MERGE_TOL = 1e-3
+# two rates collide when |r_i - r_j| (t_hi - t_lo) falls below this: 1e-3 on a
+# record of span 40, and dimensionless, so the same in any unit of time
+RATE_MERGE_TOL = 0.04
 # the most terms one decomposition extracts, reason "max_terms": a safety
 # bound, not a parameter of the method.  perfbench's seed-3 clean3 signals
 # 0-1999 return at most 8 terms and its noisy_mc trials 0-399 (1600 sample
@@ -96,19 +87,6 @@ MAX_TERMS = 16
 # 1031 rather than 1210 of noisy_mc's first 1600 sample sets.  1e-12 wins on
 # clean input: without it 1799 rather than 1998 of those clean3 signals solve
 HORIZON_FLOORS = (1e-4, 1e-12)
-# a joint refit that leaves a whole-grid rms within this multiple of the
-# measured noise ends a noisy decomposition; the true model reads 0.94-1.02
-NOISE_FIT_RATIO = 1.5
-# the rounding floor of a whole-grid rms, as a fraction of the signal's peak:
-# a joint refit that reaches it ends a clean decomposition.  The acceptance
-# suite's true models refit to at most 4e-17 of their peak; the margin covers
-# terms that cancel to a peak far below their own sizes
-ROUNDING_FLOOR = 1e-13
-# the Hankel matrix of the refit's lower bound (_rss_bound): its columns L,
-# which bound sizes 0 to L - 1, and the node stride between them, wide enough
-# that the columns of a slow decay are far from parallel
-HANKEL_COLUMNS = 8
-HANKEL_STRIDE = 16
 # Levenberg-Marquardt damping of the joint refit: its start, near Gauss-Newton
 # but positive, since a rejected step grows it tenfold, and the cap past which
 # the refit gives up; its step budget; and the relative drop of the sum of
@@ -176,34 +154,6 @@ def decompose_exact(signal: SymbolicTransient) -> DecompositionResult:
     )
 
 
-def _noise_level(values) -> float:
-    """Robust noise scale from fourth differences of the trailing half.
-
-    The trailing half is where the transient has decayed, so the smooth
-    contribution O(x * (rate*step)^4) is negligible there while i.i.d.
-    noise passes through fourth differences with variance 70."""
-    tail = np.asarray(values)[len(values) // 2:]
-    if len(tail) < 9:
-        return 0.0
-    fourth = np.diff(tail, n=4)
-    mad = _median(np.abs(fourth - _median(fourth)))
-    return mad / (0.6745 * math.sqrt(70.0))
-
-
-def _median(values) -> float:
-    """np.median of a non-empty 1-D array, bit for bit, from one
-    np.partition: the middle value, or the mean (a + b) / 2 of the two
-    middle values for an even length; NaN when any value is NaN, which the
-    partition puts last."""
-    half = len(values) // 2
-    part = np.partition(values, (half - 1 + len(values) % 2, half, -1))
-    if math.isnan(part[-1]):
-        return math.nan
-    if len(values) % 2:
-        return float(part[half])
-    return float((part[half - 1] + part[half]) / 2.0)
-
-
 def _rms(values) -> float:
     """Root mean square of values, taken in units of their peak, so that
     their squares stay inside the float range at any scale."""
@@ -233,49 +183,27 @@ TAIL_FIT_PASSES = 2
 
 
 class _NumericState:
-    """Grid-resident bookkeeping for one numeric decomposition.
-
-    The input is evaluated once, on self.grid; every residual is the array
-    base_values minus the held terms' columns on that grid, and nothing else.
-    """
+    """Grid-resident bookkeeping for one numeric decomposition."""
 
     def __init__(self, source, support):
         self.t_lo, self.t_hi = _validate_support(support)
-        self.grid = evaluation_grid(source, support)
-        require_tail_nodes(self.grid, (self.t_lo, self.t_hi))
-        base = evaluate_many(source, self.grid)
+        grid = evaluation_grid(source, support)
+        require_tail_nodes(grid, (self.t_lo, self.t_hi))
+        values = evaluate_many(source, grid)
         # samples are finite (SampledSignal checks them), and so are their
         # values at their own nodes
         sampled = source.sampled
-        if sampled is None and not np.all(np.isfinite(base)):
+        if sampled is None and not np.all(np.isfinite(values)):
             raise ValueError("signal is not finite on the evaluation grid")
-        # residual_values may hand out the base values themselves: a read-only
-        # view keeps them unchanged, and leaves the evaluator's array as it was
-        self.base_values = base.view()
-        self.base_values.flags.writeable = False
-        self.noise_sigma = _noise_level(self.base_values)
-        self.peak = float(np.abs(self.base_values).max())
+        # a grid of all the samples' times is uniform when they are
+        if sampled is not None and len(grid) == len(sampled.times):
+            step = sampled.uniform_step
+        else:
+            step = uniform_grid_step(grid)
+        self.record = input_record(grid, values, step)
         # whether the input has a measured noise level, by the test
         # shrink_support applies
-        self.noisy = NOISE_FLOOR * self.peak < self.noise_sigma < math.inf
-        # the samples and a refit's goal, in units of the peak, where sums of
-        # squares stay inside the float range at any signal scale; and the
-        # fewest terms whose refit _rss_bound lets reach that goal, None where
-        # it bounds nothing
-        self.min_terms = None
-        if self.peak > 0.0:
-            self.unit_values = self.base_values / self.peak
-            self.rss_goal = len(self.grid) * max(NOISE_FIT_RATIO * self.noise_sigma / self.peak,
-                                                 ROUNDING_FLOOR) ** 2
-            # a grid of all the samples' times is uniform when they are
-            if sampled is not None and len(self.grid) == len(sampled.times):
-                step = sampled.uniform_step
-            else:
-                step = uniform_grid_step(self.grid)
-            bound = None if step is None else _rss_bound(self.unit_values)
-            if bound is not None:
-                # the bound never rises with the size
-                self.min_terms = int(np.count_nonzero(bound > self.rss_goal))
+        self.noisy = NOISE_FLOOR * self.record.peak < self.record.noise_sigma < math.inf
         # whether the next iteration refits the held terms (refit); the lowest
         # sum of squares a refit has left, and the refits since that one
         self.refitting = True
@@ -286,19 +214,19 @@ class _NumericState:
     # -- residual bookkeeping -------------------------------------------
 
     def residual_values(self):
-        """Base values minus every held term; the (read-only) base values
-        themselves when no term is held.
+        """The record's values minus every held term; those (read-only)
+        values themselves when no term is held.
 
         Raises Diverging when that overflows: the held terms then oppose the
         input near the top of the float range instead of cancelling it.
         """
         if not self.terms:
-            return self.base_values
+            return self.record.values
         try:
             # numpy reads its overflow flag after each subtraction anyway;
             # raising on it spares a finite check's pass over the values
             with np.errstate(over="raise"):
-                out = self.base_values - self.terms[0].column
+                out = self.record.values - self.terms[0].column
                 for term in self.terms[1:]:
                     out -= term.column
         except FloatingPointError:
@@ -312,21 +240,22 @@ class _NumericState:
         HORIZON_FLOORS and then, with a measured noise level, the noise end.
         (None, None) when the values are zero everywhere."""
         try:
-            t_hi, *ends = shrink_support(self.grid, values, (RESIDUAL_FLOOR,) + HORIZON_FLOORS,
-                                         self.noise_sigma)
+            t_hi, *ends = shrink_support(self.record.grid, values,
+                                         (RESIDUAL_FLOOR,) + HORIZON_FLOORS,
+                                         self.record.noise_sigma)
         except SignalVanished:
             return None, None
-        return tail_slice(self.grid, self.t_lo, t_hi)[1], ends
+        return tail_slice(self.record.grid, self.t_lo, t_hi)[1], ends
 
     def floor_hit(self, values, window):
         """Whether these values, the residual of the held terms, sit below the
         residual floor over window, their trimmed window, which the caller has
         already computed.  Never with no term held: the values are then the
-        base values, which no floor below them can hold."""
+        record's own, which no floor below them can hold."""
         if not self.terms:
             return False
         sup_resid = float(np.abs(values[window]).max())
-        sup_base = float(np.abs(self.base_values[window]).max())
+        sup_base = float(np.abs(self.record.values[window]).max())
         return sup_resid < RESIDUAL_FLOOR * sup_base
 
     # -- estimation ------------------------------------------------------
@@ -343,9 +272,10 @@ class _NumericState:
         """
         if len(ends) > len(HORIZON_FLOORS):
             ends = [t_hi for t_hi in ends if t_hi <= ends[-1]]
+        grid = self.record.grid
 
         def fit(t_hi):
-            est = estimate_rate(self.grid, values, (self.t_lo, t_hi), TAIL_FIT_PASSES)
+            est = estimate_rate(grid, values, (self.t_lo, t_hi), TAIL_FIT_PASSES)
             # a log-magnitude spread beyond 0.5 means the window straddles a
             # noise floor or a sign flip, not an exponential
             if est.residual_rms > 0.5:
@@ -360,47 +290,38 @@ class _NumericState:
             # sampled too sparsely to fit
             t_end = max(ends)
             if not self.terms and t_end > self.t_lo:
-                require_tail_nodes(self.grid[:self.grid.searchsorted(t_end, "right")],
+                require_tail_nodes(grid[:grid.searchsorted(t_end, "right")],
                                    (self.t_lo, t_end),
                                    " at or before the noise end" if self.noisy else "")
             raise
-        coeff = estimate_coefficient(self.grid, values, best.rate, (self.t_lo, best.window[1]),
+        coeff = estimate_coefficient(grid, values, best.rate, (self.t_lo, best.window[1]),
                                      TAIL_FIT_PASSES)
-        column = np.multiply(-best.rate, self.grid)
+        column = np.multiply(-best.rate, grid)
         np.exp(column, out=column)
         column *= coeff
         return _Term(best.rate, coeff, best.residual_rms, best.window, column)
 
     def collides(self, rate):
-        return any(abs(rate - term.rate) < RATE_MERGE_TOL for term in self.terms)
+        span = self.t_hi - self.t_lo
+        return any(abs(rate - term.rate) * span < RATE_MERGE_TOL for term in self.terms)
 
     def refit(self):
-        """The held terms refitted jointly, when that refit explains the
-        samples to within their measured noise, or to ROUNDING_FLOOR of their
-        peak; None otherwise.
-
-        Fewer terms than min_terms return None without a refit: on a uniform
-        grid (uniform_grid_step) _rss_bound shows that any fit of that many
-        terms leaves a sum of squares above the goal, its bound being the
-        Hankel eigenvalue over HANKEL_COLUMNS less the rounding margin
-        (4 M eps + 1e-12) trace(H'H).  Such a refit would miss; skipped, it
-        leaves refit_best and refit_misses as they were, so it does not count
-        as a miss.  On noisy two-term input min_terms is 2.  Where _rss_bound
-        reads nothing, and from HANKEL_COLUMNS terms on, no refit is skipped.
-
-        The refit, one _joint_refit run, has finite positive rates and finite
-        coefficients; accepted, its rates also lie at least RATE_MERGE_TOL
-        apart, in whatever order they came back, and leave a whole-grid rms of
-        at most the larger of NOISE_FIT_RATIO times the noise level and
-        ROUNDING_FLOOR of the peak.  The refitted terms come back with their
-        rates ascending, each keeping the rate fit that seeded it."""
-        if len(self.terms) < (self.min_terms or 0):
+        """The held terms refitted jointly, when that refit reaches the
+        record's rss_goal; None otherwise.  Fewer terms than the record's
+        min_terms return None without a refit, which could not land, and
+        leave refit_best and refit_misses as they were: a skipped refit is
+        no miss.  The refit, one _joint_refit run, has finite positive rates
+        and finite coefficients; accepted, its rates also lie RATE_MERGE_TOL
+        apart over the support's span, whatever their order.  The terms come
+        back with their rates ascending, each keeping the rate fit that
+        seeded it."""
+        record = self.record
+        if len(self.terms) < (record.min_terms or 0):
             return None
-        rss_goal, values = self.rss_goal, self.unit_values
-        rates, coeffs, basis, rss = _joint_refit(self.grid, values,
+        rates, coeffs, basis, rss = _joint_refit(record.grid, record.unit_values,
                                                  [term.rate for term in self.terms],
-                                                 [term.coeff / self.peak for term in self.terms],
-                                                 rss_goal)
+                                                 [term.coeff / record.peak for term in self.terms],
+                                                 record.rss_goal)
         # two refits in a row that end no lower than the best one before them
         # show the extraction's terms no longer seed a better joint fit: the
         # rest of the decomposition is not refitted
@@ -410,44 +331,13 @@ class _NumericState:
             self.refit_misses += 1
         self.refitting = self.refit_misses < 2
         order = rates.argsort()
-        if not (np.all(np.diff(rates[order]) >= RATE_MERGE_TOL) and rss <= rss_goal):
+        if not (np.all(np.diff(rates[order]) * (self.t_hi - self.t_lo) >= RATE_MERGE_TOL)
+                and rss <= record.rss_goal):
             return None
-        coeffs = coeffs * self.peak
+        coeffs = coeffs * record.peak
         return [self.terms[i]._replace(rate=float(rates[i]), coeff=float(coeffs[i]),
                                        column=basis[i] * coeffs[i])
                 for i in order]
-
-
-def _rss_bound(values):
-    """Lower bounds on the sum of squares that any fit of k terms
-    coeff * exp(-rate * grid) leaves on values, for k = 0 .. L - 1
-    (L = HANKEL_COLUMNS), values being on a grid uniform by the rule
-    prony_fit applies (uniform_grid_step); None when they are too few for the
-    Hankel.
-
-    On a uniform grid a k-term model samples to a sum of k geometric
-    sequences, whose Hankel matrix has rank at most k: the fact Prony's method
-    and the matrix pencil rest on (Hua & Sarkar 1990).  The Hankel
-    H[i, j] = values[i + j * d] of L columns at node stride d = HANKEL_STRIDE
-    holds each sample at most L times, so a fit's residual r has a Hankel of
-    spectral norm at most sqrt(L) |r|, and by Weyl's inequality every k-term
-    fit leaves |r|^2 >= lambda_{k+1} / L, lambda_{k+1} the (k+1)-th largest
-    eigenvalue of the Gram H'H.  Each bound subtracts the rounding margin
-    (4 M eps + 1e-12) trace(H'H) from that eigenvalue, M the rows of H: the
-    one gemm that forms H'H errs by at most about M eps trace(H'H), and
-    eigvalsh by a small multiple of eps times the Gram's norm, which 1e-12
-    of its trace covers.  The bounds never rise with k.
-    """
-    rows = len(values) - (HANKEL_COLUMNS - 1) * HANKEL_STRIDE
-    if rows < HANKEL_COLUMNS:
-        return None
-    # H' a row a column of H, copied out of the overlapping view for the gemm
-    hankel_t = np.ascontiguousarray(
-        _rows(values, range(0, HANKEL_COLUMNS * HANKEL_STRIDE, HANKEL_STRIDE), rows))
-    gram = np.matmul(hankel_t, hankel_t.T)
-    margin = (4.0 * rows * np.finfo(float).eps + 1e-12) * gram.trace()
-    eigenvalues = np.linalg.eigvalsh(gram)[::-1]
-    return np.maximum(eigenvalues - margin, 0.0) / HANKEL_COLUMNS
 
 
 def _joint_refit(grid, values, rates, coeffs, rss_goal):
@@ -601,7 +491,7 @@ def decompose_numeric(source: SignalSource, support) -> DecompositionResult:
         termination_reason=reason,
         flagged=flagged,
         iteration_tail_norms=tuple(tail_norms),
-        noise_sigma=state.noise_sigma,
+        noise_sigma=state.record.noise_sigma,
         residual_rms=_rms(final_values),
-        min_terms=state.min_terms,
+        min_terms=state.record.min_terms,
     )

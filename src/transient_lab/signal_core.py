@@ -55,7 +55,7 @@ def _rows(x, starts, length):
     """The blocks x[s:s + length] for s in the range starts, as the rows of
     one (len(starts), length) view of x, rows that overlap when the range's
     step is below length: the tail fits' sub-windows and the Hankel matrices
-    of Prony's method and of the decomposer's refit bound.
+    of Prony's method and of the refit bound (_rss_bound).
 
     A plain ndarray over the buffer of x, copied first when it is not
     contiguous, costs a fraction of what as_strided or sliding_window_view
@@ -272,6 +272,116 @@ def evaluation_grid(source: SignalSource, support) -> np.ndarray:
         raise ValueError(f"support {tuple(support)} is too narrow for {GRID_POINTS} "
                          f"distinct evaluation nodes")
     return ts
+
+
+# a joint refit that leaves a whole-grid rms within this multiple of the
+# measured noise ends a noisy decomposition; the true model reads 0.94-1.02
+NOISE_FIT_RATIO = 1.5
+# the rounding floor of a whole-grid rms, as a fraction of the signal's peak:
+# a joint refit that reaches it ends a clean decomposition.  The acceptance
+# suite's true models refit to at most 4e-17 of their peak; the margin covers
+# terms that cancel to a peak far below their own sizes
+ROUNDING_FLOOR = 1e-13
+# the Hankel matrix of the refit's lower bound (_rss_bound): its columns L,
+# which bound sizes 0 to L - 1, and the node stride between them, wide enough
+# that the columns of a slow decay are far from parallel
+HANKEL_COLUMNS = 8
+HANKEL_STRIDE = 16
+
+
+@dataclass(frozen=True, eq=False)
+class InputRecord:
+    """The facts of one numeric input, measured once (input_record)."""
+
+    grid: np.ndarray
+    values: np.ndarray                 # read-only, as is every array here
+    peak: float
+    noise_sigma: float                 # _noise_level
+    unit_values: Optional[np.ndarray]  # values / peak, whose sums of squares stay finite
+    rss_goal: Optional[float]          # a refit's goal, in units of the peak
+    min_terms: Optional[int]           # fewest terms _rss_bound lets a refit land with
+
+
+def input_record(grid, values, step) -> InputRecord:
+    """The record of values on grid, whose uniform step is step, or None.
+    A residual may hand out the values themselves: read-only views keep them
+    unchanged, and leave the caller's arrays writeable.  unit_values,
+    rss_goal and min_terms are None on an all-zero input, and min_terms
+    where _rss_bound reads nothing."""
+    grid, values = grid.view(), values.view()
+    grid.flags.writeable = values.flags.writeable = False
+    peak = float(np.abs(values).max())
+    noise_sigma = _noise_level(values)
+    unit_values = rss_goal = min_terms = None
+    if peak > 0.0:
+        unit_values = values / peak
+        unit_values.flags.writeable = False
+        rss_goal = len(grid) * max(NOISE_FIT_RATIO * noise_sigma / peak, ROUNDING_FLOOR) ** 2
+        bound = None if step is None else _rss_bound(unit_values)
+        if bound is not None:
+            # the bound never rises with the size
+            min_terms = int(np.count_nonzero(bound > rss_goal))
+    return InputRecord(grid, values, peak, noise_sigma, unit_values, rss_goal, min_terms)
+
+
+def _noise_level(values) -> float:
+    """Robust noise scale from fourth differences of the trailing half.
+
+    The trailing half is where the transient has decayed, so the smooth
+    contribution O(x * (rate*step)^4) is negligible there while i.i.d.
+    noise passes through fourth differences with variance 70."""
+    tail = np.asarray(values)[len(values) // 2:]
+    if len(tail) < 9:
+        return 0.0
+    fourth = np.diff(tail, n=4)
+    mad = _median(np.abs(fourth - _median(fourth)))
+    return mad / (0.6745 * math.sqrt(70.0))
+
+
+def _median(values) -> float:
+    """np.median of a non-empty 1-D array, bit for bit, from one
+    np.partition: the middle value, or the mean (a + b) / 2 of the two
+    middle values for an even length; NaN when any value is NaN, which the
+    partition puts last."""
+    half = len(values) // 2
+    part = np.partition(values, (half - 1 + len(values) % 2, half, -1))
+    if math.isnan(part[-1]):
+        return math.nan
+    if len(values) % 2:
+        return float(part[half])
+    return float((part[half - 1] + part[half]) / 2.0)
+
+
+def _rss_bound(values):
+    """Lower bounds on the sum of squares that any fit of k terms
+    coeff * exp(-rate * grid) leaves on values, for k = 0 .. L - 1
+    (L = HANKEL_COLUMNS), values being on a grid uniform by the rule
+    prony_fit applies (uniform_grid_step); None when they are too few for the
+    Hankel.
+
+    On a uniform grid a k-term model samples to a sum of k geometric
+    sequences, whose Hankel matrix has rank at most k: the fact Prony's method
+    and the matrix pencil rest on (Hua & Sarkar 1990).  The Hankel
+    H[i, j] = values[i + j * d] of L columns at node stride d = HANKEL_STRIDE
+    holds each sample at most L times, so a fit's residual r has a Hankel of
+    spectral norm at most sqrt(L) |r|, and by Weyl's inequality every k-term
+    fit leaves |r|^2 >= lambda_{k+1} / L, lambda_{k+1} the (k+1)-th largest
+    eigenvalue of the Gram H'H.  Each bound subtracts the rounding margin
+    (4 M eps + 1e-12) trace(H'H) from that eigenvalue, M the rows of H: the
+    one gemm that forms H'H errs by at most about M eps trace(H'H), and
+    eigvalsh by a small multiple of eps times the Gram's norm, which 1e-12
+    of its trace covers.  The bounds never rise with k.
+    """
+    rows = len(values) - (HANKEL_COLUMNS - 1) * HANKEL_STRIDE
+    if rows < HANKEL_COLUMNS:
+        return None
+    # H' a row a column of H, copied out of the overlapping view for the gemm
+    hankel_t = np.ascontiguousarray(
+        _rows(values, range(0, HANKEL_COLUMNS * HANKEL_STRIDE, HANKEL_STRIDE), rows))
+    gram = np.matmul(hankel_t, hankel_t.T)
+    margin = (4.0 * rows * np.finfo(float).eps + 1e-12) * gram.trace()
+    eigenvalues = np.linalg.eigvalsh(gram)[::-1]
+    return np.maximum(eigenvalues - margin, 0.0) / HANKEL_COLUMNS
 
 
 def inner_product(f: SignalSource, g, q: QuadratureConfig = None):

@@ -227,7 +227,7 @@ class TestMedian:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 1995, 1996])
     def test_equals_np_median(self, n, rng):
-        from transient_lab.decomposer import _median
+        from transient_lab.signal_core import _median
 
         for values in (rng.normal(size=n),
                        np.round(rng.normal(size=n), 1),          # ties
@@ -238,7 +238,7 @@ class TestMedian:
             assert got == np.median(values)
 
     def test_nan_gives_nan(self):
-        from transient_lab.decomposer import _median
+        from transient_lab.signal_core import _median
 
         assert math.isnan(_median(np.array([1.0, np.nan, 0.5, 2.0])))
         assert math.isnan(_median(np.array([np.nan, 3.0, 1.0])))
@@ -299,7 +299,8 @@ class TestNoiseHorizon:
         # a spike at t = 0 in noise: the noise end is the first node, and the
         # floor ends all lie in the noise, where a fit of log|noise| once
         # raised NonDecaying out of the first iteration (this seed)
-        from transient_lab.decomposer import HORIZON_FLOORS, _noise_level
+        from transient_lab.decomposer import HORIZON_FLOORS
+        from transient_lab.signal_core import _noise_level
 
         samples = synthesize_samples(SymbolicTransient(((2000.0, 1.0),)),
                                      np.linspace(0.0, 40.0, 4001), noise_sigma=1e-3, seed=2)
@@ -408,7 +409,7 @@ class TestNoiseStop:
     def test_clean_input_ends_at_the_rounding_floor(self, refit_sizes):
         # clean input refits too: its goal is the rounding floor, and the
         # refit lands every rate far inside what the tail estimates reach
-        from transient_lab.decomposer import ROUNDING_FLOOR
+        from transient_lab.signal_core import ROUNDING_FLOOR
 
         rng = np.random.default_rng(SEED + 13)
         inputs = []
@@ -594,10 +595,10 @@ class TestHankelBound:
     of fewer is skipped.  Off a uniform grid every size refits."""
 
     @staticmethod
-    def state(samples):
-        from transient_lab.decomposer import _NumericState
+    def record(samples):
+        from transient_lab.signal_core import input_record
 
-        return _NumericState(SignalSource.from_sampled(samples), samples.support)
+        return input_record(samples.times, samples.values, samples.uniform_step)
 
     @given(terms=st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(0.1, 5.0), st.booleans()),
                           min_size=1, max_size=4),
@@ -611,8 +612,8 @@ class TestHankelBound:
         # size k - 1 below what the refit from the true terms, one dropped,
         # leaves; so min_terms never exceeds k, and a size-(k - 1) refit that
         # min_terms skips leaves more than its goal
-        from transient_lab.decomposer import _joint_refit, _rss_bound
-        from transient_lab.signal_core import uniform_grid_step
+        from transient_lab.decomposer import _joint_refit
+        from transient_lab.signal_core import _rss_bound, uniform_grid_step
 
         rates = np.cumsum([gap for gap, _, _ in terms])
         coeffs = np.array([c if positive else -c for _, c, positive in terms])
@@ -623,7 +624,7 @@ class TestHankelBound:
         unit = values / peak
         assert uniform_grid_step(grid) is not None
         bound = _rss_bound(unit)
-        state = self.state(SampledSignal(grid, values))
+        record = self.record(SampledSignal(grid, values))
         k = len(terms)
         assert np.all(np.diff(bound) <= 0.0)
         true_rss = float(np.sum((unit - clean / peak) ** 2))
@@ -633,18 +634,18 @@ class TestHankelBound:
         else:
             keep = np.arange(k) != drop % k
             dropped_rss = _joint_refit(grid, unit, rates[keep], coeffs[keep] / peak,
-                                       state.rss_goal)[3]
+                                       record.rss_goal)[3]
         assert bound[k - 1] <= dropped_rss
-        assert state.min_terms <= k
-        if state.min_terms > k - 1:
-            assert dropped_rss > state.rss_goal
+        assert record.min_terms <= k
+        if record.min_terms > k - 1:
+            assert dropped_rss > record.rss_goal
 
     def test_min_terms_is_the_true_count_on_clean_input(self):
         # acceptance criterion 2's fifty three-term inputs
         rng = np.random.default_rng(SEED + 1)
         for _ in range(50):
             signal, _, grid = three_term_family(rng)
-            assert self.state(synthesize_samples(signal, grid)).min_terms == 3
+            assert self.record(synthesize_samples(signal, grid)).min_terms == 3
 
     @pytest.mark.parametrize("sigma, sigma_index", [(1e-4, 2), (1e-3, 3)])
     def test_noisy_two_term_refits_first_at_size_2(self, refit_sizes, sigma, sigma_index):
@@ -696,7 +697,7 @@ class TestHankelBound:
 
     def test_grid_too_short_for_the_hankel_refits_every_size(self, refit_sizes):
         # 100 uniform nodes hold fewer rows than the Hankel's columns
-        from transient_lab.decomposer import HANKEL_COLUMNS, HANKEL_STRIDE
+        from transient_lab.signal_core import HANKEL_COLUMNS, HANKEL_STRIDE
 
         nodes = 100
         assert nodes - (HANKEL_COLUMNS - 1) * HANKEL_STRIDE < HANKEL_COLUMNS
@@ -800,9 +801,9 @@ class TestGridResidency:
         decompose_numeric(SignalSource.from_sampled(samples), samples.support)
         state, = states
         assert len(state.terms) >= 2
-        want = state.base_values.copy()
+        want = state.record.values.copy()
         for term in state.terms:
-            want -= term.coeff * np.exp(-term.rate * state.grid)
+            want -= term.coeff * np.exp(-term.rate * state.record.grid)
         assert np.array_equal(state.residual_values(), want)
 
     def test_non_finite_evaluator_rejected(self):
@@ -876,6 +877,46 @@ class TestGridResidency:
         assert [c for _, c in result.terms] == pytest.approx([2.0, 3.0], rel=1e-9)
 
 
+class TestTimeUnits:
+    """Rates are in 1/(the grid's time unit): the same samples on a time axis
+    scaled by 2^k, an exact scaling, return the same terms with their rates
+    scaled by 2^-k, bit for bit, and the same reason."""
+
+    @staticmethod
+    def samples(case):
+        if case.startswith("three_term"):
+            # draws of the acceptance three-term family
+            rng = np.random.default_rng(SEED + 29)
+            for _ in range(int(case[-1])):
+                three_term_family(rng)
+            signal, _, grid = three_term_family(rng)
+            return synthesize_samples(signal, grid)
+        return two_term_samples(*{"two_term_1e-4": (1e-4, 2), "two_term_1e-3": (1e-3, 3)}[case])
+
+    @pytest.mark.parametrize("case", ["three_term_0", "three_term_1", "three_term_2",
+                                      "two_term_1e-4", "two_term_1e-3"])
+    @pytest.mark.parametrize("k", [-20, -10, -1, 1, 3, 8, 11, 20])
+    def test_power_of_two_time_scaling_is_exact(self, case, k):
+        samples = self.samples(case)
+        scaled = SampledSignal(samples.times * 2.0 ** k, samples.values)
+        want, got = (decompose_numeric(SignalSource.from_sampled(s), s.support)
+                     for s in (samples, scaled))
+        assert got.termination_reason == want.termination_reason
+        assert got.terms == tuple((rate * 2.0 ** -k, coeff) for rate, coeff in want.terms)
+
+    @pytest.mark.parametrize("scale", [2000.0, 2048.0, 1e4])
+    def test_millisecond_rates_stay_apart(self, scale):
+        # 2e^(-t) + 3e^(-2t) on 0..40 at step 0.01, its times in units 1/scale
+        # of the original's: rates 5e-4 and 1e-3 at scale 2000 once collided
+        samples = synthesize_samples(SymbolicTransient(((1.0, 2.0), (2.0, 3.0))),
+                                     np.linspace(0.0, 40.0, 4001))
+        scaled = SampledSignal(samples.times * scale, samples.values)
+        result = decompose_numeric(SignalSource.from_sampled(scaled), scaled.support)
+        assert result.termination_reason == "residual_floor"
+        assert [rate * scale for rate, _ in result.terms] == pytest.approx([1.0, 2.0], rel=1e-9)
+        assert [coeff for _, coeff in result.terms] == pytest.approx([2.0, 3.0], rel=1e-9)
+
+
 class TestPinnedTerms:
     """decompose_numeric's terms, bit for bit, as the estimators gave them
     when the sub-block fits ran one block at a time, seeded from the two
@@ -943,7 +984,9 @@ class TestPinnedTerms:
 
         def collided(*args):
             rates, *rest = real(*args)
-            return (rates[0] + 0.5 * decomposer.RATE_MERGE_TOL * np.arange(len(rates)), *rest)
+            # the samples span 40
+            return (rates[0] + 0.5 * decomposer.RATE_MERGE_TOL / 40.0 * np.arange(len(rates)),
+                    *rest)
 
         monkeypatch.setattr(decomposer, "_joint_refit", collided)
         samples = two_term_samples(sigma, sigma_index)
@@ -963,7 +1006,7 @@ class TestJointRefitPinned:
     def unit_values(cls, terms, sigma=0.0):
         """The terms on GRID plus seeded noise, in units of their peak, and a
         refit's goal for them by the decomposer's rule."""
-        from transient_lab.decomposer import NOISE_FIT_RATIO, ROUNDING_FLOOR
+        from transient_lab.signal_core import NOISE_FIT_RATIO, ROUNDING_FLOOR
 
         values = synthesize_samples(SymbolicTransient(terms), cls.GRID, noise_sigma=sigma,
                                     seed=5).values

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ from transient_lab import (OutOfSupport, SampledSignal, SignalSource, SymbolicTr
                            build_exponential_basis, decompose_numeric, evaluate_many,
                            inner_product, load_samples_csv, load_signal_spec, oet_analyze,
                            rate_sequence, save_samples_csv, signal_core, synthesize_samples)
-from transient_lab.signal_core import evaluation_grid, uniform_grid_step
+from transient_lab.signal_core import evaluation_grid, input_record, uniform_grid_step
 
 from conftest import random_transient, sample_csv_texts
 
@@ -235,6 +236,42 @@ class TestEvaluationGrid:
     def test_own_nodes_must_be_finite(self):
         with pytest.raises(ValueError, match="finite, got inf at node 2"):
             SignalSource.from_evaluator(np.exp, grid=[0.0, 1.0, math.inf])
+
+
+class TestInputRecord:
+    GRID = np.linspace(0.0, 40.0, 4001)
+
+    def test_arrays_are_read_only_and_the_callers_stay_writeable(self):
+        grid = self.GRID.copy()
+        values = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))(grid)
+        record = input_record(grid, values, uniform_grid_step(grid))
+        for arr in (record.grid, record.values, record.unit_values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert grid.flags.writeable and values.flags.writeable
+        assert np.shares_memory(record.values, values) and np.array_equal(record.values, values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.peak = 1.0
+        # the decomposer reports the record of its input
+        result = decompose_numeric(SignalSource.from_sampled(SampledSignal(grid, values)),
+                                   (0.0, 40.0))
+        assert (result.noise_sigma, result.min_terms) == (record.noise_sigma, 2)
+        assert record.min_terms == 2 and record.peak == 5.0
+
+    def test_all_zero_input_has_no_unit_values_goal_or_min_terms(self):
+        record = input_record(self.GRID, np.zeros(len(self.GRID)),
+                              uniform_grid_step(self.GRID))
+        assert (record.peak, record.noise_sigma) == (0.0, 0.0)
+        assert record.unit_values is None and record.rss_goal is None
+        assert record.min_terms is None
+
+    def test_non_uniform_step_has_no_min_terms(self):
+        values = np.exp(-self.GRID)
+        uniform = input_record(self.GRID, values, uniform_grid_step(self.GRID))
+        other = input_record(self.GRID, values, None)
+        assert uniform.min_terms == 1 and other.min_terms is None
+        assert other.rss_goal == uniform.rss_goal > 0.0
 
 
 class TestSignalSource:

@@ -101,6 +101,27 @@ def test_numpy_names_within_the_declared_floor():
     assert stale == [], f"numpy names src/ no longer uses: {stale}; drop them from the list"
 
 
+def test_every_imported_name_is_read():
+    """No linter runs here, so this is the check for dead imports: a module
+    reads every name it imports.  A name imported only so that other code
+    can import it from there hides where it lives; that code imports it from
+    its home instead.  __init__.py re-exports by design (__all__ above)."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{node.lineno} {alias.asname or alias.name.split('.')[0]}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert unread == []
+
+
 def test_no_module_rebinds_a_global():
     """A global statement lets one call leave state that changes the next
     call's work, out of sight of its arguments and of the tests that pass
