@@ -166,8 +166,8 @@ def run_decompose(args):
             "terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason,
             "flagged": result.flagged,
-            "noise_sigma": _finite_or_none(result.noise_sigma),
-            "residual_rms": _finite_or_none(result.residual_rms),
+            "noise_sigma": result.noise_sigma,
+            "residual_rms": result.residual_rms,
             "min_terms": result.min_terms,
         },
     }, args.output)
@@ -242,8 +242,8 @@ def _fit_decomposer(args, truth, samples):
     est = list(result.terms)
     diag = {"terminal_residual_norm": result.terminal_residual_norm,
             "termination_reason": result.termination_reason,
-            "noise_sigma": _finite_or_none(result.noise_sigma),
-            "residual_rms": _finite_or_none(result.residual_rms)}
+            "noise_sigma": result.noise_sigma,
+            "residual_rms": result.residual_rms}
     return est, "", diag
 
 

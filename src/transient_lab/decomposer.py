@@ -30,17 +30,18 @@ policies the idealized loop does not need:
 
 Numeric mode evaluates the input once, on its evaluation grid (the input's
 own nodes inside the support, or GRID_POINTS uniform nodes when it has
-none; see signal_core.evaluation_grid).  Samples read at all their own
-nodes are copied, not interpolated, and neither their finiteness nor their
-grid's uniformity is checked again: SampledSignal checked both.  Every
-residual is an array of values on that grid, and the tail estimators take
-the grid and that array as they are, so nothing is read or checked again.
-Each iteration trims its residual once: one shrink_support pass at
+none; see signal_core.evaluation_grid), and works in units of its peak, on
+the record's values, until it builds the result.  Samples read at all their
+own nodes are copied, not interpolated, and neither their finiteness nor
+their grid's uniformity is checked again: SampledSignal checked both.
+Every residual is an array of values on that grid, and the tail estimators
+take the grid and that array as they are, so nothing is read or checked
+again.  Each iteration trims its residual once: one shrink_support pass at
 RESIDUAL_FLOOR and HORIZON_FLOORS gives both the tail window the residual
 floor is read over and the horizons the rate fits scan, and the first
 iteration's window is the fixed window of iteration_tail_norms.  Each held
-term keeps its own column, coeff * exp(-rate * grid), computed once when the
-term is estimated, so a residual costs one subtraction per held term.
+term keeps its own column, coeff * exp(-rate * grid), computed once when
+the term is estimated, so a residual costs one subtraction per held term.
 """
 
 from __future__ import annotations
@@ -154,16 +155,6 @@ def decompose_exact(signal: SymbolicTransient) -> DecompositionResult:
     )
 
 
-def _rms(values) -> float:
-    """Root mean square of values, taken in units of their peak, so that
-    their squares stay inside the float range at any scale."""
-    peak = float(np.abs(values).max())
-    if peak == 0.0:
-        return 0.0
-    scaled = values / peak
-    return peak * math.sqrt(float(np.dot(scaled, scaled)) / len(values))
-
-
 class _Term(NamedTuple):
     """One held term and the rate fit that produced it."""
     rate: float
@@ -174,9 +165,9 @@ class _Term(NamedTuple):
 
 
 # Aitken passes of every tail fit (tail_limits).  With perfbench's seed-3
-# signals, clean3's 0-1999 solve 1686, 1998 and 1998 at 0, 1 and 2 passes,
-# their term counts off by 600, 6 and 8 in all; noisy_mc's first 1600 sample
-# sets solve 1240 and 1212 at 1 and 2, off by 39 and 66.  One pass reads
+# signals, clean3's 0-1999 solve 1701, 1998 and 1998 at 0, 1 and 2 passes,
+# their term counts off by 574, 6 and 8 in all; noisy_mc's first 1600 sample
+# sets solve 1242 and 1215 at 1 and 2, off by 31 and 58.  One pass reads
 # better on both, but test_true_count_under_noise then reads 18 of 20 at
 # sigma 1e-4 where it needs 19, so the decomposer stays at two
 TAIL_FIT_PASSES = 2
@@ -203,7 +194,7 @@ class _NumericState:
         self.record = input_record(grid, values, step)
         # whether the input has a measured noise level, by the test
         # shrink_support applies
-        self.noisy = NOISE_FLOOR * self.record.peak < self.record.noise_sigma < math.inf
+        self.noisy = NOISE_FLOOR < self.record.noise_sigma
         # whether the next iteration refits the held terms (refit); the lowest
         # sum of squares a refit has left, and the refits since that one
         self.refitting = True
@@ -217,8 +208,8 @@ class _NumericState:
         """The record's values minus every held term; those (read-only)
         values themselves when no term is held.
 
-        Raises Diverging when that overflows: the held terms then oppose the
-        input near the top of the float range instead of cancelling it.
+        Raises Diverging when that overflows: the held terms, in units of
+        the input's peak, then reach the float range instead of cancelling.
         """
         if not self.terms:
             return self.record.values
@@ -307,20 +298,20 @@ class _NumericState:
 
     def refit(self):
         """The held terms refitted jointly, when that refit reaches the
-        record's rss_goal; None otherwise.  Fewer terms than the record's
-        min_terms return None without a refit, which could not land, and
-        leave refit_best and refit_misses as they were: a skipped refit is
-        no miss.  The refit, one _joint_refit run, has finite positive rates
-        and finite coefficients; accepted, its rates also lie RATE_MERGE_TOL
-        apart over the support's span, whatever their order.  The terms come
-        back with their rates ascending, each keeping the rate fit that
-        seeded it."""
+        record's rss_goal; None otherwise, all in units of the input's peak.
+        Fewer terms than the record's min_terms return None without a refit,
+        which could not land, and leave refit_best and refit_misses as they
+        were: a skipped refit is no miss.  The refit, one _joint_refit run,
+        has finite positive rates and finite coefficients; accepted, its
+        rates also lie RATE_MERGE_TOL apart over the support's span, whatever
+        their order.  The terms come back with their rates ascending, each
+        keeping the rate fit that seeded it."""
         record = self.record
         if len(self.terms) < (record.min_terms or 0):
             return None
-        rates, coeffs, basis, rss = _joint_refit(record.grid, record.unit_values,
+        rates, coeffs, basis, rss = _joint_refit(record.grid, record.values,
                                                  [term.rate for term in self.terms],
-                                                 [term.coeff / record.peak for term in self.terms],
+                                                 [term.coeff for term in self.terms],
                                                  record.rss_goal)
         # two refits in a row that end no lower than the best one before them
         # show the extraction's terms no longer seed a better joint fit: the
@@ -334,7 +325,6 @@ class _NumericState:
         if not (np.all(np.diff(rates[order]) * (self.t_hi - self.t_lo) >= RATE_MERGE_TOL)
                 and rss <= record.rss_goal):
             return None
-        coeffs = coeffs * record.peak
         return [self.terms[i]._replace(rate=float(rates[i]), coeff=float(coeffs[i]),
                                        column=basis[i] * coeffs[i])
                 for i in order]
@@ -353,8 +343,9 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     gives up.  So does a refit that would not bring the sum of squares down
     to LM_GIVE_UP_RATIO times rss_goal if every step left cut it by the last
     step's ratio, and one whose G is not finite (lstsq would have LAPACK
-    print to stderr).  A sum of squares at the rounding floor, ROUNDING_FLOOR
-    of values in units of their peak, ends the refit at once.
+    print to stderr).  values are the record's, in units of the input's
+    peak, as are coeffs and rss_goal; a sum of squares at the rounding
+    floor, ROUNDING_FLOOR of that peak, ends the refit at once.
 
     Returns (rates, coeffs, basis, rss), basis holding exp(-rate * grid) a
     row and rss the sum of squares, as the last step that lowered the sum of
@@ -481,17 +472,27 @@ def decompose_numeric(source: SignalSource, support) -> DecompositionResult:
     final_values = state.residual_values()
     window, _ = state.trim(final_values)
     terminal = float(np.abs(final_values[window]).max()) if window is not None else 0.0
+    # a residual past about 1e154 of the peak squares to inf, refused below
+    with np.errstate(over="ignore"):
+        rms = math.sqrt(float(np.dot(final_values, final_values)) / len(final_values))
 
+    # back from units of the input's peak, once, to the input's own scale
+    peak = state.record.peak
+    coeffs = [term.coeff * peak for term in state.terms]
+    tail_norms = tuple(norm * peak for norm in tail_norms)
+    terminal, noise_sigma, rms = terminal * peak, state.record.noise_sigma * peak, rms * peak
+    if not np.isfinite([terminal, noise_sigma, rms, *tail_norms, *coeffs]).all():
+        raise Diverging("the decomposition overflows at the scale of the input")
     return DecompositionResult(
-        terms=tuple((term.rate, term.coeff) for term in state.terms),
+        terms=tuple((term.rate, coeff) for term, coeff in zip(state.terms, coeffs)),
         diagnostics=tuple(TermDiagnostics(rate_residual_rms=term.rms, window=term.window,
                                           mode="refit" if refitted else "numeric")
                           for term in state.terms),
         terminal_residual_norm=terminal,
         termination_reason=reason,
         flagged=flagged,
-        iteration_tail_norms=tuple(tail_norms),
-        noise_sigma=state.record.noise_sigma,
-        residual_rms=_rms(final_values),
+        iteration_tail_norms=tail_norms,
+        noise_sigma=noise_sigma,
+        residual_rms=rms,
         min_terms=state.record.min_terms,
     )

@@ -291,37 +291,35 @@ HANKEL_STRIDE = 16
 
 @dataclass(frozen=True, eq=False)
 class InputRecord:
-    """The facts of one numeric input, measured once (input_record)."""
+    """The facts of one numeric input in units of its peak, measured once (input_record)."""
 
     grid: np.ndarray
-    values: np.ndarray                 # read-only, as is every array here
-    peak: float
-    noise_sigma: float                 # _noise_level
-    unit_values: Optional[np.ndarray]  # values / peak, whose sums of squares stay finite
-    rss_goal: Optional[float]          # a refit's goal, in units of the peak
+    values: np.ndarray                 # input / peak, read-only, as is grid
+    peak: float                        # max |input|; 0.0 leaves values all zero
+    noise_sigma: float                 # _noise_level of values
+    rss_goal: Optional[float]          # a refit's goal on values
     min_terms: Optional[int]           # fewest terms _rss_bound lets a refit land with
 
 
 def input_record(grid, values, step) -> InputRecord:
-    """The record of values on grid, whose uniform step is step, or None.
-    A residual may hand out the values themselves: read-only views keep them
-    unchanged, and leave the caller's arrays writeable.  unit_values,
-    rss_goal and min_terms are None on an all-zero input, and min_terms
-    where _rss_bound reads nothing."""
-    grid, values = grid.view(), values.view()
-    grid.flags.writeable = values.flags.writeable = False
+    """The record of values on grid, whose uniform step is step, or None:
+    a read-only view of grid, which leaves the caller's writeable, and the
+    values divided by their peak, new and read-only, which a residual may
+    hand out as they are.  Samples times 2^k divide to the same values while
+    none is subnormal.  rss_goal and min_terms are None on an all-zero
+    input, whose zeros stay, and min_terms where _rss_bound reads nothing."""
     peak = float(np.abs(values).max())
+    grid, values = grid.view(), values / (peak or 1.0)
+    grid.flags.writeable = values.flags.writeable = False
     noise_sigma = _noise_level(values)
-    unit_values = rss_goal = min_terms = None
+    rss_goal = min_terms = None
     if peak > 0.0:
-        unit_values = values / peak
-        unit_values.flags.writeable = False
-        rss_goal = len(grid) * max(NOISE_FIT_RATIO * noise_sigma / peak, ROUNDING_FLOOR) ** 2
-        bound = None if step is None else _rss_bound(unit_values)
+        rss_goal = len(grid) * max(NOISE_FIT_RATIO * noise_sigma, ROUNDING_FLOOR) ** 2
+        bound = None if step is None else _rss_bound(values)
         if bound is not None:
             # the bound never rises with the size
             min_terms = int(np.count_nonzero(bound > rss_goal))
-    return InputRecord(grid, values, peak, noise_sigma, unit_values, rss_goal, min_terms)
+    return InputRecord(grid, values, peak, noise_sigma, rss_goal, min_terms)
 
 
 def _noise_level(values) -> float:

@@ -522,10 +522,14 @@ class TestNonFiniteSamples:
 TINY_STEP_CSV = "t,x\n" + "".join(f"{k * 1e-200!r},{math.exp(-k * 1e-200)!r}\n"
                                    for k in range(200))
 # 4001 samples on 0..40 of 1e308 e^-t that flips sign at t = 20: valid input
-# on which the decomposer's residual overflows
+# on which the decomposer's residual once overflowed
 _FLIP_T = np.linspace(0.0, 40.0, 4001)
 FLIP_CSV = "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in zip(
     _FLIP_T.tolist(), (np.where(_FLIP_T < 20.0, 1e308, -1e308) * np.exp(-_FLIP_T)).tolist()))
+# the same nodes of 1.6e308 (e^-t - e^-1.01t): the terms the decomposer
+# invents overflow at the scale of the input
+PAIR_CSV = "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in zip(
+    _FLIP_T.tolist(), (1.6e308 * (np.exp(-_FLIP_T) - np.exp(-1.01 * _FLIP_T))).tolist()))
 # nine samples of 2 e^-(t-710) + 3 e^-2(t-710) from t = 710: Prony's amplitudes
 # at t = 0 overflow
 LATE_START_CSV = "t,x\n" + "".join(
@@ -543,6 +547,7 @@ _EXTREME = st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0),
 @example(text="t,x\n0.0,1e+308\n1.0,-1e+308\n2.0,1e+308\n3.0,-1e+308\n4.0,1e+308\n")
 @example(text=TINY_STEP_CSV)
 @example(text=FLIP_CSV)
+@example(text=PAIR_CSV)
 @example(text=LATE_START_CSV)
 @settings(max_examples=60)
 def test_file_verbs_keep_the_exit_contract(tmp_path_factory, text):
@@ -629,6 +634,21 @@ def test_decompose_reads_dense_early_samples_before_a_sparse_tail(tmp_path):
     assert payload["diagnostics"]["min_terms"] is None
     assert [t["rate"] for t in terms] == pytest.approx([1.0, 2.0], rel=1e-9)
     assert [t["coeff"] for t in terms] == pytest.approx([2.0, 3.0], rel=1e-9)
+
+
+def test_decompose_measures_the_noise_of_samples_near_the_float_max(tmp_path, capfd):
+    # fourth differences of these samples once overflowed: two numpy warnings
+    # on stderr, and noise_sigma written as null
+    ts = np.linspace(0.0, 40.0, 4001)
+    values = 1e308 * np.exp(-0.01 * ts) * (1.0 + 0.7 * (-1.0) ** np.arange(len(ts)))
+    path, out = tmp_path / "samples.csv", tmp_path / "out.json"
+    path.write_text("t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in zip(ts.tolist(),
+                                                                       values.tolist())))
+    assert run("decompose", "--input", path, "--output", out) == 0
+    assert capfd.readouterr().err == ""
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert diagnostics["noise_sigma"] == pytest.approx(2.94e307, rel=1e-3)
+    assert diagnostics["min_terms"] == 1
 
 
 def test_prony_refuses_amplitudes_past_the_float_range(tmp_path, capsys):

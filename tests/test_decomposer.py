@@ -90,7 +90,7 @@ class TestDecomposeNumeric:
         got_rates = [rate for rate, _ in result.terms]
         assert got_rates == pytest.approx([rates[0], 3.5298, 4.4468], abs=1e-4)
         assert result.terms[1][1] == pytest.approx(2.796, abs=1e-3)
-        assert result.residual_rms == pytest.approx(9.34e-5, rel=0.01)
+        assert result.residual_rms == pytest.approx(9.23e-5, rel=0.01)
 
     def test_close_rates_fail_as_predicted(self):
         # gap 0.05 on a horizon of 20: the contamination at the window start,
@@ -169,14 +169,38 @@ class TestDecomposeNumeric:
         assert len(result.terms) == decomposer.MAX_TERMS
         assert result.termination_reason == "max_terms"
 
-    def test_overflowing_residual_raises_diverging(self):
-        # 1e308 e^-t that flips sign at t = 20: the term read off before the
-        # flip, subtracted after it, overflows the residual; pytest turns a
-        # numpy overflow warning into an error, so only Diverging may come out
+    def test_sign_flip_near_the_float_max_returns_its_unit_twin(self):
+        # 1e308 e^-t that flips sign at t = 20 once overflowed the residual;
+        # in units of its peak it is the unit-amplitude flip, up to rounding
         ts = np.linspace(0.0, 40.0, 4001)
-        samples = SampledSignal(ts, np.where(ts < 20.0, 1e308, -1e308) * np.exp(-ts))
-        with pytest.raises(Diverging, match="overflows"):
+        flip = np.where(ts < 20.0, 1.0, -1.0) * np.exp(-ts)
+        got, twin = (decompose_numeric(SignalSource.from_sampled(SampledSignal(ts, v)),
+                                       (0.0, 40.0)) for v in (1e308 * flip, flip))
+        assert len(got.terms) == 1 and got.termination_reason == "rate_collision"
+        assert (got.diagnostics, got.flagged, got.min_terms) == (
+            twin.diagnostics, twin.flagged, twin.min_terms)
+        assert got.terms[0][0] == twin.terms[0][0]
+        assert got.terms[0][1] == pytest.approx(1e308 * twin.terms[0][1], rel=1e-15)
+
+    def test_terms_past_the_float_range_raise_diverging(self):
+        # a close pair 1.6e308 (e^-t - e^-1.01t) peaks near 6e305; the terms
+        # the extraction invents in units of that peak overflow at the
+        # input's scale, and only Diverging may come out (pytest turns a
+        # numpy overflow warning into an error)
+        ts = np.linspace(0.0, 40.0, 4001)
+        samples = SampledSignal(ts, 1.6e308 * (np.exp(-ts) - np.exp(-1.01 * ts)))
+        with pytest.raises(Diverging, match="overflow"):
             decompose_numeric(SignalSource.from_sampled(samples), samples.support)
+
+    def test_samples_near_the_float_max_measure_a_finite_noise_level(self):
+        # the fourth differences of samples near 1e308 once overflowed, and
+        # left the noise level NaN and min_terms 0
+        ts = np.linspace(0.0, 40.0, 4001)
+        values = 1e308 * np.exp(-0.01 * ts) * (1.0 + 0.7 * (-1.0) ** np.arange(len(ts)))
+        result = decompose_numeric(SignalSource.from_sampled(SampledSignal(ts, values)),
+                                   (0.0, 40.0))
+        assert result.noise_sigma == pytest.approx(2.94e307, rel=1e-3)
+        assert result.min_terms == 1
 
     def test_integer_fields_take_integers_only(self):
         assert QuadratureConfig(nodes=np.int64(4)).nodes == 4
@@ -676,12 +700,12 @@ class TestHankelBound:
     # quarter step; the terms each input returned before the bound existed
     JITTERED = {
         ((1.0, 2.0), (2.0, 3.0)):
-            [("0x1.fffffffffffc1p-1", "0x1.fffffffffff36p+0"),
-             ("0x1.fffffffffffc7p+0", "0x1.8000000000064p+1")],
+            [("0x1.fffffffffffb9p-1", "0x1.fffffffffff17p+0"),
+             ("0x1.fffffffffffbcp+0", "0x1.8000000000073p+1")],
         ((0.5, 1.0), (1.3, -2.0), (2.4, 3.0)):
-            [("0x1.ffffffffffff7p-2", "0x1.fffffffffffdfp-1"),
-             ("0x1.4cccccccccceep+0", "-0x1.0000000000033p+1"),
-             ("0x1.3333333333325p+1", "0x1.800000000003cp+1")],
+            [("0x1.ffffffffffff6p-2", "0x1.fffffffffffdcp-1"),
+             ("0x1.4ccccccccccefp+0", "-0x1.0000000000033p+1"),
+             ("0x1.3333333333326p+1", "0x1.800000000003dp+1")],
     }
 
     @pytest.mark.parametrize("terms", list(JITTERED), ids=["two_term", "three_term"])
@@ -917,6 +941,30 @@ class TestTimeUnits:
         assert [coeff for _, coeff in result.terms] == pytest.approx([2.0, 3.0], rel=1e-9)
 
 
+class TestAmplitudes:
+    """The decomposer works in units of its input's peak: the same samples
+    scaled by 2^k, an exact scaling while no sample is subnormal, return the
+    same rates, reason, min_terms and diagnostics, and coefficients, noise
+    level and residual norms scaled by 2^k, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["three_term_0", "three_term_1", "three_term_2",
+                                      "two_term_1e-4", "two_term_1e-3"])
+    @pytest.mark.parametrize("k", [-500, -3, 3, 500, 1000])
+    def test_power_of_two_amplitude_scaling_is_exact(self, case, k):
+        samples = TestTimeUnits.samples(case)
+        scaled = SampledSignal(samples.times, samples.values * 2.0 ** k)
+        want, got = (decompose_numeric(SignalSource.from_sampled(s), s.support)
+                     for s in (samples, scaled))
+        scale = 2.0 ** k
+        assert got.terms == tuple((rate, coeff * scale) for rate, coeff in want.terms)
+        assert (got.termination_reason, got.min_terms, got.diagnostics, got.flagged) == (
+            want.termination_reason, want.min_terms, want.diagnostics, want.flagged)
+        assert (got.noise_sigma, got.residual_rms, got.terminal_residual_norm) == (
+            want.noise_sigma * scale, want.residual_rms * scale,
+            want.terminal_residual_norm * scale)
+        assert got.iteration_tail_norms == tuple(n * scale for n in want.iteration_tail_norms)
+
+
 class TestPinnedTerms:
     """decompose_numeric's terms, bit for bit, as the estimators gave them
     when the sub-block fits ran one block at a time, seeded from the two
@@ -924,35 +972,35 @@ class TestPinnedTerms:
     any bit of a result shows here."""
 
     THREE_TERM = [
-        [("0x1.33fd28bbb7880p-2", "0x1.cf1c3405a759fp+0"),
-         ("0x1.598fbe3590412p+0", "0x1.9dc50fe76a933p+1"),
-         ("0x1.239453f32b184p+1", "0x1.3bf43f2d0aa25p+2")],
-        [("0x1.09fd0b9f8f5aap-1", "-0x1.7c1b981c9a43cp+0"),
-         ("0x1.575d7708a93dap+0", "0x1.efc13c8d22e50p+0"),
-         ("0x1.224c29257de9bp+1", "0x1.12179f0c98fe6p+0")],
+        [("0x1.33fd28bbb64b5p-2", "0x1.cf1c3405a3032p+0"),
+         ("0x1.598fbe357b135p+0", "0x1.9dc50fe715a79p+1"),
+         ("0x1.239453f31f30dp+1", "0x1.3bf43f2d36098p+2")],
+        [("0x1.09fd0b9f8f16fp-1", "-0x1.7c1b981c98eb3p+0"),
+         ("0x1.575d7708ac31cp+0", "0x1.efc13c8d2d032p+0"),
+         ("0x1.224c292580ccfp+1", "0x1.12179f0c8d8eap+0")],
     ]
     # data/two_term.json on compare's default grid; the noise seed follows
     # compare's rule seed + 7919 * sigma_index + trial for --seed 0, trial 0
     # and the sweep (0, 1e-6, 1e-4, 1e-3); the joint refit ends both at two
     # terms
     NOISY = {
-        (1e-4, 2): [("0x1.000065bac58c8p+0", "0x1.000001cb22b6ap+1"),
-                    ("0x1.fffdb18e8ff74p+0", "0x1.7fff296676494p+1")],
-        (1e-3, 3): [("0x1.009cfb6904c2ap+0", "0x1.01e50f3b74384p+1"),
-                    ("0x1.007b01aec69b2p+1", "0x1.7e28ab2b78277p+1")],
+        (1e-4, 2): [("0x1.000065bac58c8p+0", "0x1.000001cb22b6bp+1"),
+                    ("0x1.fffdb18e8ff75p+0", "0x1.7fff296676493p+1")],
+        (1e-3, 3): [("0x1.009cfb6904c28p+0", "0x1.01e50f3b7437dp+1"),
+                    ("0x1.007b01aec69b0p+1", "0x1.7e28ab2b7827fp+1")],
     }
     # the same inputs through the extraction loop alone, no refit accepted:
     # the terms it invents past the true two
     LOOP_ONLY = {
-        (1e-4, 2): [("0x1.013d946524065p+0", "0x1.0825af94dc637p+1"),
-                    ("0x1.1ab3baf2663e8p+1", "0x1.12a7119f415b3p+2"),
-                    ("0x1.116fadac02c72p+2", "-0x1.ca1c206c8f593p+3"),
-                    ("0x1.630e4cd5600b2p+2", "0x1.d244ab2f0d8b2p+4")],
-        (1e-3, 3): [("0x1.0633a64593a0ap+0", "0x1.224a863e454dfp+1"),
-                    ("0x1.294536366eabfp+1", "0x1.c1a7b765cc5aap+1"),
-                    ("0x1.1f705a7bac678p+2", "-0x1.89d4cd109d90bp+0"),
-                    ("0x1.3fdd29c37916dp+3", "0x1.88c4656670825p+1"),
-                    ("0x1.bf5c81d0030dbp+3", "-0x1.9d718081ec836p+1")],
+        (1e-4, 2): [("0x1.013d946524065p+0", "0x1.0825af94dc636p+1"),
+                    ("0x1.1ab3baf2663dbp+1", "0x1.12a7119f41568p+2"),
+                    ("0x1.116fadac02cb7p+2", "-0x1.ca1c206c8f6c2p+3"),
+                    ("0x1.630e4cd56011ep+2", "0x1.d244ab2f0dbf8p+4")],
+        (1e-3, 3): [("0x1.0633a64593a0ap+0", "0x1.224a863e454e0p+1"),
+                    ("0x1.294536366eac0p+1", "0x1.c1a7b765cc59dp+1"),
+                    ("0x1.1f705a7bac677p+2", "-0x1.89d4cd109d86bp+0"),
+                    ("0x1.3fdd29c37924ep+3", "0x1.88c4656670adap+1"),
+                    ("0x1.bf5c81d0030d9p+3", "-0x1.9d718081ecb0ep+1")],
     }
 
     @staticmethod

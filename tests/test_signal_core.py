@@ -245,26 +245,28 @@ class TestInputRecord:
         grid = self.GRID.copy()
         values = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))(grid)
         record = input_record(grid, values, uniform_grid_step(grid))
-        for arr in (record.grid, record.values, record.unit_values):
+        for arr in (record.grid, record.values):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
         assert grid.flags.writeable and values.flags.writeable
-        assert np.shares_memory(record.values, values) and np.array_equal(record.values, values)
+        assert np.shares_memory(record.grid, grid) and not np.shares_memory(record.values, values)
+        # the record holds the input in units of its peak
+        assert record.peak == 5.0 and np.array_equal(record.values, values / 5.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.peak = 1.0
-        # the decomposer reports the record of its input
+        # the decomposer reports the record of its input, at the input's scale
         result = decompose_numeric(SignalSource.from_sampled(SampledSignal(grid, values)),
                                    (0.0, 40.0))
-        assert (result.noise_sigma, result.min_terms) == (record.noise_sigma, 2)
-        assert record.min_terms == 2 and record.peak == 5.0
+        assert (result.noise_sigma, result.min_terms) == (record.noise_sigma * 5.0, 2)
+        assert record.min_terms == 2
 
-    def test_all_zero_input_has_no_unit_values_goal_or_min_terms(self):
+    def test_all_zero_input_keeps_its_zeros_and_has_no_goal_or_min_terms(self):
         record = input_record(self.GRID, np.zeros(len(self.GRID)),
                               uniform_grid_step(self.GRID))
         assert (record.peak, record.noise_sigma) == (0.0, 0.0)
-        assert record.unit_values is None and record.rss_goal is None
-        assert record.min_terms is None
+        assert not record.values.any() and not record.values.flags.writeable
+        assert record.rss_goal is None and record.min_terms is None
 
     def test_non_uniform_step_has_no_min_terms(self):
         values = np.exp(-self.GRID)
