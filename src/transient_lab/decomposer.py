@@ -335,15 +335,15 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     against values over the whole grid, on the full (rate, coeff) Jacobian J,
     from the given terms (Golub & Pereyra 1973 frame it as variable
     projection).  Each step solves the damped normal equations
-    (G + lam I) step = J' residual by lstsq, G = J'J in units of each
+    (G + lam I) step = J' residual by LU, G = J'J in units of each
     parameter's column norm (Marquardt's scaling); G has two rows a term, so a
     step costs a few passes over the grid.  A trial step that leaves a rate
     non-positive or any parameter or value non-finite counts as a rise of the
-    sum of squares: the damping grows, and past LM_MAX_DAMPING the refit
-    gives up.  So does a refit that would not bring the sum of squares down
-    to LM_GIVE_UP_RATIO times rss_goal if every step left cut it by the last
-    step's ratio, and one whose G is not finite (lstsq would have LAPACK
-    print to stderr).  values are the record's, in units of the input's
+    sum of squares, and so does a damped system that is singular: the damping
+    grows, and past LM_MAX_DAMPING the refit gives up.  So does a refit that
+    would not bring the sum of squares down to LM_GIVE_UP_RATIO times
+    rss_goal if every step left cut it by the last step's ratio, and one
+    whose G is not finite.  values are the record's, in units of the input's
     peak, as are coeffs and rss_goal; a sum of squares at the rounding
     floor, ROUNDING_FLOOR of that peak, ends the refit at once.
 
@@ -359,11 +359,13 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     params = np.concatenate((rates, coeffs))
     # J' a row a parameter: d model / d rate = -coeff * grid * exp(-rate * grid)
     # in the first k rows; d model / d coeff = exp(-rate * grid), the current
-    # terms' basis, in the last k.  A trial step writes its basis into the
-    # spare's last k rows, and an accepted one swaps the two.  One allocation
-    # holds both: as two, they cost perfbench's clean3 about 14 more page
-    # faults a signal (glibc malloc), as one no more than before
-    jac, spare = np.zeros((2, 2 * k, len(grid)))
+    # terms' basis, in the last k.  Each step copies J into the spare for the
+    # gemm that forms G, then writes each trial's basis into the spare's last
+    # k rows, and an accepted trial swaps the two; every element is written
+    # before it is read, so neither is zeroed.  One allocation holds both: as
+    # two, they cost perfbench's clean3 about 14 more page faults a signal
+    # (glibc malloc), as one no more than before
+    jac, spare = np.empty((2, 2 * k, len(grid)))
     basis = jac[k:]
     with np.errstate(all="ignore"):
         np.exp(np.multiply(-params[:k, None], grid, out=basis), out=basis)
@@ -377,10 +379,13 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
                 break
             np.multiply(basis, grid, out=jac[:k])
             jac[:k] *= -params[k:, None]
+            # J times its own transpose would go to BLAS syrk, which takes
+            # twice as long as gemm at these shapes
+            np.copyto(spare, jac)
+            gram = np.matmul(jac, spare.T)
             # in units of each parameter's column norm, G has a unit diagonal
-            # (Marquardt's scaling), so lstsq's cutoff reads every parameter
+            # (Marquardt's scaling), so the damping weighs every parameter
             # alike whatever the terms' sizes
-            gram = np.matmul(jac, jac.T)
             scale = gram.diagonal() ** 0.5
             scale[scale == 0.0] = 1.0
             gram /= scale[:, None] * scale
@@ -390,8 +395,16 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
             while True:
                 damped = gram.copy()
                 damped.flat[::2 * k + 1] += lam
-                trial = params + np.linalg.lstsq(damped, grad, rcond=None)[0] / scale
-                if np.isfinite(trial).all() and (trial[:k] > 0.0).all():
+                # a damping below half an ulp of G's unit diagonal leaves it
+                # as it was, so a G singular in floating point gives a
+                # singular system: that trial is rejected, as a rise is, and
+                # the damping grows until it damps
+                try:
+                    trial = params + np.linalg.solve(damped, grad) / scale
+                    valid = np.isfinite(trial).all() and (trial[:k] > 0.0).all()
+                except np.linalg.LinAlgError:
+                    valid = False
+                if valid:
                     trial_basis = spare[k:]
                     np.exp(np.multiply(-trial[:k, None], grid, out=trial_basis), out=trial_basis)
                     trial_resid = values - np.matmul(trial[k:], trial_basis)

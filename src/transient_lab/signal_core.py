@@ -373,10 +373,12 @@ def _rss_bound(values):
     rows = len(values) - (HANKEL_COLUMNS - 1) * HANKEL_STRIDE
     if rows < HANKEL_COLUMNS:
         return None
-    # H' a row a column of H, copied out of the overlapping view for the gemm
+    # H' a row a column of H, copied out of the overlapping view for the gemm;
+    # against a second copy, since H' times its own transpose goes to BLAS
+    # syrk, which takes twice as long at this shape
     hankel_t = np.ascontiguousarray(
         _rows(values, range(0, HANKEL_COLUMNS * HANKEL_STRIDE, HANKEL_STRIDE), rows))
-    gram = np.matmul(hankel_t, hankel_t.T)
+    gram = np.matmul(hankel_t, hankel_t.copy().T)
     margin = (4.0 * rows * np.finfo(float).eps + 1e-12) * gram.trace()
     eigenvalues = np.linalg.eigvalsh(gram)[::-1]
     return np.maximum(eigenvalues - margin, 0.0) / HANKEL_COLUMNS

@@ -49,10 +49,10 @@ def test_all_lists_exactly_the_imported_names():
 # every numpy name src/ uses, each present in numpy 1.24 (pyproject.toml's floor)
 NUMPY_1_24_NAMES = {
     "abs", "add.reduce", "all", "any", "arange", "argmax", "array", "asarray",
-    "ascontiguousarray", "column_stack", "concatenate", "copysign", "count_nonzero",
-    "diff", "dot", "errstate", "exp", "eye", "finfo", "flatnonzero", "interp",
-    "isfinite", "ldexp", "linalg.eigvals", "linalg.eigvalsh", "linalg.lstsq", "linalg.svd",
-    "linspace",
+    "ascontiguousarray", "column_stack", "concatenate", "copysign", "copyto", "count_nonzero",
+    "diff", "dot", "empty", "errstate", "exp", "eye", "finfo", "flatnonzero", "interp",
+    "isfinite", "ldexp", "linalg.LinAlgError", "linalg.eigvals", "linalg.eigvalsh",
+    "linalg.lstsq", "linalg.solve", "linalg.svd", "linspace",
     "loadtxt", "log", "matmul", "maximum", "maximum.reduce",
     "minimum.reduce", "multiply", "ndarray", "ndenumerate", "outer", "partition",
     "polynomial.legendre.leggauss", "polynomial.polynomial.polyder",
@@ -99,6 +99,43 @@ def test_numpy_names_within_the_declared_floor():
                        f"pyproject.toml in the same change")
     stale = sorted(NUMPY_1_24_NAMES - visitor.names)
     assert stale == [], f"numpy names src/ no longer uses: {stale}; drop them from the list"
+
+
+def _self_transpose_products(tree):
+    """The line of each product of an expression with its own transpose in
+    tree: x @ x.T, np.matmul(x, x.T), np.dot(x, x.T) or x.dot(x.T), for any
+    expression x."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            pair = [node.left, node.right]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("matmul", "dot"):
+            # the last two of np, x, x.T or of x, x.T
+            pair = ([node.func.value] + node.args)[-2:]
+        else:
+            continue
+        if (len(pair) == 2 and isinstance(pair[1], ast.Attribute) and pair[1].attr == "T"
+                and ast.dump(pair[1].value) == ast.dump(pair[0])):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_gram_by_syrk():
+    """numpy hands x times its own transpose, x @ x.T, to BLAS syrk, which
+    OpenBLAS runs about twice as slow as gemm at the decomposer's shapes: a
+    4 x 4001 Jacobian's Gram takes 20 us by syrk and 10 us by gemm against a
+    copy (OpenBLAS 0.3.31, one thread, an Intel Xeon core).  So every Gram
+    in src/ goes by gemm, against a copy of x."""
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _self_transpose_products(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_self_transpose_products_are_found():
+    forms = ["x @ x.T", "np.matmul(x, x.T)", "np.dot(a[k:], a[k:].T)", "x.dot(x.T)",
+             "np.matmul(x, y.T)", "x @ x.copy().T", "np.matmul(x, x.T, out=g)"]
+    assert [bool(_self_transpose_products(ast.parse(form))) for form in forms] == [
+        True, True, True, True, False, False, True]
 
 
 def test_every_imported_name_is_read():
