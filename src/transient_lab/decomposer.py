@@ -39,9 +39,11 @@ take the grid and that array as they are, so nothing is read or checked
 again.  Each iteration trims its residual once: one shrink_support pass at
 RESIDUAL_FLOOR and HORIZON_FLOORS gives both the tail window the residual
 floor is read over and the horizons the rate fits scan, and the first
-iteration's window is the fixed window of iteration_tail_norms.  Each held
-term keeps its own column, coeff * exp(-rate * grid), computed once when
-the term is estimated, so a residual costs one subtraction per held term.
+iteration's window is the fixed window of iteration_tail_norms; the final
+residual is trimmed at RESIDUAL_FLOOR alone, the one end its tail norm
+reads.  Each held term keeps its own column, coeff * exp(-rate * grid),
+computed once, the first time a residual needs it, so a residual costs one
+subtraction per held term, and a term a landed refit replaces costs none.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class _Term(NamedTuple):
     coeff: float
     rms: float                # log-magnitude rms of the winning rate fit
     window: tuple             # that fit's (t_start, t_end)
-    column: np.ndarray        # coeff * exp(-rate * grid), computed once
+    column: Optional[np.ndarray]   # coeff * exp(-rate * grid); None until a residual needs it
 
 
 # Aitken passes of every tail fit (tail_limits).  With perfbench's seed-3
@@ -213,6 +215,13 @@ class _NumericState:
         """
         if not self.terms:
             return self.record.values
+        grid = self.record.grid
+        for i, term in enumerate(self.terms):
+            if term.column is None:
+                column = np.multiply(-term.rate, grid)
+                np.exp(column, out=column)
+                column *= term.coeff
+                self.terms[i] = term._replace(column=column)
         try:
             # numpy reads its overflow flag after each subtraction anyway;
             # raising on it spares a finite check's pass over the values
@@ -237,6 +246,17 @@ class _NumericState:
         except SignalVanished:
             return None, None
         return tail_slice(self.record.grid, self.t_lo, t_hi)[1], ends
+
+    def tail_norm(self, values):
+        """Sup norm of these values over the tail window of their horizon
+        trimmed at RESIDUAL_FLOOR, the window trim gives; 0.0 when they are
+        zero everywhere.  One shrink_support level, that floor's alone."""
+        grid = self.record.grid
+        try:
+            t_hi, = shrink_support(grid, values, (RESIDUAL_FLOOR,))
+        except SignalVanished:
+            return 0.0
+        return float(np.abs(values[tail_slice(grid, self.t_lo, t_hi)[1]]).max())
 
     def floor_hit(self, values, window):
         """Whether these values, the residual of the held terms, sit below the
@@ -287,10 +307,7 @@ class _NumericState:
             raise
         coeff = estimate_coefficient(grid, values, best.rate, (self.t_lo, best.window[1]),
                                      TAIL_FIT_PASSES)
-        column = np.multiply(-best.rate, grid)
-        np.exp(column, out=column)
-        column *= coeff
-        return _Term(best.rate, coeff, best.residual_rms, best.window, column)
+        return _Term(best.rate, coeff, best.residual_rms, best.window, None)
 
     def collides(self, rate):
         span = self.t_hi - self.t_lo
@@ -340,7 +357,8 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
     step costs a few passes over the grid.  A trial step that leaves a rate
     non-positive or any parameter or value non-finite counts as a rise of the
     sum of squares, and so does a damped system that is singular: the damping
-    grows, and past LM_MAX_DAMPING the refit gives up.  So does a refit that
+    grows, and past LM_MAX_DAMPING the refit gives up, as it does at once
+    when the damping is not positive and so cannot grow.  So does a refit that
     would not bring the sum of squares down to LM_GIVE_UP_RATIO times
     rss_goal if every step left cut it by the last step's ratio, and one
     whose G is not finite.  values are the record's, in units of the input's
@@ -412,7 +430,8 @@ def _joint_refit(grid, values, rates, coeffs, rss_goal):
                     if trial_rss <= rss:
                         break
                 lam *= 10.0
-                if lam > LM_MAX_DAMPING:
+                # a damping of 0, below 0 or NaN never grows past the cap
+                if not 0.0 < lam <= LM_MAX_DAMPING:
                     return params[:k], params[k:], basis, rss
             jac, spare, basis = spare, jac, trial_basis
             drop = rss - trial_rss
@@ -483,8 +502,7 @@ def decompose_numeric(source: SignalSource, support) -> DecompositionResult:
             break
 
     final_values = state.residual_values()
-    window, _ = state.trim(final_values)
-    terminal = float(np.abs(final_values[window]).max()) if window is not None else 0.0
+    terminal = state.tail_norm(final_values)
     # a residual past about 1e154 of the peak squares to inf, refused below
     with np.errstate(over="ignore"):
         rms = math.sqrt(float(np.dot(final_values, final_values)) / len(final_values))

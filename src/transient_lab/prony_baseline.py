@@ -64,6 +64,33 @@ def _companion_roots(monic_low_to_high) -> np.ndarray:
     return np.linalg.eigvals(matrix)
 
 
+def _screen_roots(roots):
+    """(kept, rejected, repeated) for the companion roots.  kept holds the
+    real roots in (0, 1) clear of 1 by _UNIT_ROOT_TOL, descending, as a
+    reversed view of an ascending array: np.log reads a contiguous
+    descending copy to other bits.  rejected holds the roots off the real
+    line, as eigvals gave them, then the real roots out of that range, each
+    a complex with zero imaginary part when eigvals gave complex roots.
+    repeated tells whether two kept roots are equal.  A root is real when
+    its imaginary part is within _REAL_ROOT_TOL of max(|real part|, 1).
+
+    A fit has two to a few roots, so one Python pass over them costs less
+    than the array operations it replaces."""
+    kept, off_line, out_of_range = [], [], []
+    for root in roots.tolist():
+        real = root.real
+        # max(nan, 1.0) is nan, as np.maximum gives, so no NaN root is real
+        if abs(root.imag) <= _REAL_ROOT_TOL * max(abs(real), 1.0):
+            if real > 0.0 and 1.0 - real > _UNIT_ROOT_TOL:
+                kept.append(real)
+            else:
+                out_of_range.append(complex(real) if isinstance(root, complex) else real)
+        else:
+            off_line.append(root)
+    return (np.array(sorted(kept))[::-1], tuple(off_line + out_of_range),
+            len(set(kept)) != len(kept))
+
+
 def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
     """Fit `order` exponential terms to uniformly sampled data.
 
@@ -100,21 +127,15 @@ def prony_fit(signal: SampledSignal, order: int) -> PronyModel:
         flags.append(f"order_reduced:{p}->{rank}")
         p = int(rank)
 
-    roots = _companion_roots(np.concatenate([poly, [1.0]]))
-    scale = np.maximum(1.0, np.abs(roots.real))
-    is_real = np.abs(roots.imag) <= _REAL_ROOT_TOL * scale
-    real_roots = roots[is_real].real
-    in_range = (real_roots > 0.0) & (1.0 - real_roots > _UNIT_ROOT_TOL)
-    kept = np.sort(real_roots[in_range])[::-1]          # descending pole = ascending rate
-    rejected = tuple(np.concatenate([roots[~is_real], real_roots[~in_range]]).tolist())
-    if len(rejected):
+    kept, rejected, repeated = _screen_roots(_companion_roots(np.concatenate([poly, [1.0]])))
+    if rejected:
         flags.append("complex_or_out_of_range_roots")
     if len(kept) == 0:
         raise RankDeficient("no real poles in (0, 1) survived root filtering")
-    if len(np.unique(kept)) != len(kept):
+    if repeated:
         flags.append("duplicate_poles")
 
-    rates = -np.log(kept) / step
+    rates = -np.log(kept) / step        # descending pole = ascending rate
     vandermonde = kept[None, :] ** np.arange(n)[:, None]
     # the solve's own singular values give the condition: no second SVD
     amplitudes, _, _, singular = np.linalg.lstsq(vandermonde, values, rcond=None)

@@ -14,6 +14,7 @@ list enumeration mirrors the natural well-ordering of the rate set.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -400,7 +401,10 @@ def inner_product(f: SignalSource, g, q: QuadratureConfig = None):
     one quadrature pass, a lone source being its one-row case: f is read
     once at the nodes, and the symbolic sources read one table of
     exp(-rate t) over all their rates, which gives each the values its own
-    evaluation gives.
+    evaluation gives.  When every source in the pass is symbolic, their
+    values are built once per process per sources and nodes and read again
+    by every later call (_values_at), so projecting many signals onto one
+    basis at one window builds its element table once.
 
     Known defect of the quadrature: on the whole half line the product of
     two terms with rates summing below 1 is undershot.  The substitution
@@ -442,7 +446,35 @@ def inner_product(f: SignalSource, g, q: QuadratureConfig = None):
 def _values_at(sources, ts) -> np.ndarray:
     """One row per source: its values at ts.  The symbolic sources' rows
     come from one _decay_table over all their rates, bit for bit what each
-    one's own call gives."""
+    one's own call gives.  Sources that are all symbolic read one table,
+    built once per process per sources and nodes (_symbolic_values); a
+    sampled or evaluator source among them is evaluated on every call."""
+    sources = tuple(sources)
+    if all(x.symbolic is not None for x in sources):
+        return _symbolic_values(sources, ts.tobytes())
+    return _value_rows(sources, ts)
+
+
+# the most tables _symbolic_values keeps: one per basis and quadrature window
+# a process projects onto, which is one for the sweeps of compare, whose
+# sample sets share one grid.  A table holds a row per source and a column
+# per node: at most 135 x 1000 floats, 1.1 MB, for the largest basis at
+# quadrature.MAX_NODES
+_VALUE_TABLES = 16
+
+
+@functools.lru_cache(maxsize=_VALUE_TABLES)
+def _symbolic_values(sources, nodes: bytes) -> np.ndarray:
+    """_value_rows of these symbolic sources at the float nodes packed in
+    nodes, read-only: the key is the nodes' bytes, so equal nodes share a
+    table and the bits of each row are those the nodes themselves give."""
+    table = _value_rows(sources, np.frombuffer(nodes))
+    table.flags.writeable = False
+    return table
+
+
+def _value_rows(sources, ts) -> np.ndarray:
+    """_values_at, built anew."""
     rates = sorted({r for x in sources if x.symbolic is not None for r, _ in x.symbolic.terms})
     table = _decay_table(np.array(rates), ts)
     row = {r: i for i, r in enumerate(rates)}

@@ -806,9 +806,9 @@ class TestGridResidency:
             gc.enable()
 
     def test_held_columns_give_the_residuals(self, monkeypatch):
-        # each held term keeps coeff * exp(-rate * grid) from when it was
-        # estimated; subtracting those columns in list order is bitwise the
-        # residual recomputed from the terms' rates and coefficients
+        # each held term keeps coeff * exp(-rate * grid) from the first
+        # residual that needs it; subtracting those columns in list order is
+        # bitwise the residual recomputed from the terms' rates and coefficients
         import transient_lab.decomposer as decomposer
 
         states = []
@@ -829,6 +829,49 @@ class TestGridResidency:
         for term in state.terms:
             want -= term.coeff * np.exp(-term.rate * state.record.grid)
         assert np.array_equal(state.residual_values(), want)
+
+    @pytest.mark.parametrize("case", ["clean_three_term", "noisy_1e-4", "noisy_1e-3",
+                                      "max_terms_cap"])
+    def test_end_of_run_reads_equal_a_full_trim_and_eager_columns(self, monkeypatch, case):
+        # the final residual is trimmed at RESIDUAL_FLOOR alone, and a held
+        # term's column is built when a residual first needs it.  A state
+        # that trims the final residual at every level, as each iteration
+        # does, and builds each column as its term is estimated gives every
+        # bit of the result; on the max_terms_cap input no refit lands, so the
+        # final residual subtracts every extracted column
+        import transient_lab.decomposer as decomposer
+
+        def sqrt_decay():
+            ts = np.linspace(0.0, 40.0, 4001)
+            noise = np.random.default_rng(8).normal(0.0, 1e-4, ts.shape)
+            return SampledSignal(ts, np.exp(-np.sqrt(ts)) + noise)
+
+        samples = {
+            "clean_three_term": lambda: next(TestOneRefitPerSize.clean_inputs()),
+            "noisy_1e-4": lambda: two_term_samples(1e-4, 2),
+            "noisy_1e-3": lambda: two_term_samples(1e-3, 3),
+            "max_terms_cap": sqrt_decay,
+        }[case]()
+
+        class Eager(decomposer._NumericState):
+            def estimate_term(self, values, ends):
+                term = super().estimate_term(values, ends)
+                column = np.multiply(-term.rate, self.record.grid)
+                np.exp(column, out=column)
+                column *= term.coeff
+                return term._replace(column=column)
+
+            def tail_norm(self, values):
+                window, _ = self.trim(values)
+                return float(np.abs(values[window]).max()) if window is not None else 0.0
+
+        source = SignalSource.from_sampled(samples)
+        lazy = decompose_numeric(source, samples.support)
+        monkeypatch.setattr(decomposer, "_NumericState", Eager)
+        eager = decompose_numeric(source, samples.support)
+        assert repr(lazy) == repr(eager)
+        assert lazy.terminal_residual_norm > 0.0
+        assert (lazy.termination_reason == "max_terms") == (case == "max_terms_cap")
 
     def test_non_finite_evaluator_rejected(self):
         def fn(ts):

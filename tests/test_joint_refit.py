@@ -155,3 +155,29 @@ def test_singular_damped_system_is_a_rejected_step(monkeypatch, capfd):
     assert np.isfinite(rates).all() and (rates > 0.0).all()
     assert np.isfinite(coeffs).all() and np.isfinite(rss)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("damping", [0.0, -1e-9, np.nan])
+@pytest.mark.parametrize("rates", [[1.5, 1.5], [0.9, 2.2]], ids=["singular", "regular"])
+def test_any_damping_ends_the_rejections(monkeypatch, capfd, damping, rates):
+    # a rejected trial grows the damping tenfold, which leaves 0 at 0 and a
+    # negative or NaN damping never past the cap: the refit gives up at
+    # once on such a damping.  The damped systems are counted, so a
+    # rejection loop that does not end fails here instead of hanging
+    monkeypatch.setattr(decomposer, "LM_DAMPING", damping)
+    solve = np.linalg.solve
+    systems = []
+
+    def counted(damped, grad):
+        systems.append(grad)
+        if len(systems) > 10 * LM_MAX_STEPS:
+            raise AssertionError("the refit does not end")
+        return solve(damped, grad)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    grid = np.linspace(0.0, 40.0, 401)
+    rates, coeffs, basis, rss = _joint_refit(grid, np.exp(-grid) + np.exp(-2.0 * grid),
+                                             rates, [1.0, 1.0], 1e-20)
+    assert np.isfinite(rates).all() and (rates > 0.0).all()
+    assert np.isfinite(coeffs).all() and np.isfinite(rss)
+    assert capfd.readouterr().err == ""

@@ -296,6 +296,24 @@ class TestAnalyzeSynthesize:
             assert np.array_equal(got.exponential_coeffs,
                                   oet_analyze(source, fresh).exponential_coeffs)
 
+    @pytest.mark.parametrize("nodes", [128, 64])
+    def test_warm_projections_keep_each_elements_own_bits(self, nodes):
+        # the element values are kept per basis and quadrature nodes: after
+        # a warm call a second sample set reads them, at each of two
+        # windows, and each projection is still the element's own product,
+        # taken with the element as an evaluator, which is read on every call
+        q = QuadratureConfig(nodes=nodes)
+        basis = build_exponential_basis(8)
+        sig = SymbolicTransient(((1.0, 2.0), (2.0, 3.0)))
+        for horizon in (40.0, 20.0):
+            grid = np.linspace(0.0, horizon, 4001)
+            for seed in (3, 4):
+                source = SignalSource.from_sampled(
+                    synthesize_samples(sig, grid, noise_sigma=1e-4, seed=seed))
+                want = [inner_product(source, SignalSource.from_evaluator(element.symbolic), q)
+                        for element in basis.elements]
+                assert np.array_equal(oet_analyze(source, basis, q).projections, want)
+
     def test_one_quadrature_pass_per_analysis(self, monkeypatch):
         # a sampled source is read once: one inner_product call, one
         # integral of all eight element rows, one evaluation of the samples

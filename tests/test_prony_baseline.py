@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from transient_lab import (Diverging, RankDeficient, SampledSignal, SymbolicTransient,
-                           prony_fit, synthesize_samples, vandermonde_condition)
+                           TransientLabError, prony_baseline, prony_fit, synthesize_samples,
+                           vandermonde_condition)
+from transient_lab.prony_baseline import _REAL_ROOT_TOL, _UNIT_ROOT_TOL, _screen_roots
 
 from conftest import random_transient
 
@@ -251,3 +253,101 @@ class TestVandermondeCondition:
             vandermonde_condition([0.5, 0.5], np.arange(5.0))
         with pytest.raises(ValueError, match="uniform"):
             vandermonde_condition([0.5], np.array([0.0, 1.0, 3.0]))
+
+
+def reference_screen(roots):
+    """_screen_roots as prony_fit screened the companion roots before, by
+    numpy array operations on all of them at once."""
+    scale = np.maximum(1.0, np.abs(roots.real))
+    is_real = np.abs(roots.imag) <= _REAL_ROOT_TOL * scale
+    real_roots = roots[is_real].real
+    in_range = (real_roots > 0.0) & (1.0 - real_roots > _UNIT_ROOT_TOL)
+    kept = np.sort(real_roots[in_range])[::-1]
+    rejected = tuple(np.concatenate([roots[~is_real], real_roots[~in_range]]).tolist())
+    return kept, rejected, len(np.unique(kept)) != len(kept)
+
+
+def screening_inputs():
+    """(times, values, order) of seeded fits of orders 2 to 5: random values
+    on short grids, noisy decays at an order above their own, and decays on
+    a constant, whose pole at 1 the fit puts a few eps to either side of 1;
+    then samples with a double pole, and an oscillation."""
+    inputs = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        order = 2 + seed % 4
+        kind = seed % 3
+        if kind == 0:
+            times = np.arange(float(rng.integers(2 * order, 2 * order + 4)))
+            values = rng.normal(size=len(times))
+        else:
+            times = np.arange(60 if kind == 1 else 40) * (0.1 if kind == 1 else 0.25)
+            values = sum(rng.uniform(0.5, 2.0) * np.exp(-rate * times)
+                         for rate in rng.uniform(0.2, 3.0, order - 1))
+            values = (values + rng.normal(0.0, 1e-3, len(times)) if kind == 1
+                      else values + 1.0)
+        inputs.append((times, values, order))
+    inputs.append((np.arange(6.0), np.array([1.0, 1.0, 3.0, -1.0, 0.0, 2.0]), 2))
+    grid = np.arange(24) * 0.4
+    inputs.append((grid, np.exp(-0.5 * grid) * np.cos(2.0 * grid), 3))
+    return inputs
+
+
+class TestRootScreening:
+    """The companion roots are screened in a Python pass over them; the
+    numpy screening before it (reference_screen) is the reference, and
+    every fit must keep its bits: a contiguous descending copy of the kept
+    poles, say, gives other bits to some rates through np.log."""
+
+    @staticmethod
+    def outcome(times, values, order):
+        try:
+            return repr(prony_fit(SampledSignal(times, values), order))
+        except TransientLabError as exc:
+            return repr(exc)
+
+    def test_fits_equal_the_reference_screening(self, monkeypatch):
+        roots_seen = []
+        companion = prony_baseline._companion_roots
+
+        def recorded(coeffs):
+            roots_seen.append(companion(coeffs))
+            return roots_seen[-1]
+
+        monkeypatch.setattr(prony_baseline, "_companion_roots", recorded)
+        for times, values, order in screening_inputs():
+            got = self.outcome(times, values, order)
+            with monkeypatch.context() as patch:
+                patch.setattr(prony_baseline, "_screen_roots", reference_screen)
+                assert got == self.outcome(times, values, order)
+        # the fits reach every kind of root the screening sorts
+        rejected = [reference_screen(roots)[1] for roots in roots_seen]
+        kinds = {
+            "complex": any(isinstance(r, complex) and r.imag != 0.0
+                           for roots in rejected for r in roots),
+            "real as complex": any(isinstance(r, complex) and r.imag == 0.0
+                                   for roots in rejected for r in roots),
+            "negative": any(complex(r).real < 0.0 for roots in rejected for r in roots),
+            "within rounding of 1": any(0.0 < 1.0 - complex(r).real <= _UNIT_ROOT_TOL
+                                        for roots in rejected for r in roots),
+            "past 1": any(complex(r).real > 1.0 for roots in rejected for r in roots),
+            "duplicate": any(reference_screen(roots)[2] for roots in roots_seen),
+        }
+        assert all(kinds.values()), kinds
+
+    @pytest.mark.parametrize("roots", [
+        [0.5, 0.25],
+        [0.25, 0.5, 0.5],
+        [-0.5, 0.5, 0.0, -0.0, 1.0, 2.0],
+        [1.0 - 4 * np.finfo(float).eps, 1.0 - 64 * np.finfo(float).eps],
+        [0.5 + 0.5j, 0.5 - 0.5j, 0.25 + 0.0j, -0.25 + 1e-12j, 3.0 + 0j],
+        [0.9 + 1e-9j, 0.9 - 1e-9j],
+        [complex(np.nan, 0.0), 0.5 + 0.5j, 0.5 + 0j],
+    ], ids=["kept", "duplicate", "out_of_range", "near_one", "complex", "near_real", "nan"])
+    def test_roots_screen_as_the_reference_does(self, roots):
+        got_kept, got_rejected, got_repeated = _screen_roots(np.array(roots))
+        want_kept, want_rejected, want_repeated = reference_screen(np.array(roots))
+        assert repr(got_rejected) == repr(want_rejected)
+        assert got_repeated == want_repeated
+        assert got_kept.strides == want_kept.strides
+        assert repr(got_kept.tolist()) == repr(want_kept.tolist())

@@ -452,6 +452,57 @@ class TestInnerProductSequence:
         assert inner_product(f, gs[0]) == 0.0
 
 
+class TestElementTable:
+    """Symbolic sources' values at the quadrature nodes are built once per
+    process per sources and nodes, and kept read-only; any other source is
+    read on every call."""
+
+    SIG = SymbolicTransient(((1.0, 2.0), (2.5, -3.0)))
+
+    def test_built_once_per_sources_and_nodes(self, monkeypatch):
+        basis = build_exponential_basis.__wrapped__(8)   # sources no call has seen
+        sources = [SignalSource.from_sampled(synthesize_samples(
+            self.SIG, np.linspace(0.0, horizon, 401), noise_sigma=1e-4, seed=seed))
+            for seed, horizon in enumerate((40.0, 40.0, 20.0, 40.0))]
+        builds = []
+        decay_table = signal_core._decay_table
+
+        def counted(rates, ts):
+            builds.append(len(ts))
+            return decay_table(rates, ts)
+
+        monkeypatch.setattr(signal_core, "_decay_table", counted)
+        for f in sources:
+            oet_analyze(f, basis)
+        assert builds == [128, 128]
+
+    def test_kept_table_is_read_only(self):
+        elements = build_exponential_basis(8).elements
+        ts = np.linspace(0.1, 5.0, 16)
+        table = signal_core._values_at(elements, ts)
+        assert table is signal_core._values_at(elements, ts.copy())
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        assert np.array_equal(table, [evaluate_many(x, ts) for x in elements])
+
+    def test_evaluator_sources_are_read_on_every_call(self):
+        reads = []
+
+        def fn(ts):
+            reads.append(len(ts))
+            return np.exp(-2.0 * ts) + len(reads)
+
+        g = SignalSource.from_evaluator(fn, support=(0.0, 20.0))
+        f = SignalSource.from_evaluator(self.SIG, support=(0.0, 20.0))
+        elements = [SignalSource(symbolic=x.symbolic, support=(0.0, 20.0))
+                    for x in build_exponential_basis(8).elements]
+        firsts = [inner_product(f, g), inner_product(f, elements + [g])[-1]]
+        seconds = [inner_product(f, g), inner_product(f, elements + [g])[-1]]
+        assert reads == [128] * 4
+        assert all(b > a for a, b in zip(firsts, seconds))
+
+
 # ---------------------------------------------------------------------------
 # synthesize_samples
 # ---------------------------------------------------------------------------
