@@ -2,12 +2,11 @@
 
 Each verb is one function, run_<verb>(args), that reads its flags straight
 from the argparse namespace.  A verb's subparser declares only the flags it
-reads, so any other flag is a usage error.  --quadrature-nodes is taken by
-oet and compare; it sets the one field of QuadratureConfig, which alone
-checks the value, and an absent flag passes None, so the library function
-picks its default config.  --seed is taken by synth and compare.  A refused
-config value, a negative --seed, and a --horizon or --step that is not a
-finite positive number exit before any input is read.
+reads, so any other flag is a usage error.  No flag tunes a numeric
+method: the OET runs at QuadratureConfig's default node count.  --seed is
+taken by synth and compare.  A negative --seed, a --sigma that is not a
+finite non-negative number, and a --horizon or --step that is not a finite
+positive number exit before any input is read.
 
 Every run is deterministic for a fixed configuration: seeds derive from the
 --seed flag alone, output rows are sorted before writing, and floats are
@@ -40,7 +39,6 @@ from .decomposer import decompose_exact, decompose_numeric
 from .functionals import monomial_functional_matrix, rate_functional_matrix
 from .oet_jacobi import build_exponential_basis, oet_analyze
 from .prony_baseline import prony_fit
-from .quadrature import QuadratureConfig
 from .signal_core import (SignalSource, SymbolicTransient, evaluation_grid, load_samples_csv,
                           load_signal_spec, save_samples_csv, synthesize_samples)
 
@@ -59,23 +57,8 @@ MAX_GRID_STEPS = 10 ** 7
 # the size
 MAX_MATRIX_SIZE = 100
 
-# the flags, by dest, whose value main replaces with the config it sets
-_CONFIG_FLAGS = {"quadrature_nodes": QuadratureConfig}
-
 COMPARE_COLUMNS = ("method", "sigma", "trial", "term_index",
                    "true_rate", "est_rate", "true_coeff", "est_coeff", "flag")
-
-
-def _read_config_flags(args):
-    """An absent config flag stays None, the library default; a value its
-    config type refuses names the flag."""
-    for dest, kind in _CONFIG_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            try:
-                setattr(args, dest, kind(value))
-            except ValueError as exc:
-                raise ValueError(f"--{dest.replace('_', '-')} {value!r}: {exc}") from None
 
 
 def _check_positive(args, *names):
@@ -84,6 +67,13 @@ def _check_positive(args, *names):
         value = getattr(args, name)
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"--{name} must be a finite positive number, got {value}")
+
+
+def _check_sigma(*sigmas):
+    """Refuse a noise level that is negative or not finite."""
+    for sigma in sigmas:
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"--sigma must be finite and non-negative, got {sigma}")
 
 
 def _grid(args) -> np.ndarray:
@@ -140,6 +130,7 @@ def run_synth(args):
     _check_positive(args, "horizon", "step")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    _check_sigma(args.sigma)
     spec, _ = _load_input_signal(args.input)
     if spec is None:
         raise ValueError("synth needs a JSON signal spec as --input")
@@ -182,7 +173,7 @@ def run_oet(args):
         _write_csv(["element", "rate", "coeff"],
                    ((n, k, repr(float(c))) for n, row in enumerate(basis.coeff_table, 1)
                     for k, c in enumerate(row, 1)), args.basis_out)
-    coeffs = oet_analyze(source, basis, args.quadrature_nodes)
+    coeffs = oet_analyze(source, basis)
     _write_json({
         "max_index": args.max_index,
         "projections": list(coeffs.projections),
@@ -269,7 +260,7 @@ def _fit_oet(args, truth, samples):
             raise
         return None, "out_of_model", {"truncation_index": args.max_index}
     source = SignalSource.from_sampled(samples)
-    coeffs = oet_analyze(source, basis, args.quadrature_nodes)
+    coeffs = oet_analyze(source, basis)
     est = [(float(k), coeffs.exponential_coeffs[int(k) - 1]) for k in np.round(rates)]
     return est, "", {"truncation_index": max_index}
 
@@ -281,6 +272,7 @@ def run_compare(args):
     _check_positive(args, "horizon", "step")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    _check_sigma(*args.sigma)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     if args.max_index < 1:
@@ -332,7 +324,6 @@ def run_compare(args):
 _SHARED_FLAGS = {
     "--input": dict(help="input file (signal spec .json or samples .csv)"),
     "--output": dict(help="output file (stdout when omitted)"),
-    "--quadrature-nodes": dict(type=int),
     "--seed": dict(type=int, default=0),
     "--horizon": dict(type=float, default=40.0),
     "--step": dict(type=float, default=0.01),
@@ -372,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "--input", "--output")
 
     p = verb("oet", run_oet, "orthogonal exponential transform analysis",
-             "--input", "--output", "--quadrature-nodes", "--max-index")
+             "--input", "--output", "--max-index")
     p.add_argument("--basis-out", help="also export the basis coefficient table as CSV")
 
     p = verb("prony", run_prony, "classical Prony baseline fit", "--input", "--output")
@@ -385,8 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=60.0)
 
     p = verb("compare", run_compare, "method comparison sweep over noise levels",
-             "--input", "--output", "--quadrature-nodes",
-             "--seed", "--horizon", "--step", "--max-index")
+             "--input", "--output", "--seed", "--horizon", "--step", "--max-index")
     p.add_argument("--methods", nargs="+", required=True, choices=sorted(_METHODS))
     p.add_argument("--sigma", type=float, nargs="+", default=[0.0])
     p.add_argument("--trials", type=int, default=1)
@@ -398,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _read_config_flags(args)
         args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

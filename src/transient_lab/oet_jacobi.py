@@ -143,13 +143,12 @@ def check_multiplication_recurrence(params: JacobiParams, n: int, sample_points)
     return float(np.abs(lhs - rhs).max())
 
 
-def orthogonality_integral(params: JacobiParams, m: int, n: int,
-                           q: QuadratureConfig = None) -> float:
-    """Weighted product integral of J_m and J_n over [0, 1]."""
+def orthogonality_integral(params: JacobiParams, m: int, n: int) -> float:
+    """Weighted product integral of J_m and J_n over [0, 1], at the default
+    Gauss-Legendre order."""
     if not params.orthogonality_valid:
         raise ValueError(f"(a, b) = ({params.a}, {params.b}) violates a > 0, a + 1 > b")
-    cfg = q or QuadratureConfig()
-    z, w = gauss_legendre_nodes(cfg.nodes, 0.0, 1.0)
+    z, w = gauss_legendre_nodes(QuadratureConfig().nodes, 0.0, 1.0)
     cm = jacobi_monomial_coeffs(params, m)
     cn = jacobi_monomial_coeffs(params, n)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,15 +265,14 @@ def fold_exponential_coeffs(projections, basis: ExponentialBasis) -> np.ndarray:
     return out
 
 
-def oet_analyze(source: SignalSource, basis: ExponentialBasis,
-                q: QuadratureConfig = None) -> OetCoefficients:
+def oet_analyze(source: SignalSource, basis: ExponentialBasis) -> OetCoefficients:
     """Project a signal onto the basis and fold back to per-rate coefficients.
 
     One inner_product call takes every projection: a signal that is not
-    symbolic on the whole half line is read once, at one set of quadrature
-    nodes, and each projection keeps the bits of its own product with the
-    element."""
-    projections = inner_product(source, basis.elements, q)
+    symbolic on the whole half line is read once, at the default
+    QuadratureConfig's nodes, and each projection keeps the bits of its own
+    product with the element."""
+    projections = inner_product(source, basis.elements)
     with np.errstate(over="ignore", invalid="ignore"):
         folded = fold_exponential_coeffs(projections, basis)
     if not np.all(np.isfinite(folded)):

@@ -398,13 +398,13 @@ def inner_product(f: SignalSource, g, q: QuadratureConfig = None):
     intersection gives one 0.0 per source.  A symbolic source paired with a
     symbolic f on the whole half line takes the closed form
     sum c_i d_j / (r_i + s_j), exactly rounded.  Every other source joins
-    one quadrature pass, a lone source being its one-row case: f is read
-    once at the nodes, and the symbolic sources read one table of
-    exp(-rate t) over all their rates, which gives each the values its own
-    evaluation gives.  When every source in the pass is symbolic, their
-    values are built once per process per sources and nodes and read again
-    by every later call (_values_at), so projecting many signals onto one
-    basis at one window builds its element table once.
+    one quadrature pass, a lone source being its one-row case: f and each
+    source are read once at the nodes, by their own evaluation.  q sets the
+    pass's Gauss-Legendre order, QuadratureConfig's default when None.
+    When every source in the pass is symbolic, their values are built once
+    per process per sources and nodes and read again by every later call
+    (_values_at), so projecting many signals onto one basis at one window
+    builds its element table once.
 
     Known defect of the quadrature: on the whole half line the product of
     two terms with rates summing below 1 is undershot.  The substitution
@@ -436,23 +436,19 @@ def inner_product(f: SignalSource, g, q: QuadratureConfig = None):
         def integrand(ts):
             return evaluate_many(f, ts) * _values_at(pass_gs, ts)
 
-        try:
-            out[rows] = integrate_semi_infinite(integrand, q, t_window=window)
-        except OutOfSupport as exc:  # pragma: no cover - guarded by the window
-            raise QuadratureFailure(str(exc)) from exc
+        out[rows] = integrate_semi_infinite(integrand, q, t_window=window)
     return float(out[0]) if single else out
 
 
 def _values_at(sources, ts) -> np.ndarray:
-    """One row per source: its values at ts.  The symbolic sources' rows
-    come from one _decay_table over all their rates, bit for bit what each
-    one's own call gives.  Sources that are all symbolic read one table,
-    built once per process per sources and nodes (_symbolic_values); a
-    sampled or evaluator source among them is evaluated on every call."""
+    """One row per source: its values at ts, bit for bit what its own
+    evaluation gives.  Sources that are all symbolic read one table, built
+    once per process per sources and nodes (_symbolic_values); a pass with
+    a sampled or evaluator source evaluates every source on every call."""
     sources = tuple(sources)
     if all(x.symbolic is not None for x in sources):
         return _symbolic_values(sources, ts.tobytes())
-    return _value_rows(sources, ts)
+    return np.array([evaluate_many(x, ts) for x in sources])
 
 
 # the most tables _symbolic_values keeps: one per basis and quadrature window
@@ -465,23 +461,14 @@ _VALUE_TABLES = 16
 
 @functools.lru_cache(maxsize=_VALUE_TABLES)
 def _symbolic_values(sources, nodes: bytes) -> np.ndarray:
-    """_value_rows of these symbolic sources at the float nodes packed in
-    nodes, read-only: the key is the nodes' bytes, so equal nodes share a
-    table and the bits of each row are those the nodes themselves give."""
-    table = _value_rows(sources, np.frombuffer(nodes))
+    """Each symbolic source's values at the float nodes packed in nodes,
+    one row per source, read-only: the key is the nodes' bytes, so equal
+    nodes share a table and the bits of each row are those the nodes
+    themselves give."""
+    ts = np.frombuffer(nodes)
+    table = np.array([x.symbolic(ts) for x in sources])
     table.flags.writeable = False
     return table
-
-
-def _value_rows(sources, ts) -> np.ndarray:
-    """_values_at, built anew."""
-    rates = sorted({r for x in sources if x.symbolic is not None for r, _ in x.symbolic.terms})
-    table = _decay_table(np.array(rates), ts)
-    row = {r: i for i, r in enumerate(rates)}
-    return np.array([
-        x.symbolic._coeffs @ table[[row[r] for r, _ in x.symbolic.terms]]
-        if x.symbolic is not None else evaluate_many(x, ts)
-        for x in sources])
 
 
 def _closed_form_inner(x: SymbolicTransient, y: SymbolicTransient) -> float:

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import transient_lab
 from transient_lab import cli
 from transient_lab.cli import main
-from transient_lab.quadrature import MAX_NODES
 
 from conftest import sample_csv_texts
 
@@ -353,34 +352,11 @@ class TestCompare:
         assert json.loads(diag.read_text())[0]["vandermonde_condition"] is None
 
 class TestConfigPlumbing:
-    def test_quadrature_nodes_flag_changes_oet_projections(self, tmp_path, two_term_spec):
-        # oet reads a sampled input through its interpolant, which no node
-        # count integrates exactly, so the node count shows in the output
-        csv_path = tmp_path / "samples.csv"
-        assert run("synth", "--input", two_term_spec, "--output", csv_path,
-                   "--horizon", 40.0, "--step", 0.01) == 0
-        default, coarse = tmp_path / "default.json", tmp_path / "coarse.json"
-        assert run("oet", "--input", csv_path, "--output", default) == 0
-        assert run("oet", "--input", csv_path, "--quadrature-nodes", 64, "--output", coarse) == 0
-        default_proj = json.loads(default.read_text())["projections"]
-        coarse_proj = json.loads(coarse.read_text())["projections"]
-        assert coarse_proj != default_proj
-        assert np.allclose(coarse_proj, default_proj, rtol=0.0, atol=1e-5)
-
-    def test_compare_passes_the_flag_to_oet(self, tmp_path, two_term_spec):
-        def sweep(name, *flags):
-            out = tmp_path / f"{name}.csv"
-            assert run("compare", "--input", two_term_spec, "--methods", "oet", *flags,
-                       "--output", out) == 0
-            return out.read_bytes()
-
-        assert sweep("flags", "--quadrature-nodes", 64) != sweep("default")
-
     @pytest.mark.parametrize("argv, flag", [
-        (("oet", "--quadrature-nodes", "1"), "--quadrature-nodes"),
-        (("compare", "--methods", "oet", "--quadrature-nodes", "100000"), "--quadrature-nodes"),
         (("synth", "--seed", "-1"), "--seed"),
         (("compare", "--methods", "prony", "--seed", "-1"), "--seed"),
+        (("synth", "--sigma", "nan"), "--sigma"),
+        (("compare", "--methods", "prony", "--sigma", "0", "-1"), "--sigma"),
     ], ids=" ".join)
     def test_refused_value_names_the_flag_before_any_input_is_read(self, tmp_path, capsys,
                                                                    argv, flag):
@@ -406,23 +382,6 @@ class TestConfigPlumbing:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --seed ")
         assert not out.exists()
-
-    @pytest.mark.parametrize("verb, defaults", [
-        (("oet",), ("--quadrature-nodes", 128)),
-        (("compare", "--methods", "decomposer", "prony", "oet", "--sigma", 0, 1e-4),
-         ("--quadrature-nodes", 128)),
-    ], ids=["oet", "compare"])
-    def test_no_flag_writes_what_the_explicit_defaults_write(self, tmp_path, two_term_spec,
-                                                             verb, defaults):
-        # oet reads the samples, compare its spec
-        csv_path = tmp_path / "samples.csv"
-        assert run("synth", "--input", two_term_spec, "--output", csv_path,
-                   "--horizon", 40.0, "--step", 0.01, "--sigma", 1e-5) == 0
-        source = two_term_spec if verb[0] == "compare" else csv_path
-        bare, explicit = tmp_path / "bare", tmp_path / "explicit"
-        assert run(*verb, "--input", source, "--output", bare) == 0
-        assert run(*verb, "--input", source, *defaults, "--output", explicit) == 0
-        assert bare.read_bytes() == explicit.read_bytes()
 
     def test_bundled_example_file(self, tmp_path):
         out = tmp_path / "result.json"
@@ -703,6 +662,8 @@ class TestVerbFlags:
         ("compare", "--methods", "decomposer", "--fit-order", "slope_fit"),
         ("decompose", "--max-terms", "1"),
         ("compare", "--methods", "decomposer", "--max-terms", "1"),
+        ("oet", "--quadrature-nodes", "64"),
+        ("compare", "--methods", "oet", "--quadrature-nodes", "64"),
     ], ids=" ".join)
     def test_flag_the_verb_does_not_read_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -711,7 +672,7 @@ class TestVerbFlags:
         assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ("oet", "--quad", "1"), ("decompose", "--max-t", "1"),
+        ("oet", "--max-i", "1"), ("decompose", "--max-t", "1"),
         ("decompose", "--inp", "s.csv"), ("compare", "--methods", "oet", "--tri", "2"),
     ], ids=" ".join)
     def test_prefix_of_a_flag_is_a_usage_error(self, capsys, argv):
@@ -795,7 +756,41 @@ class TestVerbFlags:
         assert run(*argv, "--input", two_term_spec, "--horizon", 2, "--step", 0.5,
                    "--output", out) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "noise_sigma" in err[0] and argv[-1] in err[0]
+        assert len(err) == 1 and "--sigma" in err[0] and argv[-1] in err[0]
+        assert not out.exists()
+
+    def test_negative_sigma_refused_before_any_decomposition(self, tmp_path, two_term_spec,
+                                                             capsys, monkeypatch):
+        calls = []
+        real = cli.decompose_numeric
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose_numeric", counted)
+        out = tmp_path / "out.csv"
+        assert run("compare", "--input", two_term_spec, "--methods", "decomposer",
+                   "--sigma", "0", "-1", "--trials", 2, "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --sigma ")
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv, kind, named", [
+        (("synth",), ".csv", "JSON signal spec"),
+        (("prony",), ".json", "sample CSV"),
+        (("compare", "--methods", "prony"), ".csv", "JSON signal spec"),
+        (("compare", "--methods", "prony", "--trials", "0"), ".json", "--trials"),
+    ], ids=["synth-csv", "prony-json", "compare-csv", "compare-no-trials"])
+    def test_input_of_the_wrong_kind_or_no_trials_refused(self, tmp_path, capsys, argv,
+                                                          kind, named):
+        inputs = {".json": TWO_TERM, ".csv": "t,x\n0,1\n1,0.5\n2,0.25\n"}
+        source = tmp_path / f"input{kind}"
+        source.write_text(inputs[kind])
+        out = tmp_path / "out"
+        assert run(*argv, "--input", source, "--output", out) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -916,25 +911,3 @@ def test_functionals_keeps_the_exit_contract(tmp_path_factory, rates, ascending,
     out = tmp_path_factory.mktemp("functionals") / "out.csv"
     _check_run(("functionals", "--rates", *map(repr, rates), "--size", size, "--mode", mode,
                 f"--horizon={horizon!r}", "--output", out), DOCUMENTED_EXITS | {2})
-
-
-# each config flag's value: ints in and around what its config type takes,
-# written as argparse reads them, and arbitrary short text
-def _flag_values(*values):
-    return st.one_of(st.none(), st.sampled_from(values).map(str), st.text(max_size=5))
-
-
-@given(nodes=_flag_values(-1, 0, 1, 2, 3, 128, MAX_NODES, MAX_NODES + 1, 10 ** 400))
-@example(nodes=str(MAX_NODES))
-@example(nodes="0x10")
-@settings(max_examples=60)
-def test_config_flags_keep_the_exit_contract(tmp_path_factory, nodes):
-    folder = tmp_path_factory.mktemp("flags")
-    spec, out = folder / "spec.json", folder / "out"
-    spec.write_text(TWO_TERM)
-    # "--flag=value", so that a value starting with "-" is read as the value
-    quadrature = [] if nodes is None else [f"--quadrature-nodes={nodes}"]
-    exits = {0, 2, 3}
-    _check_run(("oet", "--input", spec, "--max-index", 4, *quadrature, "--output", out), exits)
-    _check_run(("compare", "--input", spec, "--horizon", 2, "--step", 0.1, *quadrature,
-                "--methods", "decomposer", "prony", "oet", "--output", out), exits)

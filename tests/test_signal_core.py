@@ -120,6 +120,8 @@ class TestSampledSignal:
             SampledSignal(times=np.array([0.0, 1.0]), values=np.zeros(3))
         with pytest.raises(ValueError, match="t >= 0"):
             SampledSignal(times=np.array([-1.0, 1.0]), values=np.zeros(2))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SampledSignal(times=np.zeros((2, 2)), values=np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, bad):
@@ -387,6 +389,11 @@ class TestInnerProduct:
         with pytest.raises(QuadratureFailure):
             inner_product(bad, bad)
 
+    def test_finite_values_whose_integral_overflows_fail(self):
+        from transient_lab import QuadratureFailure, integrate_semi_infinite
+        with pytest.raises(QuadratureFailure, match="integral overflows"):
+            integrate_semi_infinite(lambda t: np.full_like(t, 1e308))
+
 
 class TestInnerProductSequence:
     """inner_product(f, [g1, g2, ...]): one pass, each product's own bits."""
@@ -459,22 +466,16 @@ class TestElementTable:
 
     SIG = SymbolicTransient(((1.0, 2.0), (2.5, -3.0)))
 
-    def test_built_once_per_sources_and_nodes(self, monkeypatch):
+    def test_built_once_per_sources_and_nodes(self):
         basis = build_exponential_basis.__wrapped__(8)   # sources no call has seen
         sources = [SignalSource.from_sampled(synthesize_samples(
             self.SIG, np.linspace(0.0, horizon, 401), noise_sigma=1e-4, seed=seed))
             for seed, horizon in enumerate((40.0, 40.0, 20.0, 40.0))]
-        builds = []
-        decay_table = signal_core._decay_table
-
-        def counted(rates, ts):
-            builds.append(len(ts))
-            return decay_table(rates, ts)
-
-        monkeypatch.setattr(signal_core, "_decay_table", counted)
+        misses = signal_core._symbolic_values.cache_info().misses
         for f in sources:
             oet_analyze(f, basis)
-        assert builds == [128, 128]
+        # one table for each of the two windows
+        assert signal_core._symbolic_values.cache_info().misses - misses == 2
 
     def test_kept_table_is_read_only(self):
         elements = build_exponential_basis(8).elements
@@ -606,6 +607,18 @@ class TestFileFormats:
     def test_spec_errors_are_value_errors_naming_the_file(self, tmp_path, terms, named):
         path = tmp_path / "bad.json"
         path.write_text('{"terms": ' + terms + '}')
+        with pytest.raises(ValueError) as exc:
+            load_signal_spec(path)
+        assert str(exc.value).startswith(f"{path}: ") and named in str(exc.value)
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"terms": [', "invalid JSON"), ('{"rates": []}', "missing required field 'terms'"),
+        ('[1.0, 2.0]', "missing required field 'terms'"),
+        ('{"terms": {"rate": 1.0, "coeff": 1.0}}', "field 'terms' must be a list"),
+    ], ids=["invalid_json", "no_terms", "not_an_object", "terms_not_a_list"])
+    def test_spec_payload_errors_name_the_file(self, tmp_path, text, named):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         with pytest.raises(ValueError) as exc:
             load_signal_spec(path)
         assert str(exc.value).startswith(f"{path}: ") and named in str(exc.value)
